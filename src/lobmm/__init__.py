@@ -25,7 +25,6 @@ from .book import (
     BookSnapshot,
     Event,
     EventKind,
-    Fill,
     OrderBook,
     Side,
 )
@@ -59,6 +58,7 @@ from .engine import (
     generator_for,
     image_book,
     next_event,
+    replica_stats,
     restrict_event,
     run,
     run_ensemble,
@@ -96,7 +96,6 @@ __all__ = [
     "EmptySupportError",
     "Event",
     "EventKind",
-    "Fill",
     "FreezeReport",
     "FreezeSupport",
     "InsufficientDataError",
@@ -128,6 +127,7 @@ __all__ = [
     "image_book",
     "next_event",
     "phi",
+    "replica_stats",
     "restrict_event",
     "run",
     "run_ensemble",

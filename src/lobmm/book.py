@@ -3,8 +3,8 @@
 The book is a pair of price multisets (buys and sells) inside an open
 price interval, never crossing: every resting sell sits strictly above
 every resting buy.  Quotes fall back to the interval endpoints when a side
-is empty.  Five event kinds mutate the book; each application returns a
-:class:`Fill` record of the mutations.
+is empty.  Five event kinds mutate the book; each application returns the
+trade price, or None when nothing traded.
 
 Per side the book keeps a count dict plus a heap of the distinct resting
 prices.  Removals only ever happen at the best quote, so the heap stays
@@ -24,13 +24,10 @@ from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 from .curves import PriceInterval
 
 __all__ = [
-    "Action",
     "BidAsk",
     "BookSnapshot",
     "Event",
     "EventKind",
-    "Fill",
-    "Mutation",
     "OrderBook",
     "Side",
 ]
@@ -47,11 +44,6 @@ class EventKind(Enum):
 class Side(Enum):
     BUY = "buy"
     SELL = "sell"
-
-
-class Action(Enum):
-    ADD = "add"
-    REMOVE = "remove"
 
 
 _LIMIT_KINDS = (EventKind.BUY_LIMIT, EventKind.SELL_LIMIT)
@@ -73,23 +65,6 @@ class Event:
 class BidAsk(NamedTuple):
     bid: float
     ask: float
-
-
-@dataclass(frozen=True)
-class Mutation:
-    action: Action
-    side: Side
-    price: float
-
-
-@dataclass(frozen=True)
-class Fill:
-    """Outcome of one event: zero, one, or two mutations and a trade flag."""
-
-    event: Event
-    mutations: Tuple[Mutation, ...]
-    trade: bool
-    trade_price: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -238,8 +213,8 @@ class OrderBook:
 
     # -- event application ------------------------------------------------
 
-    def apply(self, event: Event) -> Fill:
-        """Apply one event and report the resulting mutations.
+    def apply(self, event: Event) -> Optional[float]:
+        """Apply one event; return the trade price, or None if no trade.
 
         BUY_MARKET lifts the ask when a sell rests; SELL_MARKET hits the
         bid when a buy rests; marketable limits (buy at or above the ask,
@@ -250,40 +225,29 @@ class OrderBook:
         """
         kind = event.kind
         if kind is EventKind.BUY_MARKET:
-            if self.sell_heap:
-                p = self.take_ask()
-                return Fill(event, (Mutation(Action.REMOVE, Side.SELL, p),), True, p)
-            return Fill(event, (), False)
+            return self.take_ask() if self.sell_heap else None
         if kind is EventKind.SELL_MARKET:
-            if self.buy_heap:
-                p = self.take_bid()
-                return Fill(event, (Mutation(Action.REMOVE, Side.BUY, p),), True, p)
-            return Fill(event, (), False)
+            return self.take_bid() if self.buy_heap else None
         if kind is EventKind.BUY_LIMIT:
             x = self._check_limit_price(event.price)
             if self.sell_heap and x >= self.sell_heap[0]:
-                p = self.take_ask()
-                return Fill(event, (Mutation(Action.REMOVE, Side.SELL, p),), True, p)
+                return self.take_ask()
             self.add_buy(x)
-            return Fill(event, (Mutation(Action.ADD, Side.BUY, x),), False)
+            return None
         if kind is EventKind.SELL_LIMIT:
             x = self._check_limit_price(event.price)
             if self.buy_heap and x <= -self.buy_heap[0]:
-                p = self.take_bid()
-                return Fill(event, (Mutation(Action.REMOVE, Side.BUY, p),), True, p)
+                return self.take_bid()
             self.add_sell(x)
-            return Fill(event, (Mutation(Action.ADD, Side.SELL, x),), False)
+            return None
         # MARKET_MAKER: quotes sampled before either insertion
-        muts = []
         bid0 = -self.buy_heap[0] if self.buy_heap else None
         ask0 = self.sell_heap[0] if self.sell_heap else None
         if bid0 is not None:
             self.add_buy(bid0)
-            muts.append(Mutation(Action.ADD, Side.BUY, bid0))
         if ask0 is not None:
             self.add_sell(ask0)
-            muts.append(Mutation(Action.ADD, Side.SELL, ask0))
-        return Fill(event, tuple(muts), False)
+        return None
 
     def _check_limit_price(self, x: float) -> float:
         if not self.interval.contains_open(x):

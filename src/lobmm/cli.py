@@ -42,9 +42,7 @@ from .engine import (
     SimConfig,
     Trajectory,
     image_book,
-    InsufficientDataError,
-    detect_freeze,
-    estimate_window,
+    replica_stats,
     run,
     run_ensemble,
 )
@@ -118,6 +116,16 @@ def _as_int(value: Any, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where} must be an integer, got {value!r}")
     return value
+
+
+def _as_bool(value: Any, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where} must be true or false, got {value!r}")
+    return value
+
+
+def _nan_if_none(value: Optional[float]) -> float:
+    return math.nan if value is None else value
 
 
 def load_config(path: str) -> Dict[str, Any]:
@@ -420,13 +428,7 @@ def _trajectory_rows(traj: Trajectory):
 
 
 def _summary_payload(traj: Trajectory, seed: int) -> Dict[str, Any]:
-    s = traj.summary
-    try:
-        est = estimate_window(traj)
-        window_est = {"lo": est.lo, "hi": est.hi}
-    except InsufficientDataError:
-        window_est = None
-    fz = detect_freeze(traj)
+    st = replica_stats(traj)
     return {
         "command": "simulate",
         "seed": seed,
@@ -440,16 +442,22 @@ def _summary_payload(traj: Trajectory, seed: int) -> Dict[str, Any]:
             if traj.config.restriction is not None
             else None
         ),
-        "trade_count": s.trade_count,
-        "final_buys": s.final_buys,
-        "final_sells": s.final_sells,
-        "empty_book_transitions": s.empty_book_transitions,
-        "empty_buy_prob": s.empty_buy_prob,
-        "empty_sell_prob": s.empty_sell_prob,
-        "window_estimate": window_est,
+        "trade_count": st.trade_count,
+        "final_buys": st.final_buys,
+        "final_sells": st.final_sells,
+        "empty_book_transitions": st.empty_book_transitions,
+        "empty_buy_prob": st.empty_buy_prob,
+        "empty_sell_prob": st.empty_sell_prob,
+        "window_estimate": (
+            {"lo": st.window_lo, "hi": st.window_hi} if st.window_lo is not None else None
+        ),
         "freeze": (
-            {"t": fz.t_freeze, "midpoint": fz.midpoint, "start_index": fz.start_index}
-            if fz is not None
+            {
+                "t": st.freeze_time,
+                "midpoint": st.freeze_midpoint,
+                "start_index": st.freeze_start_index,
+            }
+            if st.frozen
             else None
         ),
     }
@@ -631,7 +639,9 @@ def cmd_freeze(doc: Dict[str, Any], args) -> int:
     min_events = None
     if block.get("min_events") is not None:
         min_events = _as_int(block["min_events"], "freeze.min_events")
-    allow_subcritical = bool(block.get("allow_subcritical", False))
+    allow_subcritical = _as_bool(
+        block.get("allow_subcritical", False), "freeze.allow_subcritical"
+    )
 
     v_w = walras(pair).volume
     if rho < v_w and not allow_subcritical:
@@ -686,8 +696,8 @@ def cmd_freeze(doc: Dict[str, Any], args) -> int:
                     s.replica,
                     s.n_events,
                     int(s.frozen),
-                    s.freeze_time if s.freeze_time is not None else math.nan,
-                    s.freeze_midpoint if s.freeze_midpoint is not None else math.nan,
+                    _nan_if_none(s.freeze_time),
+                    _nan_if_none(s.freeze_midpoint),
                     s.trade_count,
                     s.min_bid,
                     s.max_ask,
@@ -753,7 +763,9 @@ def cmd_sweep(doc: Dict[str, Any], args) -> int:
         raise ConfigError("sweep block must set exactly one of rho and volume")
 
     out.directory.mkdir(parents=True, exist_ok=True)
-    simulate = settings.events is not None and settings.seed is not None
+    simulate = settings.seed is not None and (
+        settings.events is not None or settings.duration is not None
+    )
 
     if "rho" in block:
         rhos = [_as_number(v, "sweep.rho entry") for v in block["rho"]]
@@ -783,21 +795,19 @@ def cmd_sweep(doc: Dict[str, Any], args) -> int:
                 int(rep.boundary),
             ]
             if simulate:
-                traj = run(
-                    SimConfig(
-                        pair=pair,
-                        rho=r,
-                        events=settings.events,
-                        seed=settings.seed,
-                        burn_in=settings.burn_in,
+                st = replica_stats(
+                    run(
+                        SimConfig(
+                            pair=pair,
+                            rho=r,
+                            events=settings.events,
+                            duration=settings.duration,
+                            seed=settings.seed,
+                            burn_in=settings.burn_in,
+                        )
                     )
                 )
-                try:
-                    est = estimate_window(traj)
-                    row += [est.lo, est.hi]
-                except InsufficientDataError:
-                    row += [math.nan, math.nan]
-                row.append(int(detect_freeze(traj) is not None))
+                row += [_nan_if_none(st.window_lo), _nan_if_none(st.window_hi), int(st.frozen)]
             rows.append(row)
         write_csv(out.directory / "sweep.csv", header, rows)
         return EXIT_OK

@@ -354,13 +354,9 @@ class DemandSupplyPair:
         )
 
 
-def _merged_breakpoints(demand: MonotoneCurve, supply: MonotoneCurve) -> list:
-    pts = sorted(set(demand.prices) | set(supply.prices))
-    return pts
-
 def _a3_violation(demand: MonotoneCurve, supply: MonotoneCurve):
     """Leftmost merged segment whose supply-demand slope gap is not positive."""
-    pts = _merged_breakpoints(demand, supply)
+    pts = sorted(set(demand.prices) | set(supply.prices))
     for a, b in zip(pts, pts[1:]):
         sd = (demand.value_at(b) - demand.value_at(a)) / (b - a)
         ss = (supply.value_at(b) - supply.value_at(a)) / (b - a)
@@ -378,7 +374,9 @@ def _a4_violation(demand: MonotoneCurve, supply: MonotoneCurve):
     """
     lo, hi = demand.lo, demand.hi
     eps = 1e-9 * (hi - lo)
-    probes = [lo + eps, hi - eps] + [p for p in _merged_breakpoints(demand, supply) if lo < p < hi]
+    probes = [lo + eps, hi - eps] + [
+        p for p in sorted(set(demand.prices) | set(supply.prices)) if lo < p < hi
+    ]
     for x in probes:
         if demand.value_at(x) <= 0.0 or supply.value_at(x) <= 0.0:
             return x
@@ -406,7 +404,7 @@ def walras(pair: DemandSupplyPair, tol: float = 1e-12) -> WalrasPoint:
     curves never cross inside the span, the matching endpoint is used.  The
     volume is the largest value of min(demand, supply) over the closed span.
     """
-    _require_a1_a4(pair)
+    require_core_assumptions(pair)
     demand, supply = pair.demand, pair.supply
     lo, hi = demand.lo, demand.hi
     g_lo = supply.value_at(lo) - demand.value_at(lo)
@@ -439,21 +437,18 @@ def require_core_assumptions(pair: DemandSupplyPair) -> None:
         raise AssumptionError("(A4)", f"curve not positive on the open interval near x={bad}")
 
 
-_require_a1_a4 = require_core_assumptions
-
-
 @dataclass(frozen=True)
 class AssumptionReport:
     """Which structural assumptions a curve pair satisfies.
 
-    a1: monotone directions; a2: continuity; a3: supply minus demand
-    strictly increasing; a4: positivity on the open interval; a5: walrasian
-    volume below the volume ceiling min(demand(lo), supply(hi)); a6: strict
-    monotonicity of each curve on every segment.
+    a1: monotone directions; a3: supply minus demand strictly increasing;
+    a4: positivity on the open interval; a5: walrasian volume below the
+    volume ceiling min(demand(lo), supply(hi)); a6: strict monotonicity of
+    each curve on every segment.  (A2), continuity, holds by construction:
+    the curves are piecewise-linear interpolants.
     """
 
     a1: bool
-    a2: bool
     a3: bool
     a4: bool
     a5: bool
@@ -465,7 +460,7 @@ class AssumptionReport:
     @property
     def core(self) -> bool:
         """(A1) through (A4), required by every consumer."""
-        return self.a1 and self.a2 and self.a3 and self.a4
+        return self.a1 and self.a3 and self.a4
 
 
 def check_assumptions(pair: DemandSupplyPair) -> AssumptionReport:
@@ -478,7 +473,6 @@ def check_assumptions(pair: DemandSupplyPair) -> AssumptionReport:
     )
     if not a1:
         failures.append("(A1) monotone directions")
-    a2 = True  # piecewise-linear interpolation is continuous by construction
     a3 = _a3_violation(demand, supply) is None
     if not a3:
         failures.append("(A3) supply minus demand strictly increasing")
@@ -497,7 +491,7 @@ def check_assumptions(pair: DemandSupplyPair) -> AssumptionReport:
     a6 = _strictly_monotone(demand) and _strictly_monotone(supply)
     if not a6:
         failures.append("(A6) strict monotonicity")
-    return AssumptionReport(a1, a2, a3, a4, a5, a6, tuple(failures), v_w, v_max)
+    return AssumptionReport(a1, a3, a4, a5, a6, tuple(failures), v_w, v_max)
 
 
 def _strictly_monotone(curve: MonotoneCurve) -> bool:

@@ -9,10 +9,16 @@ and uniforms are consumed in a fixed order from one counter-based
 generator (Philox), block-buffered for speed.
 
 The run loop inlines the book transitions and the limit-price sampler.
-Both have slow-path twins (:meth:`OrderBook.apply`,
-:meth:`MonotoneCurve.sample_limit_price`, :func:`next_event`,
-:func:`restrict_event`) and the test-suite pins the two paths to each
-other event by event; change them in lockstep.
+Each event is settled in two steps: first the recorded kind and the one
+book operation it maps to (take the ask, take the bid, rest a buy, rest a
+sell, reinforce both quotes, or nothing for a dropped order), then that
+operation.  Both steps have slow-path twins (:func:`next_event`,
+:func:`restrict_event`, :meth:`OrderBook.apply`) and the test-suite pins
+the two paths to each other event by event; change them in lockstep.
+
+After a run, :func:`replica_stats` boils a trajectory down to the
+:class:`ReplicaStats` record that ``simulate``, ``sweep`` and ``freeze``
+all report from.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ __all__ = [
     "generator_for",
     "image_book",
     "next_event",
+    "replica_stats",
     "restrict_event",
     "run",
     "run_ensemble",
@@ -296,7 +303,8 @@ def run(config: SimConfig) -> Trajectory:
 
     The loop below mirrors next_event + restrict_event + OrderBook.apply
     exactly (same draws, same comparisons, same arithmetic) with the
-    object layers peeled off.
+    object layers peeled off.  Each event first settles its recorded kind
+    and the book operation it maps to, then applies that operation.
     """
     pair = config.pair
     require_core_assumptions(pair)
@@ -304,11 +312,12 @@ def run(config: SimConfig) -> Trajectory:
     c_bm, c_sm, c_bl, c_sl = rates.thresholds
     inv_total = rates.inv_total
 
-    demand, supply = pair.demand, pair.supply
-    dprices, dcum, dseg = demand._price_list, demand._cum_list, demand._seg_per_mass
-    sprices, scum, sseg = supply._price_list, supply._cum_list, supply._seg_per_mass
-    d_total = dcum[-1]
-    s_total = scum[-1]
+    # limit-price sampler inputs per side: knots, cumulative mass, price per
+    # unit mass on each segment, total mass
+    buy_curve, sell_curve = (
+        (c._price_list, c._cum_list, c._seg_per_mass, c._cum_list[-1])
+        for c in (pair.demand, pair.supply)
+    )
 
     iv = pair.interval
     lo, hi = iv.lo, iv.hi
@@ -321,7 +330,6 @@ def run(config: SimConfig) -> Trajectory:
     book = OrderBook(iv, config.initial_buys, config.initial_sells)
     buys, sells = book.buy_counts, book.sell_counts
     bh, sh = book.buy_heap, book.sell_heap
-    nb, ns = book.n_buys, book.n_sells
 
     rng = BlockRng(generator_for(config.seed, config.replica))
     gen_exp = rng.generator.standard_exponential
@@ -330,31 +338,27 @@ def run(config: SimConfig) -> Trajectory:
     uni_buf, uni_i = rng._uni, rng._uni_i
     push, pop = heappush, heappop
 
-    times_a = array("d")
-    kinds_a = array("B")
-    tp_a = array("d")
-    bids_a = array("d")
-    asks_a = array("d")
-    t_ap, k_ap, tp_ap = times_a.append, kinds_a.append, tp_a.append
-    b_ap, a_ap = bids_a.append, asks_a.append
+    # per-event columns: time, kind, trade price, bid, ask
+    columns = [array(code) for code in "dBddd"]
+    t_ap, k_ap, tp_ap, b_ap, a_ap = (col.append for col in columns)
 
     snapshots: Dict[int, BookSnapshot] = {}
-    snap_queue = list(config.snapshot_at)
-    if snap_queue and snap_queue[0] == 0:
+    snap_iter = iter(config.snapshot_at)
+    next_snap = next(snap_iter, -1)
+    if next_snap == 0:
         snapshots[0] = book.snapshot()
-        snap_queue.pop(0)
-    next_snap = snap_queue[0] if snap_queue else -1
-    snap_pos = 0
+        next_snap = next(snap_iter, -1)
 
     n_target = config.events if config.events is not None else -1
     t_limit = config.duration if config.duration is not None else math.inf
 
     t = 0.0
-    trades = 0
-    empties = 0
-    was_empty = nb == 0 and ns == 0
     nan = math.nan
     i = 0
+    # keep the back edge an unconditional jump: CPython 3.11 specializes a
+    # function's bytecode on calls and on plain backward jumps, not on a
+    # conditional loop test, so `while i != n_target` would leave this
+    # loop unspecialized for the whole of a single call
     while True:
         if i == n_target:
             break
@@ -371,121 +375,63 @@ def run(config: SimConfig) -> Trajectory:
             uni_i = 0
         u = uni_buf[uni_i]
         uni_i += 1
-        tp = nan
-        if u < c_bl:
-            if u < c_sm:
-                if u < c_bm:
-                    kind = 0  # market buy lifts the ask
-                    if sh:
-                        p = sh[0]
-                        c = sells[p]
-                        if c == 1:
-                            del sells[p]
-                            pop(sh)
-                        else:
-                            sells[p] = c - 1
-                        ns -= 1
-                        trades += 1
-                        tp = p
-                else:
-                    kind = 1  # market sell hits the bid
-                    if bh:
-                        p = -bh[0]
-                        c = buys[p]
-                        if c == 1:
-                            del buys[p]
-                            pop(bh)
-                        else:
-                            buys[p] = c - 1
-                        nb -= 1
-                        trades += 1
-                        tp = p
-            else:
-                kind = 2  # buy limit
-                if uni_i == _BLOCK:
-                    uni_buf = gen_uni(_BLOCK).tolist()
-                    uni_i = 0
-                u2 = uni_buf[uni_i]
-                uni_i += 1
-                target = u2 * d_total
-                j = bisect_left(dcum, target)
-                if j == 0:
-                    x = dprices[0]
-                else:
-                    jm = j - 1
-                    x = dprices[jm] + (target - dcum[jm]) * dseg[jm]
-                if x <= lo:
-                    x = lo_in
-                elif x >= hi:
-                    x = hi_in
-                if restricted and x >= j_hi:
-                    kind = 0  # rewritten to a market buy
-                    if sh:
-                        p = sh[0]
-                        c = sells[p]
-                        if c == 1:
-                            del sells[p]
-                            pop(sh)
-                        else:
-                            sells[p] = c - 1
-                        ns -= 1
-                        trades += 1
-                        tp = p
-                elif restricted and x <= j_lo:
-                    kind = DROPPED
-                elif sh and x >= sh[0]:
-                    p = sh[0]
-                    c = sells[p]
-                    if c == 1:
-                        del sells[p]
-                        pop(sh)
-                    else:
-                        sells[p] = c - 1
-                    ns -= 1
-                    trades += 1
-                    tp = p
-                else:
-                    c = buys.get(x)
-                    if c is None:
-                        buys[x] = 1
-                        push(bh, -x)
-                    else:
-                        buys[x] = c + 1
-                    nb += 1
+
+        # kind is what the trajectory records; op is the book operation:
+        # 0 take the ask, 1 take the bid, 2 rest a buy, 3 rest a sell,
+        # 4 reinforce both quotes, DROPPED nothing
+        if u < c_sm:
+            kind = op = 0 if u < c_bm else 1
         elif u < c_sl:
-            kind = 3  # sell limit
+            if u < c_bl:
+                kind = 2
+                prices, cum, seg, total = buy_curve
+            else:
+                kind = 3
+                prices, cum, seg, total = sell_curve
             if uni_i == _BLOCK:
                 uni_buf = gen_uni(_BLOCK).tolist()
                 uni_i = 0
-            u2 = uni_buf[uni_i]
+            target = uni_buf[uni_i] * total
             uni_i += 1
-            target = u2 * s_total
-            j = bisect_left(scum, target)
+            j = bisect_left(cum, target)
             if j == 0:
-                x = sprices[0]
+                x = prices[0]
             else:
                 jm = j - 1
-                x = sprices[jm] + (target - scum[jm]) * sseg[jm]
+                x = prices[jm] + (target - cum[jm]) * seg[jm]
             if x <= lo:
                 x = lo_in
             elif x >= hi:
                 x = hi_in
-            if restricted and x <= j_lo:
-                kind = 1  # rewritten to a market sell
-                if bh:
-                    p = -bh[0]
-                    c = buys[p]
-                    if c == 1:
-                        del buys[p]
-                        pop(bh)
-                    else:
-                        buys[p] = c - 1
-                    nb -= 1
-                    trades += 1
-                    tp = p
+            if kind == 2:
+                if restricted and x >= j_hi:
+                    kind = op = 0  # rewritten to a market buy
+                elif restricted and x <= j_lo:
+                    kind = op = DROPPED
+                else:
+                    op = 0 if sh and x >= sh[0] else 2
+            elif restricted and x <= j_lo:
+                kind = op = 1  # rewritten to a market sell
             elif restricted and x >= j_hi:
-                kind = DROPPED
-            elif bh and x <= -bh[0]:
+                kind = op = DROPPED
+            else:
+                op = 1 if bh and x <= -bh[0] else 3
+        else:
+            kind = op = 4
+
+        tp = nan
+        if op == 0:
+            if sh:
+                p = sh[0]
+                c = sells[p]
+                if c == 1:
+                    del sells[p]
+                    pop(sh)
+                else:
+                    sells[p] = c - 1
+                tp = p
+        elif op == 1:
+            if bh:
                 p = -bh[0]
                 c = buys[p]
                 if c == 1:
@@ -493,59 +439,49 @@ def run(config: SimConfig) -> Trajectory:
                     pop(bh)
                 else:
                     buys[p] = c - 1
-                nb -= 1
-                trades += 1
                 tp = p
+        elif op == 2:
+            c = buys.get(x)
+            if c is None:
+                buys[x] = 1
+                push(bh, -x)
             else:
-                c = sells.get(x)
-                if c is None:
-                    sells[x] = 1
-                    push(sh, x)
-                else:
-                    sells[x] = c + 1
-                ns += 1
-        else:
-            kind = 4  # market maker reinforces both quotes
+                buys[x] = c + 1
+        elif op == 3:
+            c = sells.get(x)
+            if c is None:
+                sells[x] = 1
+                push(sh, x)
+            else:
+                sells[x] = c + 1
+        elif op == 4:
             if bh:
-                p = -bh[0]
-                buys[p] += 1
-                nb += 1
+                buys[-bh[0]] += 1
             if sh:
-                p = sh[0]
-                sells[p] += 1
-                ns += 1
-        bid = -bh[0] if bh else lo
-        ask = sh[0] if sh else hi
+                sells[sh[0]] += 1
+
         t_ap(t)
         k_ap(kind)
         tp_ap(tp)
-        b_ap(bid)
-        a_ap(ask)
-        if nb == 0 and ns == 0:
-            if not was_empty:
-                empties += 1
-                was_empty = True
-        else:
-            was_empty = False
+        b_ap(-bh[0] if bh else lo)
+        a_ap(sh[0] if sh else hi)
         i += 1
         if i == next_snap:
-            book.n_buys, book.n_sells = nb, ns
             snapshots[i] = book.snapshot()
-            snap_pos += 1
-            next_snap = snap_queue[snap_pos] if snap_pos < len(snap_queue) else -1
+            next_snap = next(snap_iter, -1)
 
-    book.n_buys, book.n_sells = nb, ns
+    # the loop mutates the count dicts and heaps only; settle the totals
+    book.n_buys, book.n_sells = sum(buys.values()), sum(sells.values())
     n = i
-    times = np.frombuffer(times_a, dtype=np.float64) if n else np.empty(0)
-    kinds = np.frombuffer(kinds_a, dtype=np.uint8) if n else np.empty(0, dtype=np.uint8)
-    tps = np.frombuffer(tp_a, dtype=np.float64) if n else np.empty(0)
-    bids = np.frombuffer(bids_a, dtype=np.float64) if n else np.empty(0)
-    asks = np.frombuffer(asks_a, dtype=np.float64) if n else np.empty(0)
+    times, kinds, tps, bids, asks = (
+        np.frombuffer(col, dtype=col.typecode) if n else np.empty(0, dtype=col.typecode)
+        for col in columns
+    )
     for arr in (times, kinds, tps, bids, asks):
         arr.flags.writeable = False
 
     end_time = t if config.duration is None else config.duration
-    summary = _summarize(config, n, end_time, times, bids, asks, trades, book, empties)
+    summary = _summarize(config, n, end_time, times, tps, bids, asks, book)
     return Trajectory(
         config, n, end_time, times, kinds, tps, bids, asks, summary, book, snapshots
     )
@@ -562,35 +498,31 @@ def _state_weights(times: np.ndarray, end_time: float, lo_idx: int) -> np.ndarra
     return w
 
 
-def _weighted_cdf(values: np.ndarray, weights: np.ndarray, grid: np.ndarray) -> np.ndarray:
+def _weighted_below(values: np.ndarray, weights: np.ndarray, grid: np.ndarray, side: str):
+    """Weight of the values at or below (side "right") or strictly below
+    (side "left") each grid point, and the total weight."""
     order = np.argsort(values, kind="stable")
-    sv = values[order]
     cw = np.cumsum(weights[order])
-    total = cw[-1]
-    idx = np.searchsorted(sv, grid, side="right")
-    out = np.where(idx > 0, cw[np.maximum(idx - 1, 0)], 0.0)
-    return out / total
+    idx = np.searchsorted(values[order], grid, side=side)
+    return np.where(idx > 0, cw[np.maximum(idx - 1, 0)], 0.0), cw[-1]
 
 
-def _weighted_survival(values: np.ndarray, weights: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    sv = values[order]
-    cw = np.cumsum(weights[order])
-    total = cw[-1]
-    idx = np.searchsorted(sv, grid, side="left")  # count strictly below
-    below = np.where(idx > 0, cw[np.maximum(idx - 1, 0)], 0.0)
-    return (total - below) / total
-
-
-def _summarize(config, n, end_time, times, bids, asks, trades, book, empties) -> TrajectorySummary:
+def _summarize(config, n, end_time, times, tps, bids, asks, book) -> TrajectorySummary:
     iv = config.restriction if config.restriction is not None else config.pair.interval
     grid = np.linspace(iv.lo, iv.hi, config.cdf_grid_size)
     lo, hi = config.pair.interval.lo, config.pair.interval.hi
+    trades = n - int(np.count_nonzero(np.isnan(tps)))
+    # resting prices lie strictly inside the interval, so a quote on the
+    # interval edge marks an empty side
+    empty = (bids == lo) & (asks == hi)
+    empties = int(np.count_nonzero(empty[1:] & ~empty[:-1]))
+    if n and empty[0] and (config.initial_buys or config.initial_sells):
+        empties += 1
     k0 = int(config.burn_in * n)
     if n == 0 or k0 >= n:
-        empty = np.full(config.cdf_grid_size, math.nan)
+        nans = np.full(config.cdf_grid_size, math.nan)
         return TrajectorySummary(
-            trades, book.n_buys, book.n_sells, empties, math.nan, math.nan, grid, empty, empty
+            trades, book.n_buys, book.n_sells, empties, math.nan, math.nan, grid, nans, nans
         )
     w = _state_weights(times, end_time, k0)
     if not w.sum() > 0.0:
@@ -600,10 +532,10 @@ def _summarize(config, n, end_time, times, bids, asks, trades, book, empties) ->
     total = w.sum()
     empty_buy = float(w[b == lo].sum() / total)
     empty_sell = float(w[a == hi].sum() / total)
-    b_eff = np.clip(b, iv.lo, iv.hi)
-    a_eff = np.clip(a, iv.lo, iv.hi)
-    bid_cdf = _weighted_cdf(b_eff, w, grid)
-    ask_surv = _weighted_survival(a_eff, w, grid)
+    b_le, b_total = _weighted_below(np.clip(b, iv.lo, iv.hi), w, grid, "right")
+    a_lt, a_total = _weighted_below(np.clip(a, iv.lo, iv.hi), w, grid, "left")
+    bid_cdf = b_le / b_total
+    ask_surv = (a_total - a_lt) / a_total
     return TrajectorySummary(
         trades, book.n_buys, book.n_sells, empties, empty_buy, empty_sell, grid, bid_cdf, ask_surv
     )
@@ -724,7 +656,9 @@ def image_book(book: OrderBook, dmap: DiscreteMap) -> OrderBook:
 
 @dataclass(frozen=True)
 class ReplicaStats:
-    """Small per-replica summary, cheap to ship across worker processes."""
+    """Post-run summary of one trajectory, cheap to ship across worker
+    processes.  Freeze and window fields are None when no freeze was
+    detected or no quote rested after burn-in."""
 
     replica: int
     n_events: int
@@ -739,16 +673,19 @@ class ReplicaStats:
     frozen: bool
     freeze_time: Optional[float]
     freeze_midpoint: Optional[float]
+    freeze_start_index: Optional[int]
     window_lo: Optional[float]
     window_hi: Optional[float]
     empty_buy_prob: float
     empty_sell_prob: float
 
 
-def _replica_stats(
-    config: SimConfig, eps: Optional[float], window: Optional[int]
+def replica_stats(
+    traj: Trajectory, eps: Optional[float] = None, window: Optional[int] = None
 ) -> ReplicaStats:
-    traj = run(config)
+    """Summarize a finished run: quote extremes, the freeze report for
+    ``eps`` and ``window`` (see :func:`detect_freeze`), and the window
+    estimate (see :func:`estimate_window`)."""
     fz = detect_freeze(traj, eps, window)
     try:
         we = estimate_window(traj)
@@ -756,20 +693,22 @@ def _replica_stats(
     except InsufficientDataError:
         wlo = whi = None
     s = traj.summary
+    n = traj.n_events
     return ReplicaStats(
-        replica=config.replica,
-        n_events=traj.n_events,
+        replica=traj.config.replica,
+        n_events=n,
         trade_count=s.trade_count,
-        min_bid=float(traj.bids.min()) if traj.n_events else math.nan,
-        max_bid=float(traj.bids.max()) if traj.n_events else math.nan,
-        min_ask=float(traj.asks.min()) if traj.n_events else math.nan,
-        max_ask=float(traj.asks.max()) if traj.n_events else math.nan,
+        min_bid=float(traj.bids.min()) if n else math.nan,
+        max_bid=float(traj.bids.max()) if n else math.nan,
+        min_ask=float(traj.asks.min()) if n else math.nan,
+        max_ask=float(traj.asks.max()) if n else math.nan,
         empty_book_transitions=s.empty_book_transitions,
         final_buys=s.final_buys,
         final_sells=s.final_sells,
         frozen=fz is not None,
         freeze_time=fz.t_freeze if fz else None,
         freeze_midpoint=fz.midpoint if fz else None,
+        freeze_start_index=fz.start_index if fz else None,
         window_lo=wlo,
         window_hi=whi,
         empty_buy_prob=s.empty_buy_prob,
@@ -779,7 +718,7 @@ def _replica_stats(
 
 def _ensemble_worker(args) -> ReplicaStats:
     base, r, eps, window = args
-    return _replica_stats(replace(base, replica=r), eps, window)
+    return replica_stats(run(replace(base, replica=r)), eps, window)
 
 
 def run_ensemble(

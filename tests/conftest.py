@@ -57,13 +57,17 @@ def evenodd_pair() -> DemandSupplyPair:
     return make_evenodd_pair(3)
 
 
-@pytest.fixture
-def floor_pair() -> DemandSupplyPair:
+def make_floor_pair() -> DemandSupplyPair:
     """Uniform pair with demand floored at 0.2 (market buy orders arrive)."""
     return DemandSupplyPair(
         MonotoneCurve((0.0, 0.8, 1.0), (1.0, 0.2, 0.2), Direction.DECREASING),
         MonotoneCurve((0.0, 1.0), (0.0, 1.0), Direction.INCREASING),
     )
+
+
+@pytest.fixture
+def floor_pair() -> DemandSupplyPair:
+    return make_floor_pair()
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lobmm import Event, EventKind, OrderBook, PriceInterval
-from lobmm.book import Action, Side
+from lobmm.book import Side
 
 IV = PriceInterval(0.0, 1.0)
 
@@ -60,52 +60,45 @@ class TestQuotes:
 class TestMarketOrders:
     def test_buy_market_lifts_ask(self):
         b = book(buys=[0.2], sells=[0.6, 0.7])
-        fill = b.apply(Event(EventKind.BUY_MARKET))
-        assert fill.trade and fill.trade_price == 0.6
+        assert b.apply(Event(EventKind.BUY_MARKET)) == 0.6
         assert b.ask == 0.7
 
     def test_buy_market_empty_sell_side(self):
         b = book(buys=[0.2])
-        fill = b.apply(Event(EventKind.BUY_MARKET))
-        assert not fill.trade and fill.mutations == ()
-        assert b.n_buys == 1
+        assert b.apply(Event(EventKind.BUY_MARKET)) is None
+        assert b == book(buys=[0.2])
 
     def test_sell_market_hits_bid(self):
         b = book(buys=[0.2, 0.3])
-        fill = b.apply(Event(EventKind.SELL_MARKET))
-        assert fill.trade and fill.trade_price == 0.3
+        assert b.apply(Event(EventKind.SELL_MARKET)) == 0.3
         assert b.bid == 0.2
 
     def test_empty_book_no_op(self):
         b = book()
-        assert not b.apply(Event(EventKind.BUY_MARKET)).trade
-        assert not b.apply(Event(EventKind.SELL_MARKET)).trade
+        assert b.apply(Event(EventKind.BUY_MARKET)) is None
+        assert b.apply(Event(EventKind.SELL_MARKET)) is None
         assert b.is_empty
 
 
 class TestLimitOrders:
     def test_buy_limit_rests_below_ask(self):
         b = book(sells=[0.7])
-        fill = b.apply(Event(EventKind.BUY_LIMIT, 0.4))
-        assert not fill.trade
+        assert b.apply(Event(EventKind.BUY_LIMIT, 0.4)) is None
         assert b.bid == 0.4
 
     def test_buy_limit_crossing_trades_at_ask(self):
         b = book(sells=[0.7])
-        fill = b.apply(Event(EventKind.BUY_LIMIT, 0.8))
-        assert fill.trade and fill.trade_price == 0.7
+        assert b.apply(Event(EventKind.BUY_LIMIT, 0.8)) == 0.7
         assert b.is_empty
 
     def test_buy_limit_at_ask_trades(self):
         # the tie executes rather than resting
         b = book(sells=[0.7])
-        fill = b.apply(Event(EventKind.BUY_LIMIT, 0.7))
-        assert fill.trade and fill.trade_price == 0.7
+        assert b.apply(Event(EventKind.BUY_LIMIT, 0.7)) == 0.7
 
     def test_sell_limit_at_bid_trades(self):
         b = book(buys=[0.3])
-        fill = b.apply(Event(EventKind.SELL_LIMIT, 0.3))
-        assert fill.trade and fill.trade_price == 0.3
+        assert b.apply(Event(EventKind.SELL_LIMIT, 0.3)) == 0.3
 
     def test_sell_limit_rests_above_bid(self):
         b = book(buys=[0.3])
@@ -133,13 +126,9 @@ class TestLimitOrders:
 class TestMarketMaker:
     def test_reinforces_both_quotes(self):
         b = book(buys=[0.3], sells=[0.7])
-        fill = b.apply(Event(EventKind.MARKET_MAKER))
-        assert b.depth(Side.BUY, 0.3) == 2
-        assert b.depth(Side.SELL, 0.7) == 2
-        assert {(m.action, m.side) for m in fill.mutations} == {
-            (Action.ADD, Side.BUY),
-            (Action.ADD, Side.SELL),
-        }
+        assert b.apply(Event(EventKind.MARKET_MAKER)) is None
+        assert b == book(buys={0.3: 2}, sells={0.7: 2})
+        assert b.n_buys == 2 and b.n_sells == 2
 
     def test_one_sided_book(self):
         b = book(buys=[0.3])
@@ -149,9 +138,8 @@ class TestMarketMaker:
 
     def test_empty_book_no_op(self):
         b = book()
-        fill = b.apply(Event(EventKind.MARKET_MAKER))
-        assert fill.mutations == ()
-        assert b.is_empty
+        assert b.apply(Event(EventKind.MARKET_MAKER)) is None
+        assert b.is_empty and b == book()
 
     def test_never_moves_quotes(self):
         b = book(buys=[0.2, 0.4], sells=[0.6])
@@ -206,14 +194,36 @@ class TestInvariants:
             b.check_non_crossing()
 
     def test_conservation_from_fills(self):
+        # each event changes the order counts as its kind and the returned
+        # trade price say: a trade removes one order at the opposite quote,
+        # a resting limit adds one, a maker adds one per nonempty side
         b = book()
-        adds = {Side.BUY: 0, Side.SELL: 0}
-        removes = {Side.BUY: 0, Side.SELL: 0}
         for ev in random_events(None, 99, 20_000):
-            for m in b.apply(ev).mutations:
-                (adds if m.action is Action.ADD else removes)[m.side] += 1
-        assert b.n_buys == adds[Side.BUY] - removes[Side.BUY]
-        assert b.n_sells == adds[Side.SELL] - removes[Side.SELL]
+            nb, ns = b.n_buys, b.n_sells
+            bid, ask = b.bid_ask()
+            price = b.apply(ev)
+            kind = ev.kind
+            if kind is EventKind.MARKET_MAKER:
+                assert price is None
+                expected = (nb + (nb > 0), ns + (ns > 0))
+            elif price is None:
+                # a market order met an empty side, or a limit order rested
+                if kind is EventKind.BUY_MARKET:
+                    assert ns == 0
+                elif kind is EventKind.SELL_MARKET:
+                    assert nb == 0
+                elif kind is EventKind.BUY_LIMIT:
+                    assert ev.price < ask
+                else:
+                    assert ev.price > bid
+                expected = (nb + (kind is EventKind.BUY_LIMIT), ns + (kind is EventKind.SELL_LIMIT))
+            elif kind in (EventKind.BUY_MARKET, EventKind.BUY_LIMIT):
+                assert price == ask
+                expected = (nb, ns - 1)
+            else:
+                assert price == bid
+                expected = (nb - 1, ns)
+            assert (b.n_buys, b.n_sells) == expected
         assert b.n_buys == sum(b.buy_counts.values())
         assert b.n_sells == sum(b.sell_counts.values())
 

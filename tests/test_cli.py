@@ -412,6 +412,14 @@ class TestFreeze:
         doc = read_json(outdir / "ensemble.json")
         assert doc["fraction_frozen"] == 0.0
 
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+    def test_allow_subcritical_must_be_boolean(self, tmp_path, outdir, capsys, flag):
+        # a non-boolean must not count as permission for a subcritical run
+        cfg = write_config(tmp_path, self.config(rho=0.1, allow_subcritical=flag))
+        assert main(["freeze", cfg, "--seed", "1", "--out", str(outdir)]) == 2
+        assert "freeze.allow_subcritical" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_gambler_scenario(self, tmp_path, outdir):
         cfg = write_config(tmp_path, self.config(gambler={"y": 0.3}))
         assert main(["freeze", cfg, "--seed", "21", "--out", str(outdir)]) == 0
@@ -453,6 +461,21 @@ class TestSweep:
         header, rows = read_csv(outdir / "sweep.csv")
         assert header[-3:] == ["est_lo", "est_hi", "sim_frozen"]
         assert rows[0][-1] == "0"
+
+    def test_rho_sweep_simulates_on_a_duration_horizon(self, tmp_path, outdir):
+        doc = {
+            "model": UNIFORM_MODEL,
+            "run": {"duration": 2000.0, "seed": 3},
+            "sweep": {"rho": [0.0, 0.6]},
+        }
+        cfg = write_config(tmp_path, doc)
+        assert main(["sweep", cfg, "--out", str(outdir)]) == 0
+        header, rows = read_csv(outdir / "sweep.csv")
+        assert header[-3:] == ["est_lo", "est_hi", "sim_frozen"]
+        assert all(len(r) == len(header) for r in rows)
+        # rate 2 over 2000 time units: about 4000 events, enough to bracket
+        # the rho=0 window
+        assert 0.0 < float(rows[0][-3]) < float(rows[0][-2]) < 1.0
 
     def test_volume_sweep(self, tmp_path, outdir):
         doc = {

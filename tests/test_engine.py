@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lobmm import (
     BlockRng,
@@ -27,13 +29,21 @@ from lobmm import (
     generator_for,
     image_book,
     next_event,
+    replica_stats,
     restrict_event,
     run,
     run_ensemble,
+    walras,
 )
 from lobmm.engine import DROPPED
 
-from conftest import make_uniform_pair
+from conftest import make_evenodd_pair, make_floor_pair, make_uniform_pair
+
+PAIRS = {
+    "uniform": make_uniform_pair(),
+    "floor": make_floor_pair(),
+    "evenodd": make_evenodd_pair(3),
+}
 
 
 def replay(config: SimConfig):
@@ -43,7 +53,7 @@ def replay(config: SimConfig):
     book = OrderBook(config.pair.interval, config.initial_buys, config.initial_sells)
     t = 0.0
     times, kinds, prices, bids, asks = [], [], [], [], []
-    empties = 0
+    trades = empties = 0
     was_empty = book.is_empty
     for _ in range(config.events):
         wait, ev = next_event(rates, config.pair, rng)
@@ -53,9 +63,10 @@ def replay(config: SimConfig):
         if ev is None:
             code, price = DROPPED, math.nan
         else:
-            fill = book.apply(ev)
+            traded = book.apply(ev)
             code = ev.kind.value
-            price = fill.trade_price if fill.trade else math.nan
+            price = traded if traded is not None else math.nan
+            trades += traded is not None
         b, a = book.bid_ask()
         times.append(t)
         kinds.append(code)
@@ -68,16 +79,17 @@ def replay(config: SimConfig):
             was_empty = True
         else:
             was_empty = False
-    return times, kinds, prices, bids, asks, empties, book
+    return times, kinds, prices, bids, asks, trades, empties, book
 
 
 def assert_matches_replay(traj: Trajectory):
-    times, kinds, prices, bids, asks, empties, book = replay(traj.config)
+    times, kinds, prices, bids, asks, trades, empties, book = replay(traj.config)
     np.testing.assert_array_equal(traj.times, times)
     np.testing.assert_array_equal(traj.kinds, kinds)
     np.testing.assert_array_equal(traj.trade_prices, prices)
     np.testing.assert_array_equal(traj.bids, bids)
     np.testing.assert_array_equal(traj.asks, asks)
+    assert traj.summary.trade_count == trades
     assert traj.summary.empty_book_transitions == empties
     assert traj.final_book == book
 
@@ -184,6 +196,43 @@ class TestRunMatchesReplay:
             seed=15,
             initial_buys=(0.2, 0.3),
             initial_sells=(0.9,),
+        )
+        assert_matches_replay(run(cfg))
+
+    @given(
+        name=st.sampled_from(sorted(PAIRS)),
+        rho=st.floats(0.0, 0.8),
+        volume_share=st.none() | st.floats(0.05, 0.95),
+        seed=st.integers(0, 2**32 - 1),
+        events=st.integers(0, 3_000),
+        split=st.floats(0.2, 0.8),
+        buy_fracs=st.lists(st.floats(0.01, 0.99), max_size=4),
+        sell_fracs=st.lists(st.floats(0.01, 0.99), max_size=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_configs(
+        self, name, rho, volume_share, seed, events, split, buy_fracs, sell_fracs
+    ):
+        # the window sits at volume_share of the way from the walrasian
+        # volume up to the volume ceiling; the initial book puts buys below
+        # and sells above the split point, possibly outside the window
+        pair = PAIRS[name]
+        iv = pair.interval
+        window = None
+        if volume_share is not None:
+            v_w = walras(pair).volume
+            v_max = min(pair.demand.value_at(iv.lo), pair.supply.value_at(iv.hi))
+            v = v_w + volume_share * (v_max - v_w)
+            window = PriceInterval(float(pair.demand.inverse(v)), float(pair.supply.inverse(v)))
+        cut = iv.lo + split * iv.length
+        cfg = SimConfig(
+            pair=pair,
+            rho=rho,
+            events=events,
+            seed=seed,
+            restriction=window,
+            initial_buys=tuple(iv.lo + f * (cut - iv.lo) for f in buy_fracs),
+            initial_sells=tuple(cut + f * (iv.hi - cut) for f in sell_fracs),
         )
         assert_matches_replay(run(cfg))
 
@@ -419,6 +468,13 @@ class TestFreezeDetection:
         assert 0.35 < fz.midpoint < 0.65
         assert fz.start_index < traj.n_events
         assert traj.times[fz.start_index] == fz.t_freeze
+        st = replica_stats(traj)
+        assert st.frozen
+        assert (st.freeze_time, st.freeze_midpoint, st.freeze_start_index) == (
+            fz.t_freeze,
+            fz.midpoint,
+            fz.start_index,
+        )
 
     def test_stable_suffix_respects_eps(self, uniform_pair):
         traj = run(SimConfig(pair=uniform_pair, events=100_000, seed=63, rho=0.6))
@@ -470,6 +526,7 @@ class TestEnsemble:
         solo = run(replace(cfg, replica=1))
         assert stats[1].trade_count == solo.summary.trade_count
         assert stats[1].min_bid == solo.bids.min()
+        assert stats[1] == replica_stats(solo)
 
     def test_rejects_zero_replicas(self, uniform_pair):
         with pytest.raises(ValueError):
