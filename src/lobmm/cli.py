@@ -6,10 +6,10 @@ stationary quote law on a restricted window), ``freeze`` (replica
 ensembles in the high maker-rate regime), ``sweep`` (window geometry
 across maker rates, or recurrence across volumes).
 
-One JSON config document drives everything; unknown keys anywhere in it
-are rejected.  Command line flags override config values, and every
-command is a pure function of (config, flags): rerunning writes
-byte-identical artifacts.
+One JSON config document drives everything; each command rejects every
+key it does not read (``READS``).  Command line flags override config
+values, and every command is a pure function of (config, flags):
+rerunning writes byte-identical artifacts.
 
 Exit codes: 0 success; 2 config or validation error; 3 a structural
 assumption on the curves fails; 4 a compare run exceeded its tolerances.
@@ -74,24 +74,49 @@ class ConfigError(ValueError):
 
 # -- config parsing ----------------------------------------------------------
 
-_TOP_KEYS = {"model", "run", "output", "sweep", "compare", "freeze"}
-_MODEL_KEYS = {"interval", "demand", "supply", "rho"}
-_RUN_KEYS = {
-    "events",
-    "duration",
-    "seed",
-    "replicas",
-    "burn_in",
-    "restriction",
-    "map",
-    "workers",
+_MODEL = ("interval", "demand", "supply", "rho")
+_HORIZON = ("events", "duration", "seed")
+
+# command -> block -> the keys that command reads.  Every other key is an
+# error, so a config cannot describe a model the command does not run.  A
+# volume sweep simulates nothing and reads no run block (check_contract).
+READS: Dict[str, Dict[str, Tuple[str, ...]]] = {
+    "theory": {"model": _MODEL, "output": ("directory", "formats")},
+    "simulate": {
+        "model": _MODEL,
+        "run": _HORIZON + ("burn_in", "replicas", "restriction", "map"),
+        "output": ("directory", "histogram_bins", "snapshot_at", "formats"),
+    },
+    "compare": {
+        "model": _MODEL,
+        "run": _HORIZON + ("burn_in", "restriction"),
+        "output": ("directory", "formats"),
+        "compare": ("tolerance_cdf", "tolerance_empty", "grid_size"),
+    },
+    "freeze": {
+        "model": _MODEL,
+        "run": _HORIZON + ("replicas", "workers"),
+        "output": ("directory", "histogram_bins", "formats"),
+        "freeze": ("eps", "min_events", "allow_subcritical", "gambler"),
+    },
+    "sweep": {
+        "model": _MODEL,
+        "run": _HORIZON + ("burn_in",),
+        "output": ("directory",),
+        "sweep": ("rho", "volume"),
+    },
 }
-_OUTPUT_KEYS = {"directory", "histogram_bins", "snapshot_at", "formats"}
-_SWEEP_KEYS = {"rho", "volume"}
-_COMPARE_KEYS = {"tolerance_cdf", "tolerance_empty", "grid_size"}
-_FREEZE_KEYS = {"eps", "min_events", "allow_subcritical", "gambler"}
-_GAMBLER_KEYS = {"y"}
-_MAP_KEYS = {"divisor"}
+
+
+def check_contract(doc: Dict[str, Any], command: str) -> None:
+    """Reject every key of ``doc`` that ``command`` does not read."""
+    reads = dict(READS[command])
+    if command == "sweep" and "volume" in doc.get("sweep", {}):
+        del reads["run"]
+    unread = [b for b in doc if b not in reads]
+    unread += [f"{b}.{k}" for b in doc if b in reads for k in doc[b] if k not in reads[b]]
+    if unread:
+        raise ConfigError(f"lobmm {command} does not read config key(s): {', '.join(unread)}")
 
 
 def _check_keys(block: Dict[str, Any], allowed: set, where: str) -> None:
@@ -139,7 +164,6 @@ def load_config(path: str) -> Dict[str, Any]:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    _check_keys(doc, _TOP_KEYS, "the top level")
     for key in doc:
         if not isinstance(doc[key], dict):
             raise ConfigError(f"config block '{key}' must be an object")
@@ -160,7 +184,6 @@ def _parse_curve(spec: Any, direction: Direction, name: str) -> MonotoneCurve:
 
 def parse_model(doc: Dict[str, Any]) -> Tuple[DemandSupplyPair, float]:
     block = _require(doc, "model", "the config")
-    _check_keys(block, _MODEL_KEYS, "model")
     interval = _require(block, "interval", "model")
     if not isinstance(interval, list) or len(interval) != 2:
         raise ConfigError("model.interval must be [lo, hi]")
@@ -212,7 +235,6 @@ class RunSettings:
 
     def __init__(self, doc: Dict[str, Any], pair: DemandSupplyPair, args) -> None:
         block = doc.get("run", {})
-        _check_keys(block, _RUN_KEYS, "run")
         self.events: Optional[int] = None
         self.duration: Optional[float] = None
         if "events" in block:
@@ -242,24 +264,32 @@ class RunSettings:
             mblock = block["map"]
             if not isinstance(mblock, dict):
                 raise ConfigError("run.map must be an object")
-            _check_keys(mblock, _MAP_KEYS, "run.map")
+            _check_keys(mblock, {"divisor"}, "run.map")
             divisor = _as_number(_require(mblock, "divisor", "run.map"), "run.map.divisor")
             self.map = DiscreteMap.ceil_div(divisor)
 
-    def require_horizon(self) -> None:
+    def sim_config(self, pair: DemandSupplyPair, rho: float, **extra) -> SimConfig:
+        """The run this block describes, at maker rate ``rho``; ``extra``
+        sets the remaining :class:`SimConfig` fields."""
         if self.events is None and self.duration is None:
             raise ConfigError("run block must set events or duration")
-
-    def require_seed(self) -> int:
         if self.seed is None:
             raise ConfigError("a seed is required: set run.seed or pass --seed")
-        return self.seed
+        return SimConfig(
+            pair=pair,
+            rho=rho,
+            events=self.events,
+            duration=self.duration,
+            seed=self.seed,
+            restriction=self.window,
+            burn_in=self.burn_in,
+            **extra,
+        )
 
 
 class OutputSettings:
     def __init__(self, doc: Dict[str, Any], args) -> None:
         block = doc.get("output", {})
-        _check_keys(block, _OUTPUT_KEYS, "output")
         directory = block.get("directory", "out")
         if not isinstance(directory, str):
             raise ConfigError("output.directory must be a string")
@@ -324,10 +354,6 @@ def _cell(value: Any) -> Any:
             return ""
         return repr(value)
     return value
-
-
-def _book_rows(book: OrderBook) -> List[Tuple[str, float, int]]:
-    return book.snapshot().rows()
 
 
 def _histogram_rows(book: OrderBook, interval: PriceInterval, bins: int):
@@ -427,11 +453,11 @@ def _trajectory_rows(traj: Trajectory):
         )
 
 
-def _summary_payload(traj: Trajectory, seed: int) -> Dict[str, Any]:
+def _summary_payload(traj: Trajectory) -> Dict[str, Any]:
     st = replica_stats(traj)
     return {
         "command": "simulate",
-        "seed": seed,
+        "seed": traj.config.seed,
         "replica": traj.config.replica,
         "rho": traj.config.rho,
         "n_events": traj.n_events,
@@ -466,23 +492,11 @@ def _summary_payload(traj: Trajectory, seed: int) -> Dict[str, Any]:
 def cmd_simulate(doc: Dict[str, Any], args) -> int:
     pair, rho = parse_model(doc)
     settings = RunSettings(doc, pair, args)
-    settings.require_horizon()
-    seed = settings.require_seed()
     out = OutputSettings(doc, args)
+    base = settings.sim_config(pair, rho, snapshot_at=out.snapshot_at)
 
     for r in range(settings.replicas):
-        cfg = SimConfig(
-            pair=pair,
-            rho=rho,
-            events=settings.events,
-            duration=settings.duration,
-            seed=seed,
-            replica=r,
-            restriction=settings.window,
-            burn_in=settings.burn_in,
-            snapshot_at=out.snapshot_at,
-        )
-        traj = run(cfg)
+        traj = run(replace(base, replica=r))
         rdir = out.directory / f"replica-{r:03d}" if settings.replicas > 1 else out.directory
         rdir.mkdir(parents=True, exist_ok=True)
         if out.wants("csv"):
@@ -494,7 +508,7 @@ def cmd_simulate(doc: Dict[str, Any], args) -> int:
             write_csv(
                 rdir / "final-book.csv",
                 ("side", "price", "count"),
-                _book_rows(traj.final_book),
+                traj.final_book.snapshot().rows(),
             )
             write_csv(
                 rdir / "histogram.csv",
@@ -511,21 +525,19 @@ def cmd_simulate(doc: Dict[str, Any], args) -> int:
                 write_csv(
                     rdir / "image-book.csv",
                     ("side", "price", "count"),
-                    _book_rows(image_book(traj.final_book, settings.map)),
+                    image_book(traj.final_book, settings.map).snapshot().rows(),
                 )
         if out.wants("json"):
-            write_json(rdir / "summary.json", _summary_payload(traj, seed))
+            write_json(rdir / "summary.json", _summary_payload(traj))
     return EXIT_OK
 
 
 def cmd_compare(doc: Dict[str, Any], args) -> int:
     pair, rho = parse_model(doc)
     settings = RunSettings(doc, pair, args)
-    settings.require_horizon()
-    seed = settings.require_seed()
+    cfg = settings.sim_config(pair, rho)
     out = OutputSettings(doc, args)
     block = doc.get("compare", {})
-    _check_keys(block, _COMPARE_KEYS, "compare")
     tol_cdf = _as_number(block.get("tolerance_cdf", 0.05), "compare.tolerance_cdf")
     tol_empty = _as_number(block.get("tolerance_empty", 0.02), "compare.tolerance_empty")
     grid_size = _as_int(block.get("grid_size", 4096), "compare.grid_size")
@@ -551,15 +563,6 @@ def cmd_compare(doc: Dict[str, Any], args) -> int:
         return EXIT_CONFIG
 
     sol = solve_luckock(pair, rho, settings.window, grid_size=grid_size)
-    cfg = SimConfig(
-        pair=pair,
-        rho=rho,
-        events=settings.events,
-        duration=settings.duration,
-        seed=seed,
-        restriction=settings.window,
-        burn_in=settings.burn_in,
-    )
     traj = run(cfg)
     s = traj.summary
     grid = s.cdf_grid
@@ -594,7 +597,7 @@ def cmd_compare(doc: Dict[str, Any], args) -> int:
             out.directory / "report.json",
             {
                 "command": "compare",
-                "seed": seed,
+                "seed": cfg.seed,
                 "rho": rho,
                 "window": [settings.window.lo, settings.window.hi],
                 "volume": settings.volume,
@@ -628,11 +631,9 @@ def cmd_compare(doc: Dict[str, Any], args) -> int:
 def cmd_freeze(doc: Dict[str, Any], args) -> int:
     pair, rho = parse_model(doc)
     settings = RunSettings(doc, pair, args)
-    settings.require_horizon()
-    seed = settings.require_seed()
+    base = settings.sim_config(pair, rho)
     out = OutputSettings(doc, args)
     block = doc.get("freeze", {})
-    _check_keys(block, _FREEZE_KEYS, "freeze")
     eps = None
     if block.get("eps") is not None:
         eps = _as_number(block["eps"], "freeze.eps")
@@ -649,15 +650,15 @@ def cmd_freeze(doc: Dict[str, Any], args) -> int:
             f"freeze expects rho >= the walrasian volume ({v_w:.6g}); got "
             f"rho={rho}. Set freeze.allow_subcritical for a contrast run."
         )
+    y: Optional[float] = None
+    gblock = block.get("gambler")
+    if gblock is not None:
+        if not isinstance(gblock, dict):
+            raise ConfigError("freeze.gambler must be an object")
+        _check_keys(gblock, {"y"}, "freeze.gambler")
+        y = _as_number(_require(gblock, "y", "freeze.gambler"), "freeze.gambler.y")
+        bound = gambler_bound(pair, rho, y)
 
-    base = SimConfig(
-        pair=pair,
-        rho=rho,
-        events=settings.events,
-        duration=settings.duration,
-        seed=seed,
-        burn_in=settings.burn_in,
-    )
     stats = run_ensemble(
         base,
         replicas=settings.replicas,
@@ -716,7 +717,7 @@ def cmd_freeze(doc: Dict[str, Any], args) -> int:
         )
     payload = {
         "command": "freeze",
-        "seed": seed,
+        "seed": base.seed,
         "rho": rho,
         "replicas": settings.replicas,
         "fraction_frozen": len(frozen) / len(stats),
@@ -727,13 +728,7 @@ def cmd_freeze(doc: Dict[str, Any], args) -> int:
         "freeze_support": support,
     }
 
-    gblock = block.get("gambler")
-    if gblock is not None:
-        if not isinstance(gblock, dict):
-            raise ConfigError("freeze.gambler must be an object")
-        _check_keys(gblock, _GAMBLER_KEYS, "freeze.gambler")
-        y = _as_number(_require(gblock, "y", "freeze.gambler"), "freeze.gambler.y")
-        bound = gambler_bound(pair, rho, y)
+    if y is not None:
         gstats = run_ensemble(
             replace(base, initial_buys=(y,)),
             replicas=settings.replicas,
@@ -758,7 +753,6 @@ def cmd_sweep(doc: Dict[str, Any], args) -> int:
     block = doc.get("sweep")
     if block is None:
         raise ConfigError("sweep requires a sweep block")
-    _check_keys(block, _SWEEP_KEYS, "sweep")
     if ("rho" in block) == ("volume" in block):
         raise ConfigError("sweep block must set exactly one of rho and volume")
 
@@ -795,18 +789,7 @@ def cmd_sweep(doc: Dict[str, Any], args) -> int:
                 int(rep.boundary),
             ]
             if simulate:
-                st = replica_stats(
-                    run(
-                        SimConfig(
-                            pair=pair,
-                            rho=r,
-                            events=settings.events,
-                            duration=settings.duration,
-                            seed=settings.seed,
-                            burn_in=settings.burn_in,
-                        )
-                    )
-                )
+                st = replica_stats(run(settings.sim_config(pair, r)))
                 row += [_nan_if_none(st.window_lo), _nan_if_none(st.window_hi), int(st.frozen)]
             rows.append(row)
         write_csv(out.directory / "sweep.csv", header, rows)
@@ -835,14 +818,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     specs = (
-        ("theory", "analytic window report for the configured model", False),
-        ("simulate", "run trajectories and emit book histograms", True),
-        ("compare", "validate simulation against the stationary quote law", False),
-        ("freeze", "replica ensemble in the high maker-rate regime", True),
-        ("sweep", "tabulate window geometry or recurrence over a grid", False),
+        ("theory", cmd_theory, "analytic window report for the configured model", False),
+        ("simulate", cmd_simulate, "run trajectories and emit book histograms", True),
+        ("compare", cmd_compare, "validate simulation against the stationary quote law", False),
+        ("freeze", cmd_freeze, "replica ensemble in the high maker-rate regime", True),
+        ("sweep", cmd_sweep, "tabulate window geometry or recurrence over a grid", False),
     )
-    for name, help_text, seed_required in specs:
+    for name, handler, help_text, seed_required in specs:
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("config", help="path to the JSON config document")
         p.add_argument(
             "--seed",
@@ -856,20 +840,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "theory": cmd_theory,
-    "simulate": cmd_simulate,
-    "compare": cmd_compare,
-    "freeze": cmd_freeze,
-    "sweep": cmd_sweep,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         doc = load_config(args.config)
-        return _COMMANDS[args.command](doc, args)
+        check_contract(doc, args.command)
+        return args.handler(doc, args)
     except AssumptionError as exc:
         print(f"assumption violated: {exc}", file=sys.stderr)
         return EXIT_ASSUMPTION

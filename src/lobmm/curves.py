@@ -79,9 +79,6 @@ class PriceInterval:
     def contains_open(self, x: float) -> bool:
         return self.lo < x < self.hi
 
-    def contains_closed(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
 
 @dataclass(frozen=True)
 class MonotoneCurve:
@@ -159,16 +156,8 @@ class MonotoneCurve:
         return self.prices[-1]
 
     @property
-    def span(self) -> PriceInterval:
-        return PriceInterval(self.lo, self.hi)
-
-    @property
     def max_rate(self) -> float:
         return self.rates[0] if self.direction is Direction.DECREASING else self.rates[-1]
-
-    @property
-    def min_rate(self) -> float:
-        return self.rates[-1] if self.direction is Direction.DECREASING else self.rates[0]
 
     @property
     def total_mass(self) -> float:
@@ -400,9 +389,11 @@ class WalrasPoint:
 def walras(pair: DemandSupplyPair, tol: float = 1e-12) -> WalrasPoint:
     """Walrasian point of the pair: price and volume where the curves cross.
 
-    The crossing of supply minus demand is bracketed by bisection; when the
-    curves never cross inside the span, the matching endpoint is used.  The
-    volume is the largest value of min(demand, supply) over the closed span.
+    The crossing of supply minus demand is bracketed by bisection down to a
+    width of ``tol`` times max(1, |price|), a stop that float spacing allows
+    at any price unit; when the curves never cross inside the span, the
+    matching endpoint is used.  The volume is the largest value of
+    min(demand, supply) over the closed span.
     """
     require_core_assumptions(pair)
     demand, supply = pair.demand, pair.supply
@@ -415,7 +406,7 @@ def walras(pair: DemandSupplyPair, tol: float = 1e-12) -> WalrasPoint:
         volume = min(demand.value_at(hi), supply.value_at(hi))
     else:
         a, b = lo, hi
-        while b - a > tol:
+        while b - a > tol * max(1.0, abs(a), abs(b)):
             m = 0.5 * (a + b)
             if supply.value_at(m) - demand.value_at(m) < 0.0:
                 a = m

@@ -70,6 +70,9 @@ DROPPED = 5
 
 _BLOCK = 1 << 16
 
+# points of the price grid that the post-burn-in quote CDFs are sampled on
+_CDF_GRID_SIZE = 1024
+
 
 class InsufficientDataError(RuntimeError):
     """A post-burn-in estimate was requested from an empty sample."""
@@ -176,7 +179,6 @@ class SimConfig:
     snapshot_at: Tuple[int, ...] = ()
     initial_buys: Tuple[float, ...] = ()
     initial_sells: Tuple[float, ...] = ()
-    cdf_grid_size: int = 1024
 
     def __post_init__(self):
         if (self.events is None) == (self.duration is None):
@@ -189,8 +191,6 @@ class SimConfig:
             raise ValueError("burn_in must lie in [0, 1)")
         if self.rho < 0.0 or not math.isfinite(self.rho):
             raise ValueError("rho must be finite and nonnegative")
-        if self.cdf_grid_size < 2:
-            raise ValueError("cdf_grid_size must be at least 2")
         iv = self.pair.interval
         if self.restriction is not None:
             r = self.restriction
@@ -509,7 +509,7 @@ def _weighted_below(values: np.ndarray, weights: np.ndarray, grid: np.ndarray, s
 
 def _summarize(config, n, end_time, times, tps, bids, asks, book) -> TrajectorySummary:
     iv = config.restriction if config.restriction is not None else config.pair.interval
-    grid = np.linspace(iv.lo, iv.hi, config.cdf_grid_size)
+    grid = np.linspace(iv.lo, iv.hi, _CDF_GRID_SIZE)
     lo, hi = config.pair.interval.lo, config.pair.interval.hi
     trades = n - int(np.count_nonzero(np.isnan(tps)))
     # resting prices lie strictly inside the interval, so a quote on the
@@ -520,7 +520,7 @@ def _summarize(config, n, end_time, times, tps, bids, asks, book) -> TrajectoryS
         empties += 1
     k0 = int(config.burn_in * n)
     if n == 0 or k0 >= n:
-        nans = np.full(config.cdf_grid_size, math.nan)
+        nans = np.full(_CDF_GRID_SIZE, math.nan)
         return TrajectorySummary(
             trades, book.n_buys, book.n_sells, empties, math.nan, math.nan, grid, nans, nans
         )
@@ -664,8 +664,6 @@ class ReplicaStats:
     n_events: int
     trade_count: int
     min_bid: float
-    max_bid: float
-    min_ask: float
     max_ask: float
     empty_book_transitions: int
     final_buys: int
@@ -699,8 +697,6 @@ def replica_stats(
         n_events=n,
         trade_count=s.trade_count,
         min_bid=float(traj.bids.min()) if n else math.nan,
-        max_bid=float(traj.bids.max()) if n else math.nan,
-        min_ask=float(traj.asks.min()) if n else math.nan,
         max_ask=float(traj.asks.max()) if n else math.nan,
         empty_book_transitions=s.empty_book_transitions,
         final_buys=s.final_buys,

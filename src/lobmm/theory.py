@@ -337,9 +337,11 @@ class WindowReport:
 def v_l(pair: DemandSupplyPair, rho: float = 0.0) -> WindowReport:
     """Long-run trade volume and competitive window at rate ``rho``.
 
-    Bisection solves phi(V) = 1/V_W^2; when no root exists below the
-    effective ceiling, the volume is the ceiling itself and ``boundary``
-    is set.  For rho >= V_W the report is degenerate rather than an error.
+    Bisection solves phi(V) = 1/V_W^2 down to a bracket of 1e-10 times
+    max(1, V), so it ends at any volume unit; when no root exists below
+    the effective ceiling, the volume is the ceiling itself and
+    ``boundary`` is set.  For rho >= V_W the report is degenerate rather
+    than an error.
     """
     rho = _check_rho(rho)
     wal = walras(pair)
@@ -364,7 +366,7 @@ def v_l(pair: DemandSupplyPair, rho: float = 0.0) -> WindowReport:
             v_eff, window, True, False, phi_cap,
         )
     a, b = v_w, v_cap
-    while b - a > _ROOT_TOL:
+    while b - a > _ROOT_TOL * max(1.0, b):
         m = 0.5 * (a + b)
         if _phi_from(pair, rho, v_w, m)[0] < threshold:
             a = m

@@ -8,10 +8,13 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from lobmm.cli import main
+from lobmm.cli import READS, check_contract, load_config, main
+
+SAMPLE_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 UNIFORM_MODEL = {
     "interval": [0.0, 1.0],
@@ -67,6 +70,74 @@ class TestConfigValidation:
         command = {"compare": "compare", "freeze": "freeze"}.get(block, "simulate")
         assert main([command, cfg, "--seed", "1"]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,doc,key",
+        [
+            pytest.param("theory", {"run": {"events": 10}}, "run", id="theory-run"),
+            pytest.param(
+                "sweep",
+                {
+                    "run": {"events": 100, "seed": 1, "restriction": {"volume": 0.6}},
+                    "sweep": {"rho": [0.0]},
+                },
+                "run.restriction",
+                id="sweep-restriction",
+            ),
+            pytest.param(
+                "sweep",
+                {"sweep": {"rho": [0.0]}, "output": {"formats": ["csv"]}},
+                "output.formats",
+                id="sweep-formats",
+            ),
+            pytest.param(
+                "freeze",
+                {"run": {"events": 100, "restriction": [0.45, 0.55]}},
+                "run.restriction",
+                id="freeze-restriction",
+            ),
+            pytest.param(
+                "freeze",
+                {"run": {"events": 100, "map": {"divisor": 2.0}}},
+                "run.map",
+                id="freeze-map",
+            ),
+            pytest.param(
+                "simulate",
+                {"run": {"events": 100, "workers": 2}},
+                "run.workers",
+                id="simulate-workers",
+            ),
+            pytest.param(
+                "compare",
+                {"run": {"events": 200, "seed": 1, "restriction": {"volume": 0.6}, "replicas": 2}},
+                "run.replicas",
+                id="compare-replicas",
+            ),
+            pytest.param(
+                "sweep",
+                {"run": {"events": 100, "seed": 1}, "sweep": {"volume": [0.6]}},
+                "run",
+                id="volume-sweep-run",
+            ),
+        ],
+    )
+    def test_key_the_command_does_not_read(self, tmp_path, outdir, capsys, command, doc, key):
+        model = dict(UNIFORM_MODEL, rho=0.6 if command == "freeze" else 0.0)
+        cfg = write_config(tmp_path, dict(doc, model=model))
+        assert main([command, cfg, "--seed", "1", "--out", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert f"lobmm {command} does not read" in err and key in err
+        assert not outdir.exists()
+
+    def test_sample_configs_keep_to_the_contract(self):
+        # a sample config's filename starts with the command it is for
+        commands = set()
+        for path in sorted(SAMPLE_CONFIGS.glob("*.json")):
+            command = path.name.split("-")[0]
+            check_contract(load_config(str(path)), command)
+            commands.add(command)
+        assert commands == set(READS)
 
     def test_missing_model(self, tmp_path):
         cfg = write_config(tmp_path, {"run": {"events": 10}})
@@ -426,6 +497,13 @@ class TestFreeze:
         g = read_json(outdir / "ensemble.json")["gambler"]
         assert g["bound"] == pytest.approx(0.5)
         assert 0.0 <= g["empirical_fraction"] <= 1.0
+
+    @pytest.mark.parametrize("y", ["0.3", 0.9])
+    def test_gambler_checked_before_any_run(self, tmp_path, outdir, y):
+        outdir.mkdir()
+        cfg = write_config(tmp_path, self.config(replicas=2, events=3000, gambler={"y": y}))
+        assert main(["freeze", cfg, "--seed", "1", "--out", str(outdir)]) == 2
+        assert list(outdir.iterdir()) == []
 
     def test_gambler_vacuous_bound_is_config_error(self, tmp_path, outdir):
         cfg = write_config(tmp_path, self.config(gambler={"y": 0.7}))

@@ -354,14 +354,16 @@ class TestHorizons:
 
 class TestSummary:
     def test_cdf_matches_direct_recomputation(self, uniform_pair):
-        cfg = SimConfig(pair=uniform_pair, events=20_000, seed=31, cdf_grid_size=64)
+        cfg = SimConfig(pair=uniform_pair, events=20_000, seed=31)
         traj = run(cfg)
         s = traj.summary
         k0 = traj.burn_index
         w = np.diff(np.append(traj.times[k0:], traj.end_time))
         b, a = traj.bids[k0:], traj.asks[k0:]
         total = w.sum()
-        for gi in (0, 17, 40, 63):
+        assert len(s.cdf_grid) == 1024
+        # 0, 27, 64 and 100 percent along the grid
+        for gi in (0, 276, 650, 1023):
             g = s.cdf_grid[gi]
             assert s.bid_cdf[gi] == pytest.approx(w[b <= g].sum() / total, abs=1e-12)
             assert s.ask_survival[gi] == pytest.approx(w[a >= g].sum() / total, abs=1e-12)

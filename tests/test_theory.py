@@ -10,10 +10,15 @@ so any regression shows up as value drift, not as a tautology.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lobmm
 from lobmm import (
     AssumptionError,
     DemandSupplyPair,
@@ -384,3 +389,56 @@ class TestGamblerBound:
             gambler_bound(uniform_pair, 0.6, 0.0)
         with pytest.raises(DomainError):
             gambler_bound(uniform_pair, 0.6, 1.0)
+
+
+# -- price and rate units -----------------------------------------------------
+
+PROBE_HEADER = """
+from lobmm import DemandSupplyPair, Direction, MonotoneCurve, v_l, walras
+def pair(lo, hi, c):
+    return DemandSupplyPair(
+        MonotoneCurve((lo, hi), (c, 0.0), Direction.DECREASING),
+        MonotoneCurve((lo, hi), (0.0, c), Direction.INCREASING),
+    )
+"""
+
+
+def run_probe(code: str) -> list:
+    """Floats printed by ``code`` in a fresh interpreter, which is killed
+    after 20 s: a bisection whose stop lies below the float spacing at the
+    probed scale never returns."""
+    env = dict(os.environ, PYTHONPATH=str(Path(lobmm.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE_HEADER + code],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        env=env,
+        check=True,
+    )
+    return [float(tok) for tok in proc.stdout.split()]
+
+
+class TestUnits:
+    def test_walras_at_large_prices(self):
+        x, volume = run_probe("w = walras(pair(1e4, 2e4, 1.0)); print(w.x, w.volume)")
+        assert x == pytest.approx(1.5e4, rel=1e-12)
+        assert volume == pytest.approx(0.5, abs=1e-9)
+
+    def test_v_l_moves_with_the_price_axis(self):
+        vol, lo, hi = run_probe(
+            "r = v_l(pair(1e4, 1e4 + 1.0, 1.0)); print(r.v_l, r.window.lo, r.window.hi)"
+        )
+        assert vol == pytest.approx(VL_UNIFORM, abs=1e-9)
+        assert lo - 1e4 == pytest.approx(XL_UNIFORM, abs=1e-8)
+        assert hi - 1e4 == pytest.approx(VL_UNIFORM, abs=1e-8)
+
+    def test_v_l_at_large_rates(self):
+        vol, lo, hi = run_probe(
+            "r = v_l(pair(0.0, 1.0, 1e7)); print(r.v_l, r.window.lo, r.window.hi)"
+        )
+        # phi's quadrature tolerance is absolute while phi scales as
+        # 1/rate^2, so at this scale only about six digits are exact
+        assert vol == pytest.approx(1e7 * VL_UNIFORM, rel=1e-6)
+        assert lo == pytest.approx(XL_UNIFORM, abs=1e-6)
+        assert hi == pytest.approx(VL_UNIFORM, abs=1e-6)
