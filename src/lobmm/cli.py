@@ -18,13 +18,12 @@ assumption on the curves fails; 4 a compare run exceeded its tolerances.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -338,25 +337,64 @@ def write_json(path: Path, payload: Dict[str, Any]) -> None:
     path.write_text(json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n")
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+_BLOCK_ROWS = 8192
+_NEEDS_QUOTING = frozenset(',"\r\n')
+
+
+def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence[Any]]) -> None:
+    """Write equal-length ``columns`` under ``header``, one line per row.
+
+    Cell contract: a float is written as its ``repr`` and NaN as an empty
+    field, an int as ``str``, a str token as is.  A column is a float or
+    integer numpy array, or a sequence whose cells are all Python floats,
+    all Python ints or all str tokens; any other cell (None, bool, a numpy
+    scalar, a mix of types) raises TypeError.  Nothing is quoted, so a
+    token holding a comma, a double quote or a line break raises ValueError,
+    as does a table of one column (a lone empty field would be a blank
+    line).  Columns are formatted a block of rows at a time, so memory does
+    not grow with the row count.
+    """
+    if len(header) < 2 or len(columns) != len(header):
+        raise ValueError(f"{path.name}: need one column per header field, at least two")
+    n = len(columns[0])
+    if any(len(col) != n for col in columns):
+        raise ValueError(f"{path.name}: columns differ in length")
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        fh.write(",".join(_fields(list(header))) + "\n")
+        for start in range(0, n, _BLOCK_ROWS):
+            fields = [_fields(col[start : start + _BLOCK_ROWS]) for col in columns]
+            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
-def _cell(value: Any) -> Any:
-    if isinstance(value, (np.floating, np.integer)):
-        value = float(value)
-    if isinstance(value, float):
-        if math.isnan(value):
-            return ""
-        return repr(value)
-    return value
+def _fields(cells: Sequence[Any]) -> List[str]:
+    """One block of one column as CSV fields (the contract of write_csv)."""
+    if isinstance(cells, np.ndarray) and cells.dtype.kind in "fiu":
+        values = cells.tolist()
+        cell_type = float if cells.dtype.kind == "f" else int
+    else:
+        values = cells.tolist() if isinstance(cells, np.ndarray) else list(cells)
+        types = set(map(type, values))
+        if len(types) > 1 or not types <= {float, int, str}:
+            names = ", ".join(sorted(t.__name__ for t in types))
+            raise TypeError(f"a CSV column holds only floats, only ints or only str; got {names}")
+        cell_type = types.pop()
+    if cell_type is float:
+        fields = list(map(repr, values))
+        return ["" if f == "nan" else f for f in fields] if "nan" in fields else fields
+    if cell_type is int:
+        return list(map(str, values))
+    for token in set(values):
+        if not _NEEDS_QUOTING.isdisjoint(token):
+            raise ValueError(f"CSV token {token!r} would need quoting")
+    return values
 
 
-def _histogram_rows(book: OrderBook, interval: PriceInterval, bins: int):
+def _columns(rows: Sequence[Sequence[Any]], width: int) -> List[Sequence[Any]]:
+    """A small table of rows turned into its ``width`` columns."""
+    return list(zip(*rows)) if rows else [()] * width
+
+
+def _histogram_columns(book: OrderBook, interval: PriceInterval, bins: int):
     edges = np.linspace(interval.lo, interval.hi, bins + 1)
     bp = np.fromiter(book.buy_counts.keys(), dtype=float, count=len(book.buy_counts))
     bw = np.fromiter(book.buy_counts.values(), dtype=float, count=len(book.buy_counts))
@@ -364,8 +402,7 @@ def _histogram_rows(book: OrderBook, interval: PriceInterval, bins: int):
     sw = np.fromiter(book.sell_counts.values(), dtype=float, count=len(book.sell_counts))
     buys, _ = np.histogram(bp, bins=edges, weights=bw)
     sells, _ = np.histogram(sp, bins=edges, weights=sw)
-    for k in range(bins):
-        yield edges[k], edges[k + 1], int(buys[k]), int(sells[k])
+    return edges[:-1], edges[1:], buys.astype(np.int64), sells.astype(np.int64)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -416,7 +453,7 @@ def cmd_theory(doc: Dict[str, Any], args) -> int:
             write_csv(
                 out.directory / "phi.csv",
                 ("volume", "phi", "error_estimate"),
-                zip(table.volumes, table.values, table.errors),
+                (table.volumes, table.values, table.errors),
             )
         if rep.window is not None and out.wants("csv"):
             try:
@@ -424,7 +461,7 @@ def cmd_theory(doc: Dict[str, Any], args) -> int:
                 write_csv(
                     out.directory / "quotes.csv",
                     ("price", "bid_cdf", "ask_survival"),
-                    zip(sol.grid, sol.f_minus, sol.f_plus),
+                    (sol.grid, sol.f_minus, sol.f_plus),
                 )
                 payload["quote_law"] = {
                     "empty_buy_prob": sol.f_minus_lo,
@@ -439,18 +476,6 @@ def cmd_theory(doc: Dict[str, Any], args) -> int:
     if out.wants("json"):
         write_json(out.directory / "window.json", payload)
     return EXIT_OK
-
-
-def _trajectory_rows(traj: Trajectory):
-    for i in range(traj.n_events):
-        yield (
-            i,
-            traj.times[i],
-            KIND_TOKENS[traj.kinds[i]],
-            traj.trade_prices[i],
-            traj.bids[i],
-            traj.asks[i],
-        )
 
 
 def _summary_payload(traj: Trajectory) -> Dict[str, Any]:
@@ -503,29 +528,36 @@ def cmd_simulate(doc: Dict[str, Any], args) -> int:
             write_csv(
                 rdir / "trajectory.csv",
                 ("event_index", "time", "kind", "trade_price", "bid", "ask"),
-                _trajectory_rows(traj),
+                (
+                    range(traj.n_events),
+                    traj.times,
+                    np.array(KIND_TOKENS, dtype=object)[traj.kinds],
+                    traj.trade_prices,
+                    traj.bids,
+                    traj.asks,
+                ),
             )
             write_csv(
                 rdir / "final-book.csv",
                 ("side", "price", "count"),
-                traj.final_book.snapshot().rows(),
+                _columns(traj.final_book.snapshot().rows(), 3),
             )
             write_csv(
                 rdir / "histogram.csv",
                 ("bin_lo", "bin_hi", "buy_count", "sell_count"),
-                _histogram_rows(traj.final_book, pair.interval, out.histogram_bins),
+                _histogram_columns(traj.final_book, pair.interval, out.histogram_bins),
             )
             for idx, snap in sorted(traj.snapshots.items()):
                 write_csv(
                     rdir / f"snapshot-{idx}.csv",
                     ("side", "price", "count"),
-                    snap.rows(),
+                    _columns(snap.rows(), 3),
                 )
             if settings.map is not None:
                 write_csv(
                     rdir / "image-book.csv",
                     ("side", "price", "count"),
-                    image_book(traj.final_book, settings.map).snapshot().rows(),
+                    _columns(image_book(traj.final_book, settings.map).snapshot().rows(), 3),
                 )
         if out.wants("json"):
             write_json(rdir / "summary.json", _summary_payload(traj))
@@ -590,7 +622,7 @@ def cmd_compare(doc: Dict[str, Any], args) -> int:
                 "ask_survival_sim",
                 "ask_survival_theory",
             ),
-            zip(grid, s.bid_cdf, theory_bid, s.ask_survival, theory_ask),
+            (grid, s.bid_cdf, theory_bid, s.ask_survival, theory_ask),
         )
     if out.wants("json"):
         write_json(
@@ -692,20 +724,23 @@ def cmd_freeze(doc: Dict[str, Any], args) -> int:
                 "final_buys",
                 "final_sells",
             ),
-            (
-                (
-                    s.replica,
-                    s.n_events,
-                    int(s.frozen),
-                    _nan_if_none(s.freeze_time),
-                    _nan_if_none(s.freeze_midpoint),
-                    s.trade_count,
-                    s.min_bid,
-                    s.max_ask,
-                    s.final_buys,
-                    s.final_sells,
-                )
-                for s in stats
+            _columns(
+                [
+                    (
+                        s.replica,
+                        s.n_events,
+                        int(s.frozen),
+                        _nan_if_none(s.freeze_time),
+                        _nan_if_none(s.freeze_midpoint),
+                        s.trade_count,
+                        s.min_bid,
+                        s.max_ask,
+                        s.final_buys,
+                        s.final_sells,
+                    )
+                    for s in stats
+                ],
+                10,
             ),
         )
         edges = np.linspace(pair.interval.lo, pair.interval.hi, out.histogram_bins + 1)
@@ -713,7 +748,7 @@ def cmd_freeze(doc: Dict[str, Any], args) -> int:
         write_csv(
             out.directory / "midpoint-histogram.csv",
             ("bin_lo", "bin_hi", "count"),
-            ((edges[k], edges[k + 1], int(counts[k])) for k in range(out.histogram_bins)),
+            (edges[:-1], edges[1:], counts),
         )
     payload = {
         "command": "freeze",
@@ -792,7 +827,7 @@ def cmd_sweep(doc: Dict[str, Any], args) -> int:
                 st = replica_stats(run(settings.sim_config(pair, r)))
                 row += [_nan_if_none(st.window_lo), _nan_if_none(st.window_hi), int(st.frozen)]
             rows.append(row)
-        write_csv(out.directory / "sweep.csv", header, rows)
+        write_csv(out.directory / "sweep.csv", header, _columns(rows, len(header)))
         return EXIT_OK
 
     volumes = [_as_number(v, "sweep.volume entry") for v in block["volume"]]
@@ -804,7 +839,7 @@ def cmd_sweep(doc: Dict[str, Any], args) -> int:
         except ValueError:
             value, klass = math.nan, "out_of_domain"
         rows.append([v, value, klass])
-    write_csv(out.directory / "sweep.csv", ("volume", "phi", "recurrence"), rows)
+    write_csv(out.directory / "sweep.csv", ("volume", "phi", "recurrence"), _columns(rows, 3))
     return EXIT_OK
 
 

@@ -161,7 +161,7 @@ def _phi_knots(pair: DemandSupplyPair, lo: float, hi: float) -> list:
 
 
 def _simpson(fx: np.ndarray, h: float) -> float:
-    return (h / 3.0) * (fx[0] + fx[-1] + 4.0 * fx[1:-1:2].sum() + 2.0 * fx[2:-1:2].sum())
+    return float((h / 3.0) * (fx[0] + fx[-1] + 4.0 * fx[1:-1:2].sum() + 2.0 * fx[2:-1:2].sum()))
 
 
 def _integrate_piece(

@@ -5,14 +5,22 @@ exercises the installed console script. Artifacts land in tmp_path.
 """
 
 import csv
+import hashlib
 import json
+import math
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lobmm.cli import READS, check_contract, load_config, main
+from lobmm import cli
+from lobmm.cli import KIND_TOKENS, READS, check_contract, load_config, main, write_csv
+from lobmm.theory import Recurrence
 
 SAMPLE_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -20,6 +28,13 @@ UNIFORM_MODEL = {
     "interval": [0.0, 1.0],
     "demand": [[0.0, 1.0], [1.0, 0.0]],
     "supply": [[0.0, 0.0], [1.0, 1.0]],
+}
+
+# integer-tick model: ceil(x/2) sends (0,6) into {1, 2, 3}
+TICK_MODEL = {
+    "interval": [0.0, 6.0],
+    "demand": [[0, 3], [1, 3], [2, 2], [3, 2], [4, 1], [5, 1], [6, 0]],
+    "supply": [[0, 0], [1, 1], [2, 1], [3, 2], [4, 2], [5, 3], [6, 3]],
 }
 
 
@@ -323,15 +338,7 @@ class TestSimulate:
         assert s0["trade_count"] != s1["trade_count"]  # independent streams
 
     def test_image_book_artifact(self, tmp_path, outdir):
-        # integer-tick model: ceil(x/2) sends (0,6) into {1, 2, 3}
-        doc = {
-            "model": {
-                "interval": [0.0, 6.0],
-                "demand": [[0, 3], [1, 3], [2, 2], [3, 2], [4, 1], [5, 1], [6, 0]],
-                "supply": [[0, 0], [1, 1], [2, 1], [3, 2], [4, 2], [5, 3], [6, 3]],
-            },
-            "run": {"events": 400, "map": {"divisor": 2.0}},
-        }
+        doc = {"model": TICK_MODEL, "run": {"events": 400, "map": {"divisor": 2.0}}}
         cfg = write_config(tmp_path, doc)
         assert main(["simulate", cfg, "--seed", "6", "--out", str(outdir)]) == 0
         header, rows = read_csv(outdir / "image-book.csv")
@@ -577,6 +584,238 @@ class TestSweep:
     def test_missing_sweep_block(self, tmp_path, outdir):
         cfg = write_config(tmp_path, {"model": UNIFORM_MODEL})
         assert main(["sweep", cfg, "--out", str(outdir)]) == 2
+
+
+# -- csv writer ---------------------------------------------------------------
+
+
+def reference_csv(path, header, columns):
+    """The row-at-a-time writer that write_csv replaced: csv.writer fed
+    every cell through the old ``_cell``."""
+
+    def cell(value):
+        if isinstance(value, (np.floating, np.integer)):
+            value = float(value)
+        if isinstance(value, float):
+            return "" if math.isnan(value) else repr(value)
+        return value
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([cell(v) for v in row])
+
+
+# NaN, the infinities, signed zeros, the smallest subnormal and normal
+# doubles, where repr switches to exponent notation (1e16, 1e-5), a
+# rounding artefact, and the largest finite double
+EDGE_FLOATS = [
+    math.nan,
+    math.inf,
+    -math.inf,
+    -0.0,
+    0.0,
+    5e-324,
+    2.2250738585072014e-308,
+    1e16,
+    1e-5,
+    0.1 + 0.2,
+    1.7976931348623157e308,
+]
+TOKENS = KIND_TOKENS + ("buy", "sell", "out_of_domain") + tuple(r.value for r in Recurrence)
+BLOCK = cli._BLOCK_ROWS
+
+cell_pools = {
+    "float": st.lists(st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS)), min_size=1),
+    "int": st.lists(st.integers(-(2**70), 2**70), min_size=1),
+    "token": st.lists(
+        st.one_of(
+            st.sampled_from(TOKENS),
+            st.text(st.characters(exclude_characters=',"\r\n', exclude_categories=("Cs",))),
+        ),
+        min_size=1,
+    ),
+}
+
+
+@st.composite
+def tables(draw):
+    """(header, columns, reference columns): 2-6 columns of random cells,
+    as lists or numpy arrays, 0 rows up to just past two blocks."""
+    n = draw(
+        st.one_of(st.integers(0, 40), st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]))
+    )
+    header, columns, plain = [], [], []
+    for _ in range(draw(st.integers(2, 6))):
+        kind = draw(st.sampled_from(sorted(cell_pools)))
+        pool = draw(cell_pools[kind])
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        cells = [rng.choice(pool) for _ in range(n)]
+        plain.append(cells)
+        if kind == "float" and draw(st.booleans()):
+            cells = np.array(cells, dtype=float)
+        elif kind == "int" and draw(st.booleans()):
+            # an integer array is written as its Python ints; the old
+            # writer turned numpy integers into floats, and no caller gave it any
+            cells = np.array([c % 2**62 for c in cells], dtype=np.int64)
+            plain[-1] = cells.tolist()
+        elif kind == "token" and draw(st.booleans()):
+            cells = np.array(cells, dtype=object)
+        header.append(draw(cell_pools["token"])[0])
+        columns.append(cells)
+    return header, columns, plain
+
+
+class TestWriteCsv:
+    @settings(max_examples=60, deadline=None)
+    @given(tables())
+    def test_matches_the_csv_module_writer(self, tmp_path_factory, table):
+        header, columns, plain = table
+        d = tmp_path_factory.mktemp("csv")
+        write_csv(d / "new.csv", header, columns)
+        reference_csv(d / "old.csv", header, plain)
+        assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
+
+    def test_header_only(self, tmp_path):
+        write_csv(tmp_path / "t.csv", ("a", "b"), ([], np.empty(0)))
+        assert (tmp_path / "t.csv").read_text() == "a,b\n"
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            pytest.param([None, 1.0], id="none"),
+            pytest.param([np.int64(3), 4], id="numpy-integer"),
+            pytest.param([np.float64(0.5), 1.0], id="numpy-float"),
+            pytest.param([True, False], id="bool"),
+            pytest.param(np.array([True, False]), id="bool-array"),
+            pytest.param([1, 2.0], id="int-and-float"),
+            pytest.param(["buy", 1.0], id="token-and-float"),
+        ],
+    )
+    def test_unknown_cell_type_raises(self, tmp_path, column):
+        with pytest.raises(TypeError):
+            write_csv(tmp_path / "t.csv", ("a", "b"), ([0.0, 1.0], column))
+
+    @pytest.mark.parametrize("token", ["a,b", 'say "hi"', "x\ry", "x\ny"])
+    def test_token_that_needs_quoting_raises(self, tmp_path, token):
+        with pytest.raises(ValueError, match="quoting"):
+            write_csv(tmp_path / "t.csv", ("a", "b"), ([0.0], [token]))
+        with pytest.raises(ValueError, match="quoting"):
+            write_csv(tmp_path / "h.csv", ("a", token), ([0.0], [1]))
+
+    @pytest.mark.parametrize(
+        "header,columns",
+        [
+            pytest.param(("a",), ([1.0],), id="one-column"),
+            pytest.param(("a", "b"), ([1.0],), id="missing-column"),
+            pytest.param(("a", "b"), ([1.0], [1, 2]), id="ragged"),
+        ],
+    )
+    def test_malformed_table_raises(self, tmp_path, header, columns):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "t.csv", header, columns)
+
+
+# -- artifact bytes -----------------------------------------------------------
+
+# SHA-256 of every CSV a run writes, recorded with the row-at-a-time
+# csv-module writer that the columnar write_csv replaced.  These runs cover
+# the artifacts the benchmark digests do not: book snapshots (one of them
+# empty), the image book, replica directories, compare's curves, and both
+# sweep tables with empty (NaN) cells.
+ARTIFACT_PINS = [
+    pytest.param(
+        "simulate",
+        {
+            "model": UNIFORM_MODEL,
+            "run": {"events": 400},
+            "output": {"histogram_bins": 25, "snapshot_at": [0, 150, 400]},
+        },
+        {
+            "final-book.csv": "c99ff185182fc95968f2f93478e522738b47a0ec0671b46d9ec7e9dcb961262c",
+            "histogram.csv": "529e81613d04a6ce236cbcfa3b76d563e417acdd07a43e0f689ff63b40f1e958",
+            "snapshot-0.csv": "d9f8851d449021abc7c4b7cc30705754eb2e3813715cac2676b6b0a996932cbd",
+            "snapshot-150.csv": "102e63ea0ed0e0a5df9d5750243686dd16a9ce93ef19bf467109c5bc68adb7b1",
+            "snapshot-400.csv": "c99ff185182fc95968f2f93478e522738b47a0ec0671b46d9ec7e9dcb961262c",
+            "trajectory.csv": "8795f065ae60f927fec435bbcb6f3b34993640f0dc2d5dd31e4eafd0d0014169",
+        },
+        id="snapshots",
+    ),
+    pytest.param(
+        "simulate",
+        {"model": TICK_MODEL, "run": {"events": 400, "map": {"divisor": 2.0}}},
+        {
+            "final-book.csv": "6d9f24cd696bf3fc0272949d1b5ea2d4f0d2e03367191f980b4eedea00326bca",
+            "histogram.csv": "9a86d42b77bd84697d597079dd95600cfc57e63cf0ac73d044dfb2b8aabb3567",
+            "image-book.csv": "2b34a60950833a783cba6da83d18bd065a8c10ca8eb6cc030016af93e8440309",
+            "trajectory.csv": "9f0920e376e24978ac79e7cc9a9a0c4196daf67ed25d7191783dff0db18be508",
+        },
+        id="image-book",
+    ),
+    pytest.param(
+        "simulate",
+        {
+            "model": UNIFORM_MODEL,
+            "run": {"events": 300, "replicas": 2, "restriction": {"volume": 0.6}},
+        },
+        {
+            "replica-000/final-book.csv": "473c2384cde140a999b0bfe3a44dc040b20d4e2e1ed17d0574742d1ca6a337de",
+            "replica-000/histogram.csv": "65acbc54d2eceb7f89d6ef9aa98bcc2826d9853df56204cd454294fe24a8ba64",
+            "replica-000/trajectory.csv": "757eb447650372fa14a1e259396c1155755fda23d2cbb84a70a955cd77b14773",
+            "replica-001/final-book.csv": "d9f8851d449021abc7c4b7cc30705754eb2e3813715cac2676b6b0a996932cbd",
+            "replica-001/histogram.csv": "77fa28b97c1186db7521c5d3cb5be2d153c1f9d89526934cae18d4dcb938e726",
+            "replica-001/trajectory.csv": "e04471593a6b86ef967d6009dc87c82083ac6fbcd9dbd6dd22237e538cf22614",
+        },
+        id="replicas",
+    ),
+    pytest.param(
+        "compare",
+        {
+            "model": UNIFORM_MODEL,
+            "run": {"events": 2000, "restriction": {"volume": 0.6}},
+            "compare": {"tolerance_cdf": 1.0, "tolerance_empty": 1.0},
+        },
+        {
+            "curves.csv": "6fec3ffd78e682ed0ed5869a41092f3cc1d2e27c28f20034ccbf5c2e7a149adb",
+        },
+        id="compare-curves",
+    ),
+    pytest.param(
+        "sweep",
+        {
+            "model": UNIFORM_MODEL,
+            "run": {"events": 3000},
+            "sweep": {"rho": [0.0, 0.3, 0.6]},
+        },
+        {
+            "sweep.csv": "0ecf9d94f68e927cc6b23ce39cd1fcf81c51c6aaf1d56cf3ee4afe603f7d93e0",
+        },
+        id="rho-sweep",
+    ),
+    pytest.param(
+        "sweep",
+        {"model": UNIFORM_MODEL, "sweep": {"volume": [0.6, 0.7821882942691838, 0.9, 0.3]}},
+        {
+            "sweep.csv": "8f3e2a93b2ef8810c3826f253e98b07610a28068e4a07085cc1e7e36e7f588d9",
+        },
+        id="volume-sweep",
+    ),
+]
+
+
+def csv_digests(outdir):
+    return {
+        p.relative_to(outdir).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(outdir.rglob("*.csv"))
+    }
+
+
+@pytest.mark.parametrize("command,doc,pins", ARTIFACT_PINS)
+def test_csv_bytes_are_pinned(tmp_path, outdir, command, doc, pins):
+    cfg = write_config(tmp_path, doc)
+    assert main([command, cfg, "--seed", "5", "--out", str(outdir)]) == 0
+    assert csv_digests(outdir) == pins
 
 
 # -- console script -----------------------------------------------------------
