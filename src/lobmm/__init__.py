@@ -76,6 +76,7 @@ from .theory import (
     freeze_support,
     gambler_bound,
     phi,
+    recurrence_sweep,
     solve_luckock,
     v_l,
 )
@@ -127,6 +128,7 @@ __all__ = [
     "image_book",
     "next_event",
     "phi",
+    "recurrence_sweep",
     "replica_stats",
     "restrict_event",
     "run",

@@ -53,6 +53,7 @@ from .theory import (
     freeze_support,
     gambler_bound,
     phi,
+    recurrence_sweep,
     solve_luckock,
     v_l,
 )
@@ -831,14 +832,10 @@ def cmd_sweep(doc: Dict[str, Any], args) -> int:
         return EXIT_OK
 
     volumes = [_as_number(v, "sweep.volume entry") for v in block["volume"]]
-    rows = []
-    for v in volumes:
-        try:
-            value = phi(pair, rho_model, v)
-            klass = classify_recurrence(pair, rho_model, v).value
-        except ValueError:
-            value, klass = math.nan, "out_of_domain"
-        rows.append([v, value, klass])
+    rows = [
+        [v, value, "out_of_domain" if klass is None else klass.value]
+        for v, (value, klass) in zip(volumes, recurrence_sweep(pair, rho_model, volumes))
+    ]
     write_csv(out.directory / "sweep.csv", ("volume", "phi", "recurrence"), _columns(rows, 3))
     return EXIT_OK
 

@@ -14,6 +14,12 @@ maker rate rho.  The central objects:
   where the inverses are the unshifted left-continuous inverses.  The
   candidate window at volume V is J(V) = (demand_inv(V), supply_inv(V));
   the braces hold the shifted curve values at the far edges of J(W).
+  phi is integrated piecewise between the volume levels where the
+  integrand kinks.  ``phi``, ``v_l``, ``classify_recurrence``,
+  ``PhiTable.build`` and ``recurrence_sweep`` each build one evaluator
+  for their (pair, rho); it holds V_W, the effective ceiling and the knot
+  levels, and keeps every finished piece for as long as it lives: one
+  call, or one volume sweep.  Nothing is cached across calls.
 - The trade volume ``v_l``: the supremum of V with phi(V) < 1/V_W^2,
   capped at the effective ceiling where a shifted curve hits zero at a
   window edge.  J(v_l) is the competitive window.
@@ -32,9 +38,11 @@ maker rate rho.  The central objects:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Tuple
+from functools import cached_property
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,6 +70,7 @@ __all__ = [
     "freeze_support",
     "gambler_bound",
     "phi",
+    "recurrence_sweep",
     "solve_luckock",
     "v_l",
 ]
@@ -70,6 +79,8 @@ __all__ = [
 _EDGE_MARGIN = 1e-9
 _PHI_TOL = 1e-10
 _ROOT_TOL = 1e-10
+# relative distance from the recurrence threshold that classifies as CRITICAL
+_CRITICAL_BAND = 1e-6
 
 
 class SingularCoefficientError(ValueError):
@@ -145,8 +156,8 @@ def _effective_ceiling(pair: DemandSupplyPair, rho: float, v_w: float) -> float:
     return a
 
 
-def _phi_knots(pair: DemandSupplyPair, lo: float, hi: float) -> list:
-    """Volume levels where the integrand of phi loses smoothness.
+def _knot_levels(pair: DemandSupplyPair) -> list:
+    """Sorted volume levels where the integrand of phi loses smoothness.
 
     The window-edge paths kink where an inverse crosses a breakpoint of
     either curve, which happens at the curve values of the merged
@@ -154,9 +165,8 @@ def _phi_knots(pair: DemandSupplyPair, lo: float, hi: float) -> list:
     """
     levels = set()
     for p in set(pair.demand.prices) | set(pair.supply.prices):
-        for lvl in (float(pair.demand.value_at(p)), float(pair.supply.value_at(p))):
-            if lo < lvl < hi:
-                levels.add(lvl)
+        levels.add(float(pair.demand.value_at(p)))
+        levels.add(float(pair.supply.value_at(p)))
     return sorted(levels)
 
 
@@ -167,21 +177,33 @@ def _simpson(fx: np.ndarray, h: float) -> float:
 def _integrate_piece(
     f: Callable[[np.ndarray], np.ndarray], a: float, b: float, tol: float
 ) -> Tuple[float, float]:
-    """Composite quadrature on one smooth piece, grid doubling to ``tol``.
+    """Composite Simpson on one smooth piece, doubling the grid to ``tol``.
 
-    Returns (value, last doubling difference).  The doubling count is
-    capped; near-edge pieces where the integrand climbs steeply converge
-    past any practical threshold-crossing question well before the cap.
+    Returns (value, last doubling difference).  Each doubled grid takes its
+    even-indexed samples from the previous grid, because
+    ``np.linspace(a, b, 2n + 1)[::2]`` equals ``np.linspace(a, b, n + 1)``
+    bit for bit when n is a power of two, and evaluates ``f`` only at the
+    new odd points.
+
+    The doubling count is capped at 16 (524,289 samples).  Where a shifted
+    curve reaches zero at the effective ceiling, the piece ending just
+    below it, where the integrand climbs steeply, never converges: it runs
+    every doubling, returns the last estimate, and reports a difference of
+    0.0 because ``prev`` already equals ``cur`` when the loop ends.
     """
     if b <= a:
         return 0.0, 0.0
     n = 8
-    xs = np.linspace(a, b, n + 1)
-    prev = _simpson(f(xs), (b - a) / n)
+    fx = f(np.linspace(a, b, n + 1))
+    prev = _simpson(fx, (b - a) / n)
     for _ in range(16):
         n *= 2
         xs = np.linspace(a, b, n + 1)
-        cur = _simpson(f(xs), (b - a) / n)
+        finer = np.empty(n + 1)
+        finer[::2] = fx
+        finer[1::2] = f(xs[1::2])
+        fx = finer
+        cur = _simpson(fx, (b - a) / n)
         if abs(cur - prev) <= tol:
             return cur, abs(cur - prev)
         prev = cur
@@ -201,22 +223,87 @@ def _phi_integrand(pair: DemandSupplyPair, rho: float) -> Callable[[np.ndarray],
     return f
 
 
-def _phi_from(
-    pair: DemandSupplyPair, rho: float, v_w: float, v: float, tol: float = _PHI_TOL
-) -> Tuple[float, float]:
-    """phi(v) given a precomputed walrasian volume; (value, error estimate)."""
-    if v <= v_w:
-        return 0.0, 0.0
-    knots = [v_w] + _phi_knots(pair, v_w, v) + [v]
-    f = _phi_integrand(pair, rho)
-    piece_tol = tol / len(knots)
-    total = 0.0
-    err = 0.0
-    for a, b in zip(knots, knots[1:]):
-        val, e = _integrate_piece(f, a, b, piece_tol)
-        total += val
-        err += e
-    return total, err
+class _PhiEvaluator:
+    """phi of one (pair, rho), integrated once per quadrature piece.
+
+    Holds the walrasian point, the pair's sorted knot levels and, on first
+    use, the effective ceiling.  Every finished piece is kept under
+    ``(a, b, piece_tol)``, so bisection steps that share knot pieces, and
+    phi and the recurrence class of one volume, integrate them once.  The
+    cache lives as long as the evaluator: one call of a public function,
+    or one volume sweep.
+    """
+
+    def __init__(self, pair: DemandSupplyPair, rho: float):
+        self.pair = pair
+        self.rho = rho
+        self.wal = walras(pair)
+        self.v_w = self.wal.volume
+        self.v_max = _v_ceiling(pair)
+        self.threshold = 1.0 / (self.v_w * self.v_w)
+        self._levels = _knot_levels(pair)
+        self._f = _phi_integrand(pair, rho)
+        self._pieces: dict = {}
+
+    @cached_property
+    def v_eff(self) -> float:
+        return _effective_ceiling(self.pair, self.rho, self.v_w)
+
+    def knots(self, lo: float, hi: float) -> list:
+        """Knot levels strictly between ``lo`` and ``hi``."""
+        levels = self._levels
+        return levels[bisect_right(levels, lo) : bisect_left(levels, hi)]
+
+    def piece(self, a: float, b: float, tol: float) -> Tuple[float, float]:
+        key = (a, b, tol)
+        done = self._pieces.get(key)
+        if done is None:
+            done = self._pieces[key] = _integrate_piece(self._f, a, b, tol)
+        return done
+
+    def value(self, v: float, tol: float = _PHI_TOL) -> Tuple[float, float]:
+        """phi(v) with no domain checks; (value, error estimate)."""
+        if v <= self.v_w:
+            return 0.0, 0.0
+        knots = [self.v_w] + self.knots(self.v_w, v) + [v]
+        piece_tol = tol / len(knots)
+        total = 0.0
+        err = 0.0
+        for a, b in zip(knots, knots[1:]):
+            val, e = self.piece(a, b, piece_tol)
+            total += val
+            err += e
+        return total, err
+
+    def phi(self, v: float, tol: float = _PHI_TOL) -> float:
+        v_w, v_max = self.v_w, self.v_max
+        span_tol = 1e-12 * max(1.0, v_max)
+        if v < v_w - span_tol:
+            raise DomainError(f"phi is defined from the walrasian volume {v_w} up; got {v}")
+        if v > v_max + span_tol:
+            raise DomainError(f"volume {v} exceeds the volume ceiling {v_max}")
+        v = min(max(v, v_w), v_max)
+        gap_lo, gap_hi = _edge_gap(self.pair, self.rho, v)
+        if min(gap_lo, gap_hi) <= 0.0:
+            raise DomainError(
+                f"phi integrand blows up before V={v}: shifted supply at the left "
+                f"window edge is {gap_lo}, shifted demand at the right edge is {gap_hi}"
+            )
+        return self.value(v, tol)[0]
+
+    def classify(self, v: float, band_rel: float) -> Recurrence:
+        _require_a5(self.pair, self.wal)
+        if not self.v_w < v < self.v_eff:
+            raise DomainError(
+                f"recurrence is classified for volumes in ({self.v_w}, {self.v_eff}); got {v}"
+            )
+        value = self.value(v)[0]
+        threshold = self.threshold
+        if abs(value - threshold) <= band_rel * threshold:
+            return Recurrence.CRITICAL
+        if value < threshold:
+            return Recurrence.POSITIVE_RECURRENT
+        return Recurrence.NOT_POSITIVE_RECURRENT
 
 
 def phi(pair: DemandSupplyPair, rho: float, v: float, tol: float = _PHI_TOL) -> float:
@@ -227,23 +314,7 @@ def phi(pair: DemandSupplyPair, rho: float, v: float, tol: float = _PHI_TOL) -> 
     edge (a shifted curve nonpositive at a window edge before ``v``), with
     the offending edge values in the message.
     """
-    rho = _check_rho(rho)
-    wal = walras(pair)
-    v_w = wal.volume
-    v_max = _v_ceiling(pair)
-    span_tol = 1e-12 * max(1.0, v_max)
-    if v < v_w - span_tol:
-        raise DomainError(f"phi is defined from the walrasian volume {v_w} up; got {v}")
-    if v > v_max + span_tol:
-        raise DomainError(f"volume {v} exceeds the volume ceiling {v_max}")
-    v = min(max(v, v_w), v_max)
-    gap_lo, gap_hi = _edge_gap(pair, rho, v)
-    if min(gap_lo, gap_hi) <= 0.0:
-        raise DomainError(
-            f"phi integrand blows up before V={v}: shifted supply at the left "
-            f"window edge is {gap_lo}, shifted demand at the right edge is {gap_hi}"
-        )
-    return _phi_from(pair, rho, v_w, v, tol)[0]
+    return _PhiEvaluator(pair, _check_rho(rho)).phi(v, tol)
 
 
 @dataclass(frozen=True)
@@ -271,35 +342,30 @@ class PhiTable:
         rho = _check_rho(rho)
         if n < 2:
             raise ValueError("need at least two samples")
-        wal = walras(pair)
-        v_w = wal.volume
+        ev = _PhiEvaluator(pair, rho)
+        v_w = ev.v_w
         if v_hi is None:
-            v_hi = _effective_ceiling(pair, rho, v_w) - _EDGE_MARGIN
+            v_hi = ev.v_eff - _EDGE_MARGIN
         if not v_w < v_hi:
             raise ValueError(f"empty tabulation range [{v_w}, {v_hi}]")
         gap_lo, gap_hi = _edge_gap(pair, rho, v_hi)
         if min(gap_lo, gap_hi) <= 0.0:
             raise DomainError(f"tabulation end {v_hi} lies beyond the validity edge")
-        vols = np.linspace(v_w, v_hi, n)
-        f = _phi_integrand(pair, rho)
+        vols = np.linspace(v_w, v_hi, n).tolist()
         piece_tol = tol / n
         vals = [0.0]
         errs = [0.0]
         acc = 0.0
         eacc = 0.0
-        for a, b in zip(vols[:-1], vols[1:]):
-            for ka, kb in _split_at_knots(pair, float(a), float(b)):
-                val, e = _integrate_piece(f, ka, kb, piece_tol)
+        for a, b in zip(vols, vols[1:]):
+            pts = [a] + ev.knots(a, b) + [b]
+            for ka, kb in zip(pts, pts[1:]):
+                val, e = ev.piece(ka, kb, piece_tol)
                 acc += val
                 eacc += e
             vals.append(acc)
             errs.append(eacc)
-        return cls(rho, v_w, tuple(float(v) for v in vols), tuple(vals), tuple(errs))
-
-
-def _split_at_knots(pair: DemandSupplyPair, a: float, b: float) -> list:
-    pts = [a] + _phi_knots(pair, a, b) + [b]
-    return list(zip(pts, pts[1:]))
+        return cls(rho, v_w, tuple(vols), tuple(vals), tuple(errs))
 
 
 # -- trade volume and competitive window ----------------------------------
@@ -344,19 +410,18 @@ def v_l(pair: DemandSupplyPair, rho: float = 0.0) -> WindowReport:
     than an error.
     """
     rho = _check_rho(rho)
-    wal = walras(pair)
+    ev = _PhiEvaluator(pair, rho)
+    wal = ev.wal
     _require_a5(pair, wal)
-    v_w = wal.volume
-    v_max = _v_ceiling(pair)
-    threshold = 1.0 / (v_w * v_w)
+    v_w, v_max, threshold = ev.v_w, ev.v_max, ev.threshold
     if rho >= v_w:
         return WindowReport(
             rho, v_w, wal.x, wal.unique, v_max, v_w, threshold,
             v_w, None, False, True, None,
         )
-    v_eff = _effective_ceiling(pair, rho, v_w)
+    v_eff = ev.v_eff
     v_cap = v_eff - _EDGE_MARGIN
-    phi_cap, _ = _phi_from(pair, rho, v_w, v_cap)
+    phi_cap, _ = ev.value(v_cap)
     if phi_cap < threshold:
         x_lo = float(pair.demand.inverse(v_eff))
         x_hi = float(pair.supply.inverse(v_eff))
@@ -368,7 +433,7 @@ def v_l(pair: DemandSupplyPair, rho: float = 0.0) -> WindowReport:
     a, b = v_w, v_cap
     while b - a > _ROOT_TOL * max(1.0, b):
         m = 0.5 * (a + b)
-        if _phi_from(pair, rho, v_w, m)[0] < threshold:
+        if ev.value(m)[0] < threshold:
             a = m
         else:
             b = m
@@ -383,7 +448,7 @@ def v_l(pair: DemandSupplyPair, rho: float = 0.0) -> WindowReport:
 
 
 def classify_recurrence(
-    pair: DemandSupplyPair, rho: float, v: float, band_rel: float = 1e-6
+    pair: DemandSupplyPair, rho: float, v: float, band_rel: float = _CRITICAL_BAND
 ) -> Recurrence:
     """Recurrence of the restricted model on J(v): phi(v) against 1/V_W^2.
 
@@ -391,22 +456,26 @@ def classify_recurrence(
     CRITICAL; the comparison is meaningful for v strictly between V_W and
     the effective ceiling.
     """
-    rho = _check_rho(rho)
-    wal = walras(pair)
-    _require_a5(pair, wal)
-    v_w = wal.volume
-    v_eff = _effective_ceiling(pair, rho, v_w)
-    if not v_w < v < v_eff:
-        raise DomainError(
-            f"recurrence is classified for volumes in ({v_w}, {v_eff}); got {v}"
-        )
-    value = _phi_from(pair, rho, v_w, v)[0]
-    threshold = 1.0 / (v_w * v_w)
-    if abs(value - threshold) <= band_rel * threshold:
-        return Recurrence.CRITICAL
-    if value < threshold:
-        return Recurrence.POSITIVE_RECURRENT
-    return Recurrence.NOT_POSITIVE_RECURRENT
+    return _PhiEvaluator(pair, _check_rho(rho)).classify(v, band_rel)
+
+
+def recurrence_sweep(
+    pair: DemandSupplyPair, rho: float, volumes: Sequence[float]
+) -> List[Tuple[float, Optional[Recurrence]]]:
+    """``(phi(v), classify_recurrence(v))`` for each of ``volumes``, with
+    both integrals done once on one shared evaluator.  A volume where
+    either function raises ValueError gives ``(nan, None)``."""
+    try:
+        ev = _PhiEvaluator(pair, _check_rho(rho))
+    except ValueError:
+        return [(math.nan, None) for _ in volumes]
+    out = []
+    for v in volumes:
+        try:
+            out.append((ev.phi(v), ev.classify(v, _CRITICAL_BAND)))
+        except ValueError:
+            out.append((math.nan, None))
+    return out
 
 
 # -- stationary quote distributions on a window ----------------------------

@@ -4,7 +4,9 @@ The uniform pair (demand 1-x, supply x on (0,1)) is the workhorse: it has
 closed forms for everything.  The even/odd pair is the discrete-price
 construction on (0,6) whose image under ceil(x/2) lives on {1,2,3}.  The
 floor pair grafts a market-order floor onto uniform demand; the two-piece
-pair bends the supply curve to exercise breakpoint handling.
+pair bends the supply curve to exercise breakpoint handling.  The kinked
+pair samples smooth curves at many breakpoints, so the window functional
+splits into many knot pieces.
 """
 
 from __future__ import annotations
@@ -76,4 +78,25 @@ def two_piece_pair() -> DemandSupplyPair:
     return DemandSupplyPair(
         MonotoneCurve((0.0, 1.0), (1.0, 0.0), Direction.DECREASING),
         MonotoneCurve((0.0, 0.5, 1.0), (0.0, 0.5, 2.0), Direction.INCREASING),
+    )
+
+
+def kinked_model(segments: int = 32) -> dict:
+    """Config ``model`` block of the kinked pair: demand 1.5(1-x)^2 + 0.05
+    and supply 1.2 x^1.5 + 0.02 sampled at ``segments + 1`` equally spaced
+    prices on [0, 1] (V_W ~ 0.4356)."""
+    xs = [k / segments for k in range(segments + 1)]
+    return {
+        "interval": [0.0, 1.0],
+        "demand": [[x, 1.5 * (1.0 - x) ** 2 + 0.05] for x in xs],
+        "supply": [[x, 1.2 * x**1.5 + 0.02] for x in xs],
+    }
+
+
+def make_kinked_pair(segments: int = 32) -> DemandSupplyPair:
+    model = kinked_model(segments)
+    demand, supply = zip(*model["demand"]), zip(*model["supply"])
+    return DemandSupplyPair(
+        MonotoneCurve(*demand, Direction.DECREASING),
+        MonotoneCurve(*supply, Direction.INCREASING),
     )

@@ -18,9 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lobmm import cli
+from lobmm import cli, theory
 from lobmm.cli import KIND_TOKENS, READS, check_contract, load_config, main, write_csv
 from lobmm.theory import Recurrence
+
+from conftest import kinked_model
 
 SAMPLE_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -36,6 +38,11 @@ TICK_MODEL = {
     "demand": [[0, 3], [1, 3], [2, 2], [3, 2], [4, 1], [5, 1], [6, 0]],
     "supply": [[0, 0], [1, 1], [2, 1], [3, 2], [4, 2], [5, 3], [6, 3]],
 }
+
+
+# 32 segments: phi splits into many knot pieces; the shifted supply reaches
+# zero inside the volume ceiling at this rho
+KINKED_MODEL = dict(kinked_model(32), rho=0.1)
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -801,6 +808,38 @@ ARTIFACT_PINS = [
         },
         id="volume-sweep",
     ),
+    pytest.param(
+        "theory",
+        {"model": KINKED_MODEL},
+        {
+            "phi.csv": "275d23e50c340cc6723c5c4ded8d7a8c488673af72126b1b03cb83b6e4208707",
+            "quotes.csv": "172705d440a20f267d2587e9c21567cc9d2454ee282cf40b5676be845b3898fd",
+        },
+        id="kinked-theory",
+    ),
+    pytest.param(
+        "sweep",
+        {"model": KINKED_MODEL, "sweep": {"rho": [0.0, 0.1, 0.3, 0.5]}},
+        {
+            "sweep.csv": "3a7b03c7896fa7e5971ec65ab2fba8645c7f1d5c5ec8045b038e7421e110ad9c",
+        },
+        id="kinked-rho-sweep",
+    ),
+    pytest.param(
+        "sweep",
+        # below V_W, at V_W (phi is 0 there, but no class), inside, past the
+        # effective ceiling, past the volume ceiling
+        {
+            "model": KINKED_MODEL,
+            "sweep": {
+                "volume": [0.4, 0.43564418151680256, 0.5, 0.6, 0.65, 0.7, 0.9, 1.0, 1.3]
+            },
+        },
+        {
+            "sweep.csv": "7dee6b5df45fa06895b5605a481d53078ceb219e806bee2c1e3fe702da41f43a",
+        },
+        id="kinked-volume-sweep",
+    ),
 ]
 
 
@@ -816,6 +855,32 @@ def test_csv_bytes_are_pinned(tmp_path, outdir, command, doc, pins):
     cfg = write_config(tmp_path, doc)
     assert main([command, cfg, "--seed", "5", "--out", str(outdir)]) == 0
     assert csv_digests(outdir) == pins
+
+
+def test_theory_window_json_is_pinned(tmp_path, outdir):
+    cfg = write_config(tmp_path, {"model": KINKED_MODEL})
+    assert main(["theory", cfg, "--out", str(outdir)]) == 0
+    digest = hashlib.sha256((outdir / "window.json").read_bytes()).hexdigest()
+    assert digest == "c8b51f5904ce975d77413edd15ecc250241a55ea8eff236b6cc8daafff92978a"
+
+
+def test_volume_sweep_integrates_each_volume_once(tmp_path, outdir, monkeypatch):
+    ends = []
+    integrate = theory._integrate_piece
+
+    def recording(f, a, b, tol):
+        ends.append(b)
+        return integrate(f, a, b, tol)
+
+    monkeypatch.setattr(theory, "_integrate_piece", recording)
+    volumes = [0.4, 0.5, 0.6, 0.7, 0.9, 1.0]
+    cfg = write_config(tmp_path, {"model": KINKED_MODEL, "sweep": {"volume": volumes}})
+    assert main(["sweep", cfg, "--out", str(outdir)]) == 0
+    _, rows = read_csv(outdir / "sweep.csv")
+    inside = [float(r[0]) for r in rows if r[2] != "out_of_domain"]
+    assert inside == [0.5, 0.6, 0.7, 0.9]
+    # no volume is a knot level, so only the last piece of phi(v) ends at v
+    assert [ends.count(v) for v in inside] == [1, 1, 1, 1]
 
 
 # -- console script -----------------------------------------------------------

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import lobmm
 from lobmm import (
@@ -35,9 +37,15 @@ from lobmm import (
     freeze_support,
     gambler_bound,
     phi,
+    recurrence_sweep,
     solve_luckock,
     v_l,
+    walras,
 )
+from lobmm import theory
+from lobmm.theory import WindowReport
+
+from conftest import make_evenodd_pair, make_floor_pair, make_kinked_pair, make_uniform_pair
 
 # uniform pair, no makers
 PHI_UNIFORM_06 = 1.4775968828829954
@@ -442,3 +450,265 @@ class TestUnits:
         assert vol == pytest.approx(1e7 * VL_UNIFORM, rel=1e-6)
         assert lo == pytest.approx(XL_UNIFORM, abs=1e-6)
         assert hi == pytest.approx(VL_UNIFORM, abs=1e-6)
+
+
+# -- the shared phi evaluator ----------------------------------------------
+#
+# The quadrature as it was before phi got one evaluator per (pair, rho),
+# kept verbatim as the oracle: every call rebuilt the knots and integrated
+# every piece from V_W again, on fresh grids at every doubling.
+
+
+def _ref_phi_knots(pair, lo, hi):
+    levels = set()
+    for p in set(pair.demand.prices) | set(pair.supply.prices):
+        for lvl in (float(pair.demand.value_at(p)), float(pair.supply.value_at(p))):
+            if lo < lvl < hi:
+                levels.add(lvl)
+    return sorted(levels)
+
+
+def _ref_simpson(fx, h):
+    return float((h / 3.0) * (fx[0] + fx[-1] + 4.0 * fx[1:-1:2].sum() + 2.0 * fx[2:-1:2].sum()))
+
+
+def _ref_integrate_piece(f, a, b, tol):
+    if b <= a:
+        return 0.0, 0.0
+    n = 8
+    xs = np.linspace(a, b, n + 1)
+    prev = _ref_simpson(f(xs), (b - a) / n)
+    for _ in range(16):
+        n *= 2
+        xs = np.linspace(a, b, n + 1)
+        cur = _ref_simpson(f(xs), (b - a) / n)
+        if abs(cur - prev) <= tol:
+            return cur, abs(cur - prev)
+        prev = cur
+    return prev, abs(cur - prev)
+
+
+def _ref_phi_integrand(pair, rho):
+    demand, supply = pair.demand, pair.supply
+
+    def f(w):
+        x_lo = demand.inverse(w)
+        x_hi = supply.inverse(w)
+        a = supply.value_at(x_lo) - rho
+        b = demand.value_at(x_hi) - rho
+        return (1.0 / a + 1.0 / b) / (w * w)
+
+    return f
+
+
+def _ref_phi_from(pair, rho, v_w, v, tol=1e-10):
+    if v <= v_w:
+        return 0.0, 0.0
+    knots = [v_w] + _ref_phi_knots(pair, v_w, v) + [v]
+    f = _ref_phi_integrand(pair, rho)
+    piece_tol = tol / len(knots)
+    total = 0.0
+    err = 0.0
+    for a, b in zip(knots, knots[1:]):
+        val, e = _ref_integrate_piece(f, a, b, piece_tol)
+        total += val
+        err += e
+    return total, err
+
+
+def ref_phi(pair, rho, v):
+    v_w = walras(pair).volume
+    v_max = theory._v_ceiling(pair)
+    span_tol = 1e-12 * max(1.0, v_max)
+    if v < v_w - span_tol or v > v_max + span_tol:
+        raise DomainError("outside [V_W, V_max]")
+    v = min(max(v, v_w), v_max)
+    if min(theory._edge_gap(pair, rho, v)) <= 0.0:
+        raise DomainError("beyond the validity edge")
+    return _ref_phi_from(pair, rho, v_w, v)[0]
+
+
+def ref_classify_recurrence(pair, rho, v, band_rel=1e-6):
+    v_w = walras(pair).volume
+    v_eff = theory._effective_ceiling(pair, rho, v_w)
+    if not v_w < v < v_eff:
+        raise DomainError("outside (V_W, effective ceiling)")
+    value = _ref_phi_from(pair, rho, v_w, v)[0]
+    threshold = 1.0 / (v_w * v_w)
+    if abs(value - threshold) <= band_rel * threshold:
+        return Recurrence.CRITICAL
+    if value < threshold:
+        return Recurrence.POSITIVE_RECURRENT
+    return Recurrence.NOT_POSITIVE_RECURRENT
+
+
+def ref_v_l(pair, rho):
+    """The reference for rho < V_W (every report below is not degenerate)."""
+    wal = walras(pair)
+    v_w = wal.volume
+    v_max = theory._v_ceiling(pair)
+    threshold = 1.0 / (v_w * v_w)
+    v_eff = theory._effective_ceiling(pair, rho, v_w)
+    v_cap = v_eff - 1e-9
+    phi_cap, _ = _ref_phi_from(pair, rho, v_w, v_cap)
+    if phi_cap < threshold:
+        x_lo = float(pair.demand.inverse(v_eff))
+        x_hi = float(pair.supply.inverse(v_eff))
+        window = PriceInterval(x_lo, x_hi) if x_lo < x_hi else None
+        return WindowReport(
+            rho, v_w, wal.x, wal.unique, v_max, v_eff, threshold,
+            v_eff, window, True, False, phi_cap,
+        )
+    a, b = v_w, v_cap
+    while b - a > 1e-10 * max(1.0, b):
+        m = 0.5 * (a + b)
+        if _ref_phi_from(pair, rho, v_w, m)[0] < threshold:
+            a = m
+        else:
+            b = m
+    vol = 0.5 * (a + b)
+    window = PriceInterval(float(pair.demand.inverse(vol)), float(pair.supply.inverse(vol)))
+    return WindowReport(
+        rho, v_w, wal.x, wal.unique, v_max, v_eff, threshold,
+        vol, window, False, False, phi_cap,
+    )
+
+
+def ref_phi_table(pair, rho, n=64, tol=1e-10):
+    v_w = walras(pair).volume
+    v_hi = theory._effective_ceiling(pair, rho, v_w) - 1e-9
+    if not v_w < v_hi:
+        raise ValueError("empty tabulation range")
+    if min(theory._edge_gap(pair, rho, v_hi)) <= 0.0:
+        raise DomainError("tabulation end beyond the validity edge")
+    vols = np.linspace(v_w, v_hi, n)
+    f = _ref_phi_integrand(pair, rho)
+    piece_tol = tol / n
+    vals = [0.0]
+    errs = [0.0]
+    acc = 0.0
+    eacc = 0.0
+    for a, b in zip(vols[:-1], vols[1:]):
+        pts = [float(a)] + _ref_phi_knots(pair, float(a), float(b)) + [float(b)]
+        for ka, kb in zip(pts, pts[1:]):
+            val, e = _ref_integrate_piece(f, ka, kb, piece_tol)
+            acc += val
+            eacc += e
+        vals.append(acc)
+        errs.append(eacc)
+    return tuple(float(v) for v in vols), tuple(vals), tuple(errs)
+
+
+def _outcome(fn, *args):
+    """A function's value, or the class of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+EVALUATOR_PAIRS = {
+    "uniform": make_uniform_pair,
+    "floor": make_floor_pair,
+    "floors": floors_pair,
+    "evenodd": make_evenodd_pair,
+}
+
+
+def _pair_named(name):
+    return EVALUATOR_PAIRS[name]() if name in EVALUATOR_PAIRS else make_kinked_pair(name)
+
+
+class TestSharedEvaluator:
+    """Every float phi, v_l, classify_recurrence and PhiTable.build give
+    equals the one the oracle above computes, exactly."""
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        name=st.one_of(st.sampled_from(sorted(EVALUATOR_PAIRS)), st.integers(8, 64)),
+        rho_frac=st.floats(0.0, 1.0, exclude_max=True),
+        vol_fracs=st.lists(st.floats(-0.2, 1.1), min_size=1, max_size=4),
+    )
+    # the kinked pair's shifted supply reaches zero inside the ceiling at
+    # rho 0.1, so the piece ending at the cap runs every doubling; at rho 0
+    # and on the floors pair the integrand stays finite and the cap converges
+    @example(name=32, rho_frac=0.1 / 0.43564418151680256, vol_fracs=[0.1, 0.3, 0.6, 1.0])
+    @example(name=32, rho_frac=0.0, vol_fracs=[0.5])
+    @example(name="floors", rho_frac=0.5, vol_fracs=[0.0, 0.99])
+    def test_bit_identical_to_the_reference(self, name, rho_frac, vol_fracs):
+        pair = _pair_named(name)
+        v_w = walras(pair).volume
+        rho = rho_frac * v_w
+        assert v_l(pair, rho) == ref_v_l(pair, rho)
+
+        table = _outcome(PhiTable.build, pair, rho)
+        if isinstance(table, PhiTable):
+            table = (table.volumes, table.values, table.errors)
+        assert table == _outcome(ref_phi_table, pair, rho)
+
+        v_max = theory._v_ceiling(pair)
+        volumes = [v_w + f * (v_max - v_w) for f in vol_fracs]
+        levels = _ref_phi_knots(pair, v_w, v_max)
+        if levels:
+            volumes.append(levels[len(levels) // 2])  # phi(v) ends on a knot
+        expected = []
+        for v in volumes:
+            value = _outcome(ref_phi, pair, rho, v)
+            klass = _outcome(ref_classify_recurrence, pair, rho, v)
+            assert _outcome(phi, pair, rho, v) == value
+            assert _outcome(classify_recurrence, pair, rho, v) == klass
+            if isinstance(value, type) or isinstance(klass, type):
+                expected.append((None, None))
+            else:
+                expected.append((value, klass))
+        got = [
+            (None, None) if klass is None and math.isnan(value) else (value, klass)
+            for value, klass in recurrence_sweep(pair, rho, volumes)
+        ]
+        assert got == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.floats(-1e9, 1e9, allow_subnormal=False),
+        b=st.floats(-1e9, 1e9, allow_subnormal=False),
+        k=st.integers(0, 16),
+    )
+    def test_doubled_grid_nests_the_previous_one(self, a, b, k):
+        # _integrate_piece reuses a grid's samples at the even indices of
+        # the doubled grid, which is exact only because of this identity
+        n = 8 * 2**k
+        assume(a < b and (b - a) / (2 * n) >= sys.float_info.min)
+        coarse = np.linspace(a, b, n + 1)
+        assert np.linspace(a, b, 2 * n + 1)[::2].tobytes() == coarse.tobytes()
+
+
+class TestPhiWork:
+    """Deterministic work counts: integrand samples, not wall-clock time."""
+
+    @pytest.fixture
+    def samples(self, monkeypatch):
+        count = [0]
+        make = theory._phi_integrand
+
+        def counting(pair, rho):
+            f = make(pair, rho)
+
+            def g(w):
+                count[0] += len(w)
+                return f(w)
+
+            return g
+
+        monkeypatch.setattr(theory, "_phi_integrand", counting)
+        return count
+
+    # one pass per call over fresh grids took 1,099,382 samples for v_l and
+    # 1,061,326 for the table; the piece ending at the cap runs all 16
+    # doublings (524,289 samples) and bounds either from below
+    def test_v_l_sample_budget(self, samples):
+        v_l(make_kinked_pair(32), 0.1)
+        assert 524_289 <= samples[0] <= 600_000
+
+    def test_phi_table_sample_budget(self, samples):
+        PhiTable.build(make_kinked_pair(32), 0.1)
+        assert 524_289 <= samples[0] <= 600_000
