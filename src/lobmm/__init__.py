@@ -21,17 +21,14 @@ Layout:
 from __future__ import annotations
 
 from .book import (
-    BidAsk,
     BookSnapshot,
     Event,
     EventKind,
     OrderBook,
-    Side,
 )
 from .curves import (
     AssumptionError,
     AssumptionReport,
-    DegenerateMeasureError,
     DemandSupplyPair,
     Direction,
     DomainError,
@@ -86,10 +83,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AssumptionError",
     "AssumptionReport",
-    "BidAsk",
     "BlockRng",
     "BookSnapshot",
-    "DegenerateMeasureError",
     "DemandSupplyPair",
     "Direction",
     "DiscreteMap",
@@ -109,7 +104,6 @@ __all__ = [
     "RateTable",
     "Recurrence",
     "ReplicaStats",
-    "Side",
     "SimConfig",
     "SingularCoefficientError",
     "Trajectory",

@@ -19,17 +19,15 @@ import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from .curves import PriceInterval
 
 __all__ = [
-    "BidAsk",
     "BookSnapshot",
     "Event",
     "EventKind",
     "OrderBook",
-    "Side",
 ]
 
 
@@ -39,11 +37,6 @@ class EventKind(Enum):
     BUY_LIMIT = 2
     SELL_LIMIT = 3
     MARKET_MAKER = 4
-
-
-class Side(Enum):
-    BUY = "buy"
-    SELL = "sell"
 
 
 _LIMIT_KINDS = (EventKind.BUY_LIMIT, EventKind.SELL_LIMIT)
@@ -60,11 +53,6 @@ class Event:
                 raise ValueError(f"{self.kind.name} requires a finite price")
         elif self.price is not None:
             raise ValueError(f"{self.kind.name} carries no price")
-
-
-class BidAsk(NamedTuple):
-    bid: float
-    ask: float
 
 
 @dataclass(frozen=True)
@@ -114,37 +102,18 @@ class OrderBook:
         self.interval = interval
         self.lo = interval.lo
         self.hi = interval.hi
-        self.buy_counts: Dict[float, int] = {}
-        self.sell_counts: Dict[float, int] = {}
-        self.buy_heap: list = []  # negated prices, top is the bid
-        self.sell_heap: list = []  # prices, top is the ask
-        self.n_buys = 0
-        self.n_sells = 0
-        for price, count in _as_counts(buys).items():
-            self._seed(Side.BUY, price, count)
-        for price, count in _as_counts(sells).items():
-            self._seed(Side.SELL, price, count)
+        self.buy_counts: Dict[float, int] = _as_counts(buys, interval)
+        self.sell_counts: Dict[float, int] = _as_counts(sells, interval)
+        self.buy_heap: list = [-p for p in self.buy_counts]  # negated prices, top is the bid
+        self.sell_heap: list = list(self.sell_counts)  # prices, top is the ask
+        self.n_buys = sum(self.buy_counts.values())
+        self.n_sells = sum(self.sell_counts.values())
         heapq.heapify(self.buy_heap)
         heapq.heapify(self.sell_heap)
         if self.n_buys and self.n_sells and self.ask <= self.bid:
             raise ValueError(
                 f"crossed initial book: bid {self.bid} >= ask {self.ask}"
             )
-
-    def _seed(self, side: Side, price: float, count: int) -> None:
-        price = float(price)
-        if not self.interval.contains_open(price):
-            raise ValueError(f"order price {price} not strictly inside the interval")
-        if count < 1 or count != int(count):
-            raise ValueError(f"order count must be a positive integer, got {count}")
-        if side is Side.BUY:
-            self.buy_counts[price] = self.buy_counts.get(price, 0) + int(count)
-            self.buy_heap.append(-price)
-            self.n_buys += int(count)
-        else:
-            self.sell_counts[price] = self.sell_counts.get(price, 0) + int(count)
-            self.sell_heap.append(price)
-            self.n_sells += int(count)
 
     # -- quotes ---------------------------------------------------------
 
@@ -155,17 +124,6 @@ class OrderBook:
     @property
     def ask(self) -> float:
         return self.sell_heap[0] if self.sell_heap else self.hi
-
-    def bid_ask(self) -> BidAsk:
-        return BidAsk(self.bid, self.ask)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.n_buys == 0 and self.n_sells == 0
-
-    def depth(self, side: Side, price: float) -> int:
-        counts = self.buy_counts if side is Side.BUY else self.sell_counts
-        return counts.get(price, 0)
 
     # -- primitive mutations ---------------------------------------------
 
@@ -256,29 +214,12 @@ class OrderBook:
 
     # -- inspection ---------------------------------------------------------
 
-    def check_non_crossing(self) -> None:
-        """Raise if any resting sell sits at or below any resting buy."""
-        if self.buy_heap and self.sell_heap and self.sell_heap[0] <= -self.buy_heap[0]:
-            raise AssertionError(
-                f"book crossed: bid {-self.buy_heap[0]} >= ask {self.sell_heap[0]}"
-            )
-
     def snapshot(self) -> BookSnapshot:
         return BookSnapshot(
             self.interval,
             tuple(sorted(self.buy_counts.items())),
             tuple(sorted(self.sell_counts.items())),
         )
-
-    def copy(self) -> "OrderBook":
-        clone = OrderBook(self.interval)
-        clone.buy_counts = dict(self.buy_counts)
-        clone.sell_counts = dict(self.sell_counts)
-        clone.buy_heap = list(self.buy_heap)
-        clone.sell_heap = list(self.sell_heap)
-        clone.n_buys = self.n_buys
-        clone.n_sells = self.n_sells
-        return clone
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OrderBook):
@@ -297,13 +238,20 @@ class OrderBook:
         )
 
 
-def _as_counts(orders: Optional[Iterable]) -> Dict[float, int]:
+def _as_counts(orders: Optional[Iterable], interval: PriceInterval) -> Dict[float, int]:
+    """Resting orders as price -> count, every price strictly inside ``interval``."""
     if orders is None:
         return {}
     if isinstance(orders, dict):
-        return {float(p): int(c) for p, c in orders.items()}
-    counts: Dict[float, int] = {}
-    for p in orders:
-        p = float(p)
-        counts[p] = counts.get(p, 0) + 1
+        counts = {float(p): int(c) for p, c in orders.items()}
+    else:
+        counts = {}
+        for p in orders:
+            p = float(p)
+            counts[p] = counts.get(p, 0) + 1
+    for price, count in counts.items():
+        if not interval.contains_open(price):
+            raise ValueError(f"order price {price} not strictly inside the interval")
+        if count < 1:
+            raise ValueError(f"order count must be a positive integer, got {count}")
     return counts

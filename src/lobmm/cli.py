@@ -11,8 +11,9 @@ key it does not read (``READS``).  Command line flags override config
 values, and every command is a pure function of (config, flags):
 rerunning writes byte-identical artifacts.
 
-Exit codes: 0 success; 2 config or validation error; 3 a structural
-assumption on the curves fails; 4 a compare run exceeded its tolerances.
+Exit codes: 0 success; 2 config or validation error, or a config that
+asks for more memory than there is; 3 a structural assumption on the
+curves fails; 4 a compare run exceeded its tolerances.
 """
 
 from __future__ import annotations
@@ -134,7 +135,15 @@ def _require(block: Dict[str, Any], key: str, where: str) -> Any:
 def _as_number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    # Python's JSON reader admits NaN, Infinity, 1e999 and integers beyond
+    # the float range
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return number
 
 
 def _as_int(value: Any, where: str) -> int:
@@ -868,7 +877,8 @@ def build_parser() -> argparse.ArgumentParser:
             + ("; required" if seed_required else ""),
         )
         p.add_argument("--out", help="output directory (overrides output.directory)")
-        p.add_argument("--workers", type=int, help="worker processes (overrides run.workers)")
+        if "workers" in READS[name].get("run", ()):
+            p.add_argument("--workers", type=int, help="worker processes (overrides run.workers)")
     return parser
 
 
@@ -883,6 +893,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_ASSUMPTION
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"config error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -5,9 +5,9 @@ supply curve the rate of sell interest at or below each price.  Both are
 stored as breakpoint sequences spanning one closed price interval and are
 evaluated by linear interpolation.  Curve increments act as measures (the
 local arrival intensities of limit orders), so alongside evaluation this
-module provides left-continuous inverses, interval masses, inverse-CDF
-price sampling, the vertical shift used by market-maker corrections, and
-the walrasian crossing point.
+module provides left-continuous inverses, the total increment mass,
+inverse-CDF price sampling, the vertical shift used by market-maker
+corrections, and the walrasian crossing point.
 """
 
 from __future__ import annotations
@@ -16,14 +16,13 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
-from typing import Sequence, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
 __all__ = [
     "AssumptionError",
     "AssumptionReport",
-    "DegenerateMeasureError",
     "DemandSupplyPair",
     "Direction",
     "DomainError",
@@ -48,10 +47,6 @@ class AssumptionError(ValueError):
     def __init__(self, label: str, message: str):
         self.label = label
         super().__init__(f"{label}: {message}")
-
-
-class DegenerateMeasureError(ValueError):
-    """Sampling was requested from a curve with zero total increment mass."""
 
 
 class Direction(Enum):
@@ -98,7 +93,6 @@ class MonotoneCurve:
     # interpolation and sampling tables, derived once
     _px: np.ndarray = field(init=False, repr=False, compare=False)
     _rx: np.ndarray = field(init=False, repr=False, compare=False)
-    _cum: np.ndarray = field(init=False, repr=False, compare=False)
     _price_list: list = field(init=False, repr=False, compare=False)
     _rate_list: list = field(init=False, repr=False, compare=False)
     _rev_rate_list: list = field(init=False, repr=False, compare=False)
@@ -131,16 +125,14 @@ class MonotoneCurve:
 
         px = np.asarray(prices, dtype=np.float64)
         rx = np.asarray(rates, dtype=np.float64)
-        cum = np.abs(rx - rx[0])  # nondecreasing by monotonicity
+        cl = np.abs(rx - rx[0]).tolist()  # nondecreasing by monotonicity
         seg = []
-        cl = cum.tolist()
         pl = px.tolist()
         for k in range(len(pl) - 1):
             dm = cl[k + 1] - cl[k]
             seg.append((pl[k + 1] - pl[k]) / dm if dm > 0.0 else 0.0)
         object.__setattr__(self, "_px", px)
         object.__setattr__(self, "_rx", rx)
-        object.__setattr__(self, "_cum", cum)
         object.__setattr__(self, "_price_list", pl)
         object.__setattr__(self, "_rate_list", rx.tolist())
         object.__setattr__(self, "_rev_rate_list", rx.tolist()[::-1])
@@ -162,7 +154,7 @@ class MonotoneCurve:
     @property
     def total_mass(self) -> float:
         """Total increment mass, |rate(hi) - rate(lo)|."""
-        return float(self._cum[-1])
+        return self._cum_list[-1]
 
     def _check_price(self, x: float) -> float:
         tol = _REL_TOL * (self.hi - self.lo)
@@ -250,25 +242,6 @@ class MonotoneCurve:
         frac = np.where(dr > 0.0, (v - lo_r) / np.where(dr > 0.0, dr, 1.0), 0.0)
         x = px[k - 1] + frac * (px[k] - px[k - 1])
         return np.where(v <= rx[0], px[0], x)
-
-    def increment_mass(self, a: float, b: float) -> float:
-        """Mass the curve increment assigns to [a, b]: |rate(b) - rate(a)|."""
-        if b < a:
-            raise ValueError(f"inverted mass interval [{a}, {b}]")
-        return abs(self.value_at(b) - self.value_at(a))
-
-    def sample_limit_price(self, u: float) -> float:
-        """Quantile ``u`` of the normalized increment measure.
-
-        Returns the smallest price whose cumulative increment mass reaches
-        ``u * total_mass``; monotone in ``u``.
-        """
-        if not 0.0 <= u <= 1.0:
-            raise ValueError(f"quantile argument {u} outside [0, 1]")
-        total = self._cum_list[-1]
-        if total <= 0.0:
-            raise DegenerateMeasureError("curve has zero total increment mass")
-        return self.sample_from_target(u * total)
 
     def sample_from_target(self, target: float) -> float:
         """Price at cumulative increment mass ``target``; the engine hot loop
@@ -386,11 +359,11 @@ class WalrasPoint:
     x_hi: float
 
 
-def walras(pair: DemandSupplyPair, tol: float = 1e-12) -> WalrasPoint:
+def walras(pair: DemandSupplyPair) -> WalrasPoint:
     """Walrasian point of the pair: price and volume where the curves cross.
 
     The crossing of supply minus demand is bracketed by bisection down to a
-    width of ``tol`` times max(1, |price|), a stop that float spacing allows
+    width of 1e-12 times max(1, |price|), a stop that float spacing allows
     at any price unit; when the curves never cross inside the span, the
     matching endpoint is used.  The volume is the largest value of
     min(demand, supply) over the closed span.
@@ -406,7 +379,7 @@ def walras(pair: DemandSupplyPair, tol: float = 1e-12) -> WalrasPoint:
         volume = min(demand.value_at(hi), supply.value_at(hi))
     else:
         a, b = lo, hi
-        while b - a > tol * max(1.0, abs(a), abs(b)):
+        while b - a > 1e-12 * max(1.0, abs(a), abs(b)):
             m = 0.5 * (a + b)
             if supply.value_at(m) - demand.value_at(m) < 0.0:
                 a = m
@@ -447,11 +420,6 @@ class AssumptionReport:
     failures: Tuple[str, ...]
     v_w: float
     v_max: float
-
-    @property
-    def core(self) -> bool:
-        """(A1) through (A4), required by every consumer."""
-        return self.a1 and self.a3 and self.a4
 
 
 def check_assumptions(pair: DemandSupplyPair) -> AssumptionReport:

@@ -127,13 +127,7 @@ class BlockRng:
 class RateTable:
     """Arrival rates of the five event kinds; constant over a run."""
 
-    buy_market: float
-    sell_market: float
-    buy_limit: float
-    sell_limit: float
-    market_maker: float
-    total: float
-    inv_total: float
+    inv_total: float  # mean wait between events
     # cumulative kind-selection thresholds on a uniform draw
     thresholds: Tuple[float, float, float, float]
 
@@ -155,7 +149,7 @@ class RateTable:
             (bm + sm + bl) * inv,
             (bm + sm + bl + sl) * inv,
         )
-        return cls(bm, sm, bl, sl, rho, total, inv, thresholds)
+        return cls(inv, thresholds)
 
 
 @dataclass(frozen=True)
@@ -185,8 +179,8 @@ class SimConfig:
             raise ValueError("set exactly one of events= and duration=")
         if self.events is not None and self.events < 0:
             raise ValueError("events horizon must be nonnegative")
-        if self.duration is not None and not self.duration > 0.0:
-            raise ValueError("duration horizon must be positive")
+        if self.duration is not None and not 0.0 < self.duration < math.inf:
+            raise ValueError("duration horizon must be positive and finite")
         if not 0.0 <= self.burn_in < 1.0:
             raise ValueError("burn_in must lie in [0, 1)")
         if self.rho < 0.0 or not math.isfinite(self.rho):
@@ -547,8 +541,6 @@ class WindowEstimate:
 
     lo: float
     hi: float
-    n_bid_samples: int
-    n_ask_samples: int
 
 
 def estimate_window(traj: Trajectory) -> WindowEstimate:
@@ -566,7 +558,7 @@ def estimate_window(traj: Trajectory) -> WindowEstimate:
     ra = a[a < hi]
     if len(rb) == 0 or len(ra) == 0:
         raise InsufficientDataError("no resting quotes after burn-in")
-    return WindowEstimate(float(rb.min()), float(ra.max()), len(rb), len(ra))
+    return WindowEstimate(float(rb.min()), float(ra.max()))
 
 
 @dataclass(frozen=True)
@@ -574,8 +566,6 @@ class FreezeReport:
     t_freeze: float
     midpoint: float
     start_index: int
-    eps: float
-    window: int
 
 
 def detect_freeze(
@@ -609,7 +599,7 @@ def detect_freeze(
     if n - k < window:
         return None
     midpoint = 0.5 * (bids[-1] + asks[-1])
-    return FreezeReport(float(traj.times[k]), float(midpoint), k, float(eps), int(window))
+    return FreezeReport(float(traj.times[k]), float(midpoint), k)
 
 
 @dataclass(frozen=True)

@@ -261,12 +261,12 @@ class _PhiEvaluator:
             done = self._pieces[key] = _integrate_piece(self._f, a, b, tol)
         return done
 
-    def value(self, v: float, tol: float = _PHI_TOL) -> Tuple[float, float]:
+    def value(self, v: float) -> Tuple[float, float]:
         """phi(v) with no domain checks; (value, error estimate)."""
         if v <= self.v_w:
             return 0.0, 0.0
         knots = [self.v_w] + self.knots(self.v_w, v) + [v]
-        piece_tol = tol / len(knots)
+        piece_tol = _PHI_TOL / len(knots)
         total = 0.0
         err = 0.0
         for a, b in zip(knots, knots[1:]):
@@ -275,7 +275,7 @@ class _PhiEvaluator:
             err += e
         return total, err
 
-    def phi(self, v: float, tol: float = _PHI_TOL) -> float:
+    def phi(self, v: float) -> float:
         v_w, v_max = self.v_w, self.v_max
         span_tol = 1e-12 * max(1.0, v_max)
         if v < v_w - span_tol:
@@ -289,9 +289,9 @@ class _PhiEvaluator:
                 f"phi integrand blows up before V={v}: shifted supply at the left "
                 f"window edge is {gap_lo}, shifted demand at the right edge is {gap_hi}"
             )
-        return self.value(v, tol)[0]
+        return self.value(v)[0]
 
-    def classify(self, v: float, band_rel: float) -> Recurrence:
+    def classify(self, v: float) -> Recurrence:
         _require_a5(self.pair, self.wal)
         if not self.v_w < v < self.v_eff:
             raise DomainError(
@@ -299,14 +299,14 @@ class _PhiEvaluator:
             )
         value = self.value(v)[0]
         threshold = self.threshold
-        if abs(value - threshold) <= band_rel * threshold:
+        if abs(value - threshold) <= _CRITICAL_BAND * threshold:
             return Recurrence.CRITICAL
         if value < threshold:
             return Recurrence.POSITIVE_RECURRENT
         return Recurrence.NOT_POSITIVE_RECURRENT
 
 
-def phi(pair: DemandSupplyPair, rho: float, v: float, tol: float = _PHI_TOL) -> float:
+def phi(pair: DemandSupplyPair, rho: float, v: float) -> float:
     """The window functional at volume ``v`` (see the module docstring).
 
     Strictly increasing in ``v``; zero at the walrasian volume.  Raises
@@ -314,7 +314,7 @@ def phi(pair: DemandSupplyPair, rho: float, v: float, tol: float = _PHI_TOL) -> 
     edge (a shifted curve nonpositive at a window edge before ``v``), with
     the offending edge values in the message.
     """
-    return _PhiEvaluator(pair, _check_rho(rho)).phi(v, tol)
+    return _PhiEvaluator(pair, _check_rho(rho)).phi(v)
 
 
 @dataclass(frozen=True)
@@ -334,7 +334,6 @@ class PhiTable:
         rho: float,
         v_hi: Optional[float] = None,
         n: int = 64,
-        tol: float = _PHI_TOL,
     ) -> "PhiTable":
         """Tabulate phi at ``n`` points from V_W to ``v_hi`` (default: just
         inside the effective ceiling).  Accumulates piecewise so the whole
@@ -352,7 +351,7 @@ class PhiTable:
         if min(gap_lo, gap_hi) <= 0.0:
             raise DomainError(f"tabulation end {v_hi} lies beyond the validity edge")
         vols = np.linspace(v_w, v_hi, n).tolist()
-        piece_tol = tol / n
+        piece_tol = _PHI_TOL / n
         vals = [0.0]
         errs = [0.0]
         acc = 0.0
@@ -447,16 +446,14 @@ def v_l(pair: DemandSupplyPair, rho: float = 0.0) -> WindowReport:
     )
 
 
-def classify_recurrence(
-    pair: DemandSupplyPair, rho: float, v: float, band_rel: float = _CRITICAL_BAND
-) -> Recurrence:
+def classify_recurrence(pair: DemandSupplyPair, rho: float, v: float) -> Recurrence:
     """Recurrence of the restricted model on J(v): phi(v) against 1/V_W^2.
 
-    Values within ``band_rel`` (relative) of the threshold classify as
-    CRITICAL; the comparison is meaningful for v strictly between V_W and
-    the effective ceiling.
+    Values within 1e-6 (relative) of the threshold classify as CRITICAL;
+    the comparison is meaningful for v strictly between V_W and the
+    effective ceiling.
     """
-    return _PhiEvaluator(pair, _check_rho(rho)).classify(v, band_rel)
+    return _PhiEvaluator(pair, _check_rho(rho)).classify(v)
 
 
 def recurrence_sweep(
@@ -472,7 +469,7 @@ def recurrence_sweep(
     out = []
     for v in volumes:
         try:
-            out.append((ev.phi(v), ev.classify(v, _CRITICAL_BAND)))
+            out.append((ev.phi(v), ev.classify(v)))
         except ValueError:
             out.append((math.nan, None))
     return out

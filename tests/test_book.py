@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lobmm import Event, EventKind, OrderBook, PriceInterval
-from lobmm.book import Side
 
 IV = PriceInterval(0.0, 1.0)
 
@@ -34,7 +33,7 @@ class TestConstruction:
     def test_counts_from_dict(self):
         b = book(buys={0.2: 3}, sells={0.9: 2})
         assert b.n_buys == 3 and b.n_sells == 2
-        assert b.depth(Side.BUY, 0.2) == 3
+        assert b.buy_counts == {0.2: 3}
 
     def test_event_price_validation(self):
         with pytest.raises(ValueError):
@@ -45,7 +44,8 @@ class TestConstruction:
 
 class TestQuotes:
     def test_empty_book_fallbacks(self):
-        assert book().bid_ask() == (0.0, 1.0)
+        b = book()
+        assert (b.bid, b.ask) == (0.0, 1.0)
 
     def test_two_sided(self):
         b = book(buys=[0.2, 0.3], sells=[0.7])
@@ -54,7 +54,7 @@ class TestQuotes:
 
     def test_one_sided_fallback(self):
         b = book(buys=[0.4])
-        assert b.bid_ask() == (0.4, 1.0)
+        assert (b.bid, b.ask) == (0.4, 1.0)
 
 
 class TestMarketOrders:
@@ -77,7 +77,7 @@ class TestMarketOrders:
         b = book()
         assert b.apply(Event(EventKind.BUY_MARKET)) is None
         assert b.apply(Event(EventKind.SELL_MARKET)) is None
-        assert b.is_empty
+        assert b == book()
 
 
 class TestLimitOrders:
@@ -89,7 +89,7 @@ class TestLimitOrders:
     def test_buy_limit_crossing_trades_at_ask(self):
         b = book(sells=[0.7])
         assert b.apply(Event(EventKind.BUY_LIMIT, 0.8)) == 0.7
-        assert b.is_empty
+        assert b == book()
 
     def test_buy_limit_at_ask_trades(self):
         # the tie executes rather than resting
@@ -107,7 +107,7 @@ class TestLimitOrders:
 
     def test_crossing_buy_equals_buy_market(self):
         b1 = book(buys=[0.1], sells=[0.6, 0.8])
-        b2 = b1.copy()
+        b2 = book(buys=[0.1], sells=[0.6, 0.8])
         b1.apply(Event(EventKind.BUY_LIMIT, 0.9))
         b2.apply(Event(EventKind.BUY_MARKET))
         assert b1 == b2
@@ -133,19 +133,19 @@ class TestMarketMaker:
     def test_one_sided_book(self):
         b = book(buys=[0.3])
         b.apply(Event(EventKind.MARKET_MAKER))
-        assert b.depth(Side.BUY, 0.3) == 2
+        assert b.buy_counts == {0.3: 2}
         assert b.n_sells == 0
 
     def test_empty_book_no_op(self):
         b = book()
         assert b.apply(Event(EventKind.MARKET_MAKER)) is None
-        assert b.is_empty and b == book()
+        assert b == book()
 
     def test_never_moves_quotes(self):
         b = book(buys=[0.2, 0.4], sells=[0.6])
-        before = b.bid_ask()
+        before = (b.bid, b.ask)
         b.apply(Event(EventKind.MARKET_MAKER))
-        assert b.bid_ask() == before
+        assert (b.bid, b.ask) == before
 
 
 class TestSnapshots:
@@ -191,7 +191,8 @@ class TestInvariants:
         b = book()
         for ev in random_events(None, seed, 5000):
             b.apply(ev)
-            b.check_non_crossing()
+            # non-crossing; an empty side quotes its interval end
+            assert b.bid < b.ask
 
     def test_conservation_from_fills(self):
         # each event changes the order counts as its kind and the returned
@@ -200,7 +201,7 @@ class TestInvariants:
         b = book()
         for ev in random_events(None, 99, 20_000):
             nb, ns = b.n_buys, b.n_sells
-            bid, ask = b.bid_ask()
+            bid, ask = b.bid, b.ask
             price = b.apply(ev)
             kind = ev.kind
             if kind is EventKind.MARKET_MAKER:
@@ -233,7 +234,7 @@ class TestInvariants:
         b = book()
         for ev in random_events(None, seed, 300):
             b.apply(ev)
-        old_bid, old_ask = b.bid_ask()
+        old_bid, old_ask = b.bid, b.ask
         if x >= old_ask:
             return  # would execute, different claim
         b.apply(Event(EventKind.BUY_LIMIT, x))

@@ -193,6 +193,43 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, {"model": model})
         assert main(["theory", cfg]) == 2
 
+    # json writes nan as NaN and inf as Infinity, which Python's reader takes back
+    @pytest.mark.parametrize(
+        "command,doc,key",
+        [
+            pytest.param(
+                "freeze",
+                {"model": dict(UNIFORM_MODEL, rho=0.6), "run": {"events": 100}, "freeze": {"eps": math.nan}},
+                "freeze.eps",
+                id="eps-nan",
+            ),
+            pytest.param(
+                "sweep",
+                {"model": dict(UNIFORM_MODEL, rho=math.nan), "sweep": {"volume": [0.6, 0.7]}},
+                "model.rho",
+                id="rho-nan",
+            ),
+        ],
+    )
+    def test_non_finite_number(self, tmp_path, outdir, capsys, command, doc, key):
+        cfg = write_config(tmp_path, doc)
+        assert main([command, cfg, "--seed", "1", "--out", str(outdir)]) == 2
+        assert f"{key} must be a finite number" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("duration", [math.inf, 10**400], ids=["infinity", "beyond-float"])
+    def test_non_finite_duration(self, tmp_path, outdir, duration):
+        # a run with an endless horizon never returns, so it runs in a child
+        cfg = write_config(tmp_path, {"model": UNIFORM_MODEL, "run": {"duration": duration}})
+        proc = subprocess.run(
+            [sys.executable, "-m", "lobmm.cli", "simulate", cfg, "--seed", "1", "--out", str(outdir)],
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "run.duration must be a finite number" in proc.stderr
+
     def test_restriction_bad_shape(self, tmp_path, outdir):
         doc = {
             "model": UNIFORM_MODEL,
@@ -217,6 +254,12 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, {"model": UNIFORM_MODEL, "run": {"events": 10}})
         with pytest.raises(SystemExit) as exc_info:
             main(["freeze", cfg])
+        assert exc_info.value.code == 2
+
+    def test_workers_flag_only_on_freeze(self, tmp_path):
+        cfg = write_config(tmp_path, {"model": UNIFORM_MODEL, "run": {"events": 10}})
+        with pytest.raises(SystemExit) as exc_info:
+            main(["simulate", cfg, "--seed", "1", "--workers", "2"])
         assert exc_info.value.code == 2
 
     def test_config_seed_alone_is_enough_for_compare(self, tmp_path, outdir):
@@ -292,6 +335,15 @@ class TestSimulate:
             "run": dict({"events": events}, **run),
             "output": {"histogram_bins": 25},
         }
+
+    def test_out_of_memory_exits_2(self, tmp_path, outdir, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_histogram_columns", exhausted)
+        cfg = write_config(tmp_path, self.base())
+        assert main(["simulate", cfg, "--seed", "1", "--out", str(outdir)]) == 2
+        assert "out of memory" in capsys.readouterr().err
 
     def test_artifacts(self, tmp_path, outdir):
         doc = self.base(snapshot := 200)

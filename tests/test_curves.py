@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 
 from lobmm import (
     AssumptionError,
-    DegenerateMeasureError,
     DemandSupplyPair,
     Direction,
     DomainError,
     MonotoneCurve,
     PriceInterval,
+    RateTable,
     check_assumptions,
     walras,
 )
@@ -155,49 +155,48 @@ class TestInverse:
             assert x == pytest.approx(evenodd_pair.supply.inverse(float(v)), abs=1e-14)
 
 
+def quantile(curve, u):
+    """Quantile ``u`` of the normalized increment measure, as the engine
+    draws a limit price."""
+    return curve.sample_from_target(u * curve.total_mass)
+
+
+def mass_below(curve, x):
+    """Increment mass of the curve on [lo, x]."""
+    return abs(curve.value_at(x) - curve.value_at(curve.lo))
+
+
 class TestIncrementMass:
-    def test_uniform_interval(self, uniform_pair):
-        assert uniform_pair.supply.increment_mass(0.2, 0.5) == pytest.approx(0.3, abs=1e-15)
-
-    def test_empty_interval(self, uniform_pair):
-        assert uniform_pair.supply.increment_mass(0.4, 0.4) == 0.0
-
     def test_evenodd_alternating(self, evenodd_pair):
-        # supply density is 1 on (0,1], 0 on (1,2], 1 on (2,3]
-        assert evenodd_pair.supply.increment_mass(0.5, 2.5) == pytest.approx(1.0, abs=1e-15)
-
-    def test_inverted_arguments(self, uniform_pair):
-        with pytest.raises(ValueError, match="inverted"):
-            uniform_pair.supply.increment_mass(0.5, 0.2)
-
-    def test_additive(self, evenodd_pair):
-        c = evenodd_pair.demand
-        for a, b, m in ((0.0, 2.3, 4.1), (1.1, 1.9, 5.5), (0.7, 3.3, 6.0)):
-            total = c.increment_mass(a, m)
-            assert total == pytest.approx(
-                c.increment_mass(a, b) + c.increment_mass(b, m), abs=1e-12
-            )
+        # supply density is 1 on (0,1], 0 on (1,2], 1 on (2,3], so [0.5, 2.5]
+        # holds mass 1.0 and no price lands inside the flat (1, 2)
+        curve = evenodd_pair.supply
+        assert curve.sample_from_target(0.5) == pytest.approx(0.5, abs=1e-15)
+        assert curve.sample_from_target(0.5 + 1.0) == pytest.approx(2.5, abs=1e-15)
+        assert curve.sample_from_target(1.0) == 1.0
+        assert curve.sample_from_target(math.nextafter(1.0, 2.0)) >= 2.0
 
 
 class TestSampling:
     def test_uniform_quantile(self, uniform_pair):
-        assert uniform_pair.supply.sample_limit_price(0.25) == pytest.approx(0.25, abs=1e-15)
+        assert quantile(uniform_pair.supply, 0.25) == pytest.approx(0.25, abs=1e-15)
 
     def test_two_piece_quantile(self, two_piece_pair):
         # first piece holds mass 0.5 of total 2.0, so the 0.25 quantile is its end
-        assert two_piece_pair.supply.sample_limit_price(0.25) == pytest.approx(0.5, abs=1e-12)
+        assert quantile(two_piece_pair.supply, 0.25) == pytest.approx(0.5, abs=1e-12)
 
     def test_top_quantile(self, two_piece_pair):
-        assert two_piece_pair.supply.sample_limit_price(1.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_argument_range(self, uniform_pair):
-        with pytest.raises(ValueError):
-            uniform_pair.supply.sample_limit_price(1.5)
+        assert quantile(two_piece_pair.supply, 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_measure(self):
+        # a curve with no increment mass gets no limit orders, so its
+        # measure is never sampled: the limit-sell slice of the kind draw
+        # is empty
+        demand = MonotoneCurve((0.0, 1.0), (1.0, 0.0), Direction.DECREASING)
         flat = MonotoneCurve((0.0, 1.0), (0.7, 0.7), Direction.INCREASING)
-        with pytest.raises(DegenerateMeasureError):
-            flat.sample_limit_price(0.5)
+        assert flat.total_mass == 0.0
+        rt = RateTable.from_pair(DemandSupplyPair(demand, flat))
+        assert rt.thresholds[2] == rt.thresholds[3]
 
     @given(
         u=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted)
@@ -205,7 +204,7 @@ class TestSampling:
     @settings(max_examples=200, deadline=None)
     def test_monotone_in_u(self, u):
         curve = make_evenodd_pair(3).supply
-        assert curve.sample_limit_price(u[0]) <= curve.sample_limit_price(u[1])
+        assert quantile(curve, u[0]) <= quantile(curve, u[1])
 
     def test_empirical_cdf_matches_mass(self, evenodd_pair):
         # Kolmogorov-Smirnov distance of inverse-CDF samples against the
@@ -213,10 +212,10 @@ class TestSampling:
         rng = np.random.default_rng(123)
         curve = evenodd_pair.supply
         n = 10**5
-        samples = np.array([curve.sample_limit_price(u) for u in rng.random(n)])
+        samples = np.array([quantile(curve, u) for u in rng.random(n)])
         grid = np.linspace(0.0, 6.0, 241)
         emp = np.searchsorted(np.sort(samples), grid, side="right") / n
-        theo = np.array([curve.increment_mass(0.0, g) for g in grid]) / curve.total_mass
+        theo = np.array([mass_below(curve, g) for g in grid]) / curve.total_mass
         assert np.max(np.abs(emp - theo)) < 0.01
 
 
@@ -234,10 +233,11 @@ class TestShift:
 
     def test_increments_unchanged(self, evenodd_pair):
         sh = evenodd_pair.shifted(0.7)
-        for a, b in ((0.0, 1.3), (2.2, 4.9), (0.5, 6.0)):
-            assert sh.demand.increment_mass(a, b) == pytest.approx(
-                evenodd_pair.demand.increment_mass(a, b), abs=1e-12
+        for x in (1.3, 2.2, 4.9, 6.0):
+            assert mass_below(sh.demand, x) == pytest.approx(
+                mass_below(evenodd_pair.demand, x), abs=1e-12
             )
+        assert sh.demand.total_mass == pytest.approx(evenodd_pair.demand.total_mass, abs=1e-12)
 
     def test_composes_additively(self, evenodd_pair):
         twice = evenodd_pair.shifted(0.3).shifted(0.4)
@@ -311,14 +311,14 @@ class TestWalras:
 class TestAssumptionReport:
     def test_uniform_all_hold(self, uniform_pair):
         rep = check_assumptions(uniform_pair)
-        assert rep.core and rep.a5 and rep.a6
+        assert rep.a1 and rep.a3 and rep.a4 and rep.a5 and rep.a6
         assert rep.failures == ()
         assert rep.v_w == pytest.approx(0.5, abs=1e-9)
         assert rep.v_max == 1.0
 
     def test_evenodd_fails_strictness_only(self, evenodd_pair):
         rep = check_assumptions(evenodd_pair)
-        assert rep.core and rep.a5
+        assert rep.a1 and rep.a3 and rep.a4 and rep.a5
         assert not rep.a6
         assert any("(A6)" in f for f in rep.failures)
 
@@ -330,6 +330,6 @@ class TestAssumptionReport:
             MonotoneCurve((0.0, 1.0), (1.0, 2.0), Direction.INCREASING),
         )
         rep = check_assumptions(pair)
-        assert rep.core
+        assert rep.a1 and rep.a3 and rep.a4
         assert not rep.a5
         assert rep.v_w == pytest.approx(rep.v_max, abs=1e-9)

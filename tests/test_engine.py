@@ -16,7 +16,6 @@ from lobmm import (
     DiscreteMap,
     Event,
     EventKind,
-    FreezeReport,
     InsufficientDataError,
     InvalidMapError,
     OrderBook,
@@ -54,7 +53,7 @@ def replay(config: SimConfig):
     t = 0.0
     times, kinds, prices, bids, asks = [], [], [], [], []
     trades = empties = 0
-    was_empty = book.is_empty
+    was_empty = book.n_buys == 0 and book.n_sells == 0
     for _ in range(config.events):
         wait, ev = next_event(rates, config.pair, rng)
         t += wait
@@ -67,13 +66,13 @@ def replay(config: SimConfig):
             code = ev.kind.value
             price = traded if traded is not None else math.nan
             trades += traded is not None
-        b, a = book.bid_ask()
+        b, a = book.bid, book.ask
         times.append(t)
         kinds.append(code)
         prices.append(price)
         bids.append(b)
         asks.append(a)
-        if book.is_empty:
+        if book.n_buys == 0 and book.n_sells == 0:
             if not was_empty:
                 empties += 1
             was_empty = True
@@ -97,25 +96,21 @@ def assert_matches_replay(traj: Trajectory):
 class TestRateTable:
     def test_uniform_no_market_orders(self, uniform_pair):
         rt = RateTable.from_pair(uniform_pair)
-        assert rt.buy_market == 0.0 and rt.sell_market == 0.0
-        assert rt.buy_limit == pytest.approx(1.0)
-        assert rt.sell_limit == pytest.approx(1.0)
-        assert rt.total == pytest.approx(2.0)
+        assert rt.inv_total == pytest.approx(1.0 / 2.0)
         assert rt.thresholds == pytest.approx((0.0, 0.0, 0.5, 1.0))
 
     def test_maker_rate_share(self, uniform_pair):
         rt = RateTable.from_pair(uniform_pair, rho=0.5)
-        assert rt.total == pytest.approx(2.5)
+        assert rt.inv_total == pytest.approx(1.0 / 2.5)
         # the slice above the last threshold is the maker share
         assert 1.0 - rt.thresholds[3] == pytest.approx(0.2)
 
     def test_floor_pair_market_rates(self, floor_pair):
         rt = RateTable.from_pair(floor_pair, rho=0.3)
-        assert rt.buy_market == pytest.approx(0.2)  # demand floor at the top
-        assert rt.sell_market == 0.0
-        assert rt.buy_limit == pytest.approx(0.8)
-        assert rt.sell_limit == pytest.approx(1.0)
-        assert rt.total == pytest.approx(2.3)
+        assert rt.inv_total == pytest.approx(1.0 / 2.3)
+        # market buys at the demand floor 0.2, no market sells, limit buys
+        # 0.8, limit sells 1.0, the maker 0.3
+        assert rt.thresholds == pytest.approx((0.2 / 2.3, 0.2 / 2.3, 1.0 / 2.3, 2.0 / 2.3))
 
     def test_kind_frequencies(self, floor_pair):
         rt = RateTable.from_pair(floor_pair, rho=0.3)
@@ -265,7 +260,7 @@ class TestCoupling:
             steps = 0
             for _ in range(400):
                 _, ev = next_event(rates, uniform_pair, rng)
-                bid, ask = full.bid_ask()
+                bid, ask = full.bid, full.ask
                 if not (ask > window.lo and bid < window.hi):
                     break  # guard broken: no claim from here on
                 full.apply(ev)
@@ -292,7 +287,7 @@ class TestCoupling:
         full = OrderBook(uniform_pair.interval)
         for i in range(10_000):
             _, ev = next_event(rates, uniform_pair, rng)
-            bid, ask = full.bid_ask()
+            bid, ask = full.bid, full.ask
             if not (ask > window.lo and bid < window.hi):
                 break
             full.apply(ev)
@@ -342,6 +337,9 @@ class TestHorizons:
             SimConfig(pair=uniform_pair)
         with pytest.raises(ValueError, match="nonnegative"):
             SimConfig(pair=uniform_pair, events=-1)
+        for duration in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="duration"):
+                SimConfig(pair=uniform_pair, duration=duration)
         with pytest.raises(ValueError, match="burn_in"):
             SimConfig(pair=uniform_pair, events=10, burn_in=1.0)
         with pytest.raises(ValueError, match="restriction"):
@@ -443,7 +441,8 @@ class TestWindowEstimate:
         est = estimate_window(traj)
         assert 0.1 < est.lo < 0.3
         assert 0.7 < est.hi < 0.9
-        assert est.n_bid_samples > 10_000 and est.n_ask_samples > 10_000
+        k0 = traj.burn_index
+        assert (traj.bids[k0:] > 0.0).sum() > 10_000 and (traj.asks[k0:] < 1.0).sum() > 10_000
 
     def test_maker_flow_narrows_window(self, uniform_pair):
         base = SimConfig(pair=uniform_pair, events=100_000, seed=52)
@@ -481,10 +480,11 @@ class TestFreezeDetection:
     def test_stable_suffix_respects_eps(self, uniform_pair):
         traj = run(SimConfig(pair=uniform_pair, events=100_000, seed=63, rho=0.6))
         fz = detect_freeze(traj)
+        eps = 0.01 * uniform_pair.interval.length  # the default
         k = fz.start_index
         spread = traj.asks[k:] - traj.bids[k:]
-        assert (spread <= fz.eps + 1e-15).all()
-        assert traj.bids[k:].max() - traj.bids[k:].min() <= fz.eps + 1e-15
+        assert (spread <= eps + 1e-15).all()
+        assert traj.bids[k:].max() - traj.bids[k:].min() <= eps + 1e-15
 
     def test_empty_run(self, uniform_pair):
         traj = run(SimConfig(pair=uniform_pair, events=0, seed=64))
@@ -500,7 +500,7 @@ class TestImageBook:
 
     def test_empty_book(self):
         img = image_book(OrderBook(PriceInterval(0.0, 6.0)), DiscreteMap.ceil_div(2.0))
-        assert img.is_empty
+        assert img == OrderBook(PriceInterval(0.0, 6.0))
 
     def test_non_monotone_map_rejected(self):
         book = OrderBook(PriceInterval(0.0, 6.0), buys=[1.0, 2.0])
