@@ -45,7 +45,6 @@ from .engine import (
     InsufficientDataError,
     InvalidMapError,
     RateTable,
-    ReplicaStats,
     SimConfig,
     Trajectory,
     TrajectorySummary,
@@ -55,7 +54,7 @@ from .engine import (
     generator_for,
     image_book,
     next_event,
-    replica_stats,
+    quote_cdfs,
     restrict_event,
     run,
     run_ensemble,
@@ -103,7 +102,6 @@ __all__ = [
     "PriceInterval",
     "RateTable",
     "Recurrence",
-    "ReplicaStats",
     "SimConfig",
     "SingularCoefficientError",
     "Trajectory",
@@ -122,8 +120,8 @@ __all__ = [
     "image_book",
     "next_event",
     "phi",
+    "quote_cdfs",
     "recurrence_sweep",
-    "replica_stats",
     "restrict_event",
     "run",
     "run_ensemble",

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, Optional, Tuple
@@ -243,7 +244,11 @@ def _as_counts(orders: Optional[Iterable], interval: PriceInterval) -> Dict[floa
     if orders is None:
         return {}
     if isinstance(orders, dict):
-        counts = {float(p): int(c) for p, c in orders.items()}
+        counts = {}
+        for p, c in orders.items():
+            if isinstance(c, bool) or not isinstance(c, numbers.Integral):
+                raise ValueError(f"order count must be a positive integer, got {c!r}")
+            counts[float(p)] = int(c)
     else:
         counts = {}
         for p in orders:

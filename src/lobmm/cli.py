@@ -11,9 +11,10 @@ key it does not read (``READS``).  Command line flags override config
 values, and every command is a pure function of (config, flags):
 rerunning writes byte-identical artifacts.
 
-Exit codes: 0 success; 2 config or validation error, or a config that
-asks for more memory than there is; 3 a structural assumption on the
-curves fails; 4 a compare run exceeded its tolerances.
+Exit codes: 0 success; 2 config or validation error, a config that
+asks for more memory than there is, or an output path that cannot be
+written; 3 a structural assumption on the curves fails; 4 a compare run
+exceeded its tolerances.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .engine import (
     SimConfig,
     Trajectory,
     image_book,
-    replica_stats,
+    quote_cdfs,
     run,
     run_ensemble,
 )
@@ -98,7 +99,7 @@ READS: Dict[str, Dict[str, Tuple[str, ...]]] = {
         "model": _MODEL,
         "run": _HORIZON + ("replicas", "workers"),
         "output": ("directory", "histogram_bins", "formats"),
-        "freeze": ("eps", "min_events", "allow_subcritical", "gambler"),
+        "freeze": ("allow_subcritical", "gambler"),
     },
     "sweep": {
         "model": _MODEL,
@@ -264,6 +265,8 @@ class RunSettings:
         self.workers = _as_int(block.get("workers", 1), "run.workers")
         if getattr(args, "workers", None) is not None:
             self.workers = args.workers
+        if self.workers < 0:
+            raise ConfigError("run.workers (--workers) must be nonnegative; 0 means one per CPU")
         self.window: Optional[PriceInterval] = None
         self.volume: Optional[float] = None
         if block.get("restriction") is not None:
@@ -489,7 +492,7 @@ def cmd_theory(doc: Dict[str, Any], args) -> int:
 
 
 def _summary_payload(traj: Trajectory) -> Dict[str, Any]:
-    st = replica_stats(traj)
+    st = traj.summary
     return {
         "command": "simulate",
         "seed": traj.config.seed,
@@ -607,11 +610,11 @@ def cmd_compare(doc: Dict[str, Any], args) -> int:
     sol = solve_luckock(pair, rho, settings.window, grid_size=grid_size)
     traj = run(cfg)
     s = traj.summary
-    grid = s.cdf_grid
+    grid, bid_cdf, ask_survival = quote_cdfs(traj)
     theory_bid = np.interp(grid, sol.grid, sol.f_minus)
     theory_ask = np.interp(grid, sol.grid, sol.f_plus)
-    sup_bid = float(np.abs(s.bid_cdf - theory_bid).max())
-    sup_ask = float(np.abs(s.ask_survival - theory_ask).max())
+    sup_bid = float(np.abs(bid_cdf - theory_bid).max())
+    sup_ask = float(np.abs(ask_survival - theory_ask).max())
     empty_buy_diff = abs(s.empty_buy_prob - sol.f_minus_lo)
     empty_sell_diff = abs(s.empty_sell_prob - sol.f_plus_hi)
     passed = (
@@ -632,7 +635,7 @@ def cmd_compare(doc: Dict[str, Any], args) -> int:
                 "ask_survival_sim",
                 "ask_survival_theory",
             ),
-            (grid, s.bid_cdf, theory_bid, s.ask_survival, theory_ask),
+            (grid, bid_cdf, theory_bid, ask_survival, theory_ask),
         )
     if out.wants("json"):
         write_json(
@@ -676,12 +679,6 @@ def cmd_freeze(doc: Dict[str, Any], args) -> int:
     base = settings.sim_config(pair, rho)
     out = OutputSettings(doc, args)
     block = doc.get("freeze", {})
-    eps = None
-    if block.get("eps") is not None:
-        eps = _as_number(block["eps"], "freeze.eps")
-    min_events = None
-    if block.get("min_events") is not None:
-        min_events = _as_int(block["min_events"], "freeze.min_events")
     allow_subcritical = _as_bool(
         block.get("allow_subcritical", False), "freeze.allow_subcritical"
     )
@@ -701,13 +698,7 @@ def cmd_freeze(doc: Dict[str, Any], args) -> int:
         y = _as_number(_require(gblock, "y", "freeze.gambler"), "freeze.gambler.y")
         bound = gambler_bound(pair, rho, y)
 
-    stats = run_ensemble(
-        base,
-        replicas=settings.replicas,
-        workers=settings.workers,
-        eps=eps,
-        freeze_window=min_events,
-    )
+    stats = run_ensemble(base, replicas=settings.replicas, workers=settings.workers)
     frozen = [s for s in stats if s.frozen]
     midpoints = np.array([s.freeze_midpoint for s in frozen])
 
@@ -834,7 +825,7 @@ def cmd_sweep(doc: Dict[str, Any], args) -> int:
                 int(rep.boundary),
             ]
             if simulate:
-                st = replica_stats(run(settings.sim_config(pair, r)))
+                st = run(settings.sim_config(pair, r)).summary
                 row += [_nan_if_none(st.window_lo), _nan_if_none(st.window_hi), int(st.frozen)]
             rows.append(row)
         write_csv(out.directory / "sweep.csv", header, _columns(rows, len(header)))
@@ -896,6 +887,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG
     except MemoryError as exc:
         print(f"config error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        # load_config reports the config file itself; any other file is output
+        if exc.filename is None:
+            raise
+        print(f"config error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_CONFIG
 
 

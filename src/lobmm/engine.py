@@ -16,9 +16,10 @@ operation.  Both steps have slow-path twins (:func:`next_event`,
 :func:`restrict_event`, :meth:`OrderBook.apply`) and the test-suite pins
 the two paths to each other event by event; change them in lockstep.
 
-After a run, :func:`replica_stats` boils a trajectory down to the
-:class:`ReplicaStats` record that ``simulate``, ``sweep`` and ``freeze``
-all report from.
+After a run, :attr:`Trajectory.summary` reduces it, once, to the
+:class:`TrajectorySummary` record that ``simulate``, ``sweep``, ``freeze``
+and :func:`run_ensemble` all report from.  The quote CDFs that ``compare``
+checks come from :func:`quote_cdfs`.
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ import os
 from array import array
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
-from typing import Callable, Dict, Optional, Tuple
+from itertools import repeat
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -49,7 +51,6 @@ __all__ = [
     "InsufficientDataError",
     "InvalidMapError",
     "RateTable",
-    "ReplicaStats",
     "SimConfig",
     "Trajectory",
     "TrajectorySummary",
@@ -59,7 +60,7 @@ __all__ = [
     "generator_for",
     "image_book",
     "next_event",
-    "replica_stats",
+    "quote_cdfs",
     "restrict_event",
     "run",
     "run_ensemble",
@@ -72,6 +73,11 @@ _BLOCK = 1 << 16
 
 # points of the price grid that the post-burn-in quote CDFs are sampled on
 _CDF_GRID_SIZE = 1024
+
+# the freeze criterion of detect_freeze: both quotes settle within this share
+# of the interval length, for at least this share of the events
+_FREEZE_EPS = 0.01
+_FREEZE_SPAN = 0.1
 
 
 class InsufficientDataError(RuntimeError):
@@ -199,25 +205,38 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class TrajectorySummary:
+    """The post-run record of one trajectory: all scalars, so it pickles
+    cheaply and compares with ``==``.  ``min_bid``/``max_ask`` are NaN for
+    an empty run, the empty-side probabilities (post-burn-in, time-weighted)
+    NaN with no post-burn-in state; freeze and window fields are None when
+    :func:`detect_freeze` or :func:`estimate_window` finds nothing."""
+
+    replica: int
+    n_events: int
     trade_count: int
+    min_bid: float
+    max_ask: float
+    empty_book_transitions: int
     final_buys: int
     final_sells: int
-    empty_book_transitions: int
+    frozen: bool
+    freeze_time: Optional[float]
+    freeze_midpoint: Optional[float]
+    freeze_start_index: Optional[int]
+    window_lo: Optional[float]
+    window_hi: Optional[float]
     empty_buy_prob: float
     empty_sell_prob: float
-    cdf_grid: np.ndarray
-    bid_cdf: np.ndarray
-    ask_survival: np.ndarray
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Per-event series of one run plus post-burn-in summaries.
+    """Per-event series of one run and its post-run record.
 
     ``kinds`` holds :class:`EventKind` values, or 5 for a limit order the
     restriction policy dropped.  ``trade_prices`` is NaN for non-trades.
     State ``i`` (``bids[i]``, ``asks[i]``) holds on ``[times[i],
-    times[i+1])``; summaries weight it accordingly.
+    times[i+1])``; post-burn-in reductions weight it accordingly.
     """
 
     config: SimConfig
@@ -228,13 +247,17 @@ class Trajectory:
     trade_prices: np.ndarray
     bids: np.ndarray
     asks: np.ndarray
-    summary: TrajectorySummary
     final_book: OrderBook
     snapshots: Dict[int, BookSnapshot]
+    summary: TrajectorySummary = field(init=False)
 
     @property
     def burn_index(self) -> int:
         return int(self.config.burn_in * self.n_events)
+
+    def __post_init__(self):
+        # reduce inside run(), so timing or tracing run() covers the whole run
+        object.__setattr__(self, "summary", _summarize(self))
 
 
 def next_event(rates: RateTable, pair: DemandSupplyPair, rng: BlockRng) -> Tuple[float, Optional[Event]]:
@@ -475,20 +498,23 @@ def run(config: SimConfig) -> Trajectory:
         arr.flags.writeable = False
 
     end_time = t if config.duration is None else config.duration
-    summary = _summarize(config, n, end_time, times, tps, bids, asks, book)
-    return Trajectory(
-        config, n, end_time, times, kinds, tps, bids, asks, summary, book, snapshots
-    )
+    # free the random blocks (~8 MB of floats) before Trajectory reduces the run
+    del rng, exp_buf, uni_buf
+    return Trajectory(config, n, end_time, times, kinds, tps, bids, asks, book, snapshots)
 
 
-def _state_weights(times: np.ndarray, end_time: float, lo_idx: int) -> np.ndarray:
-    """Occupation time of each post-event state from ``lo_idx`` on."""
-    tail = times[lo_idx:]
-    if len(tail) == 0:
-        return np.empty(0)
-    w = np.empty(len(tail))
+def _occupation_weights(traj: Trajectory) -> Optional[np.ndarray]:
+    """Occupation time of each post-burn-in state, or None when there is no
+    such state; a run of zero length falls back to counting states."""
+    k0, n = traj.burn_index, traj.n_events
+    if k0 >= n:
+        return None
+    tail = traj.times[k0:]
+    w = np.empty(n - k0)
     w[:-1] = np.diff(tail)
-    w[-1] = max(end_time - tail[-1], 0.0)
+    w[-1] = max(traj.end_time - tail[-1], 0.0)
+    if not w.sum() > 0.0:
+        w = np.ones(n - k0)
     return w
 
 
@@ -501,38 +527,68 @@ def _weighted_below(values: np.ndarray, weights: np.ndarray, grid: np.ndarray, s
     return np.where(idx > 0, cw[np.maximum(idx - 1, 0)], 0.0), cw[-1]
 
 
-def _summarize(config, n, end_time, times, tps, bids, asks, book) -> TrajectorySummary:
-    iv = config.restriction if config.restriction is not None else config.pair.interval
-    grid = np.linspace(iv.lo, iv.hi, _CDF_GRID_SIZE)
+def _summarize(traj: Trajectory) -> TrajectorySummary:
+    """The post-run record of ``traj`` (see :class:`TrajectorySummary`)."""
+    # the freeze and window scans first, while no other temporary is alive
+    fz = detect_freeze(traj)
+    try:
+        we = estimate_window(traj)
+        wlo, whi = we.lo, we.hi
+    except InsufficientDataError:
+        wlo = whi = None
+    config, n = traj.config, traj.n_events
     lo, hi = config.pair.interval.lo, config.pair.interval.hi
-    trades = n - int(np.count_nonzero(np.isnan(tps)))
+    bids, asks = traj.bids, traj.asks
+    trades = n - int(np.count_nonzero(np.isnan(traj.trade_prices)))
     # resting prices lie strictly inside the interval, so a quote on the
     # interval edge marks an empty side
     empty = (bids == lo) & (asks == hi)
     empties = int(np.count_nonzero(empty[1:] & ~empty[:-1]))
     if n and empty[0] and (config.initial_buys or config.initial_sells):
         empties += 1
-    k0 = int(config.burn_in * n)
-    if n == 0 or k0 >= n:
-        nans = np.full(_CDF_GRID_SIZE, math.nan)
-        return TrajectorySummary(
-            trades, book.n_buys, book.n_sells, empties, math.nan, math.nan, grid, nans, nans
-        )
-    w = _state_weights(times, end_time, k0)
-    if not w.sum() > 0.0:
-        w = np.ones(n - k0)  # zero-length occupation (single event), fall back to counts
-    b = bids[k0:]
-    a = asks[k0:]
-    total = w.sum()
-    empty_buy = float(w[b == lo].sum() / total)
-    empty_sell = float(w[a == hi].sum() / total)
-    b_le, b_total = _weighted_below(np.clip(b, iv.lo, iv.hi), w, grid, "right")
-    a_lt, a_total = _weighted_below(np.clip(a, iv.lo, iv.hi), w, grid, "left")
-    bid_cdf = b_le / b_total
-    ask_surv = (a_total - a_lt) / a_total
+    empty_buy = empty_sell = math.nan
+    w = _occupation_weights(traj)
+    if w is not None:
+        k0 = traj.burn_index
+        total = w.sum()
+        empty_buy = float(w[bids[k0:] == lo].sum() / total)
+        empty_sell = float(w[asks[k0:] == hi].sum() / total)
     return TrajectorySummary(
-        trades, book.n_buys, book.n_sells, empties, empty_buy, empty_sell, grid, bid_cdf, ask_surv
+        replica=config.replica,
+        n_events=n,
+        trade_count=trades,
+        min_bid=float(bids.min()) if n else math.nan,
+        max_ask=float(asks.max()) if n else math.nan,
+        empty_book_transitions=empties,
+        final_buys=traj.final_book.n_buys,
+        final_sells=traj.final_book.n_sells,
+        frozen=fz is not None,
+        freeze_time=fz.t_freeze if fz else None,
+        freeze_midpoint=fz.midpoint if fz else None,
+        freeze_start_index=fz.start_index if fz else None,
+        window_lo=wlo,
+        window_hi=whi,
+        empty_buy_prob=empty_buy,
+        empty_sell_prob=empty_sell,
     )
+
+
+def quote_cdfs(traj: Trajectory) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(grid, bid_cdf, ask_survival)``: the post-burn-in, time-weighted
+    law of the bid (P[bid <= x]) and of the ask (P[ask >= x]) on an even
+    grid of the restriction window, or of the interval when unrestricted.
+    Both are NaN when no state follows the burn-in."""
+    config = traj.config
+    iv = config.restriction if config.restriction is not None else config.pair.interval
+    grid = np.linspace(iv.lo, iv.hi, _CDF_GRID_SIZE)
+    w = _occupation_weights(traj)
+    if w is None:
+        nans = np.full(_CDF_GRID_SIZE, math.nan)
+        return grid, nans, nans
+    k0 = traj.burn_index
+    b_le, b_total = _weighted_below(np.clip(traj.bids[k0:], iv.lo, iv.hi), w, grid, "right")
+    a_lt, a_total = _weighted_below(np.clip(traj.asks[k0:], iv.lo, iv.hi), w, grid, "left")
+    return grid, b_le / b_total, (a_total - a_lt) / a_total
 
 
 @dataclass(frozen=True)
@@ -568,23 +624,19 @@ class FreezeReport:
     start_index: int
 
 
-def detect_freeze(
-    traj: Trajectory, eps: Optional[float] = None, window: Optional[int] = None
-) -> Optional[FreezeReport]:
-    """Earliest time from which both quotes settle within ``eps``.
+def detect_freeze(traj: Trajectory) -> Optional[FreezeReport]:
+    """Earliest time from which both quotes settle within eps, 1% of the
+    interval length.
 
     The stable suffix must satisfy spread <= eps throughout, with bid and
-    ask each moving at most eps, and span at least ``window`` events.
-    Defaults: eps is 1% of the interval length, window 10% of the events.
-    Returns None when no such suffix exists.
+    ask each moving at most eps, and span at least 10% of the events (at
+    least one).  Returns None when no such suffix exists.
     """
     n = traj.n_events
     if n == 0:
         return None
-    if eps is None:
-        eps = 0.01 * traj.config.pair.interval.length
-    if window is None:
-        window = max(1, int(0.1 * n))
+    eps = _FREEZE_EPS * traj.config.pair.interval.length
+    window = max(1, int(_FREEZE_SPAN * n))
     bids, asks = traj.bids, traj.asks
     rev_spread = (asks - bids)[::-1]
     suffix_spread_ok = np.maximum.accumulate(rev_spread)[::-1] <= eps
@@ -644,87 +696,34 @@ def image_book(book: OrderBook, dmap: DiscreteMap) -> OrderBook:
         raise InvalidMapError(f"image under {dmap.name} is invalid: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class ReplicaStats:
-    """Post-run summary of one trajectory, cheap to ship across worker
-    processes.  Freeze and window fields are None when no freeze was
-    detected or no quote rested after burn-in."""
-
-    replica: int
-    n_events: int
-    trade_count: int
-    min_bid: float
-    max_ask: float
-    empty_book_transitions: int
-    final_buys: int
-    final_sells: int
-    frozen: bool
-    freeze_time: Optional[float]
-    freeze_midpoint: Optional[float]
-    freeze_start_index: Optional[int]
-    window_lo: Optional[float]
-    window_hi: Optional[float]
-    empty_buy_prob: float
-    empty_sell_prob: float
-
-
-def replica_stats(
-    traj: Trajectory, eps: Optional[float] = None, window: Optional[int] = None
-) -> ReplicaStats:
-    """Summarize a finished run: quote extremes, the freeze report for
-    ``eps`` and ``window`` (see :func:`detect_freeze`), and the window
-    estimate (see :func:`estimate_window`)."""
-    fz = detect_freeze(traj, eps, window)
-    try:
-        we = estimate_window(traj)
-        wlo, whi = we.lo, we.hi
-    except InsufficientDataError:
-        wlo = whi = None
-    s = traj.summary
-    n = traj.n_events
-    return ReplicaStats(
-        replica=traj.config.replica,
-        n_events=n,
-        trade_count=s.trade_count,
-        min_bid=float(traj.bids.min()) if n else math.nan,
-        max_ask=float(traj.asks.max()) if n else math.nan,
-        empty_book_transitions=s.empty_book_transitions,
-        final_buys=s.final_buys,
-        final_sells=s.final_sells,
-        frozen=fz is not None,
-        freeze_time=fz.t_freeze if fz else None,
-        freeze_midpoint=fz.midpoint if fz else None,
-        freeze_start_index=fz.start_index if fz else None,
-        window_lo=wlo,
-        window_hi=whi,
-        empty_buy_prob=s.empty_buy_prob,
-        empty_sell_prob=s.empty_sell_prob,
-    )
-
-
-def _ensemble_worker(args) -> ReplicaStats:
-    base, r, eps, window = args
-    return replica_stats(run(replace(base, replica=r)), eps, window)
+def _replica_summary(base: SimConfig, r: int) -> TrajectorySummary:
+    return run(replace(base, replica=r)).summary
 
 
 def run_ensemble(
-    base_config: SimConfig,
-    replicas: int,
-    workers: Optional[int] = None,
-    eps: Optional[float] = None,
-    freeze_window: Optional[int] = None,
-) -> list:
-    """Replica summaries for replicas 0..replicas-1 of ``base_config``.
+    base_config: SimConfig, replicas: int, workers: Optional[int] = None
+) -> List[TrajectorySummary]:
+    """Post-run records of replicas 0..replicas-1 of ``base_config``.
 
-    Results are ordered by replica index and independent of scheduling;
-    replica r always consumes the stream (seed, spawn_key=(r,)).
+    ``workers`` processes run them (None or 0: one per CPU; never more
+    than the CPUs or the replicas).  Results are ordered by replica index
+    and independent of scheduling; replica r always consumes the stream
+    (seed, spawn_key=(r,)).
     """
     if replicas < 1:
         raise ValueError("need at least one replica")
-    if workers is None or workers == 0:
-        workers = os.cpu_count() or 1
-    tasks = [(base_config, r, eps, freeze_window) for r in range(replicas)]
-    if workers <= 1 or replicas == 1:
-        return [_ensemble_worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=min(workers, replicas)) as pool:
-        return list(pool.map(_ensemble_worker, tasks, chunksize=max(1, replicas // (4 * workers))))
+    if workers is not None and workers < 0:
+        raise ValueError("workers must be nonnegative (0 means one per CPU)")
+    cpus = os.cpu_count() or 1
+    workers = min(workers or cpus, cpus, replicas)
+    if workers <= 1:
+        return [_replica_summary(base_config, r) for r in range(replicas)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(
+            pool.map(
+                _replica_summary,
+                repeat(base_config),
+                range(replicas),
+                chunksize=max(1, replicas // (4 * workers)),
+            )
+        )

@@ -19,6 +19,7 @@ from lobmm import (
     estimate_window,
     image_book,
     phi,
+    quote_cdfs,
     run,
     run_ensemble,
     solve_luckock,
@@ -103,8 +104,9 @@ def test_c04_quote_law_vs_simulation():
         SimConfig(pair=pair, events=1_000_000, seed=2204, restriction=window, burn_in=0.5)
     )
     s = traj.summary
-    sup_bid = float(np.abs(s.bid_cdf - np.interp(s.cdf_grid, sol.grid, sol.f_minus)).max())
-    sup_ask = float(np.abs(s.ask_survival - np.interp(s.cdf_grid, sol.grid, sol.f_plus)).max())
+    grid, bid_cdf, ask_survival = quote_cdfs(traj)
+    sup_bid = float(np.abs(bid_cdf - np.interp(grid, sol.grid, sol.f_minus)).max())
+    sup_ask = float(np.abs(ask_survival - np.interp(grid, sol.grid, sol.f_plus)).max())
     d_buy = abs(s.empty_buy_prob - sol.f_minus_lo)
     d_sell = abs(s.empty_sell_prob - sol.f_plus_hi)
     elapsed = time.perf_counter() - t0

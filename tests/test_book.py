@@ -35,6 +35,13 @@ class TestConstruction:
         assert b.n_buys == 3 and b.n_sells == 2
         assert b.buy_counts == {0.2: 3}
 
+    @pytest.mark.parametrize("count", [2.5, True, 0], ids=["fraction", "bool", "zero"])
+    def test_dict_count_must_be_a_positive_integer(self, count):
+        with pytest.raises(ValueError, match="positive integer"):
+            book(buys={0.2: count})
+        with pytest.raises(ValueError, match="positive integer"):
+            book(sells={0.8: count})
+
     def test_event_price_validation(self):
         with pytest.raises(ValueError):
             Event(EventKind.BUY_LIMIT)  # missing price

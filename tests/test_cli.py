@@ -142,6 +142,18 @@ class TestConfigValidation:
                 "run",
                 id="volume-sweep-run",
             ),
+            pytest.param(
+                "freeze",
+                {"run": {"events": 100}, "freeze": {"eps": 0.01}},
+                "freeze.eps",
+                id="freeze-eps",
+            ),
+            pytest.param(
+                "freeze",
+                {"run": {"events": 100}, "freeze": {"min_events": 10}},
+                "freeze.min_events",
+                id="freeze-min-events",
+            ),
         ],
     )
     def test_key_the_command_does_not_read(self, tmp_path, outdir, capsys, command, doc, key):
@@ -199,9 +211,13 @@ class TestConfigValidation:
         [
             pytest.param(
                 "freeze",
-                {"model": dict(UNIFORM_MODEL, rho=0.6), "run": {"events": 100}, "freeze": {"eps": math.nan}},
-                "freeze.eps",
-                id="eps-nan",
+                {
+                    "model": dict(UNIFORM_MODEL, rho=0.6),
+                    "run": {"events": 100},
+                    "freeze": {"gambler": {"y": math.nan}},
+                },
+                "freeze.gambler.y",
+                id="gambler-y-nan",
             ),
             pytest.param(
                 "sweep",
@@ -261,6 +277,24 @@ class TestConfigValidation:
         with pytest.raises(SystemExit) as exc_info:
             main(["simulate", cfg, "--seed", "1", "--workers", "2"])
         assert exc_info.value.code == 2
+
+    @pytest.mark.parametrize("workers,flag", [(-1, []), (1, ["--workers", "-2"])], ids=["config", "flag"])
+    def test_negative_workers(self, tmp_path, outdir, capsys, workers, flag):
+        doc = {"model": dict(UNIFORM_MODEL, rho=0.6), "run": {"events": 100, "workers": workers}}
+        cfg = write_config(tmp_path, doc)
+        assert main(["freeze", cfg, "--seed", "1", "--out", str(outdir)] + flag) == 2
+        assert "run.workers" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "sub"
+        cfg = str(SAMPLE_CONFIGS / "theory-uniform.json")
+        assert main(["theory", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: cannot write {out}" in err
+        assert "Traceback" not in err
 
     def test_config_seed_alone_is_enough_for_compare(self, tmp_path, outdir):
         doc = {
@@ -907,6 +941,55 @@ def test_csv_bytes_are_pinned(tmp_path, outdir, command, doc, pins):
     cfg = write_config(tmp_path, doc)
     assert main([command, cfg, "--seed", "5", "--out", str(outdir)]) == 0
     assert csv_digests(outdir) == pins
+
+
+# SHA-256 of every artifact of a freeze ensemble (frozen and unfrozen
+# replicas, a gambler block) and of simulate's summary.json for a run that
+# freezes and one that does not, recorded while each run was still reduced
+# twice (a trajectory summary, then a separate replica record).
+RECORD_PINS = [
+    pytest.param(
+        "freeze",
+        {
+            "model": dict(UNIFORM_MODEL, rho=0.6),
+            "run": {"events": 2000, "replicas": 4, "workers": 1},
+            "output": {"histogram_bins": 20},
+            "freeze": {"gambler": {"y": 0.3}},
+        },
+        {
+            "ensemble.json": "949c18bf10a35cd865c295190270353d78304ebdcf939502e24b15606d0b7908",
+            "midpoint-histogram.csv": "158941bea9d0cfe4dca26a45611c5622c39c4f2d0c2f44d88480d88d647d59c7",
+            "replicas.csv": "5f50c9066507e349819293910645690c9863f9e08441eeda39e945a09b596213",
+        },
+        id="freeze-gambler",
+    ),
+    pytest.param(
+        "simulate",
+        {"model": dict(UNIFORM_MODEL, rho=0.6), "run": {"events": 2000}, "output": {"formats": ["json"]}},
+        {"summary.json": "402bf0fed18c5d2d09eef69702b55122545251db44f17f680cc589c1b7aab6f3"},
+        id="simulate-frozen",
+    ),
+    pytest.param(
+        "simulate",
+        {
+            "model": UNIFORM_MODEL,
+            "run": {"events": 3000, "restriction": {"volume": 0.6}},
+            "output": {"formats": ["json"]},
+        },
+        {"summary.json": "041596359e52f00f2a1bb9b57203dbb287e4a03f612a7e4a8914b1bd8c10cea3"},
+        id="simulate-restricted",
+    ),
+]
+
+
+@pytest.mark.parametrize("command,doc,pins", RECORD_PINS)
+def test_run_records_are_pinned(tmp_path, outdir, command, doc, pins):
+    cfg = write_config(tmp_path, doc)
+    assert main([command, cfg, "--seed", "5", "--out", str(outdir)]) == 0
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(outdir.iterdir())
+    }
+    assert digests == pins
 
 
 def test_theory_window_json_is_pinned(tmp_path, outdir):

@@ -28,12 +28,13 @@ from lobmm import (
     generator_for,
     image_book,
     next_event,
-    replica_stats,
+    quote_cdfs,
     restrict_event,
     run,
     run_ensemble,
     walras,
 )
+from lobmm import engine
 from lobmm.engine import DROPPED
 
 from conftest import make_evenodd_pair, make_floor_pair, make_uniform_pair
@@ -354,24 +355,25 @@ class TestSummary:
     def test_cdf_matches_direct_recomputation(self, uniform_pair):
         cfg = SimConfig(pair=uniform_pair, events=20_000, seed=31)
         traj = run(cfg)
-        s = traj.summary
+        grid, bid_cdf, ask_survival = quote_cdfs(traj)
         k0 = traj.burn_index
         w = np.diff(np.append(traj.times[k0:], traj.end_time))
         b, a = traj.bids[k0:], traj.asks[k0:]
         total = w.sum()
-        assert len(s.cdf_grid) == 1024
+        assert len(grid) == 1024
         # 0, 27, 64 and 100 percent along the grid
         for gi in (0, 276, 650, 1023):
-            g = s.cdf_grid[gi]
-            assert s.bid_cdf[gi] == pytest.approx(w[b <= g].sum() / total, abs=1e-12)
-            assert s.ask_survival[gi] == pytest.approx(w[a >= g].sum() / total, abs=1e-12)
+            g = grid[gi]
+            assert bid_cdf[gi] == pytest.approx(w[b <= g].sum() / total, abs=1e-12)
+            assert ask_survival[gi] == pytest.approx(w[a >= g].sum() / total, abs=1e-12)
 
     def test_cdf_monotone_and_bounded(self, uniform_pair):
-        s = run(SimConfig(pair=uniform_pair, events=50_000, seed=32)).summary
-        assert (np.diff(s.bid_cdf) >= -1e-15).all()
-        assert (np.diff(s.ask_survival) <= 1e-15).all()
-        assert s.bid_cdf[-1] == pytest.approx(1.0)
-        assert s.ask_survival[0] == pytest.approx(1.0)
+        traj = run(SimConfig(pair=uniform_pair, events=50_000, seed=32))
+        _, bid_cdf, ask_survival = quote_cdfs(traj)
+        assert (np.diff(bid_cdf) >= -1e-15).all()
+        assert (np.diff(ask_survival) <= 1e-15).all()
+        assert bid_cdf[-1] == pytest.approx(1.0)
+        assert ask_survival[0] == pytest.approx(1.0)
 
     def test_empty_side_probabilities(self, uniform_pair):
         traj = run(SimConfig(pair=uniform_pair, events=20_000, seed=33))
@@ -391,8 +393,8 @@ class TestSummary:
             seed=34,
             restriction=PriceInterval(0.4, 0.6),
         )
-        s = run(cfg).summary
-        assert s.cdf_grid[0] == 0.4 and s.cdf_grid[-1] == 0.6
+        grid, _, _ = quote_cdfs(run(cfg))
+        assert grid[0] == 0.4 and grid[-1] == 0.6
 
     def test_trade_accounting(self, uniform_pair):
         # no market orders at rho=0: every trade is a crossing limit order
@@ -469,7 +471,7 @@ class TestFreezeDetection:
         assert 0.35 < fz.midpoint < 0.65
         assert fz.start_index < traj.n_events
         assert traj.times[fz.start_index] == fz.t_freeze
-        st = replica_stats(traj)
+        st = traj.summary
         assert st.frozen
         assert (st.freeze_time, st.freeze_midpoint, st.freeze_start_index) == (
             fz.t_freeze,
@@ -528,8 +530,38 @@ class TestEnsemble:
         solo = run(replace(cfg, replica=1))
         assert stats[1].trade_count == solo.summary.trade_count
         assert stats[1].min_bid == solo.bids.min()
-        assert stats[1] == replica_stats(solo)
+        assert stats[1] == solo.summary
 
     def test_rejects_zero_replicas(self, uniform_pair):
         with pytest.raises(ValueError):
             run_ensemble(SimConfig(pair=uniform_pair, events=10), replicas=0)
+
+    def test_rejects_negative_workers(self, uniform_pair):
+        with pytest.raises(ValueError, match="workers"):
+            run_ensemble(SimConfig(pair=uniform_pair, events=10), replicas=2, workers=-1)
+
+    def test_pool_capped_at_cpu_count(self, uniform_pair, monkeypatch):
+        # a pool that maps serially, so the test starts no process
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+        cfg = SimConfig(pair=uniform_pair, events=500, seed=73)
+        serial = run_ensemble(cfg, replicas=5, workers=1)
+        assert pools == []
+        for workers in (5000, 0, None):
+            assert run_ensemble(cfg, replicas=5, workers=workers) == serial
+        assert pools == [2, 2, 2]

@@ -8,11 +8,27 @@ tests.
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import pytest
 
 import lobmm
-from lobmm import FreezeReport, MonotoneCurve, OrderBook, RateTable, WindowEstimate
+import lobmm.engine
+from lobmm import (
+    FreezeReport,
+    MonotoneCurve,
+    OrderBook,
+    RateTable,
+    SimConfig,
+    TrajectorySummary,
+    WindowEstimate,
+    run,
+)
+
+from conftest import make_uniform_pair
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
 def public_attributes(cls) -> list:
@@ -46,7 +62,6 @@ def test_package_exports():
         "PriceInterval",
         "RateTable",
         "Recurrence",
-        "ReplicaStats",
         "SimConfig",
         "SingularCoefficientError",
         "Trajectory",
@@ -66,8 +81,8 @@ def test_package_exports():
         "image_book",
         "next_event",
         "phi",
+        "quote_cdfs",
         "recurrence_sweep",
-        "replica_stats",
         "restrict_event",
         "run",
         "run_ensemble",
@@ -115,9 +130,54 @@ ATTRIBUTES = {
     RateTable: ["from_pair", "inv_total", "thresholds"],
     WindowEstimate: ["hi", "lo"],
     FreezeReport: ["midpoint", "start_index", "t_freeze"],
+    TrajectorySummary: [
+        "empty_book_transitions",
+        "empty_buy_prob",
+        "empty_sell_prob",
+        "final_buys",
+        "final_sells",
+        "freeze_midpoint",
+        "freeze_start_index",
+        "freeze_time",
+        "frozen",
+        "max_ask",
+        "min_bid",
+        "n_events",
+        "replica",
+        "trade_count",
+        "window_hi",
+        "window_lo",
+    ],
 }
 
 
 @pytest.mark.parametrize("cls", list(ATTRIBUTES), ids=lambda cls: cls.__name__)
 def test_class_attributes(cls):
     assert public_attributes(cls) == ATTRIBUTES[cls]
+
+
+def test_bench_tracer_still_binds(tmp_path):
+    """The benchmark's tracer wraps lobmm functions by module and name and
+    reads each run's record; a rename here would break its traced runs."""
+    spec = importlib.util.spec_from_file_location("lobmm_bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, path, _name in tracer.SPANNED + tracer.COUNTED:
+        _owner, _attr, raw = tracer._resolve(module, path)
+        assert callable(raw) or isinstance(raw, classmethod), (module, path)
+    cfg = SimConfig(pair=make_uniform_pair(), events=100, seed=1)
+    attrs = tracer._attrs_run((cfg,), {}, run(cfg))
+    assert attrs["events"] == 100
+    assert 0 <= attrs["trades"] <= 100 and 0 <= attrs["dropped"] <= 100
+    assert attrs["orders"] >= attrs["levels"] >= 0
+    assert tracer._attrs_ensemble((cfg,), {"replicas": 3, "workers": 2}, None) == {"pool": 2}
+
+    with tracer.Tracer(tmp_path) as traced:
+        lobmm.engine.run(cfg)
+    spans = {s["name"]: s for s in traced.spans}
+    assert spans["engine.run"]["attrs"]["events"] == 100
+    # the post-run reduction happens inside run(): a traced call made while
+    # the tracer reads a run's attributes would, in a pool worker, flush the
+    # run's span before its attributes are set
+    assert spans["engine.detect_freeze"]["parent"] == spans["engine.run"]["id"]
+    assert spans["engine.estimate_window"]["parent"] == spans["engine.run"]["id"]
