@@ -14,7 +14,8 @@ rerunning writes byte-identical artifacts.
 Exit codes: 0 success; 2 config or validation error, a config that
 asks for more memory than there is, or an output path that cannot be
 written; 3 a structural assumption on the curves fails; 4 a compare run
-exceeded its tolerances.
+exceeded its tolerances.  A command that fails (exit 2 or 3, or an
+uncaught error) removes the files it wrote and the directories it made.
 """
 
 from __future__ import annotations
@@ -323,9 +324,28 @@ class OutputSettings:
         ):
             raise ConfigError('output.formats must be a nonempty subset of ["csv", "json"]')
         self.formats = frozenset(formats)
+        # the files the command opened for writing and the directories it
+        # made, in that order; main() removes them when the command fails
+        self.written: List[Path] = []
 
     def wants(self, fmt: str) -> bool:
         return fmt in self.formats
+
+    def make_dir(self, path: Path) -> None:
+        made = [p for p in (path, *path.parents) if not p.exists()]
+        path.mkdir(parents=True, exist_ok=True)
+        self.written.extend(reversed(made))
+
+    def remove_written(self) -> None:
+        """Take back what a failed command wrote: its files, then the
+        directories it made, last first.  Files it did not write stay, and
+        so do the directories that hold them."""
+        for path in reversed(self.written):
+            try:
+                path.rmdir() if path.is_dir() else path.unlink()
+            except OSError:
+                pass
+        self.written.clear()
 
 
 # -- deterministic artifact writers ------------------------------------------
@@ -344,18 +364,35 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
-def write_json(path: Path, payload: Dict[str, Any]) -> None:
+def _open_artifact(path: Path, written: Optional[List[Path]]):
+    fh = path.open("w", newline="")
+    if written is not None:
+        written.append(path)
+    return fh
+
+
+def write_json(path: Path, payload: Dict[str, Any], written: Optional[List[Path]] = None) -> None:
+    """Write ``payload`` under the schema version, keys sorted; ``written``,
+    when given, records the path once the file is open."""
     doc = {"schema_version": SCHEMA_VERSION}
     doc.update(payload)
-    path.write_text(json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n")
+    text = json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n"
+    with _open_artifact(path, written) as fh:
+        fh.write(text)
 
 
 _BLOCK_ROWS = 8192
 _NEEDS_QUOTING = frozenset(',"\r\n')
 
 
-def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence[Any]]) -> None:
-    """Write equal-length ``columns`` under ``header``, one line per row.
+def write_csv(
+    path: Path,
+    header: Sequence[str],
+    columns: Sequence[Sequence[Any]],
+    written: Optional[List[Path]] = None,
+) -> None:
+    """Write equal-length ``columns`` under ``header``, one line per row;
+    ``written``, when given, records the path once the file is open.
 
     Cell contract: a float is written as its ``repr`` and NaN as an empty
     field, an int as ``str``, a str token as is.  A column is a float or
@@ -372,7 +409,7 @@ def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence[Any]
     n = len(columns[0])
     if any(len(col) != n for col in columns):
         raise ValueError(f"{path.name}: columns differ in length")
-    with path.open("w", newline="") as fh:
+    with _open_artifact(path, written) as fh:
         fh.write(",".join(_fields(list(header))) + "\n")
         for start in range(0, n, _BLOCK_ROWS):
             fields = [_fields(col[start : start + _BLOCK_ROWS]) for col in columns]
@@ -439,10 +476,9 @@ def _window_payload(rep) -> Dict[str, Any]:
     }
 
 
-def cmd_theory(doc: Dict[str, Any], args) -> int:
+def cmd_theory(doc: Dict[str, Any], args, out: OutputSettings) -> int:
     pair, rho = parse_model(doc)
-    out = OutputSettings(doc, args)
-    out.directory.mkdir(parents=True, exist_ok=True)
+    out.make_dir(out.directory)
     rep = v_l(pair, rho)
     payload = {"command": "theory"}
     payload.update(_window_payload(rep))
@@ -467,6 +503,7 @@ def cmd_theory(doc: Dict[str, Any], args) -> int:
                 out.directory / "phi.csv",
                 ("volume", "phi", "error_estimate"),
                 (table.volumes, table.values, table.errors),
+                out.written,
             )
         if rep.window is not None and out.wants("csv"):
             try:
@@ -475,6 +512,7 @@ def cmd_theory(doc: Dict[str, Any], args) -> int:
                     out.directory / "quotes.csv",
                     ("price", "bid_cdf", "ask_survival"),
                     (sol.grid, sol.f_minus, sol.f_plus),
+                    out.written,
                 )
                 payload["quote_law"] = {
                     "empty_buy_prob": sol.f_minus_lo,
@@ -487,7 +525,7 @@ def cmd_theory(doc: Dict[str, Any], args) -> int:
     if notes:
         payload["notes"] = notes
     if out.wants("json"):
-        write_json(out.directory / "window.json", payload)
+        write_json(out.directory / "window.json", payload, out.written)
     return EXIT_OK
 
 
@@ -527,16 +565,15 @@ def _summary_payload(traj: Trajectory) -> Dict[str, Any]:
     }
 
 
-def cmd_simulate(doc: Dict[str, Any], args) -> int:
+def cmd_simulate(doc: Dict[str, Any], args, out: OutputSettings) -> int:
     pair, rho = parse_model(doc)
     settings = RunSettings(doc, pair, args)
-    out = OutputSettings(doc, args)
     base = settings.sim_config(pair, rho, snapshot_at=out.snapshot_at)
 
     for r in range(settings.replicas):
         traj = run(replace(base, replica=r))
         rdir = out.directory / f"replica-{r:03d}" if settings.replicas > 1 else out.directory
-        rdir.mkdir(parents=True, exist_ok=True)
+        out.make_dir(rdir)
         if out.wants("csv"):
             write_csv(
                 rdir / "trajectory.csv",
@@ -549,39 +586,43 @@ def cmd_simulate(doc: Dict[str, Any], args) -> int:
                     traj.bids,
                     traj.asks,
                 ),
+                out.written,
             )
             write_csv(
                 rdir / "final-book.csv",
                 ("side", "price", "count"),
                 _columns(traj.final_book.snapshot().rows(), 3),
+                out.written,
             )
             write_csv(
                 rdir / "histogram.csv",
                 ("bin_lo", "bin_hi", "buy_count", "sell_count"),
                 _histogram_columns(traj.final_book, pair.interval, out.histogram_bins),
+                out.written,
             )
             for idx, snap in sorted(traj.snapshots.items()):
                 write_csv(
                     rdir / f"snapshot-{idx}.csv",
                     ("side", "price", "count"),
                     _columns(snap.rows(), 3),
+                    out.written,
                 )
             if settings.map is not None:
                 write_csv(
                     rdir / "image-book.csv",
                     ("side", "price", "count"),
                     _columns(image_book(traj.final_book, settings.map).snapshot().rows(), 3),
+                    out.written,
                 )
         if out.wants("json"):
-            write_json(rdir / "summary.json", _summary_payload(traj))
+            write_json(rdir / "summary.json", _summary_payload(traj), out.written)
     return EXIT_OK
 
 
-def cmd_compare(doc: Dict[str, Any], args) -> int:
+def cmd_compare(doc: Dict[str, Any], args, out: OutputSettings) -> int:
     pair, rho = parse_model(doc)
     settings = RunSettings(doc, pair, args)
     cfg = settings.sim_config(pair, rho)
-    out = OutputSettings(doc, args)
     block = doc.get("compare", {})
     tol_cdf = _as_number(block.get("tolerance_cdf", 0.05), "compare.tolerance_cdf")
     tol_empty = _as_number(block.get("tolerance_empty", 0.02), "compare.tolerance_empty")
@@ -624,7 +665,7 @@ def cmd_compare(doc: Dict[str, Any], args) -> int:
         and empty_sell_diff <= tol_empty
     )
 
-    out.directory.mkdir(parents=True, exist_ok=True)
+    out.make_dir(out.directory)
     if out.wants("csv"):
         write_csv(
             out.directory / "curves.csv",
@@ -636,6 +677,7 @@ def cmd_compare(doc: Dict[str, Any], args) -> int:
                 "ask_survival_theory",
             ),
             (grid, bid_cdf, theory_bid, ask_survival, theory_ask),
+            out.written,
         )
     if out.wants("json"):
         write_json(
@@ -661,6 +703,7 @@ def cmd_compare(doc: Dict[str, Any], args) -> int:
                 "tolerance_empty": tol_empty,
                 "passed": passed,
             },
+            out.written,
         )
     if not passed:
         print(
@@ -673,11 +716,10 @@ def cmd_compare(doc: Dict[str, Any], args) -> int:
     return EXIT_OK
 
 
-def cmd_freeze(doc: Dict[str, Any], args) -> int:
+def cmd_freeze(doc: Dict[str, Any], args, out: OutputSettings) -> int:
     pair, rho = parse_model(doc)
     settings = RunSettings(doc, pair, args)
     base = settings.sim_config(pair, rho)
-    out = OutputSettings(doc, args)
     block = doc.get("freeze", {})
     allow_subcritical = _as_bool(
         block.get("allow_subcritical", False), "freeze.allow_subcritical"
@@ -709,7 +751,7 @@ def cmd_freeze(doc: Dict[str, Any], args) -> int:
     except (AssumptionError, ValueError):
         pass  # subcritical contrast run, or flat curve segments
 
-    out.directory.mkdir(parents=True, exist_ok=True)
+    out.make_dir(out.directory)
     if out.wants("csv"):
         write_csv(
             out.directory / "replicas.csv",
@@ -743,6 +785,7 @@ def cmd_freeze(doc: Dict[str, Any], args) -> int:
                 ],
                 10,
             ),
+            out.written,
         )
         edges = np.linspace(pair.interval.lo, pair.interval.hi, out.histogram_bins + 1)
         counts, _ = np.histogram(midpoints, bins=edges)
@@ -750,6 +793,7 @@ def cmd_freeze(doc: Dict[str, Any], args) -> int:
             out.directory / "midpoint-histogram.csv",
             ("bin_lo", "bin_hi", "count"),
             (edges[:-1], edges[1:], counts),
+            out.written,
         )
     payload = {
         "command": "freeze",
@@ -778,21 +822,20 @@ def cmd_freeze(doc: Dict[str, Any], args) -> int:
             "replicas": len(gstats),
         }
     if out.wants("json"):
-        write_json(out.directory / "ensemble.json", payload)
+        write_json(out.directory / "ensemble.json", payload, out.written)
     return EXIT_OK
 
 
-def cmd_sweep(doc: Dict[str, Any], args) -> int:
+def cmd_sweep(doc: Dict[str, Any], args, out: OutputSettings) -> int:
     pair, rho_model = parse_model(doc)
     settings = RunSettings(doc, pair, args)
-    out = OutputSettings(doc, args)
     block = doc.get("sweep")
     if block is None:
         raise ConfigError("sweep requires a sweep block")
     if ("rho" in block) == ("volume" in block):
         raise ConfigError("sweep block must set exactly one of rho and volume")
 
-    out.directory.mkdir(parents=True, exist_ok=True)
+    out.make_dir(out.directory)
     simulate = settings.seed is not None and (
         settings.events is not None or settings.duration is not None
     )
@@ -828,7 +871,7 @@ def cmd_sweep(doc: Dict[str, Any], args) -> int:
                 st = run(settings.sim_config(pair, r)).summary
                 row += [_nan_if_none(st.window_lo), _nan_if_none(st.window_hi), int(st.frozen)]
             rows.append(row)
-        write_csv(out.directory / "sweep.csv", header, _columns(rows, len(header)))
+        write_csv(out.directory / "sweep.csv", header, _columns(rows, len(header)), out.written)
         return EXIT_OK
 
     volumes = [_as_number(v, "sweep.volume entry") for v in block["volume"]]
@@ -836,7 +879,8 @@ def cmd_sweep(doc: Dict[str, Any], args) -> int:
         [v, value, "out_of_domain" if klass is None else klass.value]
         for v, (value, klass) in zip(volumes, recurrence_sweep(pair, rho_model, volumes))
     ]
-    write_csv(out.directory / "sweep.csv", ("volume", "phi", "recurrence"), _columns(rows, 3))
+    header = ("volume", "phi", "recurrence")
+    write_csv(out.directory / "sweep.csv", header, _columns(rows, 3), out.written)
     return EXIT_OK
 
 
@@ -874,11 +918,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command.  A command that fails, with an error exit or an
+    uncaught exception, leaves none of its artifacts behind; a compare run
+    that misses its tolerances (exit 4) keeps its full report."""
     args = build_parser().parse_args(argv)
+    out: Optional[OutputSettings] = None
+    finished = False
     try:
         doc = load_config(args.config)
         check_contract(doc, args.command)
-        return args.handler(doc, args)
+        out = OutputSettings(doc, args)
+        code = args.handler(doc, args, out)
+        finished = code in (EXIT_OK, EXIT_TOLERANCE)
+        return code
     except AssumptionError as exc:
         print(f"assumption violated: {exc}", file=sys.stderr)
         return EXIT_ASSUMPTION
@@ -894,6 +946,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise
         print(f"config error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_CONFIG
+    finally:
+        if out is not None and not finished:
+            out.remove_written()
 
 
 if __name__ == "__main__":

@@ -244,8 +244,8 @@ class MonotoneCurve:
         return np.where(v <= rx[0], px[0], x)
 
     def sample_from_target(self, target: float) -> float:
-        """Price at cumulative increment mass ``target``; the engine hot loop
-        inlines this exact arithmetic, keep the two in lockstep."""
+        """Price at cumulative increment mass ``target``; the engine's
+        pre-pass vectorizes this exact arithmetic, keep the two in lockstep."""
         cl = self._cum_list
         j = bisect_left(cl, target)
         if j == 0:

@@ -6,15 +6,21 @@ far endpoints, limit orders at the total curve increment masses with
 prices drawn from the normalized increments, and market makers at a flat
 rate.  Consequently a run is a deterministic function of the seed: waits
 and uniforms are consumed in a fixed order from one counter-based
-generator (Philox), block-buffered for speed.
+generator (Philox), drawn in blocks of ``_BLOCK`` values.
 
-The run loop inlines the book transitions and the limit-price sampler.
-Each event is settled in two steps: first the recorded kind and the one
-book operation it maps to (take the ask, take the bid, rest a buy, rest a
-sell, reinforce both quotes, or nothing for a dropped order), then that
-operation.  Both steps have slow-path twins (:func:`next_event`,
-:func:`restrict_event`, :meth:`OrderBook.apply`) and the test-suite pins
-the two paths to each other event by event; change them in lockstep.
+Because nothing about an event but its effect depends on the book,
+:func:`run` works in two stages on one code path.  A numpy pre-pass
+decodes one random block at a time into event times, recorded kinds
+(restriction rewrites and drops included) and limit prices; a plain book
+loop then applies those events to the count dicts and heaps.  The
+event-by-event slow path stays as the oracle: :func:`next_event`,
+:func:`restrict_event`, :class:`BlockRng` and :meth:`OrderBook.apply`.
+The test-suite pins the two paths to each other event by event, and at
+tiny block sizes to the same sequence of block draws; change them in
+lockstep.  ``_BLOCK`` and the order of the block draws (exponential
+block, then uniform block, each refilled when the next draw needs it,
+the exponential first when both fall on one event) are part of the
+byte-identity contract: changing either changes every trajectory.
 
 After a run, :attr:`Trajectory.summary` reduces it, once, to the
 :class:`TrajectorySummary` record that ``simulate``, ``sweep``, ``freeze``
@@ -27,7 +33,6 @@ from __future__ import annotations
 import math
 import os
 from array import array
-from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
@@ -264,7 +269,7 @@ def next_event(rates: RateTable, pair: DemandSupplyPair, rng: BlockRng) -> Tuple
     """Draw the next waiting time and event.
 
     Consumes one exponential, one uniform, and one more uniform for limit
-    kinds, in that order; the run loop consumes identically.
+    kinds, in that order; the pre-pass of :func:`run` decodes identically.
     """
     wait = rng.next_exp() * rates.inv_total
     u = rng.next_uniform()
@@ -315,181 +320,202 @@ def restrict_event(event: Event, window: PriceInterval) -> Optional[Event]:
     return event
 
 
+def _event_chunks(config: SimConfig, rates: RateTable):
+    """The pre-pass of :func:`run`: the run's events, decoded from the
+    random stream one block at a time, as ``(times, kinds, prices)`` arrays.
+
+    Nothing here reads the book.  A chunk never crosses a refill of either
+    random block or a snapshot index, so the blocks are drawn in exactly
+    the order :func:`next_event` asks for them, and memory stays bounded by
+    the block size whatever the horizon.  ``kinds`` are the recorded kinds
+    (limit orders already rewritten or dropped by the restriction);
+    ``prices`` holds the limit price of kinds 2 and 3, NaN otherwise.
+    """
+    pair = config.pair
+    lo, hi = pair.interval.lo, pair.interval.hi
+    lo_in, hi_in = math.nextafter(lo, hi), math.nextafter(hi, lo)
+    window = config.restriction
+    c_sm, c_sl = rates.thresholds[1], rates.thresholds[3]
+    thresholds = np.array(rates.thresholds)
+    inv_total = rates.inv_total
+    # limit-price sampler inputs per recorded kind: knots, cumulative mass,
+    # price per unit mass on each segment, total mass
+    samplers = [
+        (code, *map(np.array, (c._price_list, c._cum_list, c._seg_per_mass)), c._cum_list[-1])
+        for code, c in ((2, pair.demand), (3, pair.supply))
+    ]
+
+    block = _BLOCK
+    gen = generator_for(config.seed, config.replica)
+    exps, e_i = gen.standard_exponential(block), 0
+    unis, u_i = gen.random(block), 0
+    t = 0.0
+    i = 0
+    left = config.events if config.events is not None else math.inf
+    t_limit = config.duration if config.duration is not None else math.inf
+    snaps = [k for k in reversed(config.snapshot_at) if k > 0]  # next one last
+
+    while left:
+        # refills, exponential first, as next_event meets them
+        if e_i == block:
+            exps, e_i = gen.standard_exponential(block), 0
+        carry = None
+        if u_i == block - 1 and c_sm <= unis[u_i] < c_sl:
+            # a limit kind draw ends the block: its price opens the next one
+            carry = unis[u_i:]
+            u_i = block
+        if u_i == block:
+            unis, u_i = gen.random(block), 0
+
+        k = min(block - e_i, left, snaps[-1] - i if snaps else math.inf)
+        times = exps[e_i : e_i + k] * inv_total
+        times[0] += t
+        np.cumsum(times, out=times)
+        if times[-1] > t_limit:  # the horizon ends before the first event past it
+            k = left = int(np.searchsorted(times, t_limit, side="right"))
+            if not k:
+                return
+
+        # The uniforms read as a variable-length code.  A uniform in
+        # [c_sm, c_sl) at an even offset into its run of such uniforms is a
+        # limit kind draw, and the uniform after it is its price draw;
+        # every other uniform is a kind draw.  2k uniforms hold k events.
+        stop = min(block, u_i + 2 * k)
+        w = unis[u_i:stop] if carry is None else np.concatenate((carry, unis[:stop]))
+        flagged = (w >= c_sm) & (w < c_sl)
+        run_start = flagged.copy()
+        run_start[1:] &= ~flagged[:-1]
+        pos = np.arange(len(w))
+        offset = pos - np.maximum.accumulate(np.where(run_start, pos, 0))
+        limit = flagged & (offset % 2 == 0)
+        is_kind = np.ones(len(w), dtype=bool)
+        is_kind[1:] = ~limit[:-1]
+        kind_pos = np.flatnonzero(is_kind)
+        # a limit kind draw in the last place waits for the next block
+        m = min(k, len(kind_pos) - int(limit[-1]))
+        u_i = stop - len(w) + (kind_pos[m] if m < len(kind_pos) else len(w))
+
+        kind_pos = kind_pos[:m]
+        kinds = np.searchsorted(thresholds, w[kind_pos], side="right").astype(np.uint8)
+        prices = np.full(m, math.nan)
+        for code, knots, cum, seg, total in samplers:
+            sel = kinds == code
+            target = w[kind_pos[sel] + 1] * total
+            j = np.searchsorted(cum, target, side="left")
+            jm = np.maximum(j - 1, 0)
+            x = np.where(j == 0, knots[0], knots[jm] + (target - cum[jm]) * seg[jm])
+            prices[sel] = np.where(x <= lo, lo_in, np.where(x >= hi, hi_in, x))
+        if window is not None:
+            buy, sell = kinds == 2, kinds == 3
+            kinds[buy & (prices >= window.hi)] = 0  # rewritten to a market buy
+            kinds[sell & (prices <= window.lo)] = 1  # rewritten to a market sell
+            kinds[(buy & (prices <= window.lo)) | (sell & (prices >= window.hi))] = DROPPED
+
+        times = times[:m]
+        yield times, kinds, prices
+        t = times[-1]
+        e_i += m
+        i += m
+        left -= m
+        if snaps and snaps[-1] == i:
+            snaps.pop()
+
+
 def run(config: SimConfig) -> Trajectory:
     """Simulate one trajectory; deterministic in (seed, replica).
 
-    The loop below mirrors next_event + restrict_event + OrderBook.apply
-    exactly (same draws, same comparisons, same arithmetic) with the
-    object layers peeled off.  Each event first settles its recorded kind
-    and the book operation it maps to, then applies that operation.
+    Two stages in one code path.  The pre-pass (:func:`_event_chunks`)
+    decodes a block of the random stream at a time into event times,
+    recorded kinds and limit prices with numpy.  The book loop below then
+    applies each event to the count dicts and heaps, with the quotes kept
+    in two locals.  Together they mirror next_event + restrict_event +
+    OrderBook.apply exactly: same draws, same comparisons, same arithmetic.
     """
     pair = config.pair
     require_core_assumptions(pair)
     rates = RateTable.from_pair(pair, config.rho)
-    c_bm, c_sm, c_bl, c_sl = rates.thresholds
-    inv_total = rates.inv_total
-
-    # limit-price sampler inputs per side: knots, cumulative mass, price per
-    # unit mass on each segment, total mass
-    buy_curve, sell_curve = (
-        (c._price_list, c._cum_list, c._seg_per_mass, c._cum_list[-1])
-        for c in (pair.demand, pair.supply)
-    )
 
     iv = pair.interval
     lo, hi = iv.lo, iv.hi
-    lo_in = math.nextafter(lo, hi)
-    hi_in = math.nextafter(hi, lo)
-    restricted = config.restriction is not None
-    j_lo = config.restriction.lo if restricted else 0.0
-    j_hi = config.restriction.hi if restricted else 0.0
-
     book = OrderBook(iv, config.initial_buys, config.initial_sells)
     buys, sells = book.buy_counts, book.sell_counts
     bh, sh = book.buy_heap, book.sell_heap
-
-    rng = BlockRng(generator_for(config.seed, config.replica))
-    gen_exp = rng.generator.standard_exponential
-    gen_uni = rng.generator.random
-    exp_buf, exp_i = rng._exp, rng._exp_i
-    uni_buf, uni_i = rng._uni, rng._uni_i
     push, pop = heappush, heappop
+    bid, ask = book.bid, book.ask
 
     # per-event columns: time, kind, trade price, bid, ask
     columns = [array(code) for code in "dBddd"]
-    t_ap, k_ap, tp_ap, b_ap, a_ap = (col.append for col in columns)
+    t_col, k_col, tp_col, b_col, a_col = columns
 
-    snapshots: Dict[int, BookSnapshot] = {}
-    snap_iter = iter(config.snapshot_at)
-    next_snap = next(snap_iter, -1)
-    if next_snap == 0:
-        snapshots[0] = book.snapshot()
-        next_snap = next(snap_iter, -1)
+    snap_at = set(config.snapshot_at)
+    snapshots: Dict[int, BookSnapshot] = {0: book.snapshot()} if 0 in snap_at else {}
 
-    n_target = config.events if config.events is not None else -1
-    t_limit = config.duration if config.duration is not None else math.inf
-
-    t = 0.0
     nan = math.nan
-    i = 0
-    # keep the back edge an unconditional jump: CPython 3.11 specializes a
-    # function's bytecode on calls and on plain backward jumps, not on a
-    # conditional loop test, so `while i != n_target` would leave this
-    # loop unspecialized for the whole of a single call
-    while True:
-        if i == n_target:
-            break
-        if exp_i == _BLOCK:
-            exp_buf = gen_exp(_BLOCK).tolist()
-            exp_i = 0
-        wait = exp_buf[exp_i] * inv_total
-        exp_i += 1
-        if t + wait > t_limit:
-            break
-        t += wait
-        if uni_i == _BLOCK:
-            uni_buf = gen_uni(_BLOCK).tolist()
-            uni_i = 0
-        u = uni_buf[uni_i]
-        uni_i += 1
-
-        # kind is what the trajectory records; op is the book operation:
-        # 0 take the ask, 1 take the bid, 2 rest a buy, 3 rest a sell,
-        # 4 reinforce both quotes, DROPPED nothing
-        if u < c_sm:
-            kind = op = 0 if u < c_bm else 1
-        elif u < c_sl:
-            if u < c_bl:
-                kind = 2
-                prices, cum, seg, total = buy_curve
-            else:
-                kind = 3
-                prices, cum, seg, total = sell_curve
-            if uni_i == _BLOCK:
-                uni_buf = gen_uni(_BLOCK).tolist()
-                uni_i = 0
-            target = uni_buf[uni_i] * total
-            uni_i += 1
-            j = bisect_left(cum, target)
-            if j == 0:
-                x = prices[0]
-            else:
-                jm = j - 1
-                x = prices[jm] + (target - cum[jm]) * seg[jm]
-            if x <= lo:
-                x = lo_in
-            elif x >= hi:
-                x = hi_in
-            if kind == 2:
-                if restricted and x >= j_hi:
-                    kind = op = 0  # rewritten to a market buy
-                elif restricted and x <= j_lo:
-                    kind = op = DROPPED
+    n = 0
+    for times, kinds, prices in _event_chunks(config, rates):
+        t_col.frombytes(times.tobytes())
+        k_col.frombytes(kinds.tobytes())
+        tp_out, bid_out, ask_out = [], [], []
+        for kind, x in zip(kinds.tolist(), prices.tolist()):
+            if kind == 2 and x < ask:  # a limit buy below the ask rests
+                tp_out.append(nan)
+                c = buys.get(x)
+                if c is None:
+                    buys[x] = 1
+                    push(bh, -x)
+                    if x > bid:
+                        bid = x
                 else:
-                    op = 0 if sh and x >= sh[0] else 2
-            elif restricted and x <= j_lo:
-                kind = op = 1  # rewritten to a market sell
-            elif restricted and x >= j_hi:
-                kind = op = DROPPED
-            else:
-                op = 1 if bh and x <= -bh[0] else 3
-        else:
-            kind = op = 4
-
-        tp = nan
-        if op == 0:
-            if sh:
-                p = sh[0]
-                c = sells[p]
+                    buys[x] = c + 1
+            elif kind == 3 and x > bid:  # a limit sell above the bid rests
+                tp_out.append(nan)
+                c = sells.get(x)
+                if c is None:
+                    sells[x] = 1
+                    push(sh, x)
+                    if x < ask:
+                        ask = x
+                else:
+                    sells[x] = c + 1
+            elif kind == 4:  # the market maker reinforces both quotes
+                tp_out.append(nan)
+                if bh:
+                    buys[bid] += 1
+                if sh:
+                    sells[ask] += 1
+            elif (kind == 0 or kind == 2) and sh:  # a buy lifts the ask
+                tp_out.append(ask)
+                c = sells[ask]
                 if c == 1:
-                    del sells[p]
+                    del sells[ask]
                     pop(sh)
+                    ask = sh[0] if sh else hi
                 else:
-                    sells[p] = c - 1
-                tp = p
-        elif op == 1:
-            if bh:
-                p = -bh[0]
-                c = buys[p]
+                    sells[ask] = c - 1
+            elif (kind == 1 or kind == 3) and bh:  # a sell hits the bid
+                tp_out.append(bid)
+                c = buys[bid]
                 if c == 1:
-                    del buys[p]
+                    del buys[bid]
                     pop(bh)
+                    bid = -bh[0] if bh else lo
                 else:
-                    buys[p] = c - 1
-                tp = p
-        elif op == 2:
-            c = buys.get(x)
-            if c is None:
-                buys[x] = 1
-                push(bh, -x)
-            else:
-                buys[x] = c + 1
-        elif op == 3:
-            c = sells.get(x)
-            if c is None:
-                sells[x] = 1
-                push(sh, x)
-            else:
-                sells[x] = c + 1
-        elif op == 4:
-            if bh:
-                buys[-bh[0]] += 1
-            if sh:
-                sells[sh[0]] += 1
+                    buys[bid] = c - 1
+            else:  # dropped, or a market order against an empty side
+                tp_out.append(nan)
+            bid_out.append(bid)
+            ask_out.append(ask)
+        tp_col.fromlist(tp_out)
+        b_col.fromlist(bid_out)
+        a_col.fromlist(ask_out)
+        n += len(kinds)
+        if n in snap_at:
+            snapshots[n] = book.snapshot()
 
-        t_ap(t)
-        k_ap(kind)
-        tp_ap(tp)
-        b_ap(-bh[0] if bh else lo)
-        a_ap(sh[0] if sh else hi)
-        i += 1
-        if i == next_snap:
-            snapshots[i] = book.snapshot()
-            next_snap = next(snap_iter, -1)
-
+    # free the last chunk before Trajectory reduces the run
+    times = kinds = prices = tp_out = bid_out = ask_out = None
     # the loop mutates the count dicts and heaps only; settle the totals
     book.n_buys, book.n_sells = sum(buys.values()), sum(sells.values())
-    n = i
     times, kinds, tps, bids, asks = (
         np.frombuffer(col, dtype=col.typecode) if n else np.empty(0, dtype=col.typecode)
         for col in columns
@@ -497,9 +523,9 @@ def run(config: SimConfig) -> Trajectory:
     for arr in (times, kinds, tps, bids, asks):
         arr.flags.writeable = False
 
-    end_time = t if config.duration is None else config.duration
-    # free the random blocks (~8 MB of floats) before Trajectory reduces the run
-    del rng, exp_buf, uni_buf
+    end_time = float(times[-1]) if n else 0.0
+    if config.duration is not None:
+        end_time = config.duration
     return Trajectory(config, n, end_time, times, kinds, tps, bids, asks, book, snapshots)
 
 

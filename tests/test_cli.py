@@ -376,8 +376,33 @@ class TestSimulate:
 
         monkeypatch.setattr(cli, "_histogram_columns", exhausted)
         cfg = write_config(tmp_path, self.base())
+        outdir.mkdir()
+        (outdir / "notes.txt").write_text("kept")
         assert main(["simulate", cfg, "--seed", "1", "--out", str(outdir)]) == 2
         assert "out of memory" in capsys.readouterr().err
+        # trajectory.csv and final-book.csv were written before the failure;
+        # neither stays, and the file that was there before does
+        assert [p.name for p in outdir.iterdir()] == ["notes.txt"]
+        assert (outdir / "notes.txt").read_text() == "kept"
+
+    def test_failure_takes_back_every_replica(self, tmp_path, outdir, monkeypatch):
+        calls = []
+        histogram = cli._histogram_columns
+
+        def fails_second_time(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("injected")
+            return histogram(*args)
+
+        monkeypatch.setattr(cli, "_histogram_columns", fails_second_time)
+        cfg = write_config(tmp_path, self.base(replicas=2))
+        with pytest.raises(RuntimeError, match="injected"):
+            main(["simulate", cfg, "--seed", "1", "--out", str(outdir / "nested")])
+        # replica-000 was complete and replica-001 half written: the
+        # directories the command made go too
+        assert not outdir.exists()
+        assert len(calls) == 2
 
     def test_artifacts(self, tmp_path, outdir):
         doc = self.base(snapshot := 200)

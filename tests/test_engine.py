@@ -4,11 +4,12 @@ coupling, summaries, and the trajectory-level diagnostics."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lobmm import (
@@ -231,6 +232,173 @@ class TestRunMatchesReplay:
             initial_sells=tuple(cut + f * (iv.hi - cut) for f in sell_fracs),
         )
         assert_matches_replay(run(cfg))
+
+
+BLOCKS = (2, 3, 7, 64)
+
+
+@pytest.fixture(params=BLOCKS)
+def small_block(request, monkeypatch):
+    """Random blocks of a few draws, so that runs cross block refills all
+    the time; run(), BlockRng and replay() all read engine._BLOCK."""
+    monkeypatch.setattr(engine, "_BLOCK", request.param)
+    return request.param
+
+
+@st.composite
+def sim_configs(draw, max_events=3_000):
+    """A run as TestRunMatchesReplay.test_random_configs draws it: any pair,
+    maker rate, window (volume_share of the way from the walrasian volume
+    to the ceiling) and initial book (buys below, sells above a split)."""
+    pair = PAIRS[draw(st.sampled_from(sorted(PAIRS)))]
+    iv = pair.interval
+    window = None
+    volume_share = draw(st.none() | st.floats(0.05, 0.95))
+    if volume_share is not None:
+        v_w = walras(pair).volume
+        v_max = min(pair.demand.value_at(iv.lo), pair.supply.value_at(iv.hi))
+        v = v_w + volume_share * (v_max - v_w)
+        window = PriceInterval(float(pair.demand.inverse(v)), float(pair.supply.inverse(v)))
+    cut = iv.lo + draw(st.floats(0.2, 0.8)) * iv.length
+    buy_fracs = draw(st.lists(st.floats(0.01, 0.99), max_size=4))
+    sell_fracs = draw(st.lists(st.floats(0.01, 0.99), max_size=4))
+    return SimConfig(
+        pair=pair,
+        rho=draw(st.floats(0.0, 0.8)),
+        events=draw(st.integers(0, max_events)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        restriction=window,
+        initial_buys=tuple(iv.lo + f * (cut - iv.lo) for f in buy_fracs),
+        initial_sells=tuple(cut + f * (iv.hi - cut) for f in sell_fracs),
+    )
+
+
+def boundary_events(config: SimConfig):
+    """Events of ``config`` that sit on a block edge, counted on the slow
+    path: (limit kind draws that are the last uniform of a block, events on
+    which both the exponential and the uniform block refill)."""
+    block = engine._BLOCK
+    rng = BlockRng(generator_for(config.seed, config.replica))
+    rates = RateTable.from_pair(config.pair, config.rho)
+    last_uniform = both = 0
+    for _ in range(config.events):
+        e_i, u_i = rng._exp_i, rng._uni_i
+        _, ev = next_event(rates, config.pair, rng)
+        limit = ev.kind in (EventKind.BUY_LIMIT, EventKind.SELL_LIMIT)
+        last_uniform += limit and u_i == block - 1
+        both += e_i == block and (u_i == block or (limit and u_i == block - 1))
+    return last_uniform, both
+
+
+class LoggedGenerator:
+    """A generator that logs each block draw as (method, size)."""
+
+    def __init__(self, generator, log):
+        self._generator = generator
+        self._log = log
+
+    def standard_exponential(self, size):
+        self._log.append(("standard_exponential", size))
+        return self._generator.standard_exponential(size)
+
+    def random(self, size):
+        self._log.append(("random", size))
+        return self._generator.random(size)
+
+
+class TestBlockBoundaries:
+    """The pre-pass of run() against the slow path across block refills."""
+
+    @staticmethod
+    def configs(events):
+        uniform, floor = PAIRS["uniform"], PAIRS["floor"]
+        window = PriceInterval(0.4, 0.6)
+        return [
+            SimConfig(pair=uniform, events=events, seed=81, rho=0.25),
+            SimConfig(pair=uniform, events=events, seed=82, rho=0.1, restriction=window),
+            SimConfig(pair=floor, events=events, seed=83, rho=0.3),
+            SimConfig(pair=PAIRS["evenodd"], events=events, seed=84),
+            SimConfig(pair=uniform, events=events, seed=85, initial_buys=(0.2, 0.3), initial_sells=(0.9,)),
+        ]
+
+    def test_matches_replay(self, small_block):
+        for cfg in self.configs(2_000):
+            assert_matches_replay(run(cfg))
+
+    @given(cfg=sim_configs())
+    @settings(
+        max_examples=25,
+        deadline=None,
+        # the patched block size is meant to hold for every example
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_random_configs(self, small_block, cfg):
+        assert_matches_replay(run(cfg))
+
+    def test_same_block_draws_as_replay(self, small_block, monkeypatch):
+        log = []
+        real = generator_for
+
+        def logged(seed, replica=0):
+            return LoggedGenerator(real(seed, replica), log)
+
+        monkeypatch.setattr(engine, "generator_for", logged)
+        monkeypatch.setitem(globals(), "generator_for", logged)  # replay()'s
+        last_uniform = both = 0
+        for events in (0, 1, small_block, 2 * small_block + 1, 1_000):
+            for cfg in self.configs(events):
+                log.clear()
+                run(cfg)
+                from_run = list(log)
+                log.clear()
+                replay(cfg)
+                assert from_run == log
+                a, b = boundary_events(cfg)
+                last_uniform += a
+                both += b
+        # the cases do reach both block-edge events the pre-pass must order
+        assert last_uniform >= 1 and both >= 1
+
+    def test_snapshots_and_durations_at_block_edges(self, small_block):
+        edges = sorted({k * small_block + d for k in (1, 2, 5) for d in (-1, 0, 1)})
+        for cfg in self.configs(6 * small_block):
+            times = replay(cfg)[0]
+            traj = run(replace(cfg, snapshot_at=edges))
+            for s in edges:
+                assert traj.snapshots[s].restore() == replay(replace(cfg, events=s))[-1]
+            # horizons on the time of an edge event, and one ulp past it
+            for s in edges:
+                for duration in (times[s - 1], math.nextafter(times[s - 1], math.inf)):
+                    short = run(replace(cfg, events=None, duration=duration))
+                    n = int(np.searchsorted(times, duration, side="right"))
+                    ref = run(replace(cfg, events=n))
+                    assert short.n_events == n and short.end_time == duration
+                    for name in ("times", "kinds", "trade_prices", "bids", "asks"):
+                        np.testing.assert_array_equal(getattr(short, name), getattr(ref, name))
+                    assert short.final_book == ref.final_book
+
+
+class TestPrepassMemory:
+    # peak traced memory of run() beyond its five output columns, with the
+    # post-run reduction stubbed out; measured 6.2 MB at 2**17 and 6.3 MB
+    # at 2**19 events (CPython 3.11, numpy 2.4), plus 25% headroom.  A
+    # pre-pass over the whole horizon at once needs tens of MB more at 2**19.
+    OVERHEAD = 8_000_000
+
+    @pytest.mark.parametrize("events", [1 << 17, 1 << 19])
+    def test_peak_does_not_grow_with_events(self, uniform_pair, events, monkeypatch):
+        monkeypatch.setattr(engine, "_summarize", lambda traj: None)
+        # volume 0.6 on the uniform pair: the book stays small
+        window = PriceInterval(0.4, 0.6)
+        cfg = SimConfig(pair=uniform_pair, events=events, seed=3, restriction=window)
+        tracemalloc.start()
+        try:
+            traj = run(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        columns = (traj.times, traj.kinds, traj.trade_prices, traj.bids, traj.asks)
+        assert peak - sum(col.nbytes for col in columns) < self.OVERHEAD
 
 
 class TestCoupling:
