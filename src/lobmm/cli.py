@@ -342,9 +342,12 @@ class OutputSettings:
         so do the directories that hold them."""
         for path in reversed(self.written):
             try:
-                path.rmdir() if path.is_dir() else path.unlink()
+                if path.is_dir():
+                    path.rmdir()
+                else:
+                    path.unlink()
             except OSError:
-                pass
+                pass  # e.g. a directory that still holds files the command did not write
         self.written.clear()
 
 

@@ -329,7 +329,8 @@ def _event_chunks(config: SimConfig, rates: RateTable):
     the order :func:`next_event` asks for them, and memory stays bounded by
     the block size whatever the horizon.  ``kinds`` are the recorded kinds
     (limit orders already rewritten or dropped by the restriction);
-    ``prices`` holds the limit price of kinds 2 and 3, NaN otherwise.
+    ``prices`` holds the drawn price of every limit order, rewritten or
+    dropped ones included, and NaN for the other kinds.
     """
     pair = config.pair
     lo, hi = pair.interval.lo, pair.interval.hi
@@ -379,7 +380,7 @@ def _event_chunks(config: SimConfig, rates: RateTable):
         # The uniforms read as a variable-length code.  A uniform in
         # [c_sm, c_sl) at an even offset into its run of such uniforms is a
         # limit kind draw, and the uniform after it is its price draw;
-        # every other uniform is a kind draw.  2k uniforms hold k events.
+        # every other uniform is a kind draw.  k events take at most 2k.
         stop = min(block, u_i + 2 * k)
         w = unis[u_i:stop] if carry is None else np.concatenate((carry, unis[:stop]))
         flagged = (w >= c_sm) & (w < c_sl)
@@ -456,6 +457,9 @@ def run(config: SimConfig) -> Trajectory:
         t_col.frombytes(times.tobytes())
         k_col.frombytes(kinds.tobytes())
         tp_out, bid_out, ask_out = [], [], []
+        # an empty side quotes the interval edge and limit prices lie
+        # strictly inside, so a limit buy at or above the ask (a limit sell
+        # at or below the bid) always meets a resting order
         for kind, x in zip(kinds.tolist(), prices.tolist()):
             if kind == 2 and x < ask:  # a limit buy below the ask rests
                 tp_out.append(nan)
