@@ -28,14 +28,12 @@ from .book import (
 )
 from .curves import (
     AssumptionError,
-    AssumptionReport,
     DemandSupplyPair,
     Direction,
     DomainError,
     MonotoneCurve,
     PriceInterval,
     WalrasPoint,
-    check_assumptions,
     walras,
 )
 from .engine import (
@@ -81,7 +79,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssumptionError",
-    "AssumptionReport",
     "BlockRng",
     "BookSnapshot",
     "DemandSupplyPair",
@@ -110,7 +107,6 @@ __all__ = [
     "WalrasPoint",
     "WindowEstimate",
     "WindowReport",
-    "check_assumptions",
     "classify_recurrence",
     "detect_freeze",
     "estimate_window",

@@ -26,7 +26,7 @@ import math
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,6 +69,12 @@ EXIT_ASSUMPTION = 3
 EXIT_TOLERANCE = 4
 
 KIND_TOKENS = ("buy_market", "sell_market", "buy_limit", "sell_limit", "maker", "dropped")
+_BOOK_HEADER = ("side", "price", "count")
+# the columns of freeze's replicas.csv: fields of each replica's TrajectorySummary
+_REPLICA_FIELDS = (
+    "replica", "n_events", "frozen", "freeze_time", "freeze_midpoint",
+    "trade_count", "min_bid", "max_ask", "final_buys", "final_sells",
+)
 
 
 class ConfigError(ValueError):
@@ -77,61 +83,8 @@ class ConfigError(ValueError):
 
 # -- config parsing ----------------------------------------------------------
 
-_MODEL = ("interval", "demand", "supply", "rho")
-_HORIZON = ("events", "duration", "seed")
-
-# command -> block -> the keys that command reads.  Every other key is an
-# error, so a config cannot describe a model the command does not run.  A
-# volume sweep simulates nothing and reads no run block (check_contract).
-READS: Dict[str, Dict[str, Tuple[str, ...]]] = {
-    "theory": {"model": _MODEL, "output": ("directory", "formats")},
-    "simulate": {
-        "model": _MODEL,
-        "run": _HORIZON + ("burn_in", "replicas", "restriction", "map"),
-        "output": ("directory", "histogram_bins", "snapshot_at", "formats"),
-    },
-    "compare": {
-        "model": _MODEL,
-        "run": _HORIZON + ("burn_in", "restriction"),
-        "output": ("directory", "formats"),
-        "compare": ("tolerance_cdf", "tolerance_empty", "grid_size"),
-    },
-    "freeze": {
-        "model": _MODEL,
-        "run": _HORIZON + ("replicas", "workers"),
-        "output": ("directory", "histogram_bins", "formats"),
-        "freeze": ("allow_subcritical", "gambler"),
-    },
-    "sweep": {
-        "model": _MODEL,
-        "run": _HORIZON + ("burn_in",),
-        "output": ("directory",),
-        "sweep": ("rho", "volume"),
-    },
-}
-
-
-def check_contract(doc: Dict[str, Any], command: str) -> None:
-    """Reject every key of ``doc`` that ``command`` does not read."""
-    reads = dict(READS[command])
-    if command == "sweep" and "volume" in doc.get("sweep", {}):
-        del reads["run"]
-    unread = [b for b in doc if b not in reads]
-    unread += [f"{b}.{k}" for b in doc if b in reads for k in doc[b] if k not in reads[b]]
-    if unread:
-        raise ConfigError(f"lobmm {command} does not read config key(s): {', '.join(unread)}")
-
-
-def _check_keys(block: Dict[str, Any], allowed: set, where: str) -> None:
-    unknown = sorted(set(block) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
-
-
-def _require(block: Dict[str, Any], key: str, where: str) -> Any:
-    if key not in block:
-        raise ConfigError(f"missing required key '{key}' in {where}")
-    return block[key]
+# a config value's parser: (value, its dotted key) -> the checked value
+Parser = Callable[[Any, str], Any]
 
 
 def _as_number(value: Any, where: str) -> float:
@@ -160,8 +113,200 @@ def _as_bool(value: Any, where: str) -> bool:
     return value
 
 
-def _nan_if_none(value: Optional[float]) -> float:
-    return math.nan if value is None else value
+def _checked(parse: Parser, ok: Callable[[Any], bool], rule: str) -> Parser:
+    """``parse``, then a ConfigError ``"<key> <rule>"`` unless ``ok(value)``."""
+
+    def parse_checked(value: Any, where: str) -> Any:
+        parsed = parse(value, where)
+        if not ok(parsed):
+            raise ConfigError(f"{where} {rule}")
+        return parsed
+
+    return parse_checked
+
+
+def _int_at_least(least: int, rule: str) -> Parser:
+    return _checked(_as_int, lambda n: n >= least, rule)
+
+
+def _list_of(parse: Parser, what: str) -> Parser:
+    def parse_list(value: Any, where: str) -> tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list of {what}, got {value!r}")
+        return tuple(parse(item, f"{where} entry") for item in value)
+
+    return parse_list
+
+
+def _interval(value: Any, where: str) -> Tuple[float, float]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{where} must be [lo, hi]")
+    return _as_number(value[0], f"{where} lo"), _as_number(value[1], f"{where} hi")
+
+
+def _curve(direction: Direction) -> Parser:
+    def parse_curve(spec: Any, where: str) -> MonotoneCurve:
+        if not isinstance(spec, list) or len(spec) < 2:
+            raise ConfigError(f"{where} must be a list of at least two [price, rate] pairs")
+        prices, rates = [], []
+        for i, item in enumerate(spec):
+            if not isinstance(item, list) or len(item) != 2:
+                raise ConfigError(f"{where}[{i}] must be a [price, rate] pair")
+            prices.append(_as_number(item[0], f"{where}[{i}] price"))
+            rates.append(_as_number(item[1], f"{where}[{i}] rate"))
+        return MonotoneCurve(prices=tuple(prices), rates=tuple(rates), direction=direction)
+
+    return parse_curve
+
+
+def _as_is(value: Any, where: str) -> Any:
+    return value
+
+
+def _formats(value: Any, where: str) -> List[str]:
+    if not isinstance(value, list) or not value or any(f not in ("csv", "json") for f in value):
+        raise ConfigError(f'{where} must be a nonempty subset of ["csv", "json"]')
+    return value
+
+
+_SIMULATING = ("simulate", "compare", "freeze", "sweep")
+_ALL = ("theory",) + _SIMULATING
+
+# a key without a default that must be set: in the model block always, in a
+# nested object (run.map, ...) whenever that object is set
+REQUIRED = object()
+
+# The config contract, one row per key: how its value is parsed and
+# checked, its default (None: unset unless the config or a flag sets it),
+# and the commands that read it.  Every other key, at any depth, is an
+# error, so a config cannot describe a model the command does not run.
+KEYS: Dict[str, Tuple[Parser, Any, Tuple[str, ...]]] = {
+    "model.interval": (_interval, REQUIRED, _ALL),
+    "model.demand": (_curve(Direction.DECREASING), REQUIRED, _ALL),
+    "model.supply": (_curve(Direction.INCREASING), REQUIRED, _ALL),
+    "model.rho": (_checked(_as_number, lambda x: x >= 0.0, "must be nonnegative"), 0.0, _ALL),
+    "run.events": (_as_int, None, _SIMULATING),
+    "run.duration": (_as_number, None, _SIMULATING),
+    "run.seed": (_as_int, None, _SIMULATING),
+    "run.burn_in": (_as_number, 0.5, ("simulate", "compare", "sweep")),
+    "run.replicas": (_int_at_least(1, "must be at least 1"), 1, ("simulate", "freeze")),
+    "run.workers": (
+        _int_at_least(0, "(--workers) must be nonnegative; 0 means one per CPU"),
+        1,
+        ("freeze",),
+    ),
+    "run.restriction": (_as_is, None, ("simulate", "compare")),  # see parse_restriction
+    "run.restriction.volume": (_as_number, REQUIRED, ("simulate", "compare")),
+    "run.map.divisor": (_as_number, REQUIRED, ("simulate",)),
+    "output.directory": (
+        _checked(_as_is, lambda d: isinstance(d, str), "must be a string"),
+        "out",
+        _ALL,
+    ),
+    "output.histogram_bins": (_int_at_least(1, "must be positive"), 100, ("simulate", "freeze")),
+    "output.snapshot_at": (_list_of(_as_int, "event indices"), [], ("simulate",)),
+    "output.formats": (_formats, ["csv", "json"], ("theory", "simulate", "compare", "freeze")),
+    "compare.tolerance_cdf": (_as_number, 0.05, ("compare",)),
+    "compare.tolerance_empty": (_as_number, 0.02, ("compare",)),
+    "compare.grid_size": (_as_int, 4096, ("compare",)),
+    "freeze.allow_subcritical": (_as_bool, False, ("freeze",)),
+    "freeze.gambler.y": (_as_number, REQUIRED, ("freeze",)),
+    "sweep.rho": (_list_of(_as_number, "numbers"), None, ("sweep",)),
+    "sweep.volume": (_list_of(_as_number, "numbers"), None, ("sweep",)),
+}
+
+# command -> the keys it reads.  A volume sweep simulates nothing and reads
+# no run block (check_contract).
+READS: Dict[str, Tuple[str, ...]] = {
+    command: tuple(key for key, (_, _, readers) in KEYS.items() if command in readers)
+    for command in _ALL
+}
+
+# flag -> (the config key it overrides, its type, its help).  Every command
+# takes --seed, so one seed can drive a whole workflow (theory, which
+# simulates nothing, ignores it); any other flag exists only on the
+# commands that read its key.
+FLAGS: Dict[str, Tuple[str, type, str]] = {
+    "--seed": ("run.seed", int, "master seed"),
+    "--out": ("output.directory", str, "output directory"),
+    "--workers": ("run.workers", int, "worker processes"),
+}
+
+_FLAG_DEST = {key: flag[2:] for flag, (key, _, _) in FLAGS.items()}
+_HORIZON = ("run.events", "run.duration", "run.seed")
+
+
+def check_contract(doc: Dict[str, Any], command: str) -> None:
+    """Reject every key of ``doc``, at any depth, that ``command`` does not read."""
+    reads = READS[command]
+    if command == "sweep" and "volume" in doc.get("sweep", {}):
+        reads = tuple(k for k in reads if not k.startswith("run."))
+    unread: List[str] = []
+
+    def visit(node: Dict[str, Any], prefix: str) -> None:
+        for name, value in node.items():
+            key = prefix + name
+            nested = any(k.startswith(key + ".") for k in reads)
+            if "." in name or not (key in reads or nested):
+                unread.append(key)
+            elif nested and isinstance(value, dict):
+                visit(value, key + ".")
+
+    visit(doc, "")
+    if unread:
+        raise ConfigError(f"lobmm {command} does not read config key(s): {', '.join(unread)}")
+
+
+_ABSENT = object()
+
+
+class Config:
+    """What one command reads from the config document and the flags.
+
+    ``get(key)`` hands the command the parsed value of a key it declares in
+    ``READS``: the flag's value when the flag is given, else the config's,
+    else the default (None when there is none).  A config value is checked
+    even where a flag overrides it.  Asking for a key the command does not
+    declare is a programming error and raises KeyError.
+    """
+
+    def __init__(self, doc: Dict[str, Any], command: str, args: Any = None) -> None:
+        self.doc = doc
+        self.command = command
+        self.args = args
+
+    def get(self, key: str) -> Any:
+        if key not in READS[self.command]:
+            raise KeyError(f"lobmm {self.command} does not declare config key {key}")
+        parse, default, _ = KEYS[key]
+        found = self._find(key, default is REQUIRED)
+        value = found if found is _ABSENT else parse(found, key)
+        flag = getattr(self.args, _FLAG_DEST.get(key, ""), None)
+        if flag is not None:
+            return parse(flag, key)
+        if value is not _ABSENT:
+            return value
+        return None if default is None or default is REQUIRED else parse(default, key)
+
+    def _find(self, key: str, required: bool) -> Any:
+        """The document's value at ``key``, or _ABSENT.  A block that is
+        not there reads as empty, a nested object that is not there (or
+        null) as unset."""
+        *path, name = key.split(".")
+        node = self.doc.get(path[0], {})
+        for depth in range(1, len(path)):
+            node = node.get(path[depth])
+            if node is None:
+                return _ABSENT
+            if not isinstance(node, dict):
+                raise ConfigError(f"{'.'.join(path[: depth + 1])} must be an object")
+        if name in node:
+            return node[name]
+        if not required:
+            return _ABSENT
+        if path[0] not in self.doc:
+            raise ConfigError(f"missing required key '{path[0]}' in the config")
+        raise ConfigError(f"missing required key '{name}' in {'.'.join(path)}")
 
 
 def load_config(path: str) -> Dict[str, Any]:
@@ -181,155 +326,80 @@ def load_config(path: str) -> Dict[str, Any]:
     return doc
 
 
-def _parse_curve(spec: Any, direction: Direction, name: str) -> MonotoneCurve:
-    if not isinstance(spec, list) or len(spec) < 2:
-        raise ConfigError(f"model.{name} must be a list of at least two [price, rate] pairs")
-    prices, rates = [], []
-    for i, item in enumerate(spec):
-        if not isinstance(item, list) or len(item) != 2:
-            raise ConfigError(f"model.{name}[{i}] must be a [price, rate] pair")
-        prices.append(_as_number(item[0], f"model.{name}[{i}] price"))
-        rates.append(_as_number(item[1], f"model.{name}[{i}] rate"))
-    return MonotoneCurve(prices=tuple(prices), rates=tuple(rates), direction=direction)
+def _model(cfg: Config) -> Tuple[DemandSupplyPair, float]:
+    lo, hi = cfg.get("model.interval")
+    demand = cfg.get("model.demand")
+    supply = cfg.get("model.supply")
+    if (demand.lo, demand.hi) != (lo, hi) or (supply.lo, supply.hi) != (lo, hi):
+        raise ConfigError("model curves must span exactly model.interval")
+    return DemandSupplyPair(demand, supply), cfg.get("model.rho")
 
 
 def parse_model(doc: Dict[str, Any]) -> Tuple[DemandSupplyPair, float]:
-    block = _require(doc, "model", "the config")
-    interval = _require(block, "interval", "model")
-    if not isinstance(interval, list) or len(interval) != 2:
-        raise ConfigError("model.interval must be [lo, hi]")
-    lo = _as_number(interval[0], "model.interval lo")
-    hi = _as_number(interval[1], "model.interval hi")
-    demand = _parse_curve(_require(block, "demand", "model"), Direction.DECREASING, "demand")
-    supply = _parse_curve(_require(block, "supply", "model"), Direction.INCREASING, "supply")
-    if (demand.lo, demand.hi) != (lo, hi) or (supply.lo, supply.hi) != (lo, hi):
-        raise ConfigError("model curves must span exactly model.interval")
-    rho = _as_number(block.get("rho", 0.0), "model.rho")
-    if rho < 0.0:
-        raise ConfigError("model.rho must be nonnegative")
-    return DemandSupplyPair(demand, supply), rho
+    """The curve pair and maker rate of ``doc``; every command reads its
+    model block the same way."""
+    return _model(Config(doc, "theory"))
 
 
-def parse_restriction(value: Any, pair: DemandSupplyPair) -> Tuple[PriceInterval, Optional[float]]:
-    """Window plus, when derivable, the volume it restricts to.
+def parse_restriction(
+    cfg: Config, pair: DemandSupplyPair
+) -> Tuple[Optional[PriceInterval], Optional[float]]:
+    """The run's window (None: unrestricted) plus, when derivable, the
+    volume it restricts to.
 
     A ``{"volume": v}`` spec maps through the curve inverses; an explicit
     ``[lo, hi]`` must name a level window (demand at lo matching supply
     at hi), since the analytic layer is parameterized by volume.
     """
-    if isinstance(value, dict):
-        _check_keys(value, {"volume"}, "run.restriction")
-        v = _as_number(_require(value, "volume", "run.restriction"), "run.restriction.volume")
+    spec = cfg.get("run.restriction")
+    if spec is None:
+        return None, None
+    if isinstance(spec, dict):
+        v = cfg.get("run.restriction.volume")
         lo = float(pair.demand.inverse(v))
         hi = float(pair.supply.inverse(v))
         if not lo < hi:
-            raise ConfigError(
-                f"restriction volume {v} gives an empty window [{lo}, {hi}]"
-            )
+            raise ConfigError(f"restriction volume {v} gives an empty window [{lo}, {hi}]")
         return PriceInterval(lo, hi), v
-    if isinstance(value, list) and len(value) == 2:
-        lo = _as_number(value[0], "run.restriction lo")
-        hi = _as_number(value[1], "run.restriction hi")
-        if not lo < hi:
-            raise ConfigError("run.restriction must satisfy lo < hi")
-        window = PriceInterval(lo, hi)
-        v_lo = float(pair.demand.value_at(lo))
-        v_hi = float(pair.supply.value_at(hi))
-        if abs(v_lo - v_hi) <= 1e-9 * max(1.0, abs(v_lo), abs(v_hi)):
-            return window, 0.5 * (v_lo + v_hi)
-        return window, None
-    raise ConfigError("run.restriction must be [lo, hi] or {\"volume\": v}")
+    if not isinstance(spec, list) or len(spec) != 2:
+        raise ConfigError('run.restriction must be [lo, hi] or {"volume": v}')
+    lo, hi = _interval(spec, "run.restriction")
+    if not lo < hi:
+        raise ConfigError("run.restriction must satisfy lo < hi")
+    v_lo = float(pair.demand.value_at(lo))
+    v_hi = float(pair.supply.value_at(hi))
+    if abs(v_lo - v_hi) <= 1e-9 * max(1.0, abs(v_lo), abs(v_hi)):
+        return PriceInterval(lo, hi), 0.5 * (v_lo + v_hi)
+    return PriceInterval(lo, hi), None
 
 
-class RunSettings:
-    """The run block with flag overrides folded in."""
-
-    def __init__(self, doc: Dict[str, Any], pair: DemandSupplyPair, args) -> None:
-        block = doc.get("run", {})
-        self.events: Optional[int] = None
-        self.duration: Optional[float] = None
-        if "events" in block:
-            self.events = _as_int(block["events"], "run.events")
-        if "duration" in block:
-            self.duration = _as_number(block["duration"], "run.duration")
-        if self.events is not None and self.duration is not None:
-            raise ConfigError("run block sets both events and duration")
-        self.seed: Optional[int] = None
-        if "seed" in block:
-            self.seed = _as_int(block["seed"], "run.seed")
-        if getattr(args, "seed", None) is not None:
-            self.seed = args.seed
-        self.replicas = _as_int(block.get("replicas", 1), "run.replicas")
-        if self.replicas < 1:
-            raise ConfigError("run.replicas must be at least 1")
-        self.burn_in = _as_number(block.get("burn_in", 0.5), "run.burn_in")
-        self.workers = _as_int(block.get("workers", 1), "run.workers")
-        if getattr(args, "workers", None) is not None:
-            self.workers = args.workers
-        if self.workers < 0:
-            raise ConfigError("run.workers (--workers) must be nonnegative; 0 means one per CPU")
-        self.window: Optional[PriceInterval] = None
-        self.volume: Optional[float] = None
-        if block.get("restriction") is not None:
-            self.window, self.volume = parse_restriction(block["restriction"], pair)
-        self.map: Optional[DiscreteMap] = None
-        if block.get("map") is not None:
-            mblock = block["map"]
-            if not isinstance(mblock, dict):
-                raise ConfigError("run.map must be an object")
-            _check_keys(mblock, {"divisor"}, "run.map")
-            divisor = _as_number(_require(mblock, "divisor", "run.map"), "run.map.divisor")
-            self.map = DiscreteMap.ceil_div(divisor)
-
-    def sim_config(self, pair: DemandSupplyPair, rho: float, **extra) -> SimConfig:
-        """The run this block describes, at maker rate ``rho``; ``extra``
-        sets the remaining :class:`SimConfig` fields."""
-        if self.events is None and self.duration is None:
-            raise ConfigError("run block must set events or duration")
-        if self.seed is None:
-            raise ConfigError("a seed is required: set run.seed or pass --seed")
-        return SimConfig(
-            pair=pair,
-            rho=rho,
-            events=self.events,
-            duration=self.duration,
-            seed=self.seed,
-            restriction=self.window,
-            burn_in=self.burn_in,
-            **extra,
-        )
+def sim_config(cfg: Config, pair: DemandSupplyPair, rho: float, **extra) -> SimConfig:
+    """The run the config's horizon and seed describe, at maker rate
+    ``rho``; ``extra`` sets the remaining :class:`SimConfig` fields."""
+    events, duration, seed = map(cfg.get, _HORIZON)
+    if events is not None and duration is not None:
+        raise ConfigError("run block sets both events and duration")
+    if events is None and duration is None:
+        raise ConfigError("run block must set events or duration")
+    if seed is None:
+        raise ConfigError("a seed is required: set run.seed or pass --seed")
+    return SimConfig(pair=pair, rho=rho, events=events, duration=duration, seed=seed, **extra)
 
 
 class OutputSettings:
-    def __init__(self, doc: Dict[str, Any], args) -> None:
-        block = doc.get("output", {})
-        directory = block.get("directory", "out")
-        if not isinstance(directory, str):
-            raise ConfigError("output.directory must be a string")
-        if getattr(args, "out", None) is not None:
-            directory = args.out
-        self.directory = Path(directory)
-        self.histogram_bins = _as_int(block.get("histogram_bins", 100), "output.histogram_bins")
-        if self.histogram_bins < 1:
-            raise ConfigError("output.histogram_bins must be positive")
-        snap = block.get("snapshot_at", [])
-        if not isinstance(snap, list):
-            raise ConfigError("output.snapshot_at must be a list of event indices")
-        self.snapshot_at = tuple(_as_int(k, "output.snapshot_at entry") for k in snap)
-        formats = block.get("formats", ["csv", "json"])
-        if (
-            not isinstance(formats, list)
-            or not formats
-            or any(f not in ("csv", "json") for f in formats)
-        ):
-            raise ConfigError('output.formats must be a nonempty subset of ["csv", "json"]')
-        self.formats = frozenset(formats)
+    """The output directory, and what a command wrote there."""
+
+    def __init__(self, directory: Path) -> None:
+        self.directory = directory
         # the files the command opened for writing and the directories it
         # made, in that order; main() removes them when the command fails
         self.written: List[Path] = []
 
-    def wants(self, fmt: str) -> bool:
-        return fmt in self.formats
+    def csv(self, path: Path, header: Sequence[str], columns: Sequence[Sequence[Any]]) -> None:
+        write_csv(path, header, columns, self.written)
+
+    def json(self, path: Path, payload: Dict[str, Any]) -> None:
+        write_json(path, payload, self.written)
 
     def make_dir(self, path: Path) -> None:
         made = [p for p in (path, *path.parents) if not p.exists()]
@@ -447,6 +517,11 @@ def _columns(rows: Sequence[Sequence[Any]], width: int) -> List[Sequence[Any]]:
     return list(zip(*rows)) if rows else [()] * width
 
 
+def _cell(value: Any) -> Any:
+    """A record field as a CSV cell: a flag as 0/1, None as NaN (an empty field)."""
+    return int(value) if isinstance(value, bool) else math.nan if value is None else value
+
+
 def _histogram_columns(book: OrderBook, interval: PriceInterval, bins: int):
     edges = np.linspace(interval.lo, interval.hi, bins + 1)
     bp = np.fromiter(book.buy_counts.keys(), dtype=float, count=len(book.buy_counts))
@@ -479,8 +554,9 @@ def _window_payload(rep) -> Dict[str, Any]:
     }
 
 
-def cmd_theory(doc: Dict[str, Any], args, out: OutputSettings) -> int:
-    pair, rho = parse_model(doc)
+def cmd_theory(cfg: Config, out: OutputSettings) -> int:
+    pair, rho = _model(cfg)
+    formats = cfg.get("output.formats")
     out.make_dir(out.directory)
     rep = v_l(pair, rho)
     payload = {"command": "theory"}
@@ -500,22 +576,20 @@ def cmd_theory(doc: Dict[str, Any], args, out: OutputSettings) -> int:
             payload["freeze_support"] = None
             notes.append(str(exc))
     else:
-        if out.wants("csv"):
+        if "csv" in formats:
             table = PhiTable.build(pair, rho)
-            write_csv(
+            out.csv(
                 out.directory / "phi.csv",
                 ("volume", "phi", "error_estimate"),
                 (table.volumes, table.values, table.errors),
-                out.written,
             )
-        if rep.window is not None and out.wants("csv"):
+        if rep.window is not None and "csv" in formats:
             try:
                 sol = solve_luckock(pair, rho, rep.window)
-                write_csv(
+                out.csv(
                     out.directory / "quotes.csv",
                     ("price", "bid_cdf", "ask_survival"),
                     (sol.grid, sol.f_minus, sol.f_plus),
-                    out.written,
                 )
                 payload["quote_law"] = {
                     "empty_buy_prob": sol.f_minus_lo,
@@ -527,13 +601,13 @@ def cmd_theory(doc: Dict[str, Any], args, out: OutputSettings) -> int:
                 notes.append(str(exc))
     if notes:
         payload["notes"] = notes
-    if out.wants("json"):
-        write_json(out.directory / "window.json", payload, out.written)
+    if "json" in formats:
+        out.json(out.directory / "window.json", payload)
     return EXIT_OK
 
 
 def _summary_payload(traj: Trajectory) -> Dict[str, Any]:
-    st = traj.summary
+    st, window = traj.summary, traj.config.restriction
     return {
         "command": "simulate",
         "seed": traj.config.seed,
@@ -542,11 +616,7 @@ def _summary_payload(traj: Trajectory) -> Dict[str, Any]:
         "n_events": traj.n_events,
         "end_time": traj.end_time,
         "burn_in": traj.config.burn_in,
-        "restriction": (
-            [traj.config.restriction.lo, traj.config.restriction.hi]
-            if traj.config.restriction is not None
-            else None
-        ),
+        "restriction": [window.lo, window.hi] if window is not None else None,
         "trade_count": st.trade_count,
         "final_buys": st.final_buys,
         "final_sells": st.final_sells,
@@ -568,17 +638,23 @@ def _summary_payload(traj: Trajectory) -> Dict[str, Any]:
     }
 
 
-def cmd_simulate(doc: Dict[str, Any], args, out: OutputSettings) -> int:
-    pair, rho = parse_model(doc)
-    settings = RunSettings(doc, pair, args)
-    base = settings.sim_config(pair, rho, snapshot_at=out.snapshot_at)
+def cmd_simulate(cfg: Config, out: OutputSettings) -> int:
+    pair, rho = _model(cfg)
+    window, _ = parse_restriction(cfg, pair)
+    burn_in, snapshot_at = cfg.get("run.burn_in"), cfg.get("output.snapshot_at")
+    base = sim_config(cfg, pair, rho, restriction=window, burn_in=burn_in, snapshot_at=snapshot_at)
+    replicas = cfg.get("run.replicas")
+    divisor = cfg.get("run.map.divisor")
+    image_map = None if divisor is None else DiscreteMap.ceil_div(divisor)
+    bins = cfg.get("output.histogram_bins")
+    formats = cfg.get("output.formats")
 
-    for r in range(settings.replicas):
+    for r in range(replicas):
         traj = run(replace(base, replica=r))
-        rdir = out.directory / f"replica-{r:03d}" if settings.replicas > 1 else out.directory
+        rdir = out.directory / f"replica-{r:03d}" if replicas > 1 else out.directory
         out.make_dir(rdir)
-        if out.wants("csv"):
-            write_csv(
+        if "csv" in formats:
+            out.csv(
                 rdir / "trajectory.csv",
                 ("event_index", "time", "kind", "trade_price", "bid", "ask"),
                 (
@@ -589,70 +665,56 @@ def cmd_simulate(doc: Dict[str, Any], args, out: OutputSettings) -> int:
                     traj.bids,
                     traj.asks,
                 ),
-                out.written,
             )
-            write_csv(
-                rdir / "final-book.csv",
-                ("side", "price", "count"),
-                _columns(traj.final_book.snapshot().rows(), 3),
-                out.written,
-            )
-            write_csv(
+            final = traj.final_book.snapshot()
+            out.csv(rdir / "final-book.csv", _BOOK_HEADER, _columns(final.rows(), 3))
+            out.csv(
                 rdir / "histogram.csv",
                 ("bin_lo", "bin_hi", "buy_count", "sell_count"),
-                _histogram_columns(traj.final_book, pair.interval, out.histogram_bins),
-                out.written,
+                _histogram_columns(traj.final_book, pair.interval, bins),
             )
             for idx, snap in sorted(traj.snapshots.items()):
-                write_csv(
-                    rdir / f"snapshot-{idx}.csv",
-                    ("side", "price", "count"),
-                    _columns(snap.rows(), 3),
-                    out.written,
-                )
-            if settings.map is not None:
-                write_csv(
-                    rdir / "image-book.csv",
-                    ("side", "price", "count"),
-                    _columns(image_book(traj.final_book, settings.map).snapshot().rows(), 3),
-                    out.written,
-                )
-        if out.wants("json"):
-            write_json(rdir / "summary.json", _summary_payload(traj), out.written)
+                out.csv(rdir / f"snapshot-{idx}.csv", _BOOK_HEADER, _columns(snap.rows(), 3))
+            if image_map is not None:
+                image = image_book(traj.final_book, image_map).snapshot()
+                out.csv(rdir / "image-book.csv", _BOOK_HEADER, _columns(image.rows(), 3))
+        if "json" in formats:
+            out.json(rdir / "summary.json", _summary_payload(traj))
     return EXIT_OK
 
 
-def cmd_compare(doc: Dict[str, Any], args, out: OutputSettings) -> int:
-    pair, rho = parse_model(doc)
-    settings = RunSettings(doc, pair, args)
-    cfg = settings.sim_config(pair, rho)
-    block = doc.get("compare", {})
-    tol_cdf = _as_number(block.get("tolerance_cdf", 0.05), "compare.tolerance_cdf")
-    tol_empty = _as_number(block.get("tolerance_empty", 0.02), "compare.tolerance_empty")
-    grid_size = _as_int(block.get("grid_size", 4096), "compare.grid_size")
+def cmd_compare(cfg: Config, out: OutputSettings) -> int:
+    pair, rho = _model(cfg)
+    window, volume = parse_restriction(cfg, pair)
+    burn_in = cfg.get("run.burn_in")
+    base = sim_config(cfg, pair, rho, restriction=window, burn_in=burn_in)
+    tol_cdf = cfg.get("compare.tolerance_cdf")
+    tol_empty = cfg.get("compare.tolerance_empty")
+    grid_size = cfg.get("compare.grid_size")
+    formats = cfg.get("output.formats")
 
-    if settings.window is None:
+    if window is None:
         raise ConfigError("compare requires run.restriction")
-    if settings.volume is None:
+    if volume is None:
         raise ConfigError(
             "compare requires a level window: demand at the left edge must "
             "match supply at the right edge (or use {\"volume\": v})"
         )
-    klass = classify_recurrence(pair, rho, settings.volume)
+    klass = classify_recurrence(pair, rho, volume)
     if klass is not Recurrence.POSITIVE_RECURRENT:
-        value = phi(pair, rho, settings.volume)
+        value = phi(pair, rho, volume)
         thr = 1.0 / walras(pair).volume ** 2
         print(
             "compare refused: the restricted model on "
-            f"[{settings.window.lo}, {settings.window.hi}] is {klass.value}; "
+            f"[{window.lo}, {window.hi}] is {klass.value}; "
             f"a stationary law needs the window functional {value:.6g} to stay "
             f"below the recurrence threshold {thr:.6g}",
             file=sys.stderr,
         )
         return EXIT_CONFIG
 
-    sol = solve_luckock(pair, rho, settings.window, grid_size=grid_size)
-    traj = run(cfg)
+    sol = solve_luckock(pair, rho, window, grid_size=grid_size)
+    traj = run(base)
     s = traj.summary
     grid, bid_cdf, ask_survival = quote_cdfs(traj)
     theory_bid = np.interp(grid, sol.grid, sol.f_minus)
@@ -669,31 +731,24 @@ def cmd_compare(doc: Dict[str, Any], args, out: OutputSettings) -> int:
     )
 
     out.make_dir(out.directory)
-    if out.wants("csv"):
-        write_csv(
+    if "csv" in formats:
+        out.csv(
             out.directory / "curves.csv",
-            (
-                "price",
-                "bid_cdf_sim",
-                "bid_cdf_theory",
-                "ask_survival_sim",
-                "ask_survival_theory",
-            ),
+            ("price", "bid_cdf_sim", "bid_cdf_theory", "ask_survival_sim", "ask_survival_theory"),
             (grid, bid_cdf, theory_bid, ask_survival, theory_ask),
-            out.written,
         )
-    if out.wants("json"):
-        write_json(
+    if "json" in formats:
+        out.json(
             out.directory / "report.json",
             {
                 "command": "compare",
-                "seed": cfg.seed,
+                "seed": base.seed,
                 "rho": rho,
-                "window": [settings.window.lo, settings.window.hi],
-                "volume": settings.volume,
+                "window": [window.lo, window.hi],
+                "volume": volume,
                 "recurrence": klass.value,
                 "n_events": traj.n_events,
-                "burn_in": settings.burn_in,
+                "burn_in": burn_in,
                 "sup_distance_bid": sup_bid,
                 "sup_distance_ask": sup_ask,
                 "empty_buy_sim": s.empty_buy_prob,
@@ -706,7 +761,6 @@ def cmd_compare(doc: Dict[str, Any], args, out: OutputSettings) -> int:
                 "tolerance_empty": tol_empty,
                 "passed": passed,
             },
-            out.written,
         )
     if not passed:
         print(
@@ -719,14 +773,14 @@ def cmd_compare(doc: Dict[str, Any], args, out: OutputSettings) -> int:
     return EXIT_OK
 
 
-def cmd_freeze(doc: Dict[str, Any], args, out: OutputSettings) -> int:
-    pair, rho = parse_model(doc)
-    settings = RunSettings(doc, pair, args)
-    base = settings.sim_config(pair, rho)
-    block = doc.get("freeze", {})
-    allow_subcritical = _as_bool(
-        block.get("allow_subcritical", False), "freeze.allow_subcritical"
-    )
+def cmd_freeze(cfg: Config, out: OutputSettings) -> int:
+    pair, rho = _model(cfg)
+    base = sim_config(cfg, pair, rho)
+    replicas = cfg.get("run.replicas")
+    workers = cfg.get("run.workers")
+    bins = cfg.get("output.histogram_bins")
+    formats = cfg.get("output.formats")
+    allow_subcritical = cfg.get("freeze.allow_subcritical")
 
     v_w = walras(pair).volume
     if rho < v_w and not allow_subcritical:
@@ -734,16 +788,11 @@ def cmd_freeze(doc: Dict[str, Any], args, out: OutputSettings) -> int:
             f"freeze expects rho >= the walrasian volume ({v_w:.6g}); got "
             f"rho={rho}. Set freeze.allow_subcritical for a contrast run."
         )
-    y: Optional[float] = None
-    gblock = block.get("gambler")
-    if gblock is not None:
-        if not isinstance(gblock, dict):
-            raise ConfigError("freeze.gambler must be an object")
-        _check_keys(gblock, {"y"}, "freeze.gambler")
-        y = _as_number(_require(gblock, "y", "freeze.gambler"), "freeze.gambler.y")
+    y = cfg.get("freeze.gambler.y")
+    if y is not None:
         bound = gambler_bound(pair, rho, y)
 
-    stats = run_ensemble(base, replicas=settings.replicas, workers=settings.workers)
+    stats = run_ensemble(base, replicas=replicas, workers=workers)
     frozen = [s for s in stats if s.frozen]
     midpoints = np.array([s.freeze_midpoint for s in frozen])
 
@@ -755,54 +804,21 @@ def cmd_freeze(doc: Dict[str, Any], args, out: OutputSettings) -> int:
         pass  # subcritical contrast run, or flat curve segments
 
     out.make_dir(out.directory)
-    if out.wants("csv"):
-        write_csv(
-            out.directory / "replicas.csv",
-            (
-                "replica",
-                "n_events",
-                "frozen",
-                "freeze_time",
-                "freeze_midpoint",
-                "trade_count",
-                "min_bid",
-                "max_ask",
-                "final_buys",
-                "final_sells",
-            ),
-            _columns(
-                [
-                    (
-                        s.replica,
-                        s.n_events,
-                        int(s.frozen),
-                        _nan_if_none(s.freeze_time),
-                        _nan_if_none(s.freeze_midpoint),
-                        s.trade_count,
-                        s.min_bid,
-                        s.max_ask,
-                        s.final_buys,
-                        s.final_sells,
-                    )
-                    for s in stats
-                ],
-                10,
-            ),
-            out.written,
-        )
-        edges = np.linspace(pair.interval.lo, pair.interval.hi, out.histogram_bins + 1)
+    if "csv" in formats:
+        columns = [[_cell(getattr(s, f)) for s in stats] for f in _REPLICA_FIELDS]
+        out.csv(out.directory / "replicas.csv", _REPLICA_FIELDS, columns)
+        edges = np.linspace(pair.interval.lo, pair.interval.hi, bins + 1)
         counts, _ = np.histogram(midpoints, bins=edges)
-        write_csv(
+        out.csv(
             out.directory / "midpoint-histogram.csv",
             ("bin_lo", "bin_hi", "count"),
             (edges[:-1], edges[1:], counts),
-            out.written,
         )
     payload = {
         "command": "freeze",
         "seed": base.seed,
         "rho": rho,
-        "replicas": settings.replicas,
+        "replicas": replicas,
         "fraction_frozen": len(frozen) / len(stats),
         "midpoint_mean": float(midpoints.mean()) if len(frozen) else None,
         "midpoint_std": float(midpoints.std()) if len(frozen) else None,
@@ -812,11 +828,7 @@ def cmd_freeze(doc: Dict[str, Any], args, out: OutputSettings) -> int:
     }
 
     if y is not None:
-        gstats = run_ensemble(
-            replace(base, initial_buys=(y,)),
-            replicas=settings.replicas,
-            workers=settings.workers,
-        )
+        gstats = run_ensemble(replace(base, initial_buys=(y,)), replicas=replicas, workers=workers)
         held = sum(1 for s in gstats if s.min_bid >= y)
         payload["gambler"] = {
             "y": y,
@@ -824,66 +836,52 @@ def cmd_freeze(doc: Dict[str, Any], args, out: OutputSettings) -> int:
             "empirical_fraction": held / len(gstats),
             "replicas": len(gstats),
         }
-    if out.wants("json"):
-        write_json(out.directory / "ensemble.json", payload, out.written)
+    if "json" in formats:
+        out.json(out.directory / "ensemble.json", payload)
     return EXIT_OK
 
 
-def cmd_sweep(doc: Dict[str, Any], args, out: OutputSettings) -> int:
-    pair, rho_model = parse_model(doc)
-    settings = RunSettings(doc, pair, args)
-    block = doc.get("sweep")
-    if block is None:
-        raise ConfigError("sweep requires a sweep block")
-    if ("rho" in block) == ("volume" in block):
+def cmd_sweep(cfg: Config, out: OutputSettings) -> int:
+    pair, rho_model = _model(cfg)
+    rhos = cfg.get("sweep.rho")
+    volumes = cfg.get("sweep.volume")
+    if (rhos is None) == (volumes is None):
         raise ConfigError("sweep block must set exactly one of rho and volume")
 
-    out.make_dir(out.directory)
-    simulate = settings.seed is not None and (
-        settings.events is not None or settings.duration is not None
-    )
-
-    if "rho" in block:
-        rhos = [_as_number(v, "sweep.rho entry") for v in block["rho"]]
-        header = [
-            "rho",
-            "v_w",
-            "v_l",
-            "x_minus",
-            "x_plus",
-            "window_length",
-            "degenerate",
-            "boundary",
+    if volumes is not None:
+        rows = [
+            [v, value, "out_of_domain" if klass is None else klass.value]
+            for v, (value, klass) in zip(volumes, recurrence_sweep(pair, rho_model, volumes))
         ]
-        if simulate:
-            header += ["est_lo", "est_hi", "sim_frozen"]
-        rows = []
-        for r in rhos:
-            rep = v_l(pair, r)
-            row = [
-                r,
-                rep.v_w,
-                rep.v_l,
-                rep.window.lo if rep.window is not None else math.nan,
-                rep.window.hi if rep.window is not None else math.nan,
-                rep.window_length,
-                int(rep.degenerate),
-                int(rep.boundary),
-            ]
-            if simulate:
-                st = run(settings.sim_config(pair, r)).summary
-                row += [_nan_if_none(st.window_lo), _nan_if_none(st.window_hi), int(st.frozen)]
-            rows.append(row)
-        write_csv(out.directory / "sweep.csv", header, _columns(rows, len(header)), out.written)
+        out.make_dir(out.directory)
+        out.csv(out.directory / "sweep.csv", ("volume", "phi", "recurrence"), _columns(rows, 3))
         return EXIT_OK
 
-    volumes = [_as_number(v, "sweep.volume entry") for v in block["volume"]]
-    rows = [
-        [v, value, "out_of_domain" if klass is None else klass.value]
-        for v, (value, klass) in zip(volumes, recurrence_sweep(pair, rho_model, volumes))
-    ]
-    header = ("volume", "phi", "recurrence")
-    write_csv(out.directory / "sweep.csv", header, _columns(rows, 3), out.written)
+    # a rho sweep with a run block simulates at each rate too
+    simulate = "run" in cfg.doc
+    base = sim_config(cfg, pair, rho_model, burn_in=cfg.get("run.burn_in")) if simulate else None
+    header = ["rho", "v_w", "v_l", "x_minus", "x_plus", "window_length", "degenerate", "boundary"]
+    if simulate:
+        header += ["est_lo", "est_hi", "sim_frozen"]
+    rows = []
+    for r in rhos:
+        rep = v_l(pair, r)
+        row = [
+            r,
+            rep.v_w,
+            rep.v_l,
+            rep.window.lo if rep.window is not None else math.nan,
+            rep.window.hi if rep.window is not None else math.nan,
+            rep.window_length,
+            int(rep.degenerate),
+            int(rep.boundary),
+        ]
+        if simulate:
+            st = run(replace(base, rho=r)).summary
+            row += [_cell(st.window_lo), _cell(st.window_hi), _cell(st.frozen)]
+        rows.append(row)
+    out.make_dir(out.directory)
+    out.csv(out.directory / "sweep.csv", header, _columns(rows, len(header)))
     return EXIT_OK
 
 
@@ -907,16 +905,15 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         p.add_argument("config", help="path to the JSON config document")
-        p.add_argument(
-            "--seed",
-            type=int,
-            required=seed_required,
-            help="master seed (overrides run.seed)"
-            + ("; required" if seed_required else ""),
-        )
-        p.add_argument("--out", help="output directory (overrides output.directory)")
-        if "workers" in READS[name].get("run", ()):
-            p.add_argument("--workers", type=int, help="worker processes (overrides run.workers)")
+        for flag, (key, kind, flag_help) in FLAGS.items():
+            if flag == "--seed" or key in READS[name]:
+                required = flag == "--seed" and seed_required
+                p.add_argument(
+                    flag,
+                    type=kind,
+                    required=required,
+                    help=f"{flag_help} (overrides {key})" + ("; required" if required else ""),
+                )
     return parser
 
 
@@ -930,8 +927,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         doc = load_config(args.config)
         check_contract(doc, args.command)
-        out = OutputSettings(doc, args)
-        code = args.handler(doc, args, out)
+        cfg = Config(doc, args.command, args)
+        out = OutputSettings(Path(cfg.get("output.directory")))
+        code = args.handler(cfg, out)
         finished = code in (EXIT_OK, EXIT_TOLERANCE)
         return code
     except AssumptionError as exc:

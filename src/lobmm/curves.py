@@ -16,20 +16,18 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
-from typing import Tuple, Union
+from typing import Callable, Tuple, Union
 
 import numpy as np
 
 __all__ = [
     "AssumptionError",
-    "AssumptionReport",
     "DemandSupplyPair",
     "Direction",
     "DomainError",
     "MonotoneCurve",
     "PriceInterval",
     "WalrasPoint",
-    "check_assumptions",
     "require_core_assumptions",
     "walras",
 ]
@@ -359,6 +357,35 @@ class WalrasPoint:
     x_hi: float
 
 
+# halvings a bisection may take.  A finite bracket is narrower than 2**1025
+# and no caller stops below a width of 1e-15 (about 2**-50), so a caller
+# that meets its stopping rule does so within 1075 halvings; one that has
+# not by then never will (a NaN, or a width below float spacing).
+_BISECT_CAP = 1100
+
+
+def _bisect(
+    goes_right: Callable[[float], bool],
+    a: float,
+    b: float,
+    too_wide: Callable[[float, float], bool],
+) -> Tuple[float, float]:
+    """Halve the bracket [a, b] while ``too_wide(a, b)``: the midpoint m
+    replaces a when ``goes_right(m)``, else b.  Returns the final bracket.
+    Raises RuntimeError rather than take more than ``_BISECT_CAP`` halvings."""
+    halvings = 0
+    while too_wide(a, b):
+        if halvings == _BISECT_CAP:
+            raise RuntimeError(f"bisection still at [{a}, {b}] after {_BISECT_CAP} halvings")
+        halvings += 1
+        m = 0.5 * (a + b)
+        if goes_right(m):
+            a = m
+        else:
+            b = m
+    return a, b
+
+
 def walras(pair: DemandSupplyPair) -> WalrasPoint:
     """Walrasian point of the pair: price and volume where the curves cross.
 
@@ -378,13 +405,12 @@ def walras(pair: DemandSupplyPair) -> WalrasPoint:
     elif g_hi <= 0.0:
         volume = min(demand.value_at(hi), supply.value_at(hi))
     else:
-        a, b = lo, hi
-        while b - a > 1e-12 * max(1.0, abs(a), abs(b)):
-            m = 0.5 * (a + b)
-            if supply.value_at(m) - demand.value_at(m) < 0.0:
-                a = m
-            else:
-                b = m
+        a, b = _bisect(
+            lambda m: supply.value_at(m) - demand.value_at(m) < 0.0,
+            lo,
+            hi,
+            lambda a, b: b - a > 1e-12 * max(1.0, abs(a), abs(b)),
+        )
         m = 0.5 * (a + b)
         volume = min(demand.value_at(m), supply.value_at(m))
     x_left = supply.inverse(min(volume, supply.max_rate))
@@ -399,58 +425,6 @@ def require_core_assumptions(pair: DemandSupplyPair) -> None:
     bad = _a4_violation(pair.demand, pair.supply)
     if bad is not None:
         raise AssumptionError("(A4)", f"curve not positive on the open interval near x={bad}")
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Which structural assumptions a curve pair satisfies.
-
-    a1: monotone directions; a3: supply minus demand strictly increasing;
-    a4: positivity on the open interval; a5: walrasian volume below the
-    volume ceiling min(demand(lo), supply(hi)); a6: strict monotonicity of
-    each curve on every segment.  (A2), continuity, holds by construction:
-    the curves are piecewise-linear interpolants.
-    """
-
-    a1: bool
-    a3: bool
-    a4: bool
-    a5: bool
-    a6: bool
-    failures: Tuple[str, ...]
-    v_w: float
-    v_max: float
-
-
-def check_assumptions(pair: DemandSupplyPair) -> AssumptionReport:
-    """Evaluate assumptions (A1)-(A6) on the pair and report the failures."""
-    demand, supply = pair.demand, pair.supply
-    failures = []
-    a1 = (
-        demand.direction is Direction.DECREASING
-        and supply.direction is Direction.INCREASING
-    )
-    if not a1:
-        failures.append("(A1) monotone directions")
-    a3 = _a3_violation(demand, supply) is None
-    if not a3:
-        failures.append("(A3) supply minus demand strictly increasing")
-    a4 = _a4_violation(demand, supply) is None
-    if not a4:
-        failures.append("(A4) positivity on the open interval")
-    v_max = min(demand.value_at(demand.lo), supply.value_at(supply.hi))
-    if a1 and a3 and a4:
-        v_w = walras(pair).volume
-        a5 = v_w < v_max
-    else:
-        v_w = math.nan
-        a5 = False
-    if not a5:
-        failures.append("(A5) walrasian volume below the volume ceiling")
-    a6 = _strictly_monotone(demand) and _strictly_monotone(supply)
-    if not a6:
-        failures.append("(A6) strict monotonicity")
-    return AssumptionReport(a1, a3, a4, a5, a6, tuple(failures), v_w, v_max)
 
 
 def _strictly_monotone(curve: MonotoneCurve) -> bool:

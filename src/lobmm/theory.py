@@ -53,7 +53,8 @@ from .curves import (
     MonotoneCurve,
     PriceInterval,
     WalrasPoint,
-    check_assumptions,
+    _bisect,
+    _strictly_monotone,
     walras,
 )
 
@@ -144,15 +145,10 @@ def _effective_ceiling(pair: DemandSupplyPair, rho: float, v_w: float) -> float:
     v_max = _v_ceiling(pair)
     if min(*_edge_gap(pair, rho, v_max)) > 0.0:
         return v_max
-    a, b = v_w, v_max
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        if min(*_edge_gap(pair, rho, m)) > 0.0:
-            a = m
-        else:
-            b = m
-        if b - a <= 1e-15 * max(1.0, v_max):
-            break
+    tol = 1e-15 * max(1.0, v_max)
+    a, _ = _bisect(
+        lambda m: min(*_edge_gap(pair, rho, m)) > 0.0, v_w, v_max, lambda a, b: b - a > tol
+    )
     return a
 
 
@@ -429,13 +425,12 @@ def v_l(pair: DemandSupplyPair, rho: float = 0.0) -> WindowReport:
             rho, v_w, wal.x, wal.unique, v_max, v_eff, threshold,
             v_eff, window, True, False, phi_cap,
         )
-    a, b = v_w, v_cap
-    while b - a > _ROOT_TOL * max(1.0, b):
-        m = 0.5 * (a + b)
-        if ev.value(m)[0] < threshold:
-            a = m
-        else:
-            b = m
+    a, b = _bisect(
+        lambda m: ev.value(m)[0] < threshold,
+        v_w,
+        v_cap,
+        lambda a, b: b - a > _ROOT_TOL * max(1.0, b),
+    )
     vol = 0.5 * (a + b)
     window = PriceInterval(
         float(pair.demand.inverse(vol)), float(pair.supply.inverse(vol))
@@ -655,8 +650,7 @@ def freeze_support(pair: DemandSupplyPair, rho: float) -> FreezeSupport:
     is empty and the window machinery (:func:`v_l`) applies instead.
     """
     rho = _check_rho(rho)
-    report = check_assumptions(pair)
-    if not report.a6:
+    if not (_strictly_monotone(pair.demand) and _strictly_monotone(pair.supply)):
         raise AssumptionError(
             "(A6)", "freeze support requires strictly monotone demand and supply"
         )

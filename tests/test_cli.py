@@ -154,6 +154,31 @@ class TestConfigValidation:
                 "freeze.min_events",
                 id="freeze-min-events",
             ),
+            pytest.param(
+                "simulate",
+                {"run": {"events": 100, "map": {"divisor": 2.0, "offset": 1.0}}},
+                "run.map.offset",
+                id="map-offset",
+            ),
+            pytest.param(
+                "compare",
+                {"run": {"events": 100, "restriction": {"volume": 0.6, "lo": 0.4}}},
+                "run.restriction.lo",
+                id="restriction-lo",
+            ),
+            pytest.param(
+                "freeze",
+                {"run": {"events": 100}, "freeze": {"gambler": {"y": 0.3, "z": 0.1}}},
+                "freeze.gambler.z",
+                id="gambler-z",
+            ),
+            pytest.param(
+                # a dotted name is not a path into the nested object
+                "simulate",
+                {"run": {"events": 100, "map.divisor": 2.0}},
+                "run.map.divisor",
+                id="dotted-name",
+            ),
         ],
     )
     def test_key_the_command_does_not_read(self, tmp_path, outdir, capsys, command, doc, key):
@@ -172,6 +197,25 @@ class TestConfigValidation:
             check_contract(load_config(str(path)), command)
             commands.add(command)
         assert commands == set(READS)
+
+    def test_reader_refuses_an_undeclared_key(self):
+        with pytest.raises(KeyError, match="run.seed"):
+            cli.Config({}, "theory").get("run.seed")
+
+    @pytest.mark.parametrize(
+        "command,doc,where,key",
+        [
+            ("simulate", {"run": {"events": 10, "map": {}}}, "run.map", "divisor"),
+            ("simulate", {"run": {"events": 10, "restriction": {}}}, "run.restriction", "volume"),
+            ("freeze", {"run": {"events": 10}, "freeze": {"gambler": {}}}, "freeze.gambler", "y"),
+        ],
+        ids=["map", "restriction", "gambler"],
+    )
+    def test_nested_object_needs_its_key(self, tmp_path, outdir, capsys, command, doc, where, key):
+        cfg = write_config(tmp_path, dict(doc, model=dict(UNIFORM_MODEL, rho=0.6)))
+        assert main([command, cfg, "--seed", "1", "--out", str(outdir)]) == 2
+        assert f"missing required key '{key}' in {where}" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_missing_model(self, tmp_path):
         cfg = write_config(tmp_path, {"run": {"events": 10}})
@@ -312,6 +356,135 @@ class TestConfigValidation:
         }
         cfg = write_config(tmp_path, doc)
         assert main(["compare", cfg, "--out", str(outdir)]) == 2
+
+
+# -- the config contract ------------------------------------------------------
+
+# Per command, configs (with their flags) that together set every key the
+# command declares.  simulate and freeze require --seed, so run.seed there
+# is set twice.
+CONTRACT_RUNS = {
+    "theory": [
+        ({"model": dict(UNIFORM_MODEL, rho=0.0), "output": {"formats": ["json"]}}, []),
+    ],
+    "simulate": [
+        (
+            {
+                "model": dict(UNIFORM_MODEL, rho=0.0),
+                "run": {
+                    "events": 200,
+                    "seed": 1,
+                    "burn_in": 0.3,
+                    "replicas": 2,
+                    "restriction": {"volume": 0.6},
+                },
+                "output": {"histogram_bins": 10, "snapshot_at": [50], "formats": ["csv"]},
+            },
+            ["--seed", "1"],
+        ),
+        (
+            {"model": TICK_MODEL, "run": {"duration": 20.0, "restriction": [1.5, 4.5], "map": {"divisor": 2.0}}},
+            ["--seed", "2"],
+        ),
+    ],
+    "compare": [
+        (
+            {
+                "model": dict(UNIFORM_MODEL, rho=0.0),
+                "run": {"events": 500, "seed": 1, "burn_in": 0.2, "restriction": {"volume": 0.6}},
+                "compare": {"tolerance_cdf": 1.0, "tolerance_empty": 1.0, "grid_size": 128},
+                "output": {"formats": ["json"]},
+            },
+            [],
+        ),
+        (
+            {
+                "model": UNIFORM_MODEL,
+                "run": {"duration": 200.0, "restriction": [0.4, 0.6]},
+                "compare": {"tolerance_cdf": 1.0, "tolerance_empty": 1.0},
+            },
+            ["--seed", "3"],
+        ),
+    ],
+    "freeze": [
+        (
+            {
+                "model": dict(UNIFORM_MODEL, rho=0.6),
+                "run": {"events": 300, "seed": 1, "replicas": 2, "workers": 1},
+                "output": {"histogram_bins": 10, "formats": ["csv", "json"]},
+                "freeze": {"allow_subcritical": False, "gambler": {"y": 0.3}},
+            },
+            ["--seed", "1"],
+        ),
+        ({"model": dict(UNIFORM_MODEL, rho=0.6), "run": {"duration": 50.0}}, ["--seed", "1", "--workers", "1"]),
+    ],
+    "sweep": [
+        (
+            {
+                "model": dict(UNIFORM_MODEL, rho=0.0),
+                "run": {"events": 200, "seed": 1, "burn_in": 0.3},
+                "sweep": {"rho": [0.0, 0.6]},
+            },
+            [],
+        ),
+        ({"model": UNIFORM_MODEL, "run": {"duration": 50.0, "seed": 1}, "sweep": {"rho": [0.2]}}, []),
+        ({"model": UNIFORM_MODEL, "sweep": {"volume": [0.6]}}, []),
+    ],
+}
+
+
+def key_paths(node, prefix=""):
+    """Every dotted path in a config document, at every depth."""
+    for name, value in node.items():
+        yield prefix + name
+        if isinstance(value, dict):
+            yield from key_paths(value, prefix + name + ".")
+
+
+class TestContract:
+    @pytest.mark.parametrize("command", sorted(CONTRACT_RUNS))
+    def test_reader_hands_out_exactly_the_declared_keys(self, tmp_path, monkeypatch, command):
+        flag_keys = {flag: key for flag, (key, _, _) in cli.FLAGS.items()}
+        declared = set(READS[command])
+        handed_out = set()
+        get = cli.Config.get
+
+        def recording_get(cfg, key):
+            handed_out.add(key)
+            return get(cfg, key)
+
+        monkeypatch.setattr(cli.Config, "get", recording_get)
+        set_by_runs = set()
+        for i, (doc, flags) in enumerate(CONTRACT_RUNS[command]):
+            cfg = write_config(tmp_path, doc, name=f"{i}.json")
+            argv = [command, cfg, "--out", str(tmp_path / f"out-{i}"), *flags]
+            assert main(argv) == 0
+            set_by_runs |= set(key_paths(doc)) | {flag_keys[f] for f in argv if f in flag_keys}
+        assert set_by_runs & declared == declared  # the runs set every declared key
+        assert handed_out == declared
+
+    def test_readme_table_matches_reads(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        model = ("interval", "demand", "supply", "rho")
+        sentence = "Every command reads all four `model` keys (" + ", ".join(f"`{k}`" for k in model)
+        assert sentence in " ".join(text.split())
+        lines = text.splitlines()
+        start = lines.index("| command | `run` | `output` | own block |") + 2
+        table = {}
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            command, run_keys, output_keys, own = (c.strip() for c in line.strip("|").split("|"))
+            cells = {"run": run_keys, "output": output_keys}
+            if own != "—":
+                block, own_keys = own.split(": ")
+                cells[block.strip("`")] = own_keys
+            keys = {f"model.{k}" for k in model}
+            for block, cell in cells.items():
+                if cell != "—":
+                    keys |= {f"{block}.{k}" for k in cell.split(", ")}
+            table[command] = keys
+        assert table == {command: set(keys) for command, keys in READS.items()}
 
 
 # -- theory -------------------------------------------------------------------
@@ -702,6 +875,37 @@ class TestSweep:
     def test_missing_sweep_block(self, tmp_path, outdir):
         cfg = write_config(tmp_path, {"model": UNIFORM_MODEL})
         assert main(["sweep", cfg, "--out", str(outdir)]) == 2
+
+    @pytest.mark.parametrize("key,value", [("rho", 0.1), ("volume", 0.6)])
+    def test_scalar_grid_is_config_error(self, tmp_path, outdir, capsys, key, value):
+        cfg = write_config(tmp_path, {"model": UNIFORM_MODEL, "sweep": {key: value}})
+        assert main(["sweep", cfg, "--out", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert f"sweep.{key} must be a list of numbers" in err and "Traceback" not in err
+        assert not outdir.exists()
+
+    def test_run_block_without_seed_is_config_error(self, tmp_path, outdir, capsys):
+        doc = {"model": UNIFORM_MODEL, "run": {"events": 100}, "sweep": {"rho": [0.0]}}
+        cfg = write_config(tmp_path, doc)
+        assert main(["sweep", cfg, "--out", str(outdir)]) == 2
+        assert "a seed is required" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("run", [{"seed": 1}, {"burn_in": 0.3}, {}], ids=["seed", "burn-in", "empty"])
+    def test_run_block_without_horizon_is_config_error(self, tmp_path, outdir, capsys, run):
+        doc = {"model": UNIFORM_MODEL, "run": run, "sweep": {"rho": [0.0]}}
+        cfg = write_config(tmp_path, doc)
+        assert main(["sweep", cfg, "--seed", "1", "--out", str(outdir)]) == 2
+        assert "run block must set events or duration" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_seed_flag_without_run_block_is_theory_only(self, tmp_path, outdir):
+        doc = {"model": UNIFORM_MODEL, "sweep": {"rho": [0.0, 0.6]}}
+        cfg = write_config(tmp_path, doc)
+        assert main(["sweep", cfg, "--seed", "1", "--out", str(outdir)]) == 0
+        header, rows = read_csv(outdir / "sweep.csv")
+        assert header[-1] == "boundary" and len(header) == 8
+        assert all(len(r) == 8 for r in rows)
 
 
 # -- csv writer ---------------------------------------------------------------

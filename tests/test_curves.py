@@ -18,7 +18,6 @@ from lobmm import (
     MonotoneCurve,
     PriceInterval,
     RateTable,
-    check_assumptions,
     walras,
 )
 
@@ -306,30 +305,3 @@ class TestWalras:
         assert not w.unique
         assert w.x == pytest.approx(0.3, abs=1e-6)
         assert w.x_hi == pytest.approx(0.5, abs=1e-6)
-
-
-class TestAssumptionReport:
-    def test_uniform_all_hold(self, uniform_pair):
-        rep = check_assumptions(uniform_pair)
-        assert rep.a1 and rep.a3 and rep.a4 and rep.a5 and rep.a6
-        assert rep.failures == ()
-        assert rep.v_w == pytest.approx(0.5, abs=1e-9)
-        assert rep.v_max == 1.0
-
-    def test_evenodd_fails_strictness_only(self, evenodd_pair):
-        rep = check_assumptions(evenodd_pair)
-        assert rep.a1 and rep.a3 and rep.a4 and rep.a5
-        assert not rep.a6
-        assert any("(A6)" in f for f in rep.failures)
-
-    def test_a5_failure(self):
-        # supply sits above demand everywhere, so the best volume is pinned
-        # at the left endpoint and equals the volume ceiling
-        pair = DemandSupplyPair(
-            MonotoneCurve((0.0, 1.0), (1.0, 0.4), Direction.DECREASING),
-            MonotoneCurve((0.0, 1.0), (1.0, 2.0), Direction.INCREASING),
-        )
-        rep = check_assumptions(pair)
-        assert rep.a1 and rep.a3 and rep.a4
-        assert not rep.a5
-        assert rep.v_w == pytest.approx(rep.v_max, abs=1e-9)

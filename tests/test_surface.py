@@ -41,7 +41,6 @@ def public_attributes(cls) -> list:
 def test_package_exports():
     assert sorted(lobmm.__all__) == [
         "AssumptionError",
-        "AssumptionReport",
         "BlockRng",
         "BookSnapshot",
         "DemandSupplyPair",
@@ -71,7 +70,6 @@ def test_package_exports():
         "WindowEstimate",
         "WindowReport",
         "__version__",
-        "check_assumptions",
         "classify_recurrence",
         "detect_freeze",
         "estimate_window",

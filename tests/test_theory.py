@@ -42,7 +42,7 @@ from lobmm import (
     v_l,
     walras,
 )
-from lobmm import theory
+from lobmm import curves, theory
 from lobmm.theory import WindowReport
 
 from conftest import make_evenodd_pair, make_floor_pair, make_kinked_pair, make_uniform_pair
@@ -224,6 +224,17 @@ class TestTradeVolume:
         assert rep.v_w == pytest.approx(2.0 ** (-0.45), abs=1e-6)
         assert rep.v_l < rep.v_max_effective
 
+    def test_walras_volume_at_the_ceiling_is_refused(self):
+        # supply sits above demand everywhere, so the best volume is pinned
+        # at the left endpoint and equals the volume ceiling
+        pair = DemandSupplyPair(
+            MonotoneCurve((0.0, 1.0), (1.0, 0.4), Direction.DECREASING),
+            MonotoneCurve((0.0, 1.0), (1.0, 2.0), Direction.INCREASING),
+        )
+        assert walras(pair).volume == pytest.approx(theory._v_ceiling(pair), abs=1e-9)
+        with pytest.raises(AssumptionError, match="A5"):
+            v_l(pair)
+
     def test_interior_case_power_family(self):
         rep = v_l(alpha_pair(1.0))
         assert not rep.boundary
@@ -372,6 +383,58 @@ class TestFreezeSupport:
             freeze_support(evenodd_pair, 2.5)
         with pytest.raises(AssumptionError, match="A6"):
             freeze_support(floor_pair, 0.9)
+
+
+class TestBisectionCap:
+    """walras, the effective ceiling and v_l's root share one capped
+    bisection (curves._bisect); past the cap it raises, it never spins."""
+
+    @pytest.fixture
+    def tiny_cap(self, monkeypatch):
+        monkeypatch.setattr(curves, "_BISECT_CAP", 3)
+
+    def test_walras(self, uniform_pair, tiny_cap):
+        with pytest.raises(RuntimeError, match="after 3 halvings"):
+            walras(uniform_pair)
+
+    def test_effective_ceiling(self, uniform_pair, monkeypatch):
+        v_w = walras(uniform_pair).volume
+        monkeypatch.setattr(curves, "_BISECT_CAP", 3)
+        with pytest.raises(RuntimeError, match="after 3 halvings"):
+            theory._effective_ceiling(uniform_pair, 0.0, v_w)
+
+    def test_v_l_root(self, uniform_pair, monkeypatch):
+        # walras and the effective ceiling are solved first, so only the
+        # root of phi = 1/V_W^2 meets the small cap
+        wal = walras(uniform_pair)
+        v_eff = theory._effective_ceiling(uniform_pair, 0.0, wal.volume)
+        monkeypatch.setattr(theory, "walras", lambda pair: wal)
+        monkeypatch.setattr(theory, "_effective_ceiling", lambda pair, rho, v_w: v_eff)
+        monkeypatch.setattr(curves, "_BISECT_CAP", 3)
+        with pytest.raises(RuntimeError, match="after 3 halvings"):
+            v_l(uniform_pair)
+
+    def test_cap_stops_exactly_at_the_cap(self, monkeypatch):
+        # [0, 1] to a width of 1/8 takes exactly three halvings
+        def too_wide(a, b):
+            return b - a > 0.125
+
+        monkeypatch.setattr(curves, "_BISECT_CAP", 3)
+        assert curves._bisect(lambda m: m < 0.3, 0.0, 1.0, too_wide) == (0.25, 0.375)
+        monkeypatch.setattr(curves, "_BISECT_CAP", 2)
+        with pytest.raises(RuntimeError):
+            curves._bisect(lambda m: m < 0.3, 0.0, 1.0, too_wide)
+
+    def test_default_cap_covers_a_float_wide_bracket(self):
+        # a crossing near 1e-5 on a span of 1e300 takes ~1040 halvings
+        # to meet walras's 1e-12 stop
+        pair = DemandSupplyPair(
+            MonotoneCurve((0.0, 1e-5, 1e300), (1.0, 0.5, 0.0), Direction.DECREASING),
+            MonotoneCurve((0.0, 1e-5, 1e300), (0.0, 0.6, 1.0), Direction.INCREASING),
+        )
+        w = walras(pair)
+        assert w.x == pytest.approx(1e-5 / 1.1, rel=1e-6)
+        assert w.volume == pytest.approx(6.0 / 11.0, rel=1e-6)
 
 
 class TestGamblerBound:
