@@ -364,6 +364,13 @@ class WalrasPoint:
 _BISECT_CAP = 1100
 
 
+def _midpoint(a: float, b: float) -> float:
+    """``0.5 * (a + b)``, or ``0.5 * a + 0.5 * b`` where the sum overflows;
+    the two agree bit for bit unless a half underflows."""
+    m = 0.5 * (a + b)
+    return m if math.isfinite(m) else 0.5 * a + 0.5 * b
+
+
 def _bisect(
     goes_right: Callable[[float], bool],
     a: float,
@@ -378,7 +385,7 @@ def _bisect(
         if halvings == _BISECT_CAP:
             raise RuntimeError(f"bisection still at [{a}, {b}] after {_BISECT_CAP} halvings")
         halvings += 1
-        m = 0.5 * (a + b)
+        m = _midpoint(a, b)
         if goes_right(m):
             a = m
         else:
@@ -411,7 +418,7 @@ def walras(pair: DemandSupplyPair) -> WalrasPoint:
             hi,
             lambda a, b: b - a > 1e-12 * max(1.0, abs(a), abs(b)),
         )
-        m = 0.5 * (a + b)
+        m = _midpoint(a, b)
         volume = min(demand.value_at(m), supply.value_at(m))
     x_left = supply.inverse(min(volume, supply.max_rate))
     x_right = demand.inverse(min(volume, demand.max_rate))

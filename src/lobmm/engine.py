@@ -11,16 +11,24 @@ generator (Philox), drawn in blocks of ``_BLOCK`` values.
 Because nothing about an event but its effect depends on the book,
 :func:`run` works in two stages on one code path.  A numpy pre-pass
 decodes one random block at a time into event times, recorded kinds
-(restriction rewrites and drops included) and limit prices; a plain book
-loop then applies those events to the count dicts and heaps.  The
-event-by-event slow path stays as the oracle: :func:`next_event`,
+(restriction rewrites and drops included) and limit prices; the book
+stage then applies those events to the count dicts and heaps.  Most
+events in a frozen book move neither quote, so the book stage applies
+each *quiet stretch* (a run of events with no limit order strictly
+inside the spread and no quote level emptied) in bulk with numpy, and
+steps only the events that end a stretch, and busy parts of the stream,
+through the per-event book loop.
+
+The event-by-event slow path stays as the oracle: :func:`next_event`,
 :func:`restrict_event`, :class:`BlockRng` and :meth:`OrderBook.apply`.
-The test-suite pins the two paths to each other event by event, and at
-tiny block sizes to the same sequence of block draws; change them in
-lockstep.  ``_BLOCK`` and the order of the block draws (exponential
-block, then uniform block, each refilled when the next draw needs it,
-the exponential first when both fall on one event) are part of the
-byte-identity contract: changing either changes every trajectory.
+The test-suite pins the two paths to each other event by event, at tiny
+block sizes to the same sequence of block draws, and at tiny look-ahead
+constants across stretch edges; change them in lockstep.  ``_BLOCK`` and
+the order of the block draws (exponential block, then uniform block, each
+refilled when the next draw needs it, the exponential first when both
+fall on one event) are part of the byte-identity contract: changing
+either changes every trajectory.  The look-ahead constants ``_LOOK`` and
+``_MIN_STRETCH`` are not: any positive values give the same bytes.
 
 After a run, :attr:`Trajectory.summary` reduces it, once, to the
 :class:`TrajectorySummary` record that ``simulate``, ``sweep``, ``freeze``
@@ -33,10 +41,11 @@ from __future__ import annotations
 import math
 import os
 from array import array
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -75,6 +84,13 @@ __all__ = [
 DROPPED = 5
 
 _BLOCK = 1 << 16
+
+# the book stage's look-ahead (see run): the first window scanned for a quiet
+# stretch, and the shortest stretch applied in bulk, which is also the first
+# run the per-event loop takes where the stream is busy.  Unlike _BLOCK they
+# change no byte of a run, only its speed.
+_LOOK = 1024
+_MIN_STRETCH = 128
 
 # points of the price grid that the post-burn-in quote CDFs are sampled on
 _CDF_GRID_SIZE = 1024
@@ -422,104 +438,221 @@ def _event_chunks(config: SimConfig, rates: RateTable):
             snaps.pop()
 
 
+def _book_loop(
+    book: OrderBook,
+    bid: float,
+    ask: float,
+    kinds: np.ndarray,
+    prices: np.ndarray,
+    out: List[array],
+) -> Tuple[float, float]:
+    """Apply events one at a time to the count dicts and heaps of ``book``,
+    whose quotes are ``bid`` and ``ask``, and return the new quotes.
+
+    ``kinds`` and ``prices`` are a range of the pre-pass's events; each
+    event's trade price and the quotes after it are appended to the
+    columns ``out``: trade price, bid, ask.
+    """
+    tp_out, bid_out, ask_out = [], [], []
+    buys, sells = book.buy_counts, book.sell_counts
+    bh, sh = book.buy_heap, book.sell_heap
+    push, pop = heappush, heappop
+    lo, hi = book.lo, book.hi
+    nan = math.nan
+    # an empty side quotes the interval edge and limit prices lie strictly
+    # inside, so a limit buy at or above the ask (a limit sell at or below
+    # the bid) always meets a resting order
+    for kind, x in zip(kinds.tolist(), prices.tolist()):
+        if kind == 2 and x < ask:  # a limit buy below the ask rests
+            tp_out.append(nan)
+            c = buys.get(x)
+            if c is None:
+                buys[x] = 1
+                push(bh, -x)
+                if x > bid:
+                    bid = x
+            else:
+                buys[x] = c + 1
+        elif kind == 3 and x > bid:  # a limit sell above the bid rests
+            tp_out.append(nan)
+            c = sells.get(x)
+            if c is None:
+                sells[x] = 1
+                push(sh, x)
+                if x < ask:
+                    ask = x
+            else:
+                sells[x] = c + 1
+        elif kind == 4:  # the market maker reinforces both quotes
+            tp_out.append(nan)
+            if bh:
+                buys[bid] += 1
+            if sh:
+                sells[ask] += 1
+        elif (kind == 0 or kind == 2) and sh:  # a buy lifts the ask
+            tp_out.append(ask)
+            c = sells[ask]
+            if c == 1:
+                del sells[ask]
+                pop(sh)
+                ask = sh[0] if sh else hi
+            else:
+                sells[ask] = c - 1
+        elif (kind == 1 or kind == 3) and bh:  # a sell hits the bid
+            tp_out.append(bid)
+            c = buys[bid]
+            if c == 1:
+                del buys[bid]
+                pop(bh)
+                bid = -bh[0] if bh else lo
+            else:
+                buys[bid] = c - 1
+        else:  # dropped, or a market order against an empty side
+            tp_out.append(nan)
+        bid_out.append(bid)
+        ask_out.append(ask)
+    for col, values in zip(out, (tp_out, bid_out, ask_out)):
+        col.fromlist(values)
+    return bid, ask
+
+
+def _quiet_stretch(
+    book: OrderBook,
+    bid: float,
+    ask: float,
+    kinds: np.ndarray,
+    prices: np.ndarray,
+    out: List[array],
+) -> int:
+    """Apply the quiet prefix of the events to ``book`` in bulk and return
+    its length; apply nothing and return 0 when the prefix is shorter than
+    both ``_MIN_STRETCH`` and the events.
+
+    An event is quiet when it leaves both quotes where they are: it is no
+    limit order strictly between bid and ask, and it does not empty the
+    level at either quote.  Over a quiet prefix every trade is at the quote
+    it hits, each quote level takes one net change of count, and the
+    orders that rest behind the quotes go into the dicts and heaps in
+    event order, as :func:`_book_loop` would put them there.  The columns
+    ``out`` get what :func:`_book_loop` appends, for the prefix only.
+    """
+    buys, sells = book.buy_counts, book.sell_counts
+    buy, sell = kinds == 2, kinds == 3
+    stop = (buy | sell) & (prices > bid) & (prices < ask)
+    # the running count at a quote: makers and trades count on a resting
+    # side only, and a limit price can equal a quote only on a resting side
+    maker = (kinds == 4).astype(np.int8)
+    if book.buy_heap:
+        hit_bid = (kinds == 1) | (sell & (prices <= bid))
+        at_bid = np.cumsum(maker + (buy & (prices == bid)) - hit_bid)
+        stop |= at_bid == -buys[bid]
+    if book.sell_heap:
+        hit_ask = (kinds == 0) | (buy & (prices >= ask))
+        at_ask = np.cumsum(maker + (sell & (prices == ask)) - hit_ask)
+        stop |= at_ask == -sells[ask]
+    q = int(stop.argmax()) if stop.any() else len(kinds)
+    if q < min(_MIN_STRETCH, len(kinds)):
+        return 0
+
+    tp = np.full(q, math.nan)
+    if book.buy_heap:
+        tp[hit_bid[:q]] = bid
+        buys[bid] += int(at_bid[q - 1])
+    if book.sell_heap:
+        tp[hit_ask[:q]] = ask
+        sells[ask] += int(at_ask[q - 1])
+    for col, values in zip(out, (tp, np.full(q, bid), np.full(q, ask))):
+        col.frombytes(values.tobytes())
+    prices = prices[:q]
+    _rest(buys, book.buy_heap, prices[buy[:q] & (prices < bid)], -1.0)
+    _rest(sells, book.sell_heap, prices[sell[:q] & (prices > ask)], 1.0)
+    return q
+
+
+def _rest(counts: Dict[float, int], heap: list, prices: np.ndarray, sign: float) -> None:
+    """Add one resting order at each price, in order, to a side's count dict
+    and to its heap of ``sign * price``, as :func:`_book_loop` would."""
+    xs = prices.tolist()
+    n0 = len(counts)
+    deque(map(counts.setdefault, xs, repeat(1)), maxlen=0)
+    added = len(counts) - n0
+    if added == len(xs):  # every price opened a new level: push each, in order
+        deque(map(heappush, repeat(heap), (prices * sign).tolist()), maxlen=0)
+        return
+    # a price repeats or meets a resting level: drop the new levels, the
+    # newest keys, and add the orders one at a time
+    for x in list(islice(reversed(counts), added)):
+        del counts[x]
+    for x in xs:
+        c = counts.get(x)
+        if c is None:
+            counts[x] = 1
+            heappush(heap, sign * x)
+        else:
+            counts[x] = c + 1
+
+
 def run(config: SimConfig) -> Trajectory:
     """Simulate one trajectory; deterministic in (seed, replica).
 
     Two stages in one code path.  The pre-pass (:func:`_event_chunks`)
     decodes a block of the random stream at a time into event times,
-    recorded kinds and limit prices with numpy.  The book loop below then
-    applies each event to the count dicts and heaps, with the quotes kept
-    in two locals.  Together they mirror next_event + restrict_event +
-    OrderBook.apply exactly: same draws, same comparisons, same arithmetic.
+    recorded kinds and limit prices with numpy.  The book stage then
+    applies the events to the count dicts and heaps, with the quotes kept
+    in two locals.  It looks ahead over a window of ``_LOOK`` events,
+    doubled while quiet stretches fill it; :func:`_quiet_stretch` applies
+    a stretch of at least ``_MIN_STRETCH`` events in bulk, and the event
+    that ends it goes through :func:`_book_loop`.  Where the stream is
+    busy, the loop takes runs of events instead, doubled while it stays
+    busy.  Together they mirror next_event + restrict_event +
+    OrderBook.apply exactly: same draws, same comparisons, same
+    arithmetic, and the same dict and heap order.
     """
     pair = config.pair
     require_core_assumptions(pair)
     rates = RateTable.from_pair(pair, config.rho)
 
-    iv = pair.interval
-    lo, hi = iv.lo, iv.hi
-    book = OrderBook(iv, config.initial_buys, config.initial_sells)
-    buys, sells = book.buy_counts, book.sell_counts
-    bh, sh = book.buy_heap, book.sell_heap
-    push, pop = heappush, heappop
+    book = OrderBook(pair.interval, config.initial_buys, config.initial_sells)
     bid, ask = book.bid, book.ask
 
     # per-event columns: time, kind, trade price, bid, ask
     columns = [array(code) for code in "dBddd"]
-    t_col, k_col, tp_col, b_col, a_col = columns
+    t_col, k_col, *out = columns
 
     snap_at = set(config.snapshot_at)
     snapshots: Dict[int, BookSnapshot] = {0: book.snapshot()} if 0 in snap_at else {}
 
-    nan = math.nan
+    look, busy = _LOOK, _MIN_STRETCH
     n = 0
     for times, kinds, prices in _event_chunks(config, rates):
         t_col.frombytes(times.tobytes())
         k_col.frombytes(kinds.tobytes())
-        tp_out, bid_out, ask_out = [], [], []
-        # an empty side quotes the interval edge and limit prices lie
-        # strictly inside, so a limit buy at or above the ask (a limit sell
-        # at or below the bid) always meets a resting order
-        for kind, x in zip(kinds.tolist(), prices.tolist()):
-            if kind == 2 and x < ask:  # a limit buy below the ask rests
-                tp_out.append(nan)
-                c = buys.get(x)
-                if c is None:
-                    buys[x] = 1
-                    push(bh, -x)
-                    if x > bid:
-                        bid = x
-                else:
-                    buys[x] = c + 1
-            elif kind == 3 and x > bid:  # a limit sell above the bid rests
-                tp_out.append(nan)
-                c = sells.get(x)
-                if c is None:
-                    sells[x] = 1
-                    push(sh, x)
-                    if x < ask:
-                        ask = x
-                else:
-                    sells[x] = c + 1
-            elif kind == 4:  # the market maker reinforces both quotes
-                tp_out.append(nan)
-                if bh:
-                    buys[bid] += 1
-                if sh:
-                    sells[ask] += 1
-            elif (kind == 0 or kind == 2) and sh:  # a buy lifts the ask
-                tp_out.append(ask)
-                c = sells[ask]
-                if c == 1:
-                    del sells[ask]
-                    pop(sh)
-                    ask = sh[0] if sh else hi
-                else:
-                    sells[ask] = c - 1
-            elif (kind == 1 or kind == 3) and bh:  # a sell hits the bid
-                tp_out.append(bid)
-                c = buys[bid]
-                if c == 1:
-                    del buys[bid]
-                    pop(bh)
-                    bid = -bh[0] if bh else lo
-                else:
-                    buys[bid] = c - 1
-            else:  # dropped, or a market order against an empty side
-                tp_out.append(nan)
-            bid_out.append(bid)
-            ask_out.append(ask)
-        tp_col.fromlist(tp_out)
-        b_col.fromlist(bid_out)
-        a_col.fromlist(ask_out)
-        n += len(kinds)
+        m = len(kinds)
+        s = 0
+        while s < m:
+            w = slice(s, min(m, s + look))
+            q = _quiet_stretch(book, bid, ask, kinds[w], prices[w], out)
+            s += q
+            if q:
+                if s == w.stop:  # quiet to the end of the look-ahead: look further
+                    look *= 2
+                    continue
+                # the event that ends the stretch goes through the loop
+                look, busy = _LOOK, _MIN_STRETCH
+                r = slice(s, s + 1)
+            else:  # busy: the loop takes a run, longer while it stays busy
+                r = slice(s, min(m, s + busy))
+                busy *= 2
+            bid, ask = _book_loop(book, bid, ask, kinds[r], prices[r], out)
+            s = r.stop
+        n += m
         if n in snap_at:
             snapshots[n] = book.snapshot()
 
     # free the last chunk before Trajectory reduces the run
-    times = kinds = prices = tp_out = bid_out = ask_out = None
-    # the loop mutates the count dicts and heaps only; settle the totals
-    book.n_buys, book.n_sells = sum(buys.values()), sum(sells.values())
+    times = kinds = prices = None
+    # the book stage mutates the count dicts and heaps only; settle the totals
+    book.n_buys, book.n_sells = sum(book.buy_counts.values()), sum(book.sell_counts.values())
     times, kinds, tps, bids, asks = (
         np.frombuffer(col, dtype=col.typecode) if n else np.empty(0, dtype=col.typecode)
         for col in columns

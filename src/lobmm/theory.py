@@ -54,6 +54,7 @@ from .curves import (
     PriceInterval,
     WalrasPoint,
     _bisect,
+    _midpoint,
     _strictly_monotone,
     walras,
 )
@@ -431,7 +432,7 @@ def v_l(pair: DemandSupplyPair, rho: float = 0.0) -> WindowReport:
         v_cap,
         lambda a, b: b - a > _ROOT_TOL * max(1.0, b),
     )
-    vol = 0.5 * (a + b)
+    vol = _midpoint(a, b)
     window = PriceInterval(
         float(pair.demand.inverse(vol)), float(pair.supply.inverse(vol))
     )

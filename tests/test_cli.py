@@ -524,6 +524,17 @@ class TestTheory:
         assert not (outdir / "phi.csv").exists()
         assert not (outdir / "quotes.csv").exists()
 
+    def test_prices_near_the_float_ceiling(self, tmp_path, outdir):
+        # the uniform pair on [1e308, 1.7e308]: a bisection midpoint there
+        # must not overflow while a + b does
+        lo, hi = 1e308, 1.7e308
+        model = {"interval": [lo, hi], "demand": [[lo, 1.0], [hi, 0.0]], "supply": [[lo, 0.0], [hi, 1.0]]}
+        cfg = write_config(tmp_path, {"model": model})
+        assert main(["theory", cfg, "--out", str(outdir)]) == 0
+        doc = read_json(outdir / "window.json")
+        assert doc["x_w"] == pytest.approx(1.35e308, rel=1e-11)
+        assert doc["v_l"] == pytest.approx(0.78218, abs=1e-4)
+
     def test_json_only_format(self, tmp_path, outdir):
         doc = {"model": UNIFORM_MODEL, "output": {"formats": ["json"]}}
         cfg = write_config(tmp_path, doc)

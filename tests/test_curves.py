@@ -287,6 +287,19 @@ class TestWalras:
         assert w.x == pytest.approx(3.0, abs=1e-6)
         assert w.x_hi == pytest.approx(3.0, abs=1e-6)
 
+    def test_crossing_near_the_float_ceiling(self):
+        # the uniform pair on [1e308, 1.7e308], where a + b overflows
+        lo, hi = 1e308, 1.7e308
+        w = walras(
+            DemandSupplyPair(
+                MonotoneCurve((lo, hi), (1.0, 0.0), Direction.DECREASING),
+                MonotoneCurve((lo, hi), (0.0, 1.0), Direction.INCREASING),
+            )
+        )
+        assert w.x == pytest.approx(1.35e308, rel=1e-11)
+        assert w.volume == pytest.approx(0.5, abs=1e-11)
+        assert w.unique
+
     def test_supply_plateau_flagged_non_unique(self):
         # supply sits flat at the crossing volume over [0.3, 0.7] while
         # demand keeps falling, so the clearing price is set-valued

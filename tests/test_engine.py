@@ -247,9 +247,10 @@ def small_block(request, monkeypatch):
 
 @st.composite
 def sim_configs(draw, max_events=3_000):
-    """A run as TestRunMatchesReplay.test_random_configs draws it: any pair,
-    maker rate, window (volume_share of the way from the walrasian volume
-    to the ceiling) and initial book (buys below, sells above a split)."""
+    """A run as TestRunMatchesReplay.test_random_configs draws it, with maker
+    rates above the walrasian volume too: any pair, maker rate, window
+    (volume_share of the way from the walrasian volume to the ceiling) and
+    initial book (buys below, sells above a split)."""
     pair = PAIRS[draw(st.sampled_from(sorted(PAIRS)))]
     iv = pair.interval
     window = None
@@ -262,9 +263,12 @@ def sim_configs(draw, max_events=3_000):
     cut = iv.lo + draw(st.floats(0.2, 0.8)) * iv.length
     buy_fracs = draw(st.lists(st.floats(0.01, 0.99), max_size=4))
     sell_fracs = draw(st.lists(st.floats(0.01, 0.99), max_size=4))
+    # rho from 0 to 0.8, or 1 to 3 times the walrasian volume, where the
+    # book freezes and the loop applies quiet stretches in bulk
+    rho = draw(st.floats(0.0, 0.8) | st.floats(1.0, 3.0).map(lambda r: r * walras(pair).volume))
     return SimConfig(
         pair=pair,
-        rho=draw(st.floats(0.0, 0.8)),
+        rho=rho,
         events=draw(st.integers(0, max_events)),
         seed=draw(st.integers(0, 2**32 - 1)),
         restriction=window,
@@ -376,6 +380,148 @@ class TestBlockBoundaries:
                     for name in ("times", "kinds", "trade_prices", "bids", "asks"):
                         np.testing.assert_array_equal(getattr(short, name), getattr(ref, name))
                     assert short.final_book == ref.final_book
+
+
+LOOKS = ((1, 1), (2, 1), (3, 2), (16, 4))
+
+
+@pytest.fixture(params=LOOKS, ids=lambda p: "look%d-min%d" % p)
+def small_look(request, monkeypatch):
+    """A look-ahead window and a shortest bulk stretch of a few events, so
+    that the book loop switches between stretches and single events all
+    the time."""
+    look, min_stretch = request.param
+    monkeypatch.setattr(engine, "_LOOK", look)
+    monkeypatch.setattr(engine, "_MIN_STRETCH", min_stretch)
+    return request.param
+
+
+def bulk_events(monkeypatch):
+    """Patch run() to count the events it applies as quiet stretches; the
+    returned list holds the running total."""
+    total = [0]
+    real = engine._quiet_stretch
+
+    def counted(*args):
+        q = real(*args)
+        total[0] += q
+        return q
+
+    monkeypatch.setattr(engine, "_quiet_stretch", counted)
+    return total
+
+
+def quote_moves(config: SimConfig):
+    """Indices of the events after which a quote differs, on the slow path."""
+    _, _, _, bids, asks, *_ = replay(config)
+    b = np.concatenate(([np.nan], bids))
+    a = np.concatenate(([np.nan], asks))
+    return np.flatnonzero((b[1:] != b[:-1]) | (a[1:] != a[:-1])) + 1
+
+
+class TestQuietStretches:
+    """run()'s bulk path for quiet stretches against the slow path, with the
+    look-ahead constants, which are no part of the bytes, at tiny values."""
+
+    @staticmethod
+    def configs(events):
+        uniform, floor = PAIRS["uniform"], PAIRS["floor"]
+        return [
+            SimConfig(pair=uniform, events=events, seed=91, rho=0.6),
+            SimConfig(pair=uniform, events=events, seed=92, rho=1.5),
+            SimConfig(pair=uniform, events=events, seed=93, restriction=PriceInterval(0.4, 0.6)),
+            SimConfig(pair=floor, events=events, seed=94, rho=0.6),
+            SimConfig(pair=uniform, events=events, seed=95, rho=0.6, initial_buys=(0.2, 0.3, 0.3)),
+            SimConfig(pair=uniform, events=events, seed=96, rho=0.6, initial_sells=(0.7, 0.9)),
+        ]
+
+    def test_matches_replay(self, small_look, monkeypatch):
+        bulk = bulk_events(monkeypatch)
+        for cfg in self.configs(2_000):
+            before = bulk[0]
+            assert_matches_replay(run(cfg))
+            assert bulk[0] > before  # the bulk path did run
+
+    @given(cfg=sim_configs())
+    @settings(
+        max_examples=25,
+        deadline=None,
+        # the patched constants are meant to hold for every example
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_random_configs(self, small_look, cfg):
+        assert_matches_replay(run(cfg))
+
+    def test_snapshots_and_durations_at_stretch_edges(self, small_look):
+        for cfg in self.configs(600):
+            times = replay(cfg)[0]
+            moves = quote_moves(cfg)
+            picked = moves[:: max(1, len(moves) // 8)]
+            edges = sorted({k + d for k in picked for d in (-1, 0, 1)} & set(range(1, cfg.events + 1)))
+            traj = run(replace(cfg, snapshot_at=edges))
+            for s in edges:
+                assert traj.snapshots[s].restore() == replay(replace(cfg, events=s))[-1]
+            # horizons on the time of an edge event, and one ulp past it
+            for s in edges:
+                for duration in (times[s - 1], math.nextafter(times[s - 1], math.inf)):
+                    short = run(replace(cfg, events=None, duration=duration))
+                    n = int(np.searchsorted(times, duration, side="right"))
+                    ref = run(replace(cfg, events=n))
+                    assert short.n_events == n and short.end_time == duration
+                    for name in ("times", "kinds", "trade_prices", "bids", "asks"):
+                        np.testing.assert_array_equal(getattr(short, name), getattr(ref, name))
+                    assert short.final_book == ref.final_book
+
+    def test_same_bytes_as_the_plain_loop(self, monkeypatch):
+        """Crafted events that rest at one price twice inside a stretch, at a
+        level that already rests, and exactly at the quotes: the bulk path
+        leaves the dicts (their order too) and heaps as the loop does."""
+        events = [(2, 0.3), (3, 0.7)]  # the quotes
+        # behind the quotes: new levels, a price twice, resting levels
+        events += [(2, 0.2), (3, 0.8), (2, 0.1), (2, 0.1), (2, 0.2), (3, 0.9), (3, 0.9), (3, 0.8)]
+        events += [(2, 0.3), (3, 0.7)] * 2  # at the quotes
+        events += [(3, 0.3), (2, 0.7), (3, 0.25), (2, 0.75)]  # crossing, at and past the quotes
+        events += [(4, math.nan), (0, math.nan), (1, math.nan), (DROPPED, 0.5)] * 3
+        events += [(3, 0.3), (2, 0.7)] * 3  # until a quote level empties
+        events += [(2, 0.05 + k / 1e3) for k in range(40)] + [(3, 0.95 - k / 1e3) for k in range(40)]
+        kinds, prices = zip(*events)
+        kinds, prices = np.array(kinds, dtype=np.uint8), np.array(prices)
+        times = np.arange(1.0, len(kinds) + 1.0)
+
+        def chunks(config, rates):
+            yield times, kinds, prices
+
+        monkeypatch.setattr(engine, "_event_chunks", chunks)
+        cfg = SimConfig(pair=PAIRS["floor"], events=len(kinds), initial_buys=(0.1,))
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_quiet_stretch", lambda *args: 0)  # all through the loop
+            plain = run(cfg)
+        ref = plain.final_book
+        for look, min_stretch in LOOKS + ((1024, 128),):
+            monkeypatch.setattr(engine, "_LOOK", look)
+            monkeypatch.setattr(engine, "_MIN_STRETCH", min_stretch)
+            bulk = run(cfg)
+            for name in ("trade_prices", "bids", "asks"):
+                np.testing.assert_array_equal(getattr(bulk, name), getattr(plain, name))
+            book = bulk.final_book
+            assert list(book.buy_counts.items()) == list(ref.buy_counts.items())
+            assert list(book.sell_counts.items()) == list(ref.sell_counts.items())
+            assert book.buy_heap == ref.buy_heap and book.sell_heap == ref.sell_heap
+
+    def test_frozen_runs_skip_the_loop(self, uniform_pair, monkeypatch):
+        # at rho 0.6 the book freezes and few events move a quote; a count,
+        # not a timing (2.9% of the events on this seed)
+        looped = [0]
+        real = engine._book_loop
+
+        def counted(book, bid, ask, kinds, *args):
+            looped[0] += len(kinds)
+            return real(book, bid, ask, kinds, *args)
+
+        monkeypatch.setattr(engine, "_book_loop", counted)
+        events = 200_000
+        run(SimConfig(pair=uniform_pair, events=events, seed=1, rho=0.6))
+        assert 0 < looped[0] <= 0.1 * events
 
 
 class TestPrepassMemory:
