@@ -396,26 +396,12 @@ def small_look(request, monkeypatch):
     return request.param
 
 
-def bulk_events(monkeypatch):
-    """Patch run() to count the events it applies as quiet stretches; the
-    returned list holds the running total."""
-    total = [0]
-    real = engine._quiet_stretch
-
-    def counted(*args):
-        q = real(*args)
-        total[0] += q
-        return q
-
-    monkeypatch.setattr(engine, "_quiet_stretch", counted)
-    return total
-
-
 def quote_moves(config: SimConfig):
     """Indices of the events after which a quote differs, on the slow path."""
     _, _, _, bids, asks, *_ = replay(config)
-    b = np.concatenate(([np.nan], bids))
-    a = np.concatenate(([np.nan], asks))
+    start = OrderBook(config.pair.interval, config.initial_buys, config.initial_sells)
+    b = np.concatenate(([start.bid], bids))
+    a = np.concatenate(([start.ask], asks))
     return np.flatnonzero((b[1:] != b[:-1]) | (a[1:] != a[:-1])) + 1
 
 
@@ -436,7 +422,15 @@ class TestQuietStretches:
         ]
 
     def test_matches_replay(self, small_look, monkeypatch):
-        bulk = bulk_events(monkeypatch)
+        bulk = [0]
+        real = engine._quiet_stretch
+
+        def counted(*args):
+            q = real(*args)
+            bulk[0] += q
+            return q
+
+        monkeypatch.setattr(engine, "_quiet_stretch", counted)
         for cfg in self.configs(2_000):
             before = bulk[0]
             assert_matches_replay(run(cfg))
