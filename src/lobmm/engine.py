@@ -564,20 +564,21 @@ def _quiet_stretch(
     for col, values in zip(out, (tp, np.full(q, bid), np.full(q, ask))):
         col.frombytes(values.tobytes())
     prices = prices[:q]
-    _rest(buys, book.buy_heap, prices[buy[:q] & (prices < bid)], -1.0)
-    _rest(sells, book.sell_heap, prices[sell[:q] & (prices > ask)], 1.0)
+    _rest(buys, book.buy_heap, prices[buy[:q] & (prices < bid)], True)
+    _rest(sells, book.sell_heap, prices[sell[:q] & (prices > ask)], False)
     return q
 
 
-def _rest(counts: Dict[float, int], heap: list, prices: np.ndarray, sign: float) -> None:
+def _rest(counts: Dict[float, int], heap: list, prices: np.ndarray, negate: bool) -> None:
     """Add one resting order at each price, in order, to a side's count dict
-    and to its heap of ``sign * price``, as :func:`_book_loop` would."""
+    and to its heap of prices (negated for the buy side), as
+    :func:`_book_loop` would; a sell heap shares the dict's key objects."""
     xs = prices.tolist()
     n0 = len(counts)
     deque(map(counts.setdefault, xs, repeat(1)), maxlen=0)
     added = len(counts) - n0
     if added == len(xs):  # every price opened a new level: push each, in order
-        deque(map(heappush, repeat(heap), (prices * sign).tolist()), maxlen=0)
+        deque(map(heappush, repeat(heap), (-prices).tolist() if negate else xs), maxlen=0)
         return
     # a price repeats or meets a resting level: drop the new levels, the
     # newest keys, and add the orders one at a time
@@ -587,7 +588,7 @@ def _rest(counts: Dict[float, int], heap: list, prices: np.ndarray, sign: float)
         c = counts.get(x)
         if c is None:
             counts[x] = 1
-            heappush(heap, sign * x)
+            heappush(heap, -x if negate else x)
         else:
             counts[x] = c + 1
 
