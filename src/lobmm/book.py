@@ -6,11 +6,33 @@ every resting buy.  Quotes fall back to the interval endpoints when a side
 is empty.  Five event kinds mutate the book; each application returns the
 trade price, or None when nothing traded.
 
-Per side the book keeps a count dict plus a heap of the distinct resting
-prices.  Removals only ever happen at the best quote, so the heap stays
-duplicate-free and both quote lookup and mutation are cheap.  The heap,
-dict, and counter attributes are read directly by the simulation loop;
-mutate only through the methods.
+Each side of the book has two tiers:
+
+- the *hot* tier, a count dict plus a heap of its distinct prices.
+  Removals only ever happen at the best quote, so the heap stays
+  duplicate-free and both quote lookup and mutation are cheap;
+- the *cold* tier, a list of numpy arrays of resting prices, one entry per
+  order, with the nearest of them kept apart.  The simulation's bulk path
+  puts the orders that rest behind the quotes there, since in a frozen
+  book most of them never move again.
+
+Two invariants tie the tiers together:
+
+- every cold price lies strictly behind its side's quote (below the bid,
+  above the ask);
+- an empty hot heap means an empty cold tier.
+
+So the quotes, and whether a side rests at all, are read off the hot
+heaps alone.  A price may rest in both tiers at once behind the quote.
+When a quote level empties and a cold price reaches the new quote, the
+cold prices nearest the quote move into the hot tier (a flush).
+
+The whole-book views (``buy_counts``, ``sell_counts``, ``buy_heap``,
+``sell_heap``, and through them :meth:`OrderBook.snapshot`, equality,
+``repr`` and the primitive mutations) first merge the cold tiers into the
+hot ones (a settle), once.  The simulation loop reads and mutates the
+private tiers directly; everything else should go through the methods.
+``n_buys`` and ``n_sells`` count the orders of both tiers.
 """
 
 from __future__ import annotations
@@ -20,7 +42,9 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from .curves import PriceInterval
 
@@ -41,6 +65,10 @@ class EventKind(Enum):
 
 
 _LIMIT_KINDS = (EventKind.BUY_LIMIT, EventKind.SELL_LIMIT)
+
+# the fewest cold prices one flush moves into the hot tier (all of them when
+# there are fewer); it changes no byte of a run, only its speed
+_FLUSH = 1024
 
 
 @dataclass(frozen=True)
@@ -79,17 +107,39 @@ class BookSnapshot:
         return merged
 
 
+def _settled(slot: str, doc: str) -> property:
+    """A whole-book view of a hot-tier slot: the cold tiers merge in first."""
+
+    def get(self):
+        if self._buy_cold or self._sell_cold:
+            self._settle()
+        return getattr(self, slot)
+
+    return property(get, doc=doc)
+
+
 class OrderBook:
-    """Mutable non-crossing order book over an open price interval."""
+    """Mutable non-crossing order book over an open price interval.
+
+    ``buy_counts`` and ``sell_counts`` map each resting price to its order
+    count; ``buy_heap`` and ``sell_heap`` hold the distinct prices, negated
+    on the buy side, so that both tops are the quotes.  Reading any of the
+    four settles the cold tiers (see the module docstring); the quotes and
+    the order totals ``n_buys`` and ``n_sells`` never do.
+    """
 
     __slots__ = (
         "interval",
         "lo",
         "hi",
-        "buy_counts",
-        "sell_counts",
-        "buy_heap",
-        "sell_heap",
+        "_buy_counts",
+        "_sell_counts",
+        "_buy_heap",
+        "_sell_heap",
+        "_buy_cold",
+        "_sell_cold",
+        "_cold_bid",
+        "_cold_ask",
         "n_buys",
         "n_sells",
     )
@@ -103,72 +153,128 @@ class OrderBook:
         self.interval = interval
         self.lo = interval.lo
         self.hi = interval.hi
-        self.buy_counts: Dict[float, int] = _as_counts(buys, interval)
-        self.sell_counts: Dict[float, int] = _as_counts(sells, interval)
-        self.buy_heap: list = [-p for p in self.buy_counts]  # negated prices, top is the bid
-        self.sell_heap: list = list(self.sell_counts)  # prices, top is the ask
-        self.n_buys = sum(self.buy_counts.values())
-        self.n_sells = sum(self.sell_counts.values())
-        heapq.heapify(self.buy_heap)
-        heapq.heapify(self.sell_heap)
+        self._buy_counts: Dict[float, int] = _as_counts(buys, interval)
+        self._sell_counts: Dict[float, int] = _as_counts(sells, interval)
+        self._buy_heap: list = [-p for p in self._buy_counts]  # negated prices, top is the bid
+        self._sell_heap: list = list(self._sell_counts)  # prices, top is the ask
+        heapq.heapify(self._buy_heap)
+        heapq.heapify(self._sell_heap)
+        # the cold tiers, and the nearest price in each (an infinity past
+        # the far end of the side when the tier is empty)
+        self._buy_cold: List[np.ndarray] = []
+        self._sell_cold: List[np.ndarray] = []
+        self._cold_bid = -math.inf
+        self._cold_ask = math.inf
+        self.n_buys = sum(self._buy_counts.values())
+        self.n_sells = sum(self._sell_counts.values())
         if self.n_buys and self.n_sells and self.ask <= self.bid:
             raise ValueError(
                 f"crossed initial book: bid {self.bid} >= ask {self.ask}"
             )
 
+    buy_counts = _settled("_buy_counts", "Resting buys: price -> order count.")
+    sell_counts = _settled("_sell_counts", "Resting sells: price -> order count.")
+    buy_heap = _settled("_buy_heap", "Heap of the negated distinct buy prices; its top is the bid.")
+    sell_heap = _settled("_sell_heap", "Heap of the distinct sell prices; its top is the ask.")
+
     # -- quotes ---------------------------------------------------------
 
     @property
     def bid(self) -> float:
-        return -self.buy_heap[0] if self.buy_heap else self.lo
+        return -self._buy_heap[0] if self._buy_heap else self.lo
 
     @property
     def ask(self) -> float:
-        return self.sell_heap[0] if self.sell_heap else self.hi
+        return self._sell_heap[0] if self._sell_heap else self.hi
 
     # -- primitive mutations ---------------------------------------------
 
     def add_buy(self, price: float) -> None:
-        c = self.buy_counts.get(price)
+        counts = self.buy_counts
+        c = counts.get(price)
         if c is None:
-            self.buy_counts[price] = 1
-            heapq.heappush(self.buy_heap, -price)
+            counts[price] = 1
+            heapq.heappush(self._buy_heap, -price)
         else:
-            self.buy_counts[price] = c + 1
+            counts[price] = c + 1
         self.n_buys += 1
 
     def add_sell(self, price: float) -> None:
-        c = self.sell_counts.get(price)
+        counts = self.sell_counts
+        c = counts.get(price)
         if c is None:
-            self.sell_counts[price] = 1
-            heapq.heappush(self.sell_heap, price)
+            counts[price] = 1
+            heapq.heappush(self._sell_heap, price)
         else:
-            self.sell_counts[price] = c + 1
+            counts[price] = c + 1
         self.n_sells += 1
 
     def take_bid(self) -> float:
         """Remove one buy at the bid; the buy side must be non-empty."""
-        p = -self.buy_heap[0]
-        c = self.buy_counts[p]
+        counts = self.buy_counts
+        p = -self._buy_heap[0]
+        c = counts[p]
         if c == 1:
-            del self.buy_counts[p]
-            heapq.heappop(self.buy_heap)
+            del counts[p]
+            heapq.heappop(self._buy_heap)
         else:
-            self.buy_counts[p] = c - 1
+            counts[p] = c - 1
         self.n_buys -= 1
         return p
 
     def take_ask(self) -> float:
         """Remove one sell at the ask; the sell side must be non-empty."""
-        p = self.sell_heap[0]
-        c = self.sell_counts[p]
+        counts = self.sell_counts
+        p = self._sell_heap[0]
+        c = counts[p]
         if c == 1:
-            del self.sell_counts[p]
-            heapq.heappop(self.sell_heap)
+            del counts[p]
+            heapq.heappop(self._sell_heap)
         else:
-            self.sell_counts[p] = c - 1
+            counts[p] = c - 1
         self.n_sells -= 1
         return p
+
+    # -- the cold tiers ----------------------------------------------------
+
+    def _rest_cold(self, buys: np.ndarray, sells: np.ndarray) -> None:
+        """Rest one order at each of ``buys``, all strictly below the bid,
+        and of ``sells``, all strictly above the ask, in the cold tiers;
+        the order totals wait for :meth:`_count_orders`."""
+        if len(buys):
+            self._buy_cold.append(buys)
+            self._cold_bid = max(self._cold_bid, float(buys.max()))
+        if len(sells):
+            self._sell_cold.append(sells)
+            self._cold_ask = min(self._cold_ask, float(sells.min()))
+
+    def _flush_bid(self) -> float:
+        """Once the bid level has emptied and a cold buy lies at or above
+        the new top of the hot tier: move the cold buys nearest the bid into
+        the hot tier and return the bid."""
+        self._cold_bid = -_flush(self._buy_counts, self._buy_heap, self._buy_cold, True)
+        return -self._buy_heap[0]
+
+    def _flush_ask(self) -> float:
+        """The sell-side twin of :meth:`_flush_bid`; returns the ask."""
+        self._cold_ask = _flush(self._sell_counts, self._sell_heap, self._sell_cold, False)
+        return self._sell_heap[0]
+
+    def _count_orders(self) -> None:
+        """Set ``n_buys`` and ``n_sells`` from both tiers, settling neither."""
+        self.n_buys = sum(self._buy_counts.values()) + sum(map(len, self._buy_cold))
+        self.n_sells = sum(self._sell_counts.values()) + sum(map(len, self._sell_cold))
+
+    def _settle(self) -> None:
+        """Merge both cold tiers into the hot ones."""
+        for counts, heap, cold, negate in (
+            (self._buy_counts, self._buy_heap, self._buy_cold, True),
+            (self._sell_counts, self._sell_heap, self._sell_cold, False),
+        ):
+            if cold:
+                _absorb(counts, heap, np.concatenate(cold), negate)
+                cold.clear()
+        self._cold_bid, self._cold_ask = -math.inf, math.inf
 
     # -- event application ------------------------------------------------
 
@@ -184,24 +290,24 @@ class OrderBook:
         """
         kind = event.kind
         if kind is EventKind.BUY_MARKET:
-            return self.take_ask() if self.sell_heap else None
+            return self.take_ask() if self._sell_heap else None
         if kind is EventKind.SELL_MARKET:
-            return self.take_bid() if self.buy_heap else None
+            return self.take_bid() if self._buy_heap else None
         if kind is EventKind.BUY_LIMIT:
             x = self._check_limit_price(event.price)
-            if self.sell_heap and x >= self.sell_heap[0]:
+            if self._sell_heap and x >= self._sell_heap[0]:
                 return self.take_ask()
             self.add_buy(x)
             return None
         if kind is EventKind.SELL_LIMIT:
             x = self._check_limit_price(event.price)
-            if self.buy_heap and x <= -self.buy_heap[0]:
+            if self._buy_heap and x <= -self._buy_heap[0]:
                 return self.take_bid()
             self.add_sell(x)
             return None
         # MARKET_MAKER: quotes sampled before either insertion
-        bid0 = -self.buy_heap[0] if self.buy_heap else None
-        ask0 = self.sell_heap[0] if self.sell_heap else None
+        bid0 = -self._buy_heap[0] if self._buy_heap else None
+        ask0 = self._sell_heap[0] if self._sell_heap else None
         if bid0 is not None:
             self.add_buy(bid0)
         if ask0 is not None:
@@ -237,6 +343,39 @@ class OrderBook:
             f"sells={self.n_sells}@{len(self.sell_counts)}px, "
             f"bid={self.bid}, ask={self.ask})"
         )
+
+
+def _flush(counts: Dict[float, int], heap: list, cold: List[np.ndarray], negate: bool) -> float:
+    """Move the cold prices of one side nearest its quote into its hot tier
+    (``heap`` holds negated prices when ``negate``): all of them when there
+    are at most ``_FLUSH``, else those at or nearer than the ``_FLUSH``-th
+    nearest, so every copy of that price moves too.  Return the nearest
+    price left cold as a heap key, inf when none is."""
+    prices = np.concatenate(cold)
+    cold.clear()
+    keys = -prices if negate else prices  # smaller is nearer the quote
+    nearest_left = math.inf
+    if len(keys) > _FLUSH:
+        far = keys > np.partition(keys, _FLUSH - 1)[_FLUSH - 1]
+        if far.any():
+            cold.append(prices[far])
+            nearest_left = float(keys[far].min())
+        prices = prices[~far]
+    _absorb(counts, heap, prices, negate)
+    return nearest_left
+
+
+def _absorb(counts: Dict[float, int], heap: list, prices: np.ndarray, negate: bool) -> None:
+    """Add one resting order at each of ``prices`` to a side's count dict
+    and heap (of negated prices when ``negate``)."""
+    levels, n = np.unique(prices, return_counts=True)
+    for x, c in zip(levels.tolist(), n.tolist()):
+        old = counts.get(x)
+        if old is None:
+            counts[x] = c
+            heapq.heappush(heap, -x if negate else x)
+        else:
+            counts[x] = old + c
 
 
 def _as_counts(orders: Optional[Iterable], interval: PriceInterval) -> Dict[float, int]:

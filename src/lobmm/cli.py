@@ -129,6 +129,9 @@ def _int_at_least(least: int, rule: str) -> Parser:
     return _checked(_as_int, lambda n: n >= least, rule)
 
 
+_NONNEGATIVE = _checked(_as_number, lambda x: x >= 0.0, "must be nonnegative")
+
+
 def _list_of(parse: Parser, what: str) -> Parser:
     def parse_list(value: Any, where: str) -> tuple:
         if not isinstance(value, list):
@@ -184,7 +187,7 @@ KEYS: Dict[str, Tuple[Parser, Any, Tuple[str, ...]]] = {
     "model.interval": (_interval, REQUIRED, _ALL),
     "model.demand": (_curve(Direction.DECREASING), REQUIRED, _ALL),
     "model.supply": (_curve(Direction.INCREASING), REQUIRED, _ALL),
-    "model.rho": (_checked(_as_number, lambda x: x >= 0.0, "must be nonnegative"), 0.0, _ALL),
+    "model.rho": (_NONNEGATIVE, 0.0, _ALL),
     "run.events": (_as_int, None, _SIMULATING),
     "run.duration": (_as_number, None, _SIMULATING),
     "run.seed": (_as_int, None, _SIMULATING),
@@ -206,8 +209,8 @@ KEYS: Dict[str, Tuple[Parser, Any, Tuple[str, ...]]] = {
     "output.histogram_bins": (_int_at_least(1, "must be positive"), 100, ("simulate", "freeze")),
     "output.snapshot_at": (_list_of(_as_int, "event indices"), [], ("simulate",)),
     "output.formats": (_formats, ["csv", "json"], ("theory", "simulate", "compare", "freeze")),
-    "compare.tolerance_cdf": (_as_number, 0.05, ("compare",)),
-    "compare.tolerance_empty": (_as_number, 0.02, ("compare",)),
+    "compare.tolerance_cdf": (_NONNEGATIVE, 0.05, ("compare",)),
+    "compare.tolerance_empty": (_NONNEGATIVE, 0.02, ("compare",)),
     "compare.grid_size": (_as_int, 4096, ("compare",)),
     "freeze.allow_subcritical": (_as_bool, False, ("freeze",)),
     "freeze.gambler.y": (_as_number, REQUIRED, ("freeze",)),

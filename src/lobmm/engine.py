@@ -12,23 +12,27 @@ Because nothing about an event but its effect depends on the book,
 :func:`run` works in two stages on one code path.  A numpy pre-pass
 decodes one random block at a time into event times, recorded kinds
 (restriction rewrites and drops included) and limit prices; the book
-stage then applies those events to the count dicts and heaps.  Most
-events in a frozen book move neither quote, so the book stage applies
-each *quiet stretch* (a run of events with no limit order strictly
-inside the spread and no quote level emptied) in bulk with numpy, and
-steps only the events that end a stretch, and busy parts of the stream,
-through the per-event book loop.
+stage then applies those events to the book's two tiers per side (see
+:mod:`lobmm.book`).  Most events in a frozen book move neither quote, so
+the book stage applies each *quiet stretch* (a run of events with no
+limit order strictly inside the spread and no quote level emptied) in
+bulk with numpy, resting the orders behind the quotes in the cold tiers
+one array at a time, and steps only the events that end a stretch, and
+busy parts of the stream, through the per-event book loop on the hot
+tiers.  When the loop empties a quote level and a cold price reaches the
+new quote, the book flushes the cold prices nearest it into the hot tier.
 
 The event-by-event slow path stays as the oracle: :func:`next_event`,
 :func:`restrict_event`, :class:`BlockRng` and :meth:`OrderBook.apply`.
 The test-suite pins the two paths to each other event by event, at tiny
 block sizes to the same sequence of block draws, and at tiny look-ahead
-constants across stretch edges; change them in lockstep.  ``_BLOCK`` and
-the order of the block draws (exponential block, then uniform block, each
-refilled when the next draw needs it, the exponential first when both
-fall on one event) are part of the byte-identity contract: changing
-either changes every trajectory.  The look-ahead constants ``_LOOK`` and
-``_MIN_STRETCH`` are not: any positive values give the same bytes.
+constants and flush sizes across stretch edges; change them in lockstep.
+``_BLOCK`` and the order of the block draws (exponential block, then
+uniform block, each refilled when the next draw needs it, the exponential
+first when both fall on one event) are part of the byte-identity
+contract: changing either changes every trajectory.  The look-ahead
+constants ``_LOOK`` and ``_MIN_STRETCH`` and the book's flush size are
+not: any positive values give the same bytes.
 
 After a run, :attr:`Trajectory.summary` reduces it, once, to the
 :class:`TrajectorySummary` record that ``simulate``, ``sweep``, ``freeze``
@@ -41,11 +45,10 @@ from __future__ import annotations
 import math
 import os
 from array import array
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
-from itertools import islice, repeat
+from itertools import repeat
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -446,16 +449,18 @@ def _book_loop(
     prices: np.ndarray,
     out: List[array],
 ) -> Tuple[float, float]:
-    """Apply events one at a time to the count dicts and heaps of ``book``,
-    whose quotes are ``bid`` and ``ask``, and return the new quotes.
+    """Apply events one at a time to the hot tiers of ``book``, whose
+    quotes are ``bid`` and ``ask``, and return the new quotes.  When a quote
+    level empties and a cold price reaches the new quote, the book flushes
+    its cold prices nearest that quote into the hot tier first.
 
     ``kinds`` and ``prices`` are a range of the pre-pass's events; each
     event's trade price and the quotes after it are appended to the
     columns ``out``: trade price, bid, ask.
     """
     tp_out, bid_out, ask_out = [], [], []
-    buys, sells = book.buy_counts, book.sell_counts
-    bh, sh = book.buy_heap, book.sell_heap
+    buys, sells = book._buy_counts, book._sell_counts
+    bh, sh = book._buy_heap, book._sell_heap
     push, pop = heappush, heappop
     lo, hi = book.lo, book.hi
     nan = math.nan
@@ -496,6 +501,8 @@ def _book_loop(
                 del sells[ask]
                 pop(sh)
                 ask = sh[0] if sh else hi
+                if book._cold_ask <= ask:  # a cold sell reaches the new ask
+                    ask = book._flush_ask()
             else:
                 sells[ask] = c - 1
         elif (kind == 1 or kind == 3) and bh:  # a sell hits the bid
@@ -505,6 +512,8 @@ def _book_loop(
                 del buys[bid]
                 pop(bh)
                 bid = -bh[0] if bh else lo
+                if book._cold_bid >= bid:  # a cold buy reaches the new bid
+                    bid = book._flush_bid()
             else:
                 buys[bid] = c - 1
         else:  # dropped, or a market order against an empty side
@@ -532,21 +541,21 @@ def _quiet_stretch(
     limit order strictly between bid and ask, and it does not empty the
     level at either quote.  Over a quiet prefix every trade is at the quote
     it hits, each quote level takes one net change of count, and the
-    orders that rest behind the quotes go into the dicts and heaps in
-    event order, as :func:`_book_loop` would put them there.  The columns
-    ``out`` get what :func:`_book_loop` appends, for the prefix only.
+    orders that rest behind the quotes go into the book's cold tiers in
+    one array per side.  The columns ``out`` get what :func:`_book_loop`
+    appends, for the prefix only.
     """
-    buys, sells = book.buy_counts, book.sell_counts
+    buys, sells = book._buy_counts, book._sell_counts
     buy, sell = kinds == 2, kinds == 3
     stop = (buy | sell) & (prices > bid) & (prices < ask)
     # the running count at a quote: makers and trades count on a resting
     # side only, and a limit price can equal a quote only on a resting side
     maker = (kinds == 4).astype(np.int8)
-    if book.buy_heap:
+    if book._buy_heap:
         hit_bid = (kinds == 1) | (sell & (prices <= bid))
         at_bid = np.cumsum(maker + (buy & (prices == bid)) - hit_bid)
         stop |= at_bid == -buys[bid]
-    if book.sell_heap:
+    if book._sell_heap:
         hit_ask = (kinds == 0) | (buy & (prices >= ask))
         at_ask = np.cumsum(maker + (sell & (prices == ask)) - hit_ask)
         stop |= at_ask == -sells[ask]
@@ -555,42 +564,17 @@ def _quiet_stretch(
         return 0
 
     tp = np.full(q, math.nan)
-    if book.buy_heap:
+    if book._buy_heap:
         tp[hit_bid[:q]] = bid
         buys[bid] += int(at_bid[q - 1])
-    if book.sell_heap:
+    if book._sell_heap:
         tp[hit_ask[:q]] = ask
         sells[ask] += int(at_ask[q - 1])
     for col, values in zip(out, (tp, np.full(q, bid), np.full(q, ask))):
         col.frombytes(values.tobytes())
     prices = prices[:q]
-    _rest(buys, book.buy_heap, prices[buy[:q] & (prices < bid)], True)
-    _rest(sells, book.sell_heap, prices[sell[:q] & (prices > ask)], False)
+    book._rest_cold(prices[buy[:q] & (prices < bid)], prices[sell[:q] & (prices > ask)])
     return q
-
-
-def _rest(counts: Dict[float, int], heap: list, prices: np.ndarray, negate: bool) -> None:
-    """Add one resting order at each price, in order, to a side's count dict
-    and to its heap of prices (negated for the buy side), as
-    :func:`_book_loop` would; a sell heap shares the dict's key objects."""
-    xs = prices.tolist()
-    n0 = len(counts)
-    deque(map(counts.setdefault, xs, repeat(1)), maxlen=0)
-    added = len(counts) - n0
-    if added == len(xs):  # every price opened a new level: push each, in order
-        deque(map(heappush, repeat(heap), (-prices).tolist() if negate else xs), maxlen=0)
-        return
-    # a price repeats or meets a resting level: drop the new levels, the
-    # newest keys, and add the orders one at a time
-    for x in list(islice(reversed(counts), added)):
-        del counts[x]
-    for x in xs:
-        c = counts.get(x)
-        if c is None:
-            counts[x] = 1
-            heappush(heap, -x if negate else x)
-        else:
-            counts[x] = c + 1
 
 
 def run(config: SimConfig) -> Trajectory:
@@ -599,15 +583,19 @@ def run(config: SimConfig) -> Trajectory:
     Two stages in one code path.  The pre-pass (:func:`_event_chunks`)
     decodes a block of the random stream at a time into event times,
     recorded kinds and limit prices with numpy.  The book stage then
-    applies the events to the count dicts and heaps, with the quotes kept
-    in two locals.  It looks ahead over a window of ``_LOOK`` events,
-    doubled while quiet stretches fill it; :func:`_quiet_stretch` applies
-    a stretch of at least ``_MIN_STRETCH`` events in bulk, and the event
-    that ends it goes through :func:`_book_loop`.  Where the stream is
-    busy, the loop takes runs of events instead, doubled while it stays
-    busy.  Together they mirror next_event + restrict_event +
-    OrderBook.apply exactly: same draws, same comparisons, same
-    arithmetic, and the same dict and heap order.
+    applies the events to the book, with the quotes kept in two locals.
+    It looks ahead over a window of ``_LOOK`` events, doubled while quiet
+    stretches fill it; :func:`_quiet_stretch` applies a stretch of at
+    least ``_MIN_STRETCH`` events in bulk, resting the orders behind the
+    quotes in the book's cold tiers, and the event that ends it goes
+    through :func:`_book_loop`, which flushes cold prices into the hot
+    tier when a quote level empties onto them.  Where the stream is busy,
+    the loop takes runs of events instead, doubled while it stays busy.
+    Together they mirror next_event + restrict_event + OrderBook.apply
+    exactly: same draws, same comparisons, same arithmetic, and the same
+    resting orders.  The final book keeps its cold tiers, and its order
+    totals count them; its whole-book views merge them in when first
+    read, so a run that reports only its summary never does.
     """
     pair = config.pair
     require_core_assumptions(pair)
@@ -652,8 +640,8 @@ def run(config: SimConfig) -> Trajectory:
 
     # free the last chunk before Trajectory reduces the run
     times = kinds = prices = None
-    # the book stage mutates the count dicts and heaps only; settle the totals
-    book.n_buys, book.n_sells = sum(book.buy_counts.values()), sum(book.sell_counts.values())
+    # the book stage leaves the order totals to the end
+    book._count_orders()
     times, kinds, tps, bids, asks = (
         np.frombuffer(col, dtype=col.typecode) if n else np.empty(0, dtype=col.typecode)
         for col in columns

@@ -719,6 +719,15 @@ class TestCompare:
         assert "tolerances" in capsys.readouterr().err
         assert read_json(outdir / "report.json")["passed"] is False
 
+    @pytest.mark.parametrize("key", ["tolerance_cdf", "tolerance_empty"])
+    def test_negative_tolerance_exits_2_before_any_run(self, tmp_path, outdir, capsys, key):
+        # a tolerance below zero can never pass, so no simulation may start
+        outdir.mkdir()
+        cfg = write_config(tmp_path, self.config(200_000, compare={key: -1}))
+        assert main(["compare", cfg, "--out", str(outdir)]) == 2
+        assert f"compare.{key} must be nonnegative" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
+
     def test_refuses_critical_window(self, tmp_path, outdir, capsys):
         # restriction at the long-run volume: null recurrent, no stationary law
         doc = self.config(10_000)

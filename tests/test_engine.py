@@ -35,6 +35,7 @@ from lobmm import (
     run_ensemble,
     walras,
 )
+from lobmm import book as book_module
 from lobmm import engine
 from lobmm.engine import DROPPED
 
@@ -382,17 +383,24 @@ class TestBlockBoundaries:
                     assert short.final_book == ref.final_book
 
 
-LOOKS = ((1, 1), (2, 1), (3, 2), (16, 4))
+# (look-ahead window, shortest bulk stretch, flush size)
+LOOKS = ((1, 1, 1), (2, 1, 2), (3, 2, 3), (16, 4, book_module._FLUSH))
+DEFAULT_LOOK = (engine._LOOK, engine._MIN_STRETCH, book_module._FLUSH)
 
 
-@pytest.fixture(params=LOOKS, ids=lambda p: "look%d-min%d" % p)
+def set_look(monkeypatch, look, min_stretch, flush):
+    monkeypatch.setattr(engine, "_LOOK", look)
+    monkeypatch.setattr(engine, "_MIN_STRETCH", min_stretch)
+    monkeypatch.setattr(book_module, "_FLUSH", flush)
+
+
+@pytest.fixture(params=LOOKS, ids=lambda p: "look%d-min%d" % p[:2])
 def small_look(request, monkeypatch):
     """A look-ahead window and a shortest bulk stretch of a few events, so
     that the book loop switches between stretches and single events all
-    the time."""
-    look, min_stretch = request.param
-    monkeypatch.setattr(engine, "_LOOK", look)
-    monkeypatch.setattr(engine, "_MIN_STRETCH", min_stretch)
+    the time, and flushes of a few cold prices, so that the cold tiers
+    move into the hot ones all the time."""
+    set_look(monkeypatch, *request.param)
     return request.param
 
 
@@ -403,6 +411,61 @@ def quote_moves(config: SimConfig):
     b = np.concatenate(([start.bid], bids))
     a = np.concatenate(([start.ask], asks))
     return np.flatnonzero((b[1:] != b[:-1]) | (a[1:] != a[:-1])) + 1
+
+
+def crafted_chunks(events):
+    """A stand-in for ``engine._event_chunks`` that yields crafted ``(kind,
+    price)`` events, cut into chunks at the config's snapshot indices as
+    the pre-pass cuts them."""
+    kinds, prices = zip(*events)
+    kinds, prices = np.array(kinds, dtype=np.uint8), np.array(prices)
+    times = np.arange(1.0, len(kinds) + 1.0)
+
+    def chunks(config, rates):
+        start = 0
+        for stop in [k for k in config.snapshot_at if 0 < k < len(kinds)] + [len(kinds)]:
+            yield times[start:stop], kinds[start:stop], prices[start:stop]
+            start = stop
+
+    return chunks
+
+
+def assert_tiers_hold(book: OrderBook):
+    """The two-tier invariants of ``book``: the nearest cold price is kept
+    exactly, every cold price lies strictly behind its quote, and a side
+    with an empty hot heap has no cold orders."""
+    for cold, heap, nearest, behind, far in (
+        (book._buy_cold, book._buy_heap, book._cold_bid, lambda x: x < book.bid, -math.inf),
+        (book._sell_cold, book._sell_heap, book._cold_ask, lambda x: x > book.ask, math.inf),
+    ):
+        if not cold:
+            assert nearest == far
+            continue
+        prices = np.concatenate(cold)
+        assert nearest == (prices.max() if far < 0 else prices.min())
+        assert heap and behind(nearest)
+
+
+def assert_matches_crafted(traj: Trajectory, events):
+    """``traj``, a run over crafted events, against OrderBook.apply on them."""
+    config = traj.config
+    book = OrderBook(config.pair.interval, config.initial_buys, config.initial_sells)
+    tps, bids, asks, snapshots = [], [], [], {}
+    for i, (kind, x) in enumerate(events, 1):
+        traded = None
+        if kind != DROPPED:
+            traded = book.apply(Event(EventKind(kind), x if kind in (2, 3) else None))
+        tps.append(math.nan if traded is None else traded)
+        bids.append(book.bid)
+        asks.append(book.ask)
+        if i in config.snapshot_at:
+            snapshots[i] = book.snapshot()
+    np.testing.assert_array_equal(traj.trade_prices, tps)
+    np.testing.assert_array_equal(traj.bids, bids)
+    np.testing.assert_array_equal(traj.asks, asks)
+    assert (traj.final_book.n_buys, traj.final_book.n_sells) == (book.n_buys, book.n_sells)
+    assert traj.final_book == book
+    assert traj.snapshots == snapshots
 
 
 class TestQuietStretches:
@@ -469,7 +532,8 @@ class TestQuietStretches:
     def test_same_bytes_as_the_plain_loop(self, monkeypatch):
         """Crafted events that rest at one price twice inside a stretch, at a
         level that already rests, and exactly at the quotes: the bulk path
-        leaves the dicts (their order too) and heaps as the loop does."""
+        leaves what the bytes depend on (trade prices, quotes, the resting
+        orders, the order totals and the snapshots) as the loop does."""
         events = [(2, 0.3), (3, 0.7)]  # the quotes
         # behind the quotes: new levels, a price twice, resting levels
         events += [(2, 0.2), (3, 0.8), (2, 0.1), (2, 0.1), (2, 0.2), (3, 0.9), (3, 0.9), (3, 0.8)]
@@ -478,29 +542,91 @@ class TestQuietStretches:
         events += [(4, math.nan), (0, math.nan), (1, math.nan), (DROPPED, 0.5)] * 3
         events += [(3, 0.3), (2, 0.7)] * 3  # until a quote level empties
         events += [(2, 0.05 + k / 1e3) for k in range(40)] + [(3, 0.95 - k / 1e3) for k in range(40)]
-        kinds, prices = zip(*events)
-        kinds, prices = np.array(kinds, dtype=np.uint8), np.array(prices)
-        times = np.arange(1.0, len(kinds) + 1.0)
-
-        def chunks(config, rates):
-            yield times, kinds, prices
-
-        monkeypatch.setattr(engine, "_event_chunks", chunks)
-        cfg = SimConfig(pair=PAIRS["floor"], events=len(kinds), initial_buys=(0.1,))
+        monkeypatch.setattr(engine, "_event_chunks", crafted_chunks(events))
+        cfg = SimConfig(pair=PAIRS["floor"], events=len(events), initial_buys=(0.1,), snapshot_at=(30, 60))
         with monkeypatch.context() as patch:
             patch.setattr(engine, "_quiet_stretch", lambda *args: 0)  # all through the loop
             plain = run(cfg)
         ref = plain.final_book
-        for look, min_stretch in LOOKS + ((1024, 128),):
-            monkeypatch.setattr(engine, "_LOOK", look)
-            monkeypatch.setattr(engine, "_MIN_STRETCH", min_stretch)
+        for params in LOOKS + (DEFAULT_LOOK,):
+            set_look(monkeypatch, *params)
             bulk = run(cfg)
             for name in ("trade_prices", "bids", "asks"):
                 np.testing.assert_array_equal(getattr(bulk, name), getattr(plain, name))
             book = bulk.final_book
-            assert list(book.buy_counts.items()) == list(ref.buy_counts.items())
-            assert list(book.sell_counts.items()) == list(ref.sell_counts.items())
-            assert book.buy_heap == ref.buy_heap and book.sell_heap == ref.sell_heap
+            assert (book.n_buys, book.n_sells) == (ref.n_buys, ref.n_sells)
+            assert sorted(book.buy_counts.items()) == sorted(ref.buy_counts.items())
+            assert sorted(book.sell_counts.items()) == sorted(ref.sell_counts.items())
+            assert bulk.snapshots == plain.snapshots
+
+    # Buys that rest behind the bid, some at a hot level behind it, then
+    # sells that empty the bid level, the level the cold buys met, and the
+    # whole buy side; each event is followed by its mirror image, so the
+    # sell side goes through the same.
+    COLD_EVENTS = [
+        (2, 0.2), (2, 0.3),  # the bid, over a hot level at 0.2
+        (2, 0.2), (2, 0.1), (2, 0.1), (2, 0.15), (4, math.nan),  # cold behind the bid
+        (3, 0.3), (3, 0.3),  # the bid level empties: 0.2 is the quote, hot and cold
+        (1, math.nan), (3, 0.2),  # ... and empties
+        (1, math.nan), (3, 0.1), (1, math.nan),  # until the whole side has
+        (2, 0.4), (2, 0.35), (2, 0.3), (2, 0.3),  # and rests again
+        (3, 0.4), (1, math.nan), (1, math.nan),
+    ]
+    MIRROR = {0: 1, 1: 0, 2: 3, 3: 2, 4: 4}
+
+    @pytest.mark.parametrize(
+        "setup, reaches",
+        [
+            ({}, ("onto the new quote", "into an empty hot tier")),
+            ({"snapshot_at": (9, 14)}, ("settles",)),
+            ({"initial_buys": (0.25,)}, ("onto the new quote", "into an empty hot tier")),
+        ],
+        ids=["flushes", "snapshots", "initial-book"],
+    )
+    def test_cold_tier_matches_the_slow_path(self, setup, reaches, monkeypatch):
+        """Crafted streams through the cold tiers, at every look-ahead and
+        flush size, against OrderBook.apply on the same events: a cold price
+        equal to a hot level behind the quote that becomes the quote, a hot
+        side that empties while its cold tier holds orders, snapshots while
+        it does, and an initial book."""
+        events = []
+        for kind, x in self.COLD_EVENTS:
+            events += [(kind, x), (self.MIRROR[kind], 1.0 - x)]
+        monkeypatch.setattr(engine, "_event_chunks", crafted_chunks(events))
+        reached = dict.fromkeys(("onto the new quote", "into an empty hot tier", "settles"), 0)
+        real_absorb, real_settle = book_module._absorb, OrderBook._settle
+
+        def absorb(counts, heap, prices, negate):
+            if heap:
+                reached["onto the new quote"] += (-heap[0] if negate else heap[0]) in prices.tolist()
+            else:
+                reached["into an empty hot tier"] += 1
+            real_absorb(counts, heap, prices, negate)
+
+        def settle(book):
+            reached["settles"] += 1
+            real_settle(book)
+
+        def checked(step):
+            def call(book, *args):
+                result = step(book, *args)
+                assert_tiers_hold(book)
+                return result
+
+            return call
+
+        cfg = SimConfig(pair=PAIRS["uniform"], events=len(events), **setup)
+        for params in LOOKS + (DEFAULT_LOOK,):
+            set_look(monkeypatch, *params)
+            with monkeypatch.context() as patch:
+                patch.setattr(book_module, "_absorb", absorb)
+                patch.setattr(OrderBook, "_settle", settle)
+                for name in ("_quiet_stretch", "_book_loop"):
+                    patch.setattr(engine, name, checked(getattr(engine, name)))
+                traj = run(cfg)
+            assert_matches_crafted(traj, events)
+        for what in reaches:
+            assert reached[what], what
 
     def test_frozen_runs_skip_the_loop(self, uniform_pair, monkeypatch):
         # at rho 0.6 the book freezes and few events move a quote; a count,
@@ -516,6 +642,20 @@ class TestQuietStretches:
         events = 200_000
         run(SimConfig(pair=uniform_pair, events=events, seed=1, rho=0.6))
         assert 0 < looped[0] <= 0.1 * events
+
+
+    def test_frozen_runs_keep_deep_levels_cold(self, uniform_pair, monkeypatch):
+        # at rho 0.6 almost every resting order stays behind the quotes for
+        # good: the hot tiers hold few of the levels, and the settled book
+        # holds as many as the loop's; counts, not timings
+        cfg = SimConfig(pair=uniform_pair, events=200_000, seed=1, rho=0.6)
+        book = run(cfg).final_book
+        hot = len(book._buy_counts) + len(book._sell_counts)
+        levels = len(book.buy_counts) + len(book.sell_counts)
+        monkeypatch.setattr(engine, "_quiet_stretch", lambda *args: 0)  # all through the loop
+        plain = run(cfg).final_book
+        assert levels == len(plain.buy_counts) + len(plain.sell_counts)
+        assert 0 < hot <= 0.05 * levels
 
 
 class TestPrepassMemory:
