@@ -469,8 +469,9 @@ def assert_matches_crafted(traj: Trajectory, events):
 
 
 class TestQuietStretches:
-    """run()'s bulk path for quiet stretches against the slow path, with the
-    look-ahead constants, which are no part of the bytes, at tiny values."""
+    """run()'s bulk path for quiet stretches and the book's cold tiers
+    against the slow path, with the look-ahead constants and the flush
+    size, which are no part of the bytes, at tiny values."""
 
     @staticmethod
     def configs(events):
