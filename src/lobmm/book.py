@@ -25,7 +25,8 @@ Two invariants tie the tiers together:
 So the quotes, and whether a side rests at all, are read off the hot
 heaps alone.  A price may rest in both tiers at once behind the quote.
 When a quote level empties and a cold price reaches the new quote, the
-cold prices nearest the quote move into the hot tier (a flush).
+whole cold tier of that side moves into the hot tier (a flush).  Each
+cold order thus enters the hot tier at most once.
 
 The whole-book views (``buy_counts``, ``sell_counts``, ``buy_heap``,
 ``sell_heap``, and through them :meth:`OrderBook.snapshot`, equality,
@@ -65,11 +66,6 @@ class EventKind(Enum):
 
 
 _LIMIT_KINDS = (EventKind.BUY_LIMIT, EventKind.SELL_LIMIT)
-
-# the fewest cold prices one flush moves into the hot tier (all of them when
-# there are fewer); it changes no byte of a run, only its speed
-_FLUSH = 1024
-
 
 @dataclass(frozen=True)
 class Event:
@@ -250,14 +246,16 @@ class OrderBook:
 
     def _flush_bid(self) -> float:
         """Once the bid level has emptied and a cold buy lies at or above
-        the new top of the hot tier: move the cold buys nearest the bid into
-        the hot tier and return the bid."""
-        self._cold_bid = -_flush(self._buy_counts, self._buy_heap, self._buy_cold, True)
+        the new top of the hot tier: move every cold buy into the hot tier
+        and return the bid."""
+        _absorb(self._buy_counts, self._buy_heap, self._buy_cold, True)
+        self._cold_bid = -math.inf
         return -self._buy_heap[0]
 
     def _flush_ask(self) -> float:
         """The sell-side twin of :meth:`_flush_bid`; returns the ask."""
-        self._cold_ask = _flush(self._sell_counts, self._sell_heap, self._sell_cold, False)
+        _absorb(self._sell_counts, self._sell_heap, self._sell_cold, False)
+        self._cold_ask = math.inf
         return self._sell_heap[0]
 
     def _count_orders(self) -> None:
@@ -267,13 +265,8 @@ class OrderBook:
 
     def _settle(self) -> None:
         """Merge both cold tiers into the hot ones."""
-        for counts, heap, cold, negate in (
-            (self._buy_counts, self._buy_heap, self._buy_cold, True),
-            (self._sell_counts, self._sell_heap, self._sell_cold, False),
-        ):
-            if cold:
-                _absorb(counts, heap, np.concatenate(cold), negate)
-                cold.clear()
+        _absorb(self._buy_counts, self._buy_heap, self._buy_cold, True)
+        _absorb(self._sell_counts, self._sell_heap, self._sell_cold, False)
         self._cold_bid, self._cold_ask = -math.inf, math.inf
 
     # -- event application ------------------------------------------------
@@ -345,30 +338,13 @@ class OrderBook:
         )
 
 
-def _flush(counts: Dict[float, int], heap: list, cold: List[np.ndarray], negate: bool) -> float:
-    """Move the cold prices of one side nearest its quote into its hot tier
-    (``heap`` holds negated prices when ``negate``): all of them when there
-    are at most ``_FLUSH``, else those at or nearer than the ``_FLUSH``-th
-    nearest, so every copy of that price moves too.  Return the nearest
-    price left cold as a heap key, inf when none is."""
-    prices = np.concatenate(cold)
+def _absorb(counts: Dict[float, int], heap: list, cold: List[np.ndarray], negate: bool) -> None:
+    """Move every order of a side's cold tier ``cold`` into its count dict
+    and heap (of negated prices when ``negate``), and empty ``cold``."""
+    if not cold:
+        return
+    levels, n = np.unique(np.concatenate(cold), return_counts=True)
     cold.clear()
-    keys = -prices if negate else prices  # smaller is nearer the quote
-    nearest_left = math.inf
-    if len(keys) > _FLUSH:
-        far = keys > np.partition(keys, _FLUSH - 1)[_FLUSH - 1]
-        if far.any():
-            cold.append(prices[far])
-            nearest_left = float(keys[far].min())
-        prices = prices[~far]
-    _absorb(counts, heap, prices, negate)
-    return nearest_left
-
-
-def _absorb(counts: Dict[float, int], heap: list, prices: np.ndarray, negate: bool) -> None:
-    """Add one resting order at each of ``prices`` to a side's count dict
-    and heap (of negated prices when ``negate``)."""
-    levels, n = np.unique(prices, return_counts=True)
     for x, c in zip(levels.tolist(), n.tolist()):
         old = counts.get(x)
         if old is None:

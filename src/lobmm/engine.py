@@ -20,19 +20,18 @@ bulk with numpy, resting the orders behind the quotes in the cold tiers
 one array at a time, and steps only the events that end a stretch, and
 busy parts of the stream, through the per-event book loop on the hot
 tiers.  When the loop empties a quote level and a cold price reaches the
-new quote, the book flushes the cold prices nearest it into the hot tier.
+new quote, the book flushes that side's whole cold tier into the hot tier.
 
 The event-by-event slow path stays as the oracle: :func:`next_event`,
 :func:`restrict_event`, :class:`BlockRng` and :meth:`OrderBook.apply`.
 The test-suite pins the two paths to each other event by event, at tiny
 block sizes to the same sequence of block draws, and at tiny look-ahead
-constants and flush sizes across stretch edges; change them in lockstep.
-``_BLOCK`` and the order of the block draws (exponential block, then
-uniform block, each refilled when the next draw needs it, the exponential
-first when both fall on one event) are part of the byte-identity
-contract: changing either changes every trajectory.  The look-ahead
-constants ``_LOOK`` and ``_MIN_STRETCH`` and the book's flush size are
-not: any positive values give the same bytes.
+constants across stretch edges; change them in lockstep.  ``_BLOCK`` and
+the order of the block draws (exponential block, then uniform block, each
+refilled when the next draw needs it, the exponential first when both
+fall on one event) are part of the byte-identity contract: changing
+either changes every trajectory.  The look-ahead constants ``_LOOK`` and
+``_MIN_STRETCH`` are not: any positive values give the same bytes.
 
 After a run, :attr:`Trajectory.summary` reduces it, once, to the
 :class:`TrajectorySummary` record that ``simulate``, ``sweep``, ``freeze``
@@ -452,7 +451,7 @@ def _book_loop(
     """Apply events one at a time to the hot tiers of ``book``, whose
     quotes are ``bid`` and ``ask``, and return the new quotes.  When a quote
     level empties and a cold price reaches the new quote, the book flushes
-    its cold prices nearest that quote into the hot tier first.
+    that side's whole cold tier into the hot tier first.
 
     ``kinds`` and ``prices`` are a range of the pre-pass's events; each
     event's trade price and the quotes after it are appended to the

@@ -383,23 +383,22 @@ class TestBlockBoundaries:
                     assert short.final_book == ref.final_book
 
 
-# (look-ahead window, shortest bulk stretch, flush size)
-LOOKS = ((1, 1, 1), (2, 1, 2), (3, 2, 3), (16, 4, book_module._FLUSH))
-DEFAULT_LOOK = (engine._LOOK, engine._MIN_STRETCH, book_module._FLUSH)
+# (look-ahead window, shortest bulk stretch)
+LOOKS = ((1, 1), (2, 1), (3, 2), (16, 4))
+DEFAULT_LOOK = (engine._LOOK, engine._MIN_STRETCH)
 
 
-def set_look(monkeypatch, look, min_stretch, flush):
+def set_look(monkeypatch, look, min_stretch):
     monkeypatch.setattr(engine, "_LOOK", look)
     monkeypatch.setattr(engine, "_MIN_STRETCH", min_stretch)
-    monkeypatch.setattr(book_module, "_FLUSH", flush)
 
 
-@pytest.fixture(params=LOOKS, ids=lambda p: "look%d-min%d" % p[:2])
+@pytest.fixture(params=LOOKS, ids=lambda p: "look%d-min%d" % p)
 def small_look(request, monkeypatch):
     """A look-ahead window and a shortest bulk stretch of a few events, so
     that the book loop switches between stretches and single events all
-    the time, and flushes of a few cold prices, so that the cold tiers
-    move into the hot ones all the time."""
+    the time, and the cold tiers fill with a few orders at a time and
+    flush into the hot ones often."""
     set_look(monkeypatch, *request.param)
     return request.param
 
@@ -470,8 +469,8 @@ def assert_matches_crafted(traj: Trajectory, events):
 
 class TestQuietStretches:
     """run()'s bulk path for quiet stretches and the book's cold tiers
-    against the slow path, with the look-ahead constants and the flush
-    size, which are no part of the bytes, at tiny values."""
+    against the slow path, with the look-ahead constants, which are no
+    part of the bytes, at tiny values."""
 
     @staticmethod
     def configs(events):
@@ -585,8 +584,8 @@ class TestQuietStretches:
         ids=["flushes", "snapshots", "initial-book"],
     )
     def test_cold_tier_matches_the_slow_path(self, setup, reaches, monkeypatch):
-        """Crafted streams through the cold tiers, at every look-ahead and
-        flush size, against OrderBook.apply on the same events: a cold price
+        """Crafted streams through the cold tiers, at every look-ahead,
+        against OrderBook.apply on the same events: a cold price
         equal to a hot level behind the quote that becomes the quote, a hot
         side that empties while its cold tier holds orders, snapshots while
         it does, and an initial book."""
@@ -597,12 +596,13 @@ class TestQuietStretches:
         reached = dict.fromkeys(("onto the new quote", "into an empty hot tier", "settles"), 0)
         real_absorb, real_settle = book_module._absorb, OrderBook._settle
 
-        def absorb(counts, heap, prices, negate):
-            if heap:
-                reached["onto the new quote"] += (-heap[0] if negate else heap[0]) in prices.tolist()
-            else:
+        def absorb(counts, heap, cold, negate):
+            if cold and heap:
+                top = -heap[0] if negate else heap[0]
+                reached["onto the new quote"] += top in np.concatenate(cold).tolist()
+            elif cold:
                 reached["into an empty hot tier"] += 1
-            real_absorb(counts, heap, prices, negate)
+            real_absorb(counts, heap, cold, negate)
 
         def settle(book):
             reached["settles"] += 1
