@@ -24,6 +24,7 @@ import argparse
 import json
 import math
 import sys
+from collections import deque
 from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -43,6 +44,7 @@ from .engine import (
     DiscreteMap,
     SimConfig,
     Trajectory,
+    _process_pool,
     image_book,
     quote_cdfs,
     run,
@@ -458,6 +460,11 @@ def write_json(path: Path, payload: Dict[str, Any], written: Optional[List[Path]
 
 
 _BLOCK_ROWS = 8192
+# tables of at least this many blocks are formatted in worker processes
+_POOL_BLOCKS = 4
+# blocks in flight per worker: enough to keep the workers busy while the
+# main process writes, few enough that memory does not grow with the rows
+_AHEAD = 2
 _NEEDS_QUOTING = frozenset(',"\r\n')
 
 
@@ -477,23 +484,63 @@ def write_csv(
     scalar, a mix of types) raises TypeError.  Nothing is quoted, so a
     token holding a comma, a double quote or a line break raises ValueError,
     as does a table of one column (a lone empty field would be a blank
-    line).  Columns are formatted a block of rows at a time, so memory does
-    not grow with the row count.
+    line).
+
+    Columns are formatted a block of ``_BLOCK_ROWS`` rows at a time, and a
+    block's text depends on its own cells only.  A table of at least
+    ``_POOL_BLOCKS`` blocks is formatted in worker processes, one per CPU,
+    with a bounded number of blocks in flight; the main process writes the
+    texts in row order.  So the bytes do not depend on the CPU count, and
+    memory does not grow with the row count.  Every worker has exited when
+    this returns or raises.
     """
     if len(header) < 2 or len(columns) != len(header):
         raise ValueError(f"{path.name}: need one column per header field, at least two")
     n = len(columns[0])
     if any(len(col) != n for col in columns):
         raise ValueError(f"{path.name}: columns differ in length")
+    blocks = ([col[s : s + _BLOCK_ROWS] for col in columns] for s in range(0, n, _BLOCK_ROWS))
+    n_blocks = -(-n // _BLOCK_ROWS)
     with _open_artifact(path, written) as fh:
         fh.write(",".join(_fields(list(header))) + "\n")
-        for start in range(0, n, _BLOCK_ROWS):
-            fields = [_fields(col[start : start + _BLOCK_ROWS]) for col in columns]
-            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
+        pool, workers = _process_pool(n_blocks) if n_blocks >= _POOL_BLOCKS else (None, 1)
+        if pool is None:
+            fh.writelines(map(_block_text, blocks))
+            return
+        try:
+            fh.writelines(_in_order(pool, _block_text, blocks, _AHEAD * workers))
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+
+def _in_order(pool, fn: Callable, items, ahead: int):
+    """``fn`` over ``items`` in ``pool``, results in order, with at most
+    ``ahead`` items submitted and not yet yielded."""
+    pending = deque()
+    for item in items:
+        if len(pending) == ahead:
+            yield pending.popleft().result()
+        pending.append(pool.submit(fn, item))
+    while pending:
+        yield pending.popleft().result()
+
+
+def _block_text(block: Sequence[Sequence[Any]]) -> str:
+    """One block of rows, given as its columns, as CSV lines."""
+    return "\n".join(map(",".join, zip(*map(_fields, block)))) + "\n"
 
 
 def _fields(cells: Sequence[Any]) -> List[str]:
-    """One block of one column as CSV fields (the contract of write_csv)."""
+    """One block of one column as CSV fields (the contract of write_csv).
+
+    A float64 block where at most half the cells are distinct formats each
+    distinct bit pattern once, so -0.0 and 0.0 stay apart.
+    """
+    if isinstance(cells, np.ndarray) and cells.dtype == np.float64:
+        keys, inverse = np.unique(cells.view(np.int64), return_inverse=True)
+        if 2 * len(keys) <= len(cells):
+            distinct = _float_fields(keys.view(np.float64).tolist())
+            return np.array(distinct, dtype=object)[inverse].tolist()
     if isinstance(cells, np.ndarray) and cells.dtype.kind in "fiu":
         values = cells.tolist()
         cell_type = float if cells.dtype.kind == "f" else int
@@ -505,14 +552,19 @@ def _fields(cells: Sequence[Any]) -> List[str]:
             raise TypeError(f"a CSV column holds only floats, only ints or only str; got {names}")
         cell_type = types.pop()
     if cell_type is float:
-        fields = list(map(repr, values))
-        return ["" if f == "nan" else f for f in fields] if "nan" in fields else fields
+        return _float_fields(values)
     if cell_type is int:
         return list(map(str, values))
     for token in set(values):
         if not _NEEDS_QUOTING.isdisjoint(token):
             raise ValueError(f"CSV token {token!r} would need quoting")
     return values
+
+
+def _float_fields(values: List[float]) -> List[str]:
+    """Python floats as fields: ``repr``, and NaN as an empty field."""
+    fields = list(map(repr, values))
+    return ["" if f == "nan" else f for f in fields] if "nan" in fields else fields
 
 
 def _columns(rows: Sequence[Sequence[Any]], width: int) -> List[Sequence[Any]]:

@@ -18,9 +18,10 @@ the book stage applies each *quiet stretch* (a run of events with no
 limit order strictly inside the spread and no quote level emptied) in
 bulk with numpy, resting the orders behind the quotes in the cold tiers
 one array at a time, and steps only the events that end a stretch, and
-busy parts of the stream, through the per-event book loop on the hot
-tiers.  When the loop empties a quote level and a cold price reaches the
-new quote, the book flushes that side's whole cold tier into the hot tier.
+busy parts of the stream less their dropped orders, through the
+per-event book loop on the hot tiers.  When the loop empties a quote
+level and a cold price reaches the new quote, the book flushes that
+side's whole cold tier into the hot tier.
 
 The event-by-event slow path stays as the oracle: :func:`next_event`,
 :func:`restrict_event`, :class:`BlockRng` and :meth:`OrderBook.apply`.
@@ -44,7 +45,6 @@ from __future__ import annotations
 import math
 import os
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 from itertools import repeat
@@ -524,6 +524,36 @@ def _book_loop(
     return bid, ask
 
 
+def _busy_run(
+    book: OrderBook,
+    bid: float,
+    ask: float,
+    kinds: np.ndarray,
+    prices: np.ndarray,
+    out: List[array],
+) -> Tuple[float, float]:
+    """:func:`_book_loop` over a busy run of events, its dropped orders
+    left out of the loop.  A dropped order trades nothing and changes no
+    quote, so its trade price is NaN and its quotes are those after the
+    last event applied before it, or ``bid`` and ``ask`` where none was.
+    """
+    kept = kinds != DROPPED
+    if kept.all():
+        return _book_loop(book, bid, ask, kinds, prices, out)
+    applied = [array("d") for _ in out]
+    new_bid, new_ask = _book_loop(book, bid, ask, kinds[kept], prices[kept], applied)
+    tp = np.full(len(kinds), math.nan)
+    tp[kept] = applied[0]
+    # 1 + the index in ``applied`` of the last event applied at or before
+    # each event; 0 before the first
+    last = np.cumsum(kept)
+    bids = np.concatenate(([bid], applied[1]))[last]
+    asks = np.concatenate(([ask], applied[2]))[last]
+    for col, values in zip(out, (tp, bids, asks)):
+        col.frombytes(values.tobytes())
+    return new_bid, new_ask
+
+
 def _quiet_stretch(
     book: OrderBook,
     bid: float,
@@ -589,7 +619,8 @@ def run(config: SimConfig) -> Trajectory:
     quotes in the book's cold tiers, and the event that ends it goes
     through :func:`_book_loop`, which flushes cold prices into the hot
     tier when a quote level empties onto them.  Where the stream is busy,
-    the loop takes runs of events instead, doubled while it stays busy.
+    the loop takes runs of events instead, doubled while it stays busy,
+    and :func:`_busy_run` leaves their dropped orders out of it.
     Together they mirror next_event + restrict_event + OrderBook.apply
     exactly: same draws, same comparisons, same arithmetic, and the same
     resting orders.  The final book keeps its cold tiers, and its order
@@ -628,10 +659,11 @@ def run(config: SimConfig) -> Trajectory:
                 # the event that ends the stretch goes through the loop
                 look, busy = _LOOK, _MIN_STRETCH
                 r = slice(s, s + 1)
+                bid, ask = _book_loop(book, bid, ask, kinds[r], prices[r], out)
             else:  # busy: the loop takes a run, longer while it stays busy
                 r = slice(s, min(m, s + busy))
                 busy *= 2
-            bid, ask = _book_loop(book, bid, ask, kinds[r], prices[r], out)
+                bid, ask = _busy_run(book, bid, ask, kinds[r], prices[r], out)
             s = r.stop
         n += m
         if n in snap_at:
@@ -865,11 +897,10 @@ def run_ensemble(
         raise ValueError("need at least one replica")
     if workers is not None and workers < 0:
         raise ValueError("workers must be nonnegative (0 means one per CPU)")
-    cpus = os.cpu_count() or 1
-    workers = min(workers or cpus, cpus, replicas)
-    if workers <= 1:
+    pool, workers = _process_pool(replicas, workers)
+    if pool is None:
         return [_replica_summary(base_config, r) for r in range(replicas)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with pool:
         return list(
             pool.map(
                 _replica_summary,
@@ -878,3 +909,18 @@ def run_ensemble(
                 chunksize=max(1, replicas // (4 * workers)),
             )
         )
+
+
+def _process_pool(tasks: int, workers: Optional[int] = None):
+    """``(pool, size)`` for ``tasks`` independent tasks: a process pool of
+    ``workers`` processes (None or 0: one per CPU), never more than the
+    CPUs or the tasks.  The pool is None when that leaves one process, and
+    the caller then works serially."""
+    cpus = os.cpu_count() or 1
+    size = min(workers or cpus, cpus, tasks)
+    if size <= 1:
+        return None, size
+    # imported here: every command pays for the import, few start a pool
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=size), size

@@ -8,9 +8,12 @@ import csv
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 import random
 import subprocess
 import sys
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -982,11 +985,12 @@ cell_pools = {
 
 
 @st.composite
-def tables(draw):
+def tables(draw, block=BLOCK):
     """(header, columns, reference columns): 2-6 columns of random cells,
-    as lists or numpy arrays, 0 rows up to just past two blocks."""
+    as lists or numpy arrays, 0 rows up to just past two blocks of
+    ``block`` rows."""
     n = draw(
-        st.one_of(st.integers(0, 40), st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]))
+        st.one_of(st.integers(0, 40), st.sampled_from([block - 1, block, block + 1, 2 * block + 1]))
     )
     header, columns, plain = [], [], []
     for _ in range(draw(st.integers(2, 6))):
@@ -1018,6 +1022,121 @@ class TestWriteCsv:
         write_csv(d / "new.csv", header, columns)
         reference_csv(d / "old.csv", header, plain)
         assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(tables(block=4))
+    def test_matches_the_csv_module_writer_in_blocks_of_4(self, tmp_path_factory, table):
+        # tables of 4 blocks or more (13-40 rows) go through the pool, and
+        # small blocks often repeat their floats, so both new paths are taken
+        header, columns, plain = table
+        d = tmp_path_factory.mktemp("csv")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_BLOCK_ROWS", 4)
+            patch.setattr(os, "cpu_count", lambda: 2)
+            write_csv(d / "new.csv", header, columns)
+        assert multiprocessing.active_children() == []
+        reference_csv(d / "old.csv", header, plain)
+        assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
+
+    def test_repeated_floats_keep_their_sign_and_nan_payloads(self, tmp_path, monkeypatch):
+        # -0.0 next to 0.0 and NaNs with two payloads, in a block of repeats:
+        # each distinct bit pattern is formatted once, and the bytes stay
+        nans = np.array([0x7FF8000000000000, 0xFFF8000000000001], dtype=np.uint64).view(np.float64)
+        distinct = np.array([-0.0, 0.0, *nans, 0.1 + 0.2])
+        column = distinct[np.arange(BLOCK) % len(distinct)]
+        formatted = []
+        real = cli._float_fields
+        monkeypatch.setattr(cli, "_float_fields", lambda values: formatted.append(len(values)) or real(values))
+        write_csv(tmp_path / "new.csv", ("i", "x"), (range(BLOCK), column))
+        assert formatted == [len(distinct)]
+        reference_csv(tmp_path / "old.csv", ("i", "x"), (range(BLOCK), column.tolist()))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert (tmp_path / "new.csv").read_text().splitlines()[1:6] == [
+            "0,-0.0",
+            "1,0.0",
+            "2,",
+            "3,",
+            "4,0.30000000000000004",
+        ]
+
+    def pooled(self, monkeypatch):
+        """Blocks of 4 rows on two CPUs; returns the sizes of the pools
+        that write_csv started."""
+        started = []
+        real = cli._process_pool
+
+        def recorded(tasks, workers=None):
+            pool, size = real(tasks, workers)
+            started.append(size if pool is not None else None)
+            return pool, size
+
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 4)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "_process_pool", recorded)
+        return started
+
+    def test_bad_cell_in_a_late_block_raises_from_a_worker(self, tmp_path, monkeypatch):
+        with pytest.raises(TypeError) as serial:
+            cli._fields([0.5, None])
+        started = self.pooled(monkeypatch)
+        column = [0.5] * 40
+        column[37] = None  # block 9 of 10
+        written = []
+        with pytest.raises(TypeError) as pooled:
+            write_csv(tmp_path / "t.csv", ("i", "x"), (range(40), column), written)
+        assert str(pooled.value) == str(serial.value)
+        assert started == [2]
+        assert written == [tmp_path / "t.csv"]
+        assert multiprocessing.active_children() == []
+
+    def test_blocks_in_flight_are_bounded(self, tmp_path, monkeypatch):
+        # a pool that formats each block when it is submitted and counts
+        # the blocks submitted and not yet written
+        in_flight, peak = [0], [0]
+
+        class CountingPool:
+            def submit(self, fn, item):
+                in_flight[0] += 1
+                peak[0] = max(peak[0], in_flight[0])
+                future = Future()
+                future.set_result(fn(item))
+                return future
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        real_result = Future.result
+
+        def result(future, timeout=None):
+            in_flight[0] -= 1
+            return real_result(future, timeout)
+
+        monkeypatch.setattr(Future, "result", result)
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 4)
+        monkeypatch.setattr(cli, "_process_pool", lambda tasks: (CountingPool(), 2))
+        rows = 4 * 25
+        write_csv(tmp_path / "t.csv", ("i", "x"), (range(rows), [0.5] * rows))
+        assert peak[0] == cli._AHEAD * 2
+        assert (tmp_path / "t.csv").read_text() == "i,x\n" + "".join(f"{i},0.5\n" for i in range(rows))
+
+    def test_failed_write_in_a_pool_leaves_no_file(self, tmp_path, outdir, monkeypatch):
+        started = self.pooled(monkeypatch)
+        real = cli.run
+
+        def bad_trade_price(config):
+            traj = real(config)
+            cells = traj.trade_prices.astype(object)
+            cells[37] = None
+            object.__setattr__(traj, "trade_prices", cells)  # after the summary
+            return traj
+
+        monkeypatch.setattr(cli, "run", bad_trade_price)
+        cfg = write_config(tmp_path, {"model": UNIFORM_MODEL, "run": {"events": 40}})
+        with pytest.raises(TypeError):
+            main(["simulate", cfg, "--seed", "1", "--out", str(outdir)])
+        assert started == [2]
+        assert not outdir.exists()
+        assert multiprocessing.active_children() == []
 
     def test_header_only(self, tmp_path):
         write_csv(tmp_path / "t.csv", ("a", "b"), ([], np.empty(0)))

@@ -3,8 +3,10 @@ coupling, summaries, and the trajectory-level diagnostics."""
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
 import tracemalloc
+from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -659,6 +661,69 @@ class TestQuietStretches:
         assert 0 < hot <= 0.05 * levels
 
 
+class TestDroppedOrders:
+    """Busy runs leave their dropped orders out of the per-event loop and
+    fill in their trade prices (NaN) and quotes."""
+
+    # dropped orders before any other event, between quote moves and in a
+    # row, around limit orders inside the spread that keep the stream busy
+    EVENTS = [(DROPPED, 0.1), (2, 0.45), (DROPPED, 0.9), (3, 0.55), (DROPPED, 0.2)]
+    EVENTS += [(2, 0.5), (DROPPED, 0.3), (DROPPED, 0.6), (3, 0.52), (0, math.nan)]
+    EVENTS += [(DROPPED, 0.7), (1, math.nan), (4, math.nan), (DROPPED, 0.8), (1, math.nan)]
+    EVENTS += [(1, math.nan), (DROPPED, 0.1), (DROPPED, 0.9), (0, math.nan), (0, math.nan)]
+
+    @pytest.mark.parametrize(
+        "events",
+        [
+            pytest.param(EVENTS, id="crafted"),
+            pytest.param([(DROPPED, 0.2)] * 3, id="all-dropped"),
+            pytest.param([(2, 0.45), (3, 0.55), (0, math.nan), (1, math.nan)], id="none-dropped"),
+        ],
+    )
+    def test_busy_run_equals_the_loop_over_every_event(self, events):
+        # the loop applies a dropped order as a no-op, so over every event
+        # it is the oracle; the book starts with quotes of its own
+        kinds = np.array([k for k, _ in events], dtype=np.uint8)
+        prices = np.array([x for _, x in events])
+        results = []
+        for step in (engine._book_loop, engine._busy_run):
+            book = OrderBook(PAIRS["uniform"].interval, (0.3, 0.4), (0.6, 0.7))
+            out = [array("d") for _ in range(3)]
+            quotes = step(book, book.bid, book.ask, kinds, prices, out)
+            results.append((quotes, [col.tobytes() for col in out], book))
+        assert results[0] == results[1]
+
+    def test_runs_match_the_slow_path(self, monkeypatch):
+        """The crafted stream from an initial book, at every look-ahead,
+        against OrderBook.apply; no dropped order reaches the loop, and a
+        busy run starts with one before any event was applied."""
+        monkeypatch.setattr(engine, "_event_chunks", crafted_chunks(self.EVENTS))
+        looped, first = [], []
+        real_loop, real_busy = engine._book_loop, engine._busy_run
+
+        def loop(book, bid, ask, kinds, *args):
+            looped.append(int((kinds == DROPPED).sum()))
+            return real_loop(book, bid, ask, kinds, *args)
+
+        def busy(book, bid, ask, kinds, prices, out):
+            first.append(kinds[0] == DROPPED and not out[0])  # nothing applied yet
+            return real_busy(book, bid, ask, kinds, prices, out)
+
+        monkeypatch.setattr(engine, "_book_loop", loop)
+        monkeypatch.setattr(engine, "_busy_run", busy)
+        cfg = SimConfig(
+            pair=PAIRS["uniform"],
+            events=len(self.EVENTS),
+            initial_buys=(0.3,),
+            initial_sells=(0.7,),
+        )
+        for params in LOOKS + (DEFAULT_LOOK,):
+            set_look(monkeypatch, *params)
+            assert_matches_crafted(run(cfg), self.EVENTS)
+        assert looped and sum(looped) == 0
+        assert any(first)
+
+
 class TestPrepassMemory:
     # peak traced memory of run() beyond its five output columns, with the
     # post-run reduction stubbed out; measured 6.2 MB at 2**17 and 6.3 MB
@@ -1006,7 +1071,8 @@ class TestEnsemble:
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", SerialPool)
+        # the pool class is imported where a pool starts, not with engine
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
         cfg = SimConfig(pair=uniform_pair, events=500, seed=73)
         serial = run_ensemble(cfg, replicas=5, workers=1)
