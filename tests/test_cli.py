@@ -1082,9 +1082,9 @@ class TestWriteCsv:
         column = [0.5] * 40
         column[37] = None  # block 9 of 10
         written = []
-        with pytest.raises(TypeError) as pooled:
+        with pytest.raises(TypeError) as raised:
             write_csv(tmp_path / "t.csv", ("i", "x"), (range(40), column), written)
-        assert str(pooled.value) == str(serial.value)
+        assert str(raised.value) == str(serial.value)
         assert started == [2]
         assert written == [tmp_path / "t.csv"]
         assert multiprocessing.active_children() == []
