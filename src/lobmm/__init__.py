@@ -12,20 +12,15 @@ against the other.
 Layout:
 
 - ``curves``: piecewise-linear demand/supply curves, inverses, measures
-- ``book``: the two-sided order book and its event transitions
-- ``engine``: the event loop, trajectories, ensembles
+- ``book``: the two-sided order book, as the event loop keeps it
+- ``engine``: the event loop and its transitions, trajectories, ensembles
 - ``theory``: window boundaries, stationary profiles, freeze criteria
 - ``cli``: command line front end (``lobmm``)
 """
 
 from __future__ import annotations
 
-from .book import (
-    BookSnapshot,
-    Event,
-    EventKind,
-    OrderBook,
-)
+from .book import BookSnapshot, OrderBook
 from .curves import (
     AssumptionError,
     DemandSupplyPair,
@@ -37,7 +32,6 @@ from .curves import (
     walras,
 )
 from .engine import (
-    BlockRng,
     DiscreteMap,
     FreezeReport,
     InsufficientDataError,
@@ -51,9 +45,7 @@ from .engine import (
     estimate_window,
     generator_for,
     image_book,
-    next_event,
     quote_cdfs,
-    restrict_event,
     run,
     run_ensemble,
 )
@@ -79,15 +71,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssumptionError",
-    "BlockRng",
     "BookSnapshot",
     "DemandSupplyPair",
     "Direction",
     "DiscreteMap",
     "DomainError",
     "EmptySupportError",
-    "Event",
-    "EventKind",
     "FreezeReport",
     "FreezeSupport",
     "InsufficientDataError",
@@ -114,11 +103,9 @@ __all__ = [
     "gambler_bound",
     "generator_for",
     "image_book",
-    "next_event",
     "phi",
     "quote_cdfs",
     "recurrence_sweep",
-    "restrict_event",
     "run",
     "run_ensemble",
     "solve_luckock",

@@ -1,10 +1,10 @@
-"""Order book state and the single-event transition rules.
+"""Order book state: the resting orders that the simulation loop mutates.
 
 The book is a pair of price multisets (buys and sells) inside an open
 price interval, never crossing: every resting sell sits strictly above
 every resting buy.  Quotes fall back to the interval endpoints when a side
-is empty.  Five event kinds mutate the book; each application returns the
-trade price, or None when nothing traded.
+is empty.  The transitions themselves live in :mod:`lobmm.engine`, which
+reads and mutates the private tiers below directly.
 
 Each side of the book has two tiers:
 
@@ -28,12 +28,10 @@ When a quote level empties and a cold price reaches the new quote, the
 whole cold tier of that side moves into the hot tier (a flush).  Each
 cold order thus enters the hot tier at most once.
 
-The whole-book views (``buy_counts``, ``sell_counts``, ``buy_heap``,
-``sell_heap``, and through them :meth:`OrderBook.snapshot`, equality,
-``repr`` and the primitive mutations) first merge the cold tiers into the
-hot ones (a settle), once.  The simulation loop reads and mutates the
-private tiers directly; everything else should go through the methods.
-``n_buys`` and ``n_sells`` count the orders of both tiers.
+The whole-book views (``buy_counts``, ``sell_counts``, and through them
+:meth:`OrderBook.snapshot` and ``repr``) first merge the cold tiers into
+the hot ones (a settle), once.  ``n_buys`` and ``n_sells`` count the
+orders of both tiers.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ import heapq
 import math
 import numbers
 from dataclasses import dataclass
-from enum import Enum
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -51,33 +48,8 @@ from .curves import PriceInterval
 
 __all__ = [
     "BookSnapshot",
-    "Event",
-    "EventKind",
     "OrderBook",
 ]
-
-
-class EventKind(Enum):
-    BUY_MARKET = 0
-    SELL_MARKET = 1
-    BUY_LIMIT = 2
-    SELL_LIMIT = 3
-    MARKET_MAKER = 4
-
-
-_LIMIT_KINDS = (EventKind.BUY_LIMIT, EventKind.SELL_LIMIT)
-
-@dataclass(frozen=True)
-class Event:
-    kind: EventKind
-    price: Optional[float] = None
-
-    def __post_init__(self):
-        if self.kind in _LIMIT_KINDS:
-            if self.price is None or not math.isfinite(self.price):
-                raise ValueError(f"{self.kind.name} requires a finite price")
-        elif self.price is not None:
-            raise ValueError(f"{self.kind.name} carries no price")
 
 
 @dataclass(frozen=True)
@@ -87,13 +59,6 @@ class BookSnapshot:
     interval: PriceInterval
     buys: Tuple[Tuple[float, int], ...]
     sells: Tuple[Tuple[float, int], ...]
-
-    def restore(self) -> "OrderBook":
-        return OrderBook(
-            self.interval,
-            buys={p: c for p, c in self.buys},
-            sells={p: c for p, c in self.sells},
-        )
 
     def rows(self) -> list:
         """Merged (side, price, count) rows sorted by price."""
@@ -118,10 +83,9 @@ class OrderBook:
     """Mutable non-crossing order book over an open price interval.
 
     ``buy_counts`` and ``sell_counts`` map each resting price to its order
-    count; ``buy_heap`` and ``sell_heap`` hold the distinct prices, negated
-    on the buy side, so that both tops are the quotes.  Reading any of the
-    four settles the cold tiers (see the module docstring); the quotes and
-    the order totals ``n_buys`` and ``n_sells`` never do.
+    count.  Reading either settles the cold tiers (see the module
+    docstring); the quotes and the order totals ``n_buys`` and ``n_sells``
+    never do.
     """
 
     __slots__ = (
@@ -170,8 +134,6 @@ class OrderBook:
 
     buy_counts = _settled("_buy_counts", "Resting buys: price -> order count.")
     sell_counts = _settled("_sell_counts", "Resting sells: price -> order count.")
-    buy_heap = _settled("_buy_heap", "Heap of the negated distinct buy prices; its top is the bid.")
-    sell_heap = _settled("_sell_heap", "Heap of the distinct sell prices; its top is the ask.")
 
     # -- quotes ---------------------------------------------------------
 
@@ -182,54 +144,6 @@ class OrderBook:
     @property
     def ask(self) -> float:
         return self._sell_heap[0] if self._sell_heap else self.hi
-
-    # -- primitive mutations ---------------------------------------------
-
-    def add_buy(self, price: float) -> None:
-        counts = self.buy_counts
-        c = counts.get(price)
-        if c is None:
-            counts[price] = 1
-            heapq.heappush(self._buy_heap, -price)
-        else:
-            counts[price] = c + 1
-        self.n_buys += 1
-
-    def add_sell(self, price: float) -> None:
-        counts = self.sell_counts
-        c = counts.get(price)
-        if c is None:
-            counts[price] = 1
-            heapq.heappush(self._sell_heap, price)
-        else:
-            counts[price] = c + 1
-        self.n_sells += 1
-
-    def take_bid(self) -> float:
-        """Remove one buy at the bid; the buy side must be non-empty."""
-        counts = self.buy_counts
-        p = -self._buy_heap[0]
-        c = counts[p]
-        if c == 1:
-            del counts[p]
-            heapq.heappop(self._buy_heap)
-        else:
-            counts[p] = c - 1
-        self.n_buys -= 1
-        return p
-
-    def take_ask(self) -> float:
-        """Remove one sell at the ask; the sell side must be non-empty."""
-        counts = self.sell_counts
-        p = self._sell_heap[0]
-        c = counts[p]
-        if c == 1:
-            del counts[p]
-            heapq.heappop(self._sell_heap)
-        else:
-            counts[p] = c - 1
-        self.n_sells -= 1
-        return p
 
     # -- the cold tiers ----------------------------------------------------
 
@@ -269,49 +183,6 @@ class OrderBook:
         _absorb(self._sell_counts, self._sell_heap, self._sell_cold, False)
         self._cold_bid, self._cold_ask = -math.inf, math.inf
 
-    # -- event application ------------------------------------------------
-
-    def apply(self, event: Event) -> Optional[float]:
-        """Apply one event; return the trade price, or None if no trade.
-
-        BUY_MARKET lifts the ask when a sell rests; SELL_MARKET hits the
-        bid when a buy rests; marketable limits (buy at or above the ask,
-        sell at or below the bid) trade immediately, others rest; a
-        MARKET_MAKER adds one buy at the bid and one sell at the ask,
-        each conditional on that quote existing, both evaluated before
-        either insertion.
-        """
-        kind = event.kind
-        if kind is EventKind.BUY_MARKET:
-            return self.take_ask() if self._sell_heap else None
-        if kind is EventKind.SELL_MARKET:
-            return self.take_bid() if self._buy_heap else None
-        if kind is EventKind.BUY_LIMIT:
-            x = self._check_limit_price(event.price)
-            if self._sell_heap and x >= self._sell_heap[0]:
-                return self.take_ask()
-            self.add_buy(x)
-            return None
-        if kind is EventKind.SELL_LIMIT:
-            x = self._check_limit_price(event.price)
-            if self._buy_heap and x <= -self._buy_heap[0]:
-                return self.take_bid()
-            self.add_sell(x)
-            return None
-        # MARKET_MAKER: quotes sampled before either insertion
-        bid0 = -self._buy_heap[0] if self._buy_heap else None
-        ask0 = self._sell_heap[0] if self._sell_heap else None
-        if bid0 is not None:
-            self.add_buy(bid0)
-        if ask0 is not None:
-            self.add_sell(ask0)
-        return None
-
-    def _check_limit_price(self, x: float) -> float:
-        if not self.interval.contains_open(x):
-            raise ValueError(f"limit price {x} not strictly inside the interval")
-        return x
-
     # -- inspection ---------------------------------------------------------
 
     def snapshot(self) -> BookSnapshot:
@@ -319,15 +190,6 @@ class OrderBook:
             self.interval,
             tuple(sorted(self.buy_counts.items())),
             tuple(sorted(self.sell_counts.items())),
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OrderBook):
-            return NotImplemented
-        return (
-            self.interval == other.interval
-            and self.buy_counts == other.buy_counts
-            and self.sell_counts == other.sell_counts
         )
 
     def __repr__(self) -> str:

@@ -5,9 +5,9 @@ supply curve the rate of sell interest at or below each price.  Both are
 stored as breakpoint sequences spanning one closed price interval and are
 evaluated by linear interpolation.  Curve increments act as measures (the
 local arrival intensities of limit orders), so alongside evaluation this
-module provides left-continuous inverses, the total increment mass,
-inverse-CDF price sampling, the vertical shift used by market-maker
-corrections, and the walrasian crossing point.
+module provides left-continuous inverses, the total increment mass and
+the tables that the engine samples limit prices from, the vertical shift
+used by market-maker corrections, and the walrasian crossing point.
 """
 
 from __future__ import annotations
@@ -240,16 +240,6 @@ class MonotoneCurve:
         frac = np.where(dr > 0.0, (v - lo_r) / np.where(dr > 0.0, dr, 1.0), 0.0)
         x = px[k - 1] + frac * (px[k] - px[k - 1])
         return np.where(v <= rx[0], px[0], x)
-
-    def sample_from_target(self, target: float) -> float:
-        """Price at cumulative increment mass ``target``; the engine's
-        pre-pass vectorizes this exact arithmetic, keep the two in lockstep."""
-        cl = self._cum_list
-        j = bisect_left(cl, target)
-        if j == 0:
-            return self._price_list[0]
-        jm = j - 1
-        return self._price_list[jm] + (target - cl[jm]) * self._seg_per_mass[jm]
 
 
 @dataclass(frozen=True)

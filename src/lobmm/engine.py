@@ -6,33 +6,41 @@ far endpoints, limit orders at the total curve increment masses with
 prices drawn from the normalized increments, and market makers at a flat
 rate.  Consequently a run is a deterministic function of the seed: waits
 and uniforms are consumed in a fixed order from one counter-based
-generator (Philox), drawn in blocks of ``_BLOCK`` values.
+generator (Philox), drawn in blocks of ``_BLOCK`` values.  Each event
+takes one exponential (its wait) and one uniform (its kind), and a limit
+order one more uniform (its price).
+
+A run records each event as a kind code:
+
+- 0 market buy, 1 market sell, 2 limit buy, 3 limit sell, 4 market maker;
+- 5 (``DROPPED``), a limit order at or behind the near edge of the
+  restriction window.  One at or beyond the far edge is recorded as the
+  market order of its side.
 
 Because nothing about an event but its effect depends on the book,
 :func:`run` works in two stages on one code path.  A numpy pre-pass
-decodes one random block at a time into event times, recorded kinds
-(restriction rewrites and drops included) and limit prices; the book
-stage then applies those events to the book's two tiers per side (see
-:mod:`lobmm.book`).  Most events in a frozen book move neither quote, so
-the book stage applies each *quiet stretch* (a run of events with no
-limit order strictly inside the spread and no quote level emptied) in
-bulk with numpy, resting the orders behind the quotes in the cold tiers
-one array at a time, and steps only the events that end a stretch, and
-busy parts of the stream less their dropped orders, through the
-per-event book loop on the hot tiers.  When the loop empties a quote
-level and a cold price reaches the new quote, the book flushes that
-side's whole cold tier into the hot tier.
+decodes one random block at a time into event times, recorded kinds and
+limit prices; the book stage then applies those events to the book's two
+tiers per side (see :mod:`lobmm.book`).  Most events in a frozen book move
+neither quote, so the book stage applies each *quiet stretch* (a run of
+events with no limit order strictly inside the spread and no quote level
+emptied) in bulk with numpy, resting the orders behind the quotes in the
+cold tiers one array at a time, and steps only the events that end a
+stretch, and busy parts of the stream less their dropped orders, through
+the per-event book loop on the hot tiers.  When the loop empties a quote
+level and a cold price reaches the new quote, the book flushes that side's
+whole cold tier into the hot tier.
 
-The event-by-event slow path stays as the oracle: :func:`next_event`,
-:func:`restrict_event`, :class:`BlockRng` and :meth:`OrderBook.apply`.
-The test-suite pins the two paths to each other event by event, at tiny
-block sizes to the same sequence of block draws, and at tiny look-ahead
-constants across stretch edges; change them in lockstep.  ``_BLOCK`` and
-the order of the block draws (exponential block, then uniform block, each
-refilled when the next draw needs it, the exponential first when both
-fall on one event) are part of the byte-identity contract: changing
-either changes every trajectory.  The look-ahead constants ``_LOOK`` and
-``_MIN_STRETCH`` are not: any positive values give the same bytes.
+The model one event at a time, written for reading rather than speed,
+lives with the tests in ``tests/oracle.py``.  The test-suite pins
+:func:`run` to it event by event, at tiny block sizes to the same sequence
+of block draws, and at tiny look-ahead constants across stretch edges;
+change the two in lockstep.  ``_BLOCK`` and the order of the block draws
+(exponential block, then uniform block, each refilled when the next draw
+needs it, the exponential first when both fall on one event) are part of
+the byte-identity contract: changing either changes every trajectory.  The
+look-ahead constants ``_LOOK`` and ``_MIN_STRETCH`` are not: any positive
+values give the same bytes.
 
 After a run, :attr:`Trajectory.summary` reduces it, once, to the
 :class:`TrajectorySummary` record that ``simulate``, ``sweep``, ``freeze``
@@ -52,7 +60,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .book import BookSnapshot, Event, EventKind, OrderBook
+from .book import BookSnapshot, OrderBook
 from .curves import (
     DemandSupplyPair,
     PriceInterval,
@@ -61,7 +69,6 @@ from .curves import (
 
 __all__ = [
     "DROPPED",
-    "BlockRng",
     "DiscreteMap",
     "FreezeReport",
     "InsufficientDataError",
@@ -75,9 +82,7 @@ __all__ = [
     "estimate_window",
     "generator_for",
     "image_book",
-    "next_event",
     "quote_cdfs",
-    "restrict_event",
     "run",
     "run_ensemble",
 ]
@@ -116,40 +121,6 @@ def generator_for(seed: int, replica: int = 0) -> np.random.Generator:
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(seed, spawn_key=(replica,)))
     )
-
-
-class BlockRng:
-    """Block-buffered exponential and uniform draws from one generator.
-
-    Values are identical to drawing one block at a time from the wrapped
-    generator, so any two consumers making the same sequence of calls see
-    the same stream.
-    """
-
-    __slots__ = ("generator", "_exp", "_exp_i", "_uni", "_uni_i")
-
-    def __init__(self, generator: np.random.Generator):
-        self.generator = generator
-        self._exp = generator.standard_exponential(_BLOCK).tolist()
-        self._exp_i = 0
-        self._uni = generator.random(_BLOCK).tolist()
-        self._uni_i = 0
-
-    def next_exp(self) -> float:
-        i = self._exp_i
-        if i == _BLOCK:
-            self._exp = self.generator.standard_exponential(_BLOCK).tolist()
-            i = 0
-        self._exp_i = i + 1
-        return self._exp[i]
-
-    def next_uniform(self) -> float:
-        i = self._uni_i
-        if i == _BLOCK:
-            self._uni = self.generator.random(_BLOCK).tolist()
-            i = 0
-        self._uni_i = i + 1
-        return self._uni[i]
 
 
 @dataclass(frozen=True)
@@ -256,8 +227,8 @@ class TrajectorySummary:
 class Trajectory:
     """Per-event series of one run and its post-run record.
 
-    ``kinds`` holds :class:`EventKind` values, or 5 for a limit order the
-    restriction policy dropped.  ``trade_prices`` is NaN for non-trades.
+    ``kinds`` holds the kind codes of the module docstring.
+    ``trade_prices`` is NaN for non-trades.
     State ``i`` (``bids[i]``, ``asks[i]``) holds on ``[times[i],
     times[i+1])``; post-burn-in reductions weight it accordingly.
     """
@@ -283,68 +254,13 @@ class Trajectory:
         object.__setattr__(self, "summary", _summarize(self))
 
 
-def next_event(rates: RateTable, pair: DemandSupplyPair, rng: BlockRng) -> Tuple[float, Optional[Event]]:
-    """Draw the next waiting time and event.
-
-    Consumes one exponential, one uniform, and one more uniform for limit
-    kinds, in that order; the pre-pass of :func:`run` decodes identically.
-    """
-    wait = rng.next_exp() * rates.inv_total
-    u = rng.next_uniform()
-    c_bm, c_sm, c_bl, c_sl = rates.thresholds
-    if u < c_bm:
-        return wait, Event(EventKind.BUY_MARKET)
-    if u < c_sm:
-        return wait, Event(EventKind.SELL_MARKET)
-    if u < c_bl:
-        price = _draw_price(pair.demand, rng.next_uniform(), pair.interval)
-        return wait, Event(EventKind.BUY_LIMIT, price)
-    if u < c_sl:
-        price = _draw_price(pair.supply, rng.next_uniform(), pair.interval)
-        return wait, Event(EventKind.SELL_LIMIT, price)
-    return wait, Event(EventKind.MARKET_MAKER)
-
-
-def _draw_price(curve, u: float, interval: PriceInterval) -> float:
-    # boundary draws (probability ~2**-53) are nudged strictly inside
-    x = curve.sample_from_target(u * curve._cum_list[-1])
-    if x <= interval.lo:
-        return math.nextafter(interval.lo, interval.hi)
-    if x >= interval.hi:
-        return math.nextafter(interval.hi, interval.lo)
-    return x
-
-
-def restrict_event(event: Event, window: PriceInterval) -> Optional[Event]:
-    """Map a full-interval event to the window-restricted model.
-
-    Limit orders at or beyond the far edge become market orders; at or
-    behind the near edge they vanish (None).  Everything else passes
-    through unchanged.
-    """
-    kind = event.kind
-    if kind is EventKind.BUY_LIMIT:
-        if event.price >= window.hi:
-            return Event(EventKind.BUY_MARKET)
-        if event.price <= window.lo:
-            return None
-        return event
-    if kind is EventKind.SELL_LIMIT:
-        if event.price <= window.lo:
-            return Event(EventKind.SELL_MARKET)
-        if event.price >= window.hi:
-            return None
-        return event
-    return event
-
-
 def _event_chunks(config: SimConfig, rates: RateTable):
     """The pre-pass of :func:`run`: the run's events, decoded from the
     random stream one block at a time, as ``(times, kinds, prices)`` arrays.
 
     Nothing here reads the book.  A chunk never crosses a refill of either
     random block or a snapshot index, so the blocks are drawn in exactly
-    the order :func:`next_event` asks for them, and memory stays bounded by
+    the order that drawing one event at a time asks for them, and memory stays bounded by
     the block size whatever the horizon.  ``kinds`` are the recorded kinds
     (limit orders already rewritten or dropped by the restriction);
     ``prices`` holds the drawn price of every limit order, rewritten or
@@ -375,7 +291,7 @@ def _event_chunks(config: SimConfig, rates: RateTable):
     snaps = [k for k in reversed(config.snapshot_at) if k > 0]  # next one last
 
     while left:
-        # refills, exponential first, as next_event meets them
+        # refills, exponential first, as drawing one event at a time meets them
         if e_i == block:
             exps, e_i = gen.standard_exponential(block), 0
         carry = None
@@ -455,7 +371,10 @@ def _book_loop(
 
     ``kinds`` and ``prices`` are a range of the pre-pass's events; each
     event's trade price and the quotes after it are appended to the
-    columns ``out``: trade price, bid, ask.
+    columns ``out``: trade price, bid, ask.  No dropped order reaches the
+    loop: :func:`_busy_run` leaves them out, and none ends a quiet
+    stretch, since it neither rests inside the spread nor trades.  (The
+    loop would apply one as a no-op, in its last branch.)
     """
     tp_out, bid_out, ask_out = [], [], []
     buys, sells = book._buy_counts, book._sell_counts
@@ -515,7 +434,7 @@ def _book_loop(
                     bid = book._flush_bid()
             else:
                 buys[bid] = c - 1
-        else:  # dropped, or a market order against an empty side
+        else:  # a market order against an empty side
             tp_out.append(nan)
         bid_out.append(bid)
         ask_out.append(ask)
@@ -621,9 +540,9 @@ def run(config: SimConfig) -> Trajectory:
     tier when a quote level empties onto them.  Where the stream is busy,
     the loop takes runs of events instead, doubled while it stays busy,
     and :func:`_busy_run` leaves their dropped orders out of it.
-    Together they mirror next_event + restrict_event + OrderBook.apply
-    exactly: same draws, same comparisons, same arithmetic, and the same
-    resting orders.  The final book keeps its cold tiers, and its order
+    Together they give exactly what the model stepped one event at a time
+    gives (``tests/oracle.py``): the same draws, comparisons and
+    arithmetic, and the same resting orders.  The final book keeps its cold tiers, and its order
     totals count them; its whole-book views merge them in when first
     read, so a run that reports only its summary never does.
     """

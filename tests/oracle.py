@@ -1,0 +1,171 @@
+"""The reference model, one event at a time.
+
+This is the model as its transition rules state it, written for reading
+rather than speed: ``engine.run`` must give exactly what :func:`replay`
+gives, event by event, and the tests check that it does.  It shares no
+code with ``lobmm.book``, so a fault in the engine's book cannot hide on
+both sides of a comparison.
+
+Events carry the engine's kind codes: 0 market buy, 1 market sell, 2 limit
+buy, 3 limit sell, 4 market maker, and 5 for a limit order that the window
+restriction dropped.  Only limit orders carry a price; the others carry NaN.
+"""
+
+from __future__ import annotations
+
+import math
+from bisect import bisect_left, bisect_right
+from collections import Counter
+from heapq import heapify, heappop, heappush
+from itertools import chain, count
+
+from lobmm import engine
+from lobmm.engine import DROPPED, RateTable, generator_for
+
+
+class Book:
+    """Resting orders as a count per price and a heap of the distinct
+    prices per side, negated on the buy side, so that both tops are the
+    quotes; an empty side quotes its end of the open interval."""
+
+    def __init__(self, interval, buys=(), sells=()):
+        self.lo, self.hi = interval.lo, interval.hi
+        self.buys, self.sells = Counter(buys), Counter(sells)
+        self.buy_heap = [-p for p in self.buys]
+        self.sell_heap = list(self.sells)
+        heapify(self.buy_heap)
+        heapify(self.sell_heap)
+
+    @property
+    def bid(self):
+        return -self.buy_heap[0] if self.buy_heap else self.lo
+
+    @property
+    def ask(self):
+        return self.sell_heap[0] if self.sell_heap else self.hi
+
+    @property
+    def n_buys(self):
+        return sum(self.buys.values())
+
+    @property
+    def n_sells(self):
+        return sum(self.sells.values())
+
+    def counts(self):
+        """``(buys, sells)`` as sorted ``(price, count)`` tuples, the form
+        of a ``BookSnapshot``."""
+        return tuple(sorted(self.buys.items())), tuple(sorted(self.sells.items()))
+
+    def apply(self, kind, price=math.nan):
+        """Apply one event; return its trade price, or None.
+
+        A buy lifts the ask and a sell hits the bid when that side rests:
+        market orders always, limit orders when marketable (a buy at or
+        above the ask, a sell at or below the bid).  Other limit orders
+        rest.  The market maker adds one order at each quote that rests.
+        """
+        if kind in (2, 3) and not self.lo < price < self.hi:
+            raise ValueError(f"limit price {price} not strictly inside the interval")
+        if kind == 0 or (kind == 2 and self.sell_heap and price >= self.ask):
+            return _take(self.sells, self.sell_heap, 1) if self.sell_heap else None
+        if kind == 1 or (kind == 3 and self.buy_heap and price <= self.bid):
+            return _take(self.buys, self.buy_heap, -1) if self.buy_heap else None
+        if kind == 2:
+            _add(self.buys, self.buy_heap, -1, price)
+        elif kind == 3:
+            _add(self.sells, self.sell_heap, 1, price)
+        elif kind == 4:
+            if self.buys:
+                self.buys[self.bid] += 1
+            if self.sells:
+                self.sells[self.ask] += 1
+        return None
+
+
+def _add(counts, heap, sign, price):
+    if price not in counts:
+        heappush(heap, sign * price)
+    counts[price] += 1
+
+
+def _take(counts, heap, sign):
+    price = sign * heap[0]
+    counts[price] -= 1
+    if not counts[price]:
+        del counts[price]
+        heappop(heap)
+    return price
+
+
+def _draws(draw):
+    """Endless values of ``draw``, one block of ``engine._BLOCK`` at a time:
+    the first block at once, each later one when the one before runs out."""
+    block = engine._BLOCK
+    return chain(draw(block).tolist(), chain.from_iterable(draw(block).tolist() for _ in count()))
+
+
+def price_at_mass(curve, target):
+    """The price at cumulative increment mass ``target`` of ``curve``."""
+    cum = curve._cum_list
+    j = bisect_left(cum, target)
+    if j == 0:
+        return curve._price_list[0]
+    return curve._price_list[j - 1] + (target - cum[j - 1]) * curve._seg_per_mass[j - 1]
+
+
+def events(config):
+    """The ``config.events`` events of a run as ``(wait, kind, price)``, on
+    the full interval (see :func:`restrict`).  Each event takes one
+    exponential and one uniform, and a limit order one more uniform for
+    its price, from the exponential and uniform block streams."""
+    pair, iv = config.pair, config.pair.interval
+    rates = RateTable.from_pair(pair, config.rho)
+    gen = generator_for(config.seed, config.replica)
+    exps, unis = _draws(gen.standard_exponential), _draws(gen.random)
+    for _ in range(config.events):
+        wait = next(exps) * rates.inv_total
+        kind = bisect_right(rates.thresholds, next(unis))
+        price = math.nan
+        if kind in (2, 3):
+            curve = pair.demand if kind == 2 else pair.supply
+            price = price_at_mass(curve, next(unis) * curve.total_mass)
+            # a draw on an interval end (probability ~2**-53) moves inside
+            price = min(max(price, math.nextafter(iv.lo, iv.hi)), math.nextafter(iv.hi, iv.lo))
+        yield wait, kind, price
+
+
+def restrict(kind, price, window):
+    """The kind of an event in the model restricted to ``window``: a limit
+    order at or beyond the far edge becomes a market order, one at or
+    behind the near edge is dropped; other events keep their kind."""
+    if kind == 2:
+        return 0 if price >= window.hi else DROPPED if price <= window.lo else 2
+    if kind == 3:
+        return 1 if price <= window.lo else DROPPED if price >= window.hi else 3
+    return kind
+
+
+def replay(config):
+    """``config``'s run one event at a time: ``(times, kinds, trade prices,
+    bids, asks, trade count, empty-book transitions, final book)``."""
+    book = Book(config.pair.interval, config.initial_buys, config.initial_sells)
+    t = 0.0
+    times, kinds, prices, bids, asks = [], [], [], [], []
+    trades = empties = 0
+    was_empty = not (book.buys or book.sells)
+    for wait, kind, price in events(config):
+        t += wait
+        if config.restriction is not None:
+            kind = restrict(kind, price, config.restriction)
+        traded = book.apply(kind, price)
+        trades += traded is not None
+        times.append(t)
+        kinds.append(kind)
+        prices.append(math.nan if traded is None else traded)
+        bids.append(book.bid)
+        asks.append(book.ask)
+        empty = not (book.buys or book.sells)
+        empties += empty and not was_empty
+        was_empty = empty
+    return times, kinds, prices, bids, asks, trades, empties, book

@@ -12,6 +12,7 @@ import numpy as np
 
 from lobmm import (
     DiscreteMap,
+    OrderBook,
     PriceInterval,
     Recurrence,
     SimConfig,
@@ -225,7 +226,10 @@ def test_c10_discrete_image_invariants():
             pair=pair, events=10_000, seed=2210, snapshot_at=tuple(range(0, 10_000, 250))
         )
     )
-    books = [snap.restore() for _, snap in sorted(traj.snapshots.items())]
+    books = [
+        OrderBook(snap.interval, dict(snap.buys), dict(snap.sells))
+        for _, snap in sorted(traj.snapshots.items())
+    ]
     books.append(traj.final_book)
     allowed = {1.0, 2.0, 3.0}
     ok, nonempty = True, 0

@@ -1,18 +1,27 @@
-"""Order book state machine: quotes, the five transitions, invariants."""
+"""Order books: the engine's book (construction, quotes, snapshots) and
+the five transitions with their invariants, on the reference book of
+``oracle.py``."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lobmm import Event, EventKind, OrderBook, PriceInterval
+from lobmm import OrderBook, PriceInterval
+
+from oracle import Book
 
 IV = PriceInterval(0.0, 1.0)
 
 
 def book(buys=(), sells=()):
     return OrderBook(IV, buys, sells)
+
+
+def ref(buys=(), sells=()):
+    return Book(IV, buys, sells)
 
 
 class TestConstruction:
@@ -42,12 +51,6 @@ class TestConstruction:
         with pytest.raises(ValueError, match="positive integer"):
             book(sells={0.8: count})
 
-    def test_event_price_validation(self):
-        with pytest.raises(ValueError):
-            Event(EventKind.BUY_LIMIT)  # missing price
-        with pytest.raises(ValueError):
-            Event(EventKind.BUY_MARKET, 0.5)  # spurious price
-
 
 class TestQuotes:
     def test_empty_book_fallbacks(self):
@@ -66,92 +69,92 @@ class TestQuotes:
 
 class TestMarketOrders:
     def test_buy_market_lifts_ask(self):
-        b = book(buys=[0.2], sells=[0.6, 0.7])
-        assert b.apply(Event(EventKind.BUY_MARKET)) == 0.6
+        b = ref(buys=[0.2], sells=[0.6, 0.7])
+        assert b.apply(0) == 0.6
         assert b.ask == 0.7
 
     def test_buy_market_empty_sell_side(self):
-        b = book(buys=[0.2])
-        assert b.apply(Event(EventKind.BUY_MARKET)) is None
-        assert b == book(buys=[0.2])
+        b = ref(buys=[0.2])
+        assert b.apply(0) is None
+        assert b.counts() == ref(buys=[0.2]).counts()
 
     def test_sell_market_hits_bid(self):
-        b = book(buys=[0.2, 0.3])
-        assert b.apply(Event(EventKind.SELL_MARKET)) == 0.3
+        b = ref(buys=[0.2, 0.3])
+        assert b.apply(1) == 0.3
         assert b.bid == 0.2
 
     def test_empty_book_no_op(self):
-        b = book()
-        assert b.apply(Event(EventKind.BUY_MARKET)) is None
-        assert b.apply(Event(EventKind.SELL_MARKET)) is None
-        assert b == book()
+        b = ref()
+        assert b.apply(0) is None
+        assert b.apply(1) is None
+        assert b.counts() == ref().counts()
 
 
 class TestLimitOrders:
     def test_buy_limit_rests_below_ask(self):
-        b = book(sells=[0.7])
-        assert b.apply(Event(EventKind.BUY_LIMIT, 0.4)) is None
+        b = ref(sells=[0.7])
+        assert b.apply(2, 0.4) is None
         assert b.bid == 0.4
 
     def test_buy_limit_crossing_trades_at_ask(self):
-        b = book(sells=[0.7])
-        assert b.apply(Event(EventKind.BUY_LIMIT, 0.8)) == 0.7
-        assert b == book()
+        b = ref(sells=[0.7])
+        assert b.apply(2, 0.8) == 0.7
+        assert b.counts() == ref().counts()
 
     def test_buy_limit_at_ask_trades(self):
         # the tie executes rather than resting
-        b = book(sells=[0.7])
-        assert b.apply(Event(EventKind.BUY_LIMIT, 0.7)) == 0.7
+        b = ref(sells=[0.7])
+        assert b.apply(2, 0.7) == 0.7
 
     def test_sell_limit_at_bid_trades(self):
-        b = book(buys=[0.3])
-        assert b.apply(Event(EventKind.SELL_LIMIT, 0.3)) == 0.3
+        b = ref(buys=[0.3])
+        assert b.apply(3, 0.3) == 0.3
 
     def test_sell_limit_rests_above_bid(self):
-        b = book(buys=[0.3])
-        b.apply(Event(EventKind.SELL_LIMIT, 0.9))
+        b = ref(buys=[0.3])
+        b.apply(3, 0.9)
         assert b.ask == 0.9
 
     def test_crossing_buy_equals_buy_market(self):
-        b1 = book(buys=[0.1], sells=[0.6, 0.8])
-        b2 = book(buys=[0.1], sells=[0.6, 0.8])
-        b1.apply(Event(EventKind.BUY_LIMIT, 0.9))
-        b2.apply(Event(EventKind.BUY_MARKET))
-        assert b1 == b2
+        b1 = ref(buys=[0.1], sells=[0.6, 0.8])
+        b2 = ref(buys=[0.1], sells=[0.6, 0.8])
+        b1.apply(2, 0.9)
+        b2.apply(0)
+        assert b1.counts() == b2.counts()
 
     def test_limit_price_outside_interval(self):
         with pytest.raises(ValueError):
-            book().apply(Event(EventKind.BUY_LIMIT, 1.0))
+            ref().apply(2, 1.0)
 
     def test_buy_limit_never_touches_sell_side_when_resting(self):
-        b = book(sells=[0.7, 0.9])
-        before = dict(b.sell_counts)
-        b.apply(Event(EventKind.BUY_LIMIT, 0.2))
-        assert dict(b.sell_counts) == before
+        b = ref(sells=[0.7, 0.9])
+        before = dict(b.sells)
+        b.apply(2, 0.2)
+        assert dict(b.sells) == before
 
 
 class TestMarketMaker:
     def test_reinforces_both_quotes(self):
-        b = book(buys=[0.3], sells=[0.7])
-        assert b.apply(Event(EventKind.MARKET_MAKER)) is None
-        assert b == book(buys={0.3: 2}, sells={0.7: 2})
+        b = ref(buys=[0.3], sells=[0.7])
+        assert b.apply(4) is None
+        assert b.counts() == ref(buys={0.3: 2}, sells={0.7: 2}).counts()
         assert b.n_buys == 2 and b.n_sells == 2
 
     def test_one_sided_book(self):
-        b = book(buys=[0.3])
-        b.apply(Event(EventKind.MARKET_MAKER))
-        assert b.buy_counts == {0.3: 2}
+        b = ref(buys=[0.3])
+        b.apply(4)
+        assert b.buys == {0.3: 2}
         assert b.n_sells == 0
 
     def test_empty_book_no_op(self):
-        b = book()
-        assert b.apply(Event(EventKind.MARKET_MAKER)) is None
-        assert b == book()
+        b = ref()
+        assert b.apply(4) is None
+        assert b.counts() == ref().counts()
 
     def test_never_moves_quotes(self):
-        b = book(buys=[0.2, 0.4], sells=[0.6])
+        b = ref(buys=[0.2, 0.4], sells=[0.6])
         before = (b.bid, b.ask)
-        b.apply(Event(EventKind.MARKET_MAKER))
+        b.apply(4)
         assert (b.bid, b.ask) == before
 
 
@@ -159,14 +162,16 @@ class TestSnapshots:
     def test_round_trip(self):
         b = book(buys={0.2: 2, 0.3: 1}, sells={0.8: 4})
         snap = b.snapshot()
-        assert snap.restore() == b
+        assert OrderBook(snap.interval, dict(snap.buys), dict(snap.sells)).snapshot() == snap
         assert snap.buys == ((0.2, 2), (0.3, 1))
 
     def test_snapshot_is_frozen_in_time(self):
         b = book(buys=[0.3])
         snap = b.snapshot()
-        b.apply(Event(EventKind.SELL_MARKET))
-        assert b.n_buys == 0
+        b._rest_cold(np.array([0.2]), np.array([]))
+        b._count_orders()
+        assert b.n_buys == 2
+        assert b.snapshot().buys == ((0.2, 1), (0.3, 1))
         assert snap.buys == ((0.3, 1),)
 
     def test_rows_sorted(self):
@@ -178,26 +183,24 @@ class TestSnapshots:
         ]
 
 
-def random_events(draw_prices, rng_seed: int, n: int):
+def random_events(rng_seed: int, n: int):
+    """``n`` events as ``(kind, price)``, each kind equally likely."""
     import random
 
     r = random.Random(rng_seed)
     out = []
     for _ in range(n):
         k = r.randrange(5)
-        if k in (2, 3):
-            out.append(Event(EventKind(k), r.uniform(1e-9, 1.0 - 1e-9)))
-        else:
-            out.append(Event(EventKind(k)))
+        out.append((k, r.uniform(1e-9, 1.0 - 1e-9) if k in (2, 3) else float("nan")))
     return out
 
 
 class TestInvariants:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_non_crossing_under_random_streams(self, seed):
-        b = book()
-        for ev in random_events(None, seed, 5000):
-            b.apply(ev)
+        b = ref()
+        for kind, x in random_events(seed, 5000):
+            b.apply(kind, x)
             # non-crossing; an empty side quotes its interval end
             assert b.bid < b.ask
 
@@ -205,57 +208,62 @@ class TestInvariants:
         # each event changes the order counts as its kind and the returned
         # trade price say: a trade removes one order at the opposite quote,
         # a resting limit adds one, a maker adds one per nonempty side
-        b = book()
-        for ev in random_events(None, 99, 20_000):
+        b = ref()
+        for kind, x in random_events(99, 20_000):
             nb, ns = b.n_buys, b.n_sells
             bid, ask = b.bid, b.ask
-            price = b.apply(ev)
-            kind = ev.kind
-            if kind is EventKind.MARKET_MAKER:
+            price = b.apply(kind, x)
+            if kind == 4:
                 assert price is None
                 expected = (nb + (nb > 0), ns + (ns > 0))
             elif price is None:
                 # a market order met an empty side, or a limit order rested
-                if kind is EventKind.BUY_MARKET:
+                if kind == 0:
                     assert ns == 0
-                elif kind is EventKind.SELL_MARKET:
+                elif kind == 1:
                     assert nb == 0
-                elif kind is EventKind.BUY_LIMIT:
-                    assert ev.price < ask
+                elif kind == 2:
+                    assert x < ask
                 else:
-                    assert ev.price > bid
-                expected = (nb + (kind is EventKind.BUY_LIMIT), ns + (kind is EventKind.SELL_LIMIT))
-            elif kind in (EventKind.BUY_MARKET, EventKind.BUY_LIMIT):
+                    assert x > bid
+                expected = (nb + (kind == 2), ns + (kind == 3))
+            elif kind in (0, 2):
                 assert price == ask
                 expected = (nb, ns - 1)
             else:
                 assert price == bid
                 expected = (nb - 1, ns)
             assert (b.n_buys, b.n_sells) == expected
-        assert b.n_buys == sum(b.buy_counts.values())
-        assert b.n_sells == sum(b.sell_counts.values())
+        # each heap holds exactly the distinct resting prices of its side
+        assert sorted(-p for p in b.buy_heap) == sorted(b.buys)
+        assert sorted(b.sell_heap) == sorted(b.sells)
 
     @given(x=st.floats(0.01, 0.99), seed=st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
     def test_resting_buy_raises_bid_iff_above(self, x, seed):
-        b = book()
-        for ev in random_events(None, seed, 300):
-            b.apply(ev)
+        b = ref()
+        for kind, price in random_events(seed, 300):
+            b.apply(kind, price)
         old_bid, old_ask = b.bid, b.ask
         if x >= old_ask:
             return  # would execute, different claim
-        b.apply(Event(EventKind.BUY_LIMIT, x))
+        b.apply(2, x)
         assert b.bid == (x if x > old_bid else old_bid)
 
 
 class TestEquality:
+    """Snapshots compare the resting orders and the interval, nothing else."""
+
     def test_eq_ignores_history(self):
-        b1 = book(buys=[0.3])
-        b2 = book()
-        b2.apply(Event(EventKind.BUY_LIMIT, 0.3))
-        assert b1 == b2
+        # the same orders, one of them resting in the cold tier
+        b1 = book(buys=[0.1, 0.3])
+        b2 = book(buys=[0.3])
+        b2._rest_cold(np.array([0.1]), np.array([]))
+        b2._count_orders()
+        assert b1.snapshot() == b2.snapshot()
+        assert b1.n_buys == b2.n_buys == 2
 
     def test_interval_matters(self):
         a = OrderBook(PriceInterval(0.0, 1.0), [0.3], [])
         c = OrderBook(PriceInterval(0.0, 2.0), [0.3], [])
-        assert a != c
+        assert a.snapshot() != c.snapshot()

