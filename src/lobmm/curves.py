@@ -316,20 +316,25 @@ def _a3_violation(demand: MonotoneCurve, supply: MonotoneCurve):
 
 
 def _a4_violation(demand: MonotoneCurve, supply: MonotoneCurve):
-    """A point of the open interval where either curve fails positivity.
+    """A point of the open interval near which either curve fails positivity.
 
-    Piecewise-linear curves attain interior minima at breakpoints or
-    arbitrarily near the endpoints, so checking merged breakpoints plus
-    slightly shrunk endpoints is exhaustive.
+    A piecewise-linear curve is positive on the open interval exactly when
+    it is positive at every merged breakpoint strictly inside and
+    nonnegative at both endpoints, and, with no breakpoint inside, not zero
+    at both.  No probe point needs an epsilon, so the rule holds at any
+    price scale.
     """
     lo, hi = demand.lo, demand.hi
-    eps = 1e-9 * (hi - lo)
-    probes = [lo + eps, hi - eps] + [
-        p for p in sorted(set(demand.prices) | set(supply.prices)) if lo < p < hi
-    ]
-    for x in probes:
-        if demand.value_at(x) <= 0.0 or supply.value_at(x) <= 0.0:
-            return x
+    inner = [p for p in sorted(set(demand.prices) | set(supply.prices)) if lo < p < hi]
+    for curve in (demand, supply):
+        for x in inner:
+            if curve.value_at(x) <= 0.0:
+                return x
+        v_lo, v_hi = curve.value_at(lo), curve.value_at(hi)
+        if v_hi < 0.0:
+            return hi
+        if v_lo < 0.0 or not (inner or v_lo or v_hi):
+            return lo
     return None
 
 

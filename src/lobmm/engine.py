@@ -20,16 +20,27 @@ A run records each event as a kind code:
 Because nothing about an event but its effect depends on the book,
 :func:`run` works in two stages on one code path.  A numpy pre-pass
 decodes one random block at a time into event times, recorded kinds and
-limit prices; the book stage then applies those events to the book's two
-tiers per side (see :mod:`lobmm.book`).  Most events in a frozen book move
-neither quote, so the book stage applies each *quiet stretch* (a run of
-events with no limit order strictly inside the spread and no quote level
-emptied) in bulk with numpy, resting the orders behind the quotes in the
-cold tiers one array at a time, and steps only the events that end a
-stretch, and busy parts of the stream less their dropped orders, through
+limit prices; the book stage then applies those events, less the dropped
+orders, to the book's two tiers per side (see :mod:`lobmm.book`).  Most
+events in a frozen book move neither quote, so the book stage applies
+each *quiet stretch* (a run of events with no limit order strictly inside
+the spread and no quote level emptied) in bulk with numpy, resting the
+orders behind the quotes in the cold tiers one array at a time, and steps
+only the events that end a stretch, and busy parts of the stream, through
 the per-event book loop on the hot tiers.  When the loop empties a quote
-level and a cold price reaches the new quote, the book flushes that side's
-whole cold tier into the hot tier.
+level and a cold price reaches the new quote, the book flushes that
+side's whole cold tier into the hot tier.
+
+The book stage records only the quotes after each event that it steps,
+and each chunk's rows (trade price, bid, ask) follow by one rule:
+
+- an event that the loop did not step (in a quiet stretch, or a dropped
+  order) keeps the quotes of the last stepped event before it, or else the
+  chunk's opening quotes;
+- a market buy trades at the ask before it if the sell side rests (the
+  ask is below the interval's upper end), and a limit buy if its price is
+  at or above that ask; sells mirror this at the bid.  Every other event
+  has trade price NaN.
 
 The model one event at a time, written for reading rather than speed,
 lives with the tests in ``tests/oracle.py``.  The test-suite pins
@@ -227,10 +238,10 @@ class TrajectorySummary:
 class Trajectory:
     """Per-event series of one run and its post-run record.
 
-    ``kinds`` holds the kind codes of the module docstring.
-    ``trade_prices`` is NaN for non-trades.
-    State ``i`` (``bids[i]``, ``asks[i]``) holds on ``[times[i],
-    times[i+1])``; post-burn-in reductions weight it accordingly.
+    ``kinds`` holds the kind codes, and ``trade_prices``, ``bids`` and
+    ``asks`` the rows, of the module docstring.  State ``i`` (``bids[i]``,
+    ``asks[i]``) holds on ``[times[i], times[i+1])``; post-burn-in
+    reductions weight it accordingly.
     """
 
     config: SimConfig
@@ -362,32 +373,23 @@ def _book_loop(
     ask: float,
     kinds: np.ndarray,
     prices: np.ndarray,
-    out: List[array],
+    out: Tuple[array, array],
 ) -> Tuple[float, float]:
-    """Apply events one at a time to the hot tiers of ``book``, whose
-    quotes are ``bid`` and ``ask``, and return the new quotes.  When a quote
-    level empties and a cold price reaches the new quote, the book flushes
-    that side's whole cold tier into the hot tier first.
-
-    ``kinds`` and ``prices`` are a range of the pre-pass's events; each
-    event's trade price and the quotes after it are appended to the
-    columns ``out``: trade price, bid, ask.  No dropped order reaches the
-    loop: :func:`_busy_run` leaves them out, and none ends a quiet
-    stretch, since it neither rests inside the spread nor trades.  (The
-    loop would apply one as a no-op, in its last branch.)
-    """
-    tp_out, bid_out, ask_out = [], [], []
+    """Step events one at a time through the hot tiers of ``book``, whose
+    quotes are ``bid`` and ``ask``: append the quotes after each event to
+    the columns ``out`` (bid, ask), and return them.  When a quote level
+    empties onto a cold price, the book first flushes that side's whole
+    cold tier into the hot tier."""
+    bid_out, ask_out = [], []
     buys, sells = book._buy_counts, book._sell_counts
     bh, sh = book._buy_heap, book._sell_heap
     push, pop = heappush, heappop
     lo, hi = book.lo, book.hi
-    nan = math.nan
     # an empty side quotes the interval edge and limit prices lie strictly
     # inside, so a limit buy at or above the ask (a limit sell at or below
     # the bid) always meets a resting order
     for kind, x in zip(kinds.tolist(), prices.tolist()):
         if kind == 2 and x < ask:  # a limit buy below the ask rests
-            tp_out.append(nan)
             c = buys.get(x)
             if c is None:
                 buys[x] = 1
@@ -397,7 +399,6 @@ def _book_loop(
             else:
                 buys[x] = c + 1
         elif kind == 3 and x > bid:  # a limit sell above the bid rests
-            tp_out.append(nan)
             c = sells.get(x)
             if c is None:
                 sells[x] = 1
@@ -407,13 +408,11 @@ def _book_loop(
             else:
                 sells[x] = c + 1
         elif kind == 4:  # the market maker reinforces both quotes
-            tp_out.append(nan)
             if bh:
                 buys[bid] += 1
             if sh:
                 sells[ask] += 1
         elif (kind == 0 or kind == 2) and sh:  # a buy lifts the ask
-            tp_out.append(ask)
             c = sells[ask]
             if c == 1:
                 del sells[ask]
@@ -424,7 +423,6 @@ def _book_loop(
             else:
                 sells[ask] = c - 1
         elif (kind == 1 or kind == 3) and bh:  # a sell hits the bid
-            tp_out.append(bid)
             c = buys[bid]
             if c == 1:
                 del buys[bid]
@@ -434,43 +432,11 @@ def _book_loop(
                     bid = book._flush_bid()
             else:
                 buys[bid] = c - 1
-        else:  # a market order against an empty side
-            tp_out.append(nan)
         bid_out.append(bid)
         ask_out.append(ask)
-    for col, values in zip(out, (tp_out, bid_out, ask_out)):
-        col.fromlist(values)
+    out[0].fromlist(bid_out)
+    out[1].fromlist(ask_out)
     return bid, ask
-
-
-def _busy_run(
-    book: OrderBook,
-    bid: float,
-    ask: float,
-    kinds: np.ndarray,
-    prices: np.ndarray,
-    out: List[array],
-) -> Tuple[float, float]:
-    """:func:`_book_loop` over a busy run of events, its dropped orders
-    left out of the loop.  A dropped order trades nothing and changes no
-    quote, so its trade price is NaN and its quotes are those after the
-    last event applied before it, or ``bid`` and ``ask`` where none was.
-    """
-    kept = kinds != DROPPED
-    if kept.all():
-        return _book_loop(book, bid, ask, kinds, prices, out)
-    applied = [array("d") for _ in out]
-    new_bid, new_ask = _book_loop(book, bid, ask, kinds[kept], prices[kept], applied)
-    tp = np.full(len(kinds), math.nan)
-    tp[kept] = applied[0]
-    # 1 + the index in ``applied`` of the last event applied at or before
-    # each event; 0 before the first
-    last = np.cumsum(kept)
-    bids = np.concatenate(([bid], applied[1]))[last]
-    asks = np.concatenate(([ask], applied[2]))[last]
-    for col, values in zip(out, (tp, bids, asks)):
-        col.frombytes(values.tobytes())
-    return new_bid, new_ask
 
 
 def _quiet_stretch(
@@ -479,20 +445,14 @@ def _quiet_stretch(
     ask: float,
     kinds: np.ndarray,
     prices: np.ndarray,
-    out: List[array],
 ) -> int:
     """Apply the quiet prefix of the events to ``book`` in bulk and return
     its length; apply nothing and return 0 when the prefix is shorter than
-    both ``_MIN_STRETCH`` and the events.
-
-    An event is quiet when it leaves both quotes where they are: it is no
-    limit order strictly between bid and ask, and it does not empty the
-    level at either quote.  Over a quiet prefix every trade is at the quote
-    it hits, each quote level takes one net change of count, and the
-    orders that rest behind the quotes go into the book's cold tiers in
-    one array per side.  The columns ``out`` get what :func:`_book_loop`
-    appends, for the prefix only.
-    """
+    both ``_MIN_STRETCH`` and the events.  An event is quiet when it is no
+    limit order strictly between bid and ask and empties neither quote
+    level.  Over a quiet prefix each quote level takes one net change of
+    count, and the orders that rest behind the quotes go into the book's
+    cold tiers in one array per side."""
     buys, sells = book._buy_counts, book._sell_counts
     buy, sell = kinds == 2, kinds == 3
     stop = (buy | sell) & (prices > bid) & (prices < ask)
@@ -511,40 +471,49 @@ def _quiet_stretch(
     if q < min(_MIN_STRETCH, len(kinds)):
         return 0
 
-    tp = np.full(q, math.nan)
     if book._buy_heap:
-        tp[hit_bid[:q]] = bid
         buys[bid] += int(at_bid[q - 1])
     if book._sell_heap:
-        tp[hit_ask[:q]] = ask
         sells[ask] += int(at_ask[q - 1])
-    for col, values in zip(out, (tp, np.full(q, bid), np.full(q, ask))):
-        col.frombytes(values.tobytes())
     prices = prices[:q]
     book._rest_cold(prices[buy[:q] & (prices < bid)], prices[sell[:q] & (prices > ask)])
     return q
 
 
+def _rows(
+    kinds: np.ndarray,
+    prices: np.ndarray,
+    stepped: np.ndarray,
+    quotes: Tuple[array, array],
+    interval: PriceInterval,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A chunk's rows (see the module docstring): trade prices, bids and
+    asks.  ``stepped`` marks the events the loop stepped, and ``quotes``
+    holds the quotes before the chunk and after each stepped event."""
+    # the index in ``quotes`` of the quotes before each event, then after the last
+    last = np.zeros(len(kinds) + 1, dtype=np.intp)
+    np.cumsum(stepped, out=last[1:])
+    bids, asks = (np.frombuffer(col)[last] for col in quotes)
+    bid, ask = bids[:-1], asks[:-1]
+    buy = np.where(kinds == 0, ask < interval.hi, (kinds == 2) & (prices >= ask))
+    sell = np.where(kinds == 1, bid > interval.lo, (kinds == 3) & (prices <= bid))
+    trade_prices = np.where(sell, bid, math.nan)
+    np.copyto(trade_prices, ask, where=buy)
+    return trade_prices, bids[1:], asks[1:]
+
+
 def run(config: SimConfig) -> Trajectory:
     """Simulate one trajectory; deterministic in (seed, replica).
 
-    Two stages in one code path.  The pre-pass (:func:`_event_chunks`)
-    decodes a block of the random stream at a time into event times,
-    recorded kinds and limit prices with numpy.  The book stage then
-    applies the events to the book, with the quotes kept in two locals.
-    It looks ahead over a window of ``_LOOK`` events, doubled while quiet
-    stretches fill it; :func:`_quiet_stretch` applies a stretch of at
-    least ``_MIN_STRETCH`` events in bulk, resting the orders behind the
-    quotes in the book's cold tiers, and the event that ends it goes
-    through :func:`_book_loop`, which flushes cold prices into the hot
-    tier when a quote level empties onto them.  Where the stream is busy,
-    the loop takes runs of events instead, doubled while it stays busy,
-    and :func:`_busy_run` leaves their dropped orders out of it.
-    Together they give exactly what the model stepped one event at a time
-    gives (``tests/oracle.py``): the same draws, comparisons and
-    arithmetic, and the same resting orders.  The final book keeps its cold tiers, and its order
-    totals count them; its whole-book views merge them in when first
-    read, so a run that reports only its summary never does.
+    For each chunk of the pre-pass (:func:`_event_chunks`), the book stage
+    looks ahead over the chunk's events, less its dropped orders, in a
+    window of ``_LOOK`` events, doubled while quiet stretches fill it.
+    :func:`_quiet_stretch` applies a stretch of at least ``_MIN_STRETCH``
+    events in bulk, and :func:`_book_loop` steps the event that ends it;
+    where the stream is busy, the loop steps runs of events instead,
+    doubled while it stays busy.  :func:`_rows` then builds the chunk's
+    rows.  The final book keeps its cold tiers; its order totals count
+    them, and its whole-book views merge them in when first read.
     """
     pair = config.pair
     require_core_assumptions(pair)
@@ -565,26 +534,37 @@ def run(config: SimConfig) -> Trajectory:
     for times, kinds, prices in _event_chunks(config, rates):
         t_col.frombytes(times.tobytes())
         k_col.frombytes(kinds.tobytes())
-        m = len(kinds)
+        kept = kinds != DROPPED
+        book_kinds, book_prices = (kinds, prices) if kept.all() else (kinds[kept], prices[kept])
+        quotes = (array("d", [bid]), array("d", [ask]))
+        m = len(book_kinds)
+        stepped = np.zeros(m, dtype=bool)
         s = 0
         while s < m:
             w = slice(s, min(m, s + look))
-            q = _quiet_stretch(book, bid, ask, kinds[w], prices[w], out)
+            q = _quiet_stretch(book, bid, ask, book_kinds[w], book_prices[w])
             s += q
             if q:
                 if s == w.stop:  # quiet to the end of the look-ahead: look further
                     look *= 2
                     continue
-                # the event that ends the stretch goes through the loop
+                # the event that ends the stretch is stepped
                 look, busy = _LOOK, _MIN_STRETCH
                 r = slice(s, s + 1)
-                bid, ask = _book_loop(book, bid, ask, kinds[r], prices[r], out)
             else:  # busy: the loop takes a run, longer while it stays busy
                 r = slice(s, min(m, s + busy))
                 busy *= 2
-                bid, ask = _busy_run(book, bid, ask, kinds[r], prices[r], out)
+            bid, ask = _book_loop(book, bid, ask, book_kinds[r], book_prices[r], quotes)
+            stepped[r] = True
             s = r.stop
-        n += m
+        if m < len(kinds):  # the marks over the whole chunk: no dropped order is stepped
+            kept[kept] = stepped
+            stepped = kept
+        for col, values in zip(out, _rows(kinds, prices, stepped, quotes, pair.interval)):
+            col.frombytes(values.tobytes())
+        # free the chunk's book stage before the pre-pass decodes the next chunk
+        book_kinds = book_prices = kept = stepped = quotes = values = None
+        n += len(kinds)
         if n in snap_at:
             snapshots[n] = book.snapshot()
 

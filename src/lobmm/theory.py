@@ -237,7 +237,13 @@ class _PhiEvaluator:
         self.wal = walras(pair)
         self.v_w = self.wal.volume
         self.v_max = _v_ceiling(pair)
-        self.threshold = 1.0 / (self.v_w * self.v_w)
+        v_w2 = self.v_w * self.v_w
+        self.threshold = 1.0 / v_w2 if v_w2 > 0.0 else math.inf
+        if not 0.0 < self.threshold < math.inf:
+            raise DomainError(
+                "the recurrence threshold 1/V_W^2 is not a positive finite float "
+                f"at V_W = {self.v_w}"
+            )
         self._levels = _knot_levels(pair)
         self._f = _phi_integrand(pair, rho)
         self._pieces: dict = {}

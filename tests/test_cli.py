@@ -538,6 +538,38 @@ class TestTheory:
         assert doc["x_w"] == pytest.approx(1.35e308, rel=1e-11)
         assert doc["v_l"] == pytest.approx(0.78218, abs=1e-4)
 
+    def test_prices_at_a_large_offset(self, tmp_path, outdir):
+        # the uniform pair on [1e12, 1e12 + 1], where lo + 1e-9 rounds to lo:
+        # the (A4) check must probe no point off the breakpoints; json only,
+        # since at this offset every phi piece runs to its doubling cap
+        lo, hi = 1e12, 1e12 + 1.0
+        model = {"interval": [lo, hi], "demand": [[lo, 1.0], [hi, 0.0]], "supply": [[lo, 0.0], [hi, 1.0]]}
+        cfg = write_config(tmp_path, {"model": model, "output": {"formats": ["json"]}})
+        assert main(["theory", cfg, "--out", str(outdir)]) == 0
+        doc = read_json(outdir / "window.json")
+        assert doc["x_w"] == lo + 0.5
+        assert doc["v_l"] == pytest.approx(0.782188294269, abs=1e-8)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_rate_scale_without_a_float_threshold(self, tmp_path, outdir, capsys, scale):
+        # the uniform pair's rates times 1e-300 (V_W**2 underflows to 0) and
+        # times 1e300 (it overflows, so 1/V_W**2 would read 0.0)
+        model = {
+            "interval": [0.0, 1.0],
+            "demand": [[0.0, scale], [1.0, 0.0]],
+            "supply": [[0.0, 0.0], [1.0, scale]],
+        }
+        run = {"events": 100, "seed": 1, "restriction": {"volume": 0.6 * scale}}
+        for command, doc in (("theory", {}), ("compare", {"run": run}), ("sweep", {"sweep": {"rho": [0.0]}})):
+            cfg = write_config(tmp_path, dict(doc, model=model))
+            assert main([command, cfg, "--out", str(outdir)]) == 2, command
+            err = capsys.readouterr().err
+            assert "threshold 1/V_W^2" in err and "Traceback" not in err
+            assert not outdir.exists()
+        cfg = write_config(tmp_path, {"model": model, "sweep": {"volume": [0.6 * scale]}})
+        assert main(["sweep", cfg, "--out", str(outdir)]) == 0
+        assert [row[1:] for row in read_csv(outdir / "sweep.csv")[1]] == [["", "out_of_domain"]]
+
     def test_json_only_format(self, tmp_path, outdir):
         doc = {"model": UNIFORM_MODEL, "output": {"formats": ["json"]}}
         cfg = write_config(tmp_path, doc)

@@ -20,6 +20,7 @@ from lobmm import (
     RateTable,
     walras,
 )
+from lobmm.curves import require_core_assumptions
 
 from conftest import make_evenodd_pair, make_uniform_pair
 from oracle import price_at_mass
@@ -79,6 +80,26 @@ class TestConstruction:
 
     def test_endpoint_zeros_allowed(self):
         make_uniform_pair()  # demand(1)=0 and supply(0)=0 sit on the boundary
+
+    @pytest.mark.parametrize(
+        "demand, supply, x",
+        [
+            (((0.0, 1.0), (1.0, 0.0)), ((0.0, 0.5, 1.0), (0.0, 0.0, 1.0)), 0.5),
+            (((0.0, 1.0), (0.0, 0.0)), ((0.0, 1.0), (0.0, 1.0)), 0.0),
+        ],
+        ids=["supply-zero-on-the-left-segment", "demand-zero-on-the-only-segment"],
+    )
+    def test_positivity_fails_on_a_zero_end_segment(self, demand, supply, x):
+        d = MonotoneCurve(*demand, Direction.DECREASING)
+        s = MonotoneCurve(*supply, Direction.INCREASING)
+        with pytest.raises(AssumptionError, match=rf"\(A4\).* near x={x}$"):
+            DemandSupplyPair(d, s)
+
+    def test_positivity_fails_just_inside_an_end(self, uniform_pair):
+        # lowered by 1e-12, demand is negative only on (1 - 1e-12, 1] and
+        # supply only on [0, 1e-12): the endpoint values show it
+        with pytest.raises(AssumptionError, match=r"\(A4\).* near x=1.0$"):
+            require_core_assumptions(uniform_pair.shifted(1e-12))
 
 
 class TestEval:

@@ -7,7 +7,6 @@ from __future__ import annotations
 import concurrent.futures
 import math
 import tracemalloc
-from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -493,7 +492,8 @@ class TestQuietStretches:
         """Crafted events that rest at one price twice inside a stretch, at a
         level that already rests, and exactly at the quotes: the bulk path
         leaves what the bytes depend on (trade prices, quotes, the resting
-        orders, the order totals and the snapshots) as the loop does."""
+        orders, the order totals and the snapshots) as the loop does, and
+        the loop gives what the oracle gives."""
         events = [(2, 0.3), (3, 0.7)]  # the quotes
         # behind the quotes: new levels, a price twice, resting levels
         events += [(2, 0.2), (3, 0.8), (2, 0.1), (2, 0.1), (2, 0.2), (3, 0.9), (3, 0.9), (3, 0.8)]
@@ -507,6 +507,7 @@ class TestQuietStretches:
         with monkeypatch.context() as patch:
             patch.setattr(engine, "_quiet_stretch", lambda *args: 0)  # all through the loop
             plain = run(cfg)
+        assert_matches_crafted(plain, events)
         ref = plain.final_book
         for params in LOOKS + (DEFAULT_LOOK,):
             set_look(monkeypatch, *params)
@@ -620,8 +621,8 @@ class TestQuietStretches:
 
 
 class TestDroppedOrders:
-    """Busy runs leave their dropped orders out of the per-event loop and
-    fill in their trade prices (NaN) and quotes."""
+    """The book stage never sees a dropped order; its row repeats the
+    quotes before it, with trade price NaN."""
 
     # dropped orders before any other event, between quote moves and in a
     # row, around limit orders inside the spread that keep the stream busy
@@ -629,57 +630,38 @@ class TestDroppedOrders:
     EVENTS += [(2, 0.5), (DROPPED, 0.3), (DROPPED, 0.6), (3, 0.52), (0, math.nan)]
     EVENTS += [(DROPPED, 0.7), (1, math.nan), (4, math.nan), (DROPPED, 0.8), (1, math.nan)]
     EVENTS += [(1, math.nan), (DROPPED, 0.1), (DROPPED, 0.9), (0, math.nan), (0, math.nan)]
-
-    @pytest.mark.parametrize(
-        "events",
-        [
-            pytest.param(EVENTS, id="crafted"),
-            pytest.param([(DROPPED, 0.2)] * 3, id="all-dropped"),
-            pytest.param([(2, 0.45), (3, 0.55), (0, math.nan), (1, math.nan)], id="none-dropped"),
-        ],
-    )
-    def test_busy_run_equals_the_loop_over_every_event(self, events):
-        # the loop applies a dropped order as a no-op, so over every event
-        # it is the oracle; the book starts with quotes of its own
-        kinds = np.array([k for k, _ in events], dtype=np.uint8)
-        prices = np.array([x for _, x in events])
-        results = []
-        for step in (engine._book_loop, engine._busy_run):
-            book = OrderBook(PAIRS["uniform"].interval, (0.3, 0.4), (0.6, 0.7))
-            out = [array("d") for _ in range(3)]
-            quotes = step(book, book.bid, book.ask, kinds, prices, out)
-            results.append((quotes, [col.tobytes() for col in out], book.snapshot()))
-        assert results[0] == results[1]
+    STREAMS = {
+        "crafted": EVENTS,
+        "all-dropped": [(DROPPED, 0.2)] * 3,
+        "none-dropped": [(2, 0.45), (3, 0.55), (0, math.nan), (1, math.nan)],
+    }
 
     def test_runs_match_the_slow_path(self, monkeypatch):
-        """The crafted stream from an initial book, at every look-ahead,
-        against the oracle; no dropped order reaches the loop, and a
-        busy run starts with one before any event was applied."""
-        monkeypatch.setattr(engine, "_event_chunks", crafted_chunks(self.EVENTS))
-        looped, first = [], []
-        real_loop, real_busy = engine._book_loop, engine._busy_run
+        """Each stream from an initial book, at every look-ahead, against
+        the oracle; no dropped order reaches the loop or a quiet stretch."""
+        seen = []
 
-        def loop(book, bid, ask, kinds, *args):
-            looped.append(int((kinds == DROPPED).sum()))
-            return real_loop(book, bid, ask, kinds, *args)
+        def counted(step):
+            def call(book, bid, ask, kinds, *args):
+                seen.append(int((kinds == DROPPED).sum()))
+                return step(book, bid, ask, kinds, *args)
 
-        def busy(book, bid, ask, kinds, prices, out):
-            first.append(kinds[0] == DROPPED and not out[0])  # nothing applied yet
-            return real_busy(book, bid, ask, kinds, prices, out)
+            return call
 
-        monkeypatch.setattr(engine, "_book_loop", loop)
-        monkeypatch.setattr(engine, "_busy_run", busy)
-        cfg = SimConfig(
-            pair=PAIRS["uniform"],
-            events=len(self.EVENTS),
-            initial_buys=(0.3,),
-            initial_sells=(0.7,),
-        )
-        for params in LOOKS + (DEFAULT_LOOK,):
-            set_look(monkeypatch, *params)
-            assert_matches_crafted(run(cfg), self.EVENTS)
-        assert looped and sum(looped) == 0
-        assert any(first)
+        for name in ("_book_loop", "_quiet_stretch"):
+            monkeypatch.setattr(engine, name, counted(getattr(engine, name)))
+        for events in self.STREAMS.values():
+            monkeypatch.setattr(engine, "_event_chunks", crafted_chunks(events))
+            cfg = SimConfig(
+                pair=PAIRS["uniform"],
+                events=len(events),
+                initial_buys=(0.3,),
+                initial_sells=(0.7,),
+            )
+            for params in LOOKS + (DEFAULT_LOOK,):
+                set_look(monkeypatch, *params)
+                assert_matches_crafted(run(cfg), events)
+        assert seen and sum(seen) == 0
 
 
 class TestPrepassMemory:
