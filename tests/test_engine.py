@@ -7,6 +7,7 @@ from __future__ import annotations
 import concurrent.futures
 import math
 import tracemalloc
+from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -635,6 +636,22 @@ class TestDroppedOrders:
         "all-dropped": [(DROPPED, 0.2)] * 3,
         "none-dropped": [(2, 0.45), (3, 0.55), (0, math.nan), (1, math.nan)],
     }
+
+    @pytest.mark.parametrize("events", [pytest.param(v, id=k) for k, v in STREAMS.items()])
+    def test_busy_run_equals_the_loop_over_every_event(self, events):
+        # the loop applies a dropped order as a no-op, so stepping every
+        # event is the reference for a busy run that leaves them to _rows;
+        # the book starts with quotes of its own
+        kinds = np.array([k for k, _ in events], dtype=np.uint8)
+        prices = np.array([x for _, x in events])
+        results = []
+        for stepped in (np.ones(len(kinds), dtype=bool), kinds != DROPPED):
+            book = OrderBook(PAIRS["uniform"].interval, (0.3, 0.4), (0.6, 0.7))
+            quotes = (array("d", [book.bid]), array("d", [book.ask]))
+            last = engine._book_loop(book, book.bid, book.ask, kinds[stepped], prices[stepped], quotes)
+            rows = engine._rows(kinds, prices, stepped, quotes, book.interval)
+            results.append((last, [col.tobytes() for col in rows], book.snapshot()))
+        assert results[0] == results[1]
 
     def test_runs_match_the_slow_path(self, monkeypatch):
         """Each stream from an initial book, at every look-ahead, against
