@@ -118,6 +118,10 @@ _CDF_GRID_SIZE = 1024
 _FREEZE_EPS = 0.01
 _FREEZE_SPAN = 0.1
 
+# events per block of detect_freeze's backward scan.  Like _LOOK it changes
+# no result, only the scan's memory and speed.
+_FREEZE_BLOCK = 1 << 14
+
 
 class InsufficientDataError(RuntimeError):
     """A post-burn-in estimate was requested from an empty sample."""
@@ -611,7 +615,9 @@ def _weighted_below(values: np.ndarray, weights: np.ndarray, grid: np.ndarray, s
 
 def _summarize(traj: Trajectory) -> TrajectorySummary:
     """The post-run record of ``traj`` (see :class:`TrajectorySummary`)."""
-    # the freeze and window scans first, while no other temporary is alive
+    # the freeze scan needs only block-sized arrays; the window scan copies
+    # the resting post-burn-in quotes, so it runs while no other temporary
+    # of this summary is alive
     fz = detect_freeze(traj)
     try:
         we = estimate_window(traj)
@@ -713,24 +719,40 @@ def detect_freeze(traj: Trajectory) -> Optional[FreezeReport]:
     The stable suffix must satisfy spread <= eps throughout, with bid and
     ask each moving at most eps, and span at least 10% of the events (at
     least one).  Returns None when no such suffix exists.
+
+    A suffix of a stable suffix is stable too, since fewer events lower
+    each maximum and raise each minimum, so the stable suffixes are exactly
+    those from the first index where the condition holds.  The scan walks
+    backward over ``_FREEZE_BLOCK`` events at a time, carrying five running
+    extremes of everything after the current block (the max spread, the
+    max and min bid, the max and min ask), and stops in the first block
+    where the condition fails.  So it needs a few block-sized arrays
+    whatever the horizon, and gives what the whole-run arrays give, bit for
+    bit: max and min are exact.
     """
     n = traj.n_events
-    if n == 0:
-        return None
     eps = _FREEZE_EPS * traj.config.pair.interval.length
-    window = max(1, int(_FREEZE_SPAN * n))
     bids, asks = traj.bids, traj.asks
-    rev_spread = (asks - bids)[::-1]
-    suffix_spread_ok = np.maximum.accumulate(rev_spread)[::-1] <= eps
-    rb_max = np.maximum.accumulate(bids[::-1])[::-1]
-    rb_min = np.minimum.accumulate(bids[::-1])[::-1]
-    ra_max = np.maximum.accumulate(asks[::-1])[::-1]
-    ra_min = np.minimum.accumulate(asks[::-1])[::-1]
-    cond = suffix_spread_ok & (rb_max - rb_min <= eps) & (ra_max - ra_min <= eps)
-    if not cond[-1]:
-        return None
-    k = int(np.argmax(cond))  # first index of the maximal stable suffix
-    if n - k < window:
+    spread_hi = bid_hi = ask_hi = -math.inf
+    bid_lo = ask_lo = math.inf
+    k = 0  # first index of the maximal stable suffix
+    for stop in range(n, 0, -_FREEZE_BLOCK):
+        start = max(stop - _FREEZE_BLOCK, 0)
+        # each array's entry i covers the suffix from stop - 1 - i on
+        b, a = bids[start:stop][::-1], asks[start:stop][::-1]
+        spread = np.maximum(np.maximum.accumulate(a - b), spread_hi)
+        b_hi = np.maximum(np.maximum.accumulate(b), bid_hi)
+        b_lo = np.minimum(np.minimum.accumulate(b), bid_lo)
+        a_hi = np.maximum(np.maximum.accumulate(a), ask_hi)
+        a_lo = np.minimum(np.minimum.accumulate(a), ask_lo)
+        ok = (spread <= eps) & (b_hi - b_lo <= eps) & (a_hi - a_lo <= eps)
+        i = int(np.argmin(ok))  # the first failure, or 0 if none
+        if not ok[i]:
+            k = stop - i
+            break
+        spread_hi, bid_hi, bid_lo = spread[-1], b_hi[-1], b_lo[-1]
+        ask_hi, ask_lo = a_hi[-1], a_lo[-1]
+    if n - k < max(1, int(_FREEZE_SPAN * n)):
         return None
     midpoint = 0.5 * (bids[-1] + asks[-1])
     return FreezeReport(float(traj.times[k]), float(midpoint), k)

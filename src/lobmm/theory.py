@@ -244,6 +244,12 @@ class _PhiEvaluator:
                 "the recurrence threshold 1/V_W^2 is not a positive finite float "
                 f"at V_W = {self.v_w}"
             )
+        # the integrand divides by w*w for w up to the ceiling
+        if not math.isfinite(self.v_max * self.v_max):
+            raise DomainError(
+                "the phi integrand's w^2 is not a finite float at the volume "
+                f"ceiling {self.v_max}"
+            )
         self._levels = _knot_levels(pair)
         self._f = _phi_integrand(pair, rho)
         self._pieces: dict = {}

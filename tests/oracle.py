@@ -9,6 +9,10 @@ both sides of a comparison.
 Events carry the engine's kind codes: 0 market buy, 1 market sell, 2 limit
 buy, 3 limit sell, 4 market maker, and 5 for a limit order that the window
 restriction dropped.  Only limit orders carry a price; the others carry NaN.
+
+:func:`detect_freeze` is the reference for ``engine.detect_freeze``: the
+freeze criterion on whole-run arrays, which the engine's backward block
+scan must match bit for bit.
 """
 
 from __future__ import annotations
@@ -19,8 +23,10 @@ from collections import Counter
 from heapq import heapify, heappop, heappush
 from itertools import chain, count
 
+import numpy as np
+
 from lobmm import engine
-from lobmm.engine import DROPPED, RateTable, generator_for
+from lobmm.engine import DROPPED, FreezeReport, RateTable, generator_for
 
 
 class Book:
@@ -169,3 +175,29 @@ def replay(config):
         empties += empty and not was_empty
         was_empty = empty
     return times, kinds, prices, bids, asks, trades, empties, book
+
+
+def detect_freeze(traj):
+    """``engine.detect_freeze`` on whole-run arrays: the condition on the
+    suffix from each index, from running extremes accumulated backward
+    over the run, and the first index where it holds."""
+    n = traj.n_events
+    if n == 0:
+        return None
+    eps = engine._FREEZE_EPS * traj.config.pair.interval.length
+    window = max(1, int(engine._FREEZE_SPAN * n))
+    bids, asks = traj.bids, traj.asks
+    rev_spread = (asks - bids)[::-1]
+    suffix_spread_ok = np.maximum.accumulate(rev_spread)[::-1] <= eps
+    rb_max = np.maximum.accumulate(bids[::-1])[::-1]
+    rb_min = np.minimum.accumulate(bids[::-1])[::-1]
+    ra_max = np.maximum.accumulate(asks[::-1])[::-1]
+    ra_min = np.minimum.accumulate(asks[::-1])[::-1]
+    cond = suffix_spread_ok & (rb_max - rb_min <= eps) & (ra_max - ra_min <= eps)
+    if not cond[-1]:
+        return None
+    k = int(np.argmax(cond))  # first index of the maximal stable suffix
+    if n - k < window:
+        return None
+    midpoint = 0.5 * (bids[-1] + asks[-1])
+    return FreezeReport(float(traj.times[k]), float(midpoint), k)

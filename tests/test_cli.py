@@ -550,10 +550,19 @@ class TestTheory:
         assert doc["x_w"] == lo + 0.5
         assert doc["v_l"] == pytest.approx(0.782188294269, abs=1e-8)
 
-    @pytest.mark.parametrize("scale", [1e-300, 1e300])
-    def test_rate_scale_without_a_float_threshold(self, tmp_path, outdir, capsys, scale):
-        # the uniform pair's rates times 1e-300 (V_W**2 underflows to 0) and
-        # times 1e300 (it overflows, so 1/V_W**2 would read 0.0)
+    @pytest.mark.parametrize(
+        "scale, message",
+        [
+            pytest.param(1e-300, "threshold 1/V_W^2", id="1e-300"),
+            pytest.param(1e300, "threshold 1/V_W^2", id="1e+300"),
+            pytest.param(2.0**513, "at the volume ceiling", id="2**513"),
+        ],
+    )
+    def test_rate_scale_without_a_float_threshold(self, tmp_path, outdir, capsys, scale, message):
+        # the uniform pair's rates times 1e-300 (V_W**2 underflows to 0), times
+        # 1e300 (it overflows, so 1/V_W**2 would read 0.0), and times 2**513:
+        # V_W**2 is just finite there, but the phi integrand's w*w overflows at
+        # the ceiling
         model = {
             "interval": [0.0, 1.0],
             "demand": [[0.0, scale], [1.0, 0.0]],
@@ -564,7 +573,7 @@ class TestTheory:
             cfg = write_config(tmp_path, dict(doc, model=model))
             assert main([command, cfg, "--out", str(outdir)]) == 2, command
             err = capsys.readouterr().err
-            assert "threshold 1/V_W^2" in err and "Traceback" not in err
+            assert message in err and "Traceback" not in err
             assert not outdir.exists()
         cfg = write_config(tmp_path, {"model": model, "sweep": {"volume": [0.6 * scale]}})
         assert main(["sweep", cfg, "--out", str(outdir)]) == 0

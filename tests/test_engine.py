@@ -9,6 +9,7 @@ import math
 import tracemalloc
 from array import array
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -704,6 +705,27 @@ class TestPrepassMemory:
         assert peak - sum(col.nbytes for col in columns) < self.OVERHEAD
 
 
+class TestSummaryMemory:
+    # peak traced memory of run() with its summary beyond the five output
+    # columns, on a run that freezes; measured 6.5 MB at 2**17 and 8.3 MB at
+    # 2**19 events (CPython 3.11, numpy 2.4), plus 25% headroom.  A freeze
+    # scan over whole-run arrays needs about 30 MB at 2**19.
+    OVERHEAD = 10_400_000
+
+    @pytest.mark.parametrize("events", [1 << 17, 1 << 19])
+    def test_freeze_scan_stays_small(self, uniform_pair, events):
+        cfg = SimConfig(pair=uniform_pair, events=events, seed=3, rho=0.6)
+        tracemalloc.start()
+        try:
+            traj = run(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traj.summary.frozen
+        columns = (traj.times, traj.kinds, traj.trade_prices, traj.bids, traj.asks)
+        assert peak - sum(col.nbytes for col in columns) < self.OVERHEAD
+
+
 class TestCoupling:
     """A window-restricted stream tracks the full stream inside the window.
 
@@ -978,6 +1000,35 @@ class TestWindowEstimate:
             estimate_window(traj)
 
 
+FREEZE_BLOCKS = (1, 7, 64, engine._FREEZE_BLOCK)
+
+
+def crafted_run(uniform_pair, bids, asks):
+    """The columns detect_freeze reads, for crafted quotes on the uniform
+    pair (eps 0.01): event i at time i + 1."""
+    n = len(bids)
+    return SimpleNamespace(
+        config=SimConfig(pair=uniform_pair, events=n),
+        n_events=n,
+        times=np.arange(1.0, n + 1.0),
+        bids=np.array(bids, dtype=float),
+        asks=np.array(asks, dtype=float),
+    )
+
+
+def settled(n, breaks=()):
+    """Quotes 0.5 and 0.505 for ``n`` events, with the bid at 0.3 at each
+    index of ``breaks``: the stable suffix starts after the last one."""
+    bids = np.full(n, 0.5)
+    bids[list(breaks)] = 0.3
+    return bids, np.full(n, 0.505)
+
+
+# (bid, ask) at an event among bids in [0.5, 0.502] and asks up to 0.504 that
+# breaks only the spread, only the bid range or only the ask range
+ONE_BROKEN = {"spread": (0.496, 0.5075), "bid-range": (0.491, 0.5), "ask-range": (0.502, 0.5115)}
+
+
 class TestFreezeDetection:
     def test_no_freeze_without_makers(self, uniform_pair):
         traj = run(SimConfig(pair=uniform_pair, events=200_000, seed=61))
@@ -1004,12 +1055,105 @@ class TestFreezeDetection:
         eps = 0.01 * uniform_pair.interval.length  # the default
         k = fz.start_index
         spread = traj.asks[k:] - traj.bids[k:]
-        assert (spread <= eps + 1e-15).all()
-        assert traj.bids[k:].max() - traj.bids[k:].min() <= eps + 1e-15
+        assert (spread <= eps).all()
+        assert traj.bids[k:].max() - traj.bids[k:].min() <= eps
+
+    def test_stable_suffix_is_maximal(self, uniform_pair):
+        # one event more and the suffix breaks the condition
+        traj = run(SimConfig(pair=uniform_pair, events=100_000, seed=63, rho=0.6))
+        k = detect_freeze(traj).start_index
+        assert k > 0
+        eps = 0.01 * uniform_pair.interval.length
+        b, a = traj.bids[k - 1 :], traj.asks[k - 1 :]
+        assert not (
+            (a - b).max() <= eps and b.max() - b.min() <= eps and a.max() - a.min() <= eps
+        )
 
     def test_empty_run(self, uniform_pair):
         traj = run(SimConfig(pair=uniform_pair, events=0, seed=64))
         assert detect_freeze(traj) is None
+
+    @given(cfg=sim_configs(max_events=20_000))
+    @settings(
+        max_examples=100,
+        deadline=None,
+        # the test patches the block size itself, example by example
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_matches_the_reference(self, cfg, monkeypatch):
+        """The backward block scan against the whole-run arrays of
+        ``oracle.detect_freeze``, at every block size; sim_configs draws
+        freezing maker rates too."""
+        traj = run(cfg)
+        want = oracle.detect_freeze(traj)
+        s = traj.summary
+        assert (s.freeze_time, s.freeze_midpoint, s.freeze_start_index) == (
+            (want.t_freeze, want.midpoint, want.start_index) if want else (None, None, None)
+        )
+        for block in FREEZE_BLOCKS:
+            monkeypatch.setattr(engine, "_FREEZE_BLOCK", block)
+            assert detect_freeze(traj) == want, block
+
+    @pytest.mark.parametrize("name", sorted(PAIRS))
+    def test_matches_the_reference_on_frozen_runs(self, name, monkeypatch):
+        # maker rates above the walrasian volume: stable suffixes longer than
+        # one default block
+        pair = PAIRS[name]
+        rho = 1.5 * walras(pair).volume
+        for seed in (1, 2):
+            traj = run(SimConfig(pair=pair, rho=rho, events=20_000, seed=seed))
+            want = oracle.detect_freeze(traj)
+            assert want is not None and traj.n_events - want.start_index > engine._FREEZE_BLOCK
+            for block in FREEZE_BLOCKS:
+                monkeypatch.setattr(engine, "_FREEZE_BLOCK", block)
+                assert detect_freeze(traj) == want, (seed, block)
+
+    @pytest.mark.parametrize("block", FREEZE_BLOCKS)
+    @pytest.mark.parametrize(
+        "n, breaks, start",
+        [
+            pytest.param(35, [13], 14, id="fails-on-a-block-end"),
+            pytest.param(35, [14], 15, id="fails-on-a-block-start"),
+            pytest.param(35, [6, 20], 21, id="fails-in-two-blocks"),
+            pytest.param(100, [89], 90, id="suffix-of-exactly-the-span"),
+            pytest.param(100, [90], None, id="suffix-one-short-of-the-span"),
+            pytest.param(35, [], 0, id="never-fails"),
+            pytest.param(35, [34], None, id="last-state-unstable"),
+            pytest.param(1, [], 0, id="one-event"),
+            pytest.param(1, [0], None, id="one-unstable-event"),
+            pytest.param(0, [], None, id="no-events"),
+        ],
+    )
+    def test_crafted_quotes(self, uniform_pair, monkeypatch, block, n, breaks, start):
+        # with a block of 7, index 13 ends a block and 14 starts one
+        monkeypatch.setattr(engine, "_FREEZE_BLOCK", block)
+        traj = crafted_run(uniform_pair, *settled(n, breaks))
+        fz = detect_freeze(traj)
+        assert fz == oracle.detect_freeze(traj)
+        if start is None:
+            assert fz is None
+        else:
+            midpoint = 0.5 * (0.5 + 0.505)
+            assert (fz.start_index, fz.t_freeze, fz.midpoint) == (start, start + 1.0, midpoint)
+
+    @pytest.mark.parametrize("block", FREEZE_BLOCKS)
+    @pytest.mark.parametrize("extreme", sorted(ONE_BROKEN))
+    def test_each_extreme_breaks_the_suffix(self, uniform_pair, monkeypatch, block, extreme):
+        # quotes that wander by less than eps, and at two events a quote
+        # pair that breaks exactly one of the three ranges
+        monkeypatch.setattr(engine, "_FREEZE_BLOCK", block)
+        rng = np.random.default_rng(5)
+        bids = 0.5 + rng.uniform(0.0, 0.002, 300)
+        asks = bids + rng.uniform(0.0, 0.002, 300)
+        for i in (17, 200):
+            bids[i], asks[i] = ONE_BROKEN[extreme]
+        b, a = bids[200:], asks[200:]
+        ranges = {"spread": (a - b).max(), "bid-range": np.ptp(b), "ask-range": np.ptp(a)}
+        assert [name for name, r in ranges.items() if r > 0.01] == [extreme]
+        traj = crafted_run(uniform_pair, bids, asks)
+        fz = detect_freeze(traj)
+        assert fz == oracle.detect_freeze(traj)
+        assert fz.start_index == 201
 
 
 class TestImageBook:
