@@ -723,35 +723,35 @@ def detect_freeze(traj: Trajectory) -> Optional[FreezeReport]:
     A suffix of a stable suffix is stable too, since fewer events lower
     each maximum and raise each minimum, so the stable suffixes are exactly
     those from the first index where the condition holds.  The scan walks
-    backward over ``_FREEZE_BLOCK`` events at a time, carrying five running
-    extremes of everything after the current block (the max spread, the
-    max and min bid, the max and min ask), and stops in the first block
-    where the condition fails.  So it needs a few block-sized arrays
-    whatever the horizon, and gives what the whole-run arrays give, bit for
-    bit: max and min are exact.
+    backward over ``_FREEZE_BLOCK`` events at a time, carrying four running
+    extremes of everything after the current block (the max and min bid,
+    the max and min ask), and stops at the last event where the condition
+    fails.  The spread needs no running max: every later spread passed
+    before the scan gets to an event.  So the scan needs a few block-sized
+    arrays whatever the horizon, and gives what whole-run arrays give, bit
+    for bit: max and min are exact.
     """
     n = traj.n_events
     eps = _FREEZE_EPS * traj.config.pair.interval.length
     bids, asks = traj.bids, traj.asks
-    spread_hi = bid_hi = ask_hi = -math.inf
+    bid_hi = ask_hi = -math.inf
     bid_lo = ask_lo = math.inf
     k = 0  # first index of the maximal stable suffix
     for stop in range(n, 0, -_FREEZE_BLOCK):
         start = max(stop - _FREEZE_BLOCK, 0)
-        # each array's entry i covers the suffix from stop - 1 - i on
+        # entry i of each array below belongs to event stop - 1 - i; the
+        # extremes are over the suffix from that event on
         b, a = bids[start:stop][::-1], asks[start:stop][::-1]
-        spread = np.maximum(np.maximum.accumulate(a - b), spread_hi)
         b_hi = np.maximum(np.maximum.accumulate(b), bid_hi)
         b_lo = np.minimum(np.minimum.accumulate(b), bid_lo)
         a_hi = np.maximum(np.maximum.accumulate(a), ask_hi)
         a_lo = np.minimum(np.minimum.accumulate(a), ask_lo)
-        ok = (spread <= eps) & (b_hi - b_lo <= eps) & (a_hi - a_lo <= eps)
+        ok = (a - b <= eps) & (b_hi - b_lo <= eps) & (a_hi - a_lo <= eps)
         i = int(np.argmin(ok))  # the first failure, or 0 if none
         if not ok[i]:
             k = stop - i
             break
-        spread_hi, bid_hi, bid_lo = spread[-1], b_hi[-1], b_lo[-1]
-        ask_hi, ask_lo = a_hi[-1], a_lo[-1]
+        bid_hi, bid_lo, ask_hi, ask_lo = b_hi[-1], b_lo[-1], a_hi[-1], a_lo[-1]
     if n - k < max(1, int(_FREEZE_SPAN * n)):
         return None
     midpoint = 0.5 * (bids[-1] + asks[-1])

@@ -1125,7 +1125,8 @@ class TestFreezeDetection:
         ],
     )
     def test_crafted_quotes(self, uniform_pair, monkeypatch, block, n, breaks, start):
-        # with a block of 7, index 13 ends a block and 14 starts one
+        # blocks count from the end: with 35 events and a block of 7, index
+        # 13 ends a block and 14 starts one
         monkeypatch.setattr(engine, "_FREEZE_BLOCK", block)
         traj = crafted_run(uniform_pair, *settled(n, breaks))
         fz = detect_freeze(traj)
@@ -1140,20 +1141,40 @@ class TestFreezeDetection:
     @pytest.mark.parametrize("extreme", sorted(ONE_BROKEN))
     def test_each_extreme_breaks_the_suffix(self, uniform_pair, monkeypatch, block, extreme):
         # quotes that wander by less than eps, and at two events a quote
-        # pair that breaks exactly one of the three ranges
+        # pair that breaks exactly one of the three ranges.  The 448 events
+        # after the last one are whole blocks of 7 and of 64 counted from
+        # the end, so it ends a block, and a broken bid or ask range shows
+        # only through the extremes carried from the later blocks
         monkeypatch.setattr(engine, "_FREEZE_BLOCK", block)
         rng = np.random.default_rng(5)
-        bids = 0.5 + rng.uniform(0.0, 0.002, 300)
-        asks = bids + rng.uniform(0.0, 0.002, 300)
-        for i in (17, 200):
+        bids = 0.5 + rng.uniform(0.0, 0.002, 600)
+        asks = bids + rng.uniform(0.0, 0.002, 600)
+        for i in (17, 151):
             bids[i], asks[i] = ONE_BROKEN[extreme]
-        b, a = bids[200:], asks[200:]
+        b, a = bids[151:], asks[151:]
         ranges = {"spread": (a - b).max(), "bid-range": np.ptp(b), "ask-range": np.ptp(a)}
         assert [name for name, r in ranges.items() if r > 0.01] == [extreme]
         traj = crafted_run(uniform_pair, bids, asks)
         fz = detect_freeze(traj)
         assert fz == oracle.detect_freeze(traj)
-        assert fz.start_index == 201
+        assert fz.start_index == 152
+
+    @pytest.mark.parametrize("block", FREEZE_BLOCKS)
+    @pytest.mark.parametrize("extreme", sorted(ONE_BROKEN))
+    def test_a_range_of_exactly_eps_is_settled(self, uniform_pair, monkeypatch, block, extreme):
+        # eps is 0.01 and 0.02 - 0.01 == 0.01 exactly: quotes that move by,
+        # or lie apart by, exactly eps have settled
+        monkeypatch.setattr(engine, "_FREEZE_BLOCK", block)
+        eps = 0.01
+        low, high = np.full(100, eps), np.full(100, 2 * eps)
+        assert high[0] - low[0] == eps
+        wander = np.where(np.arange(100) % 3 == 0, eps, 2 * eps)
+        quotes = {"spread": (low, high), "bid-range": (wander, high), "ask-range": (low, wander)}
+        bids, asks = quotes[extreme]
+        traj = crafted_run(uniform_pair, bids, asks)
+        fz = detect_freeze(traj)
+        assert fz == oracle.detect_freeze(traj)
+        assert fz.start_index == 0
 
 
 class TestImageBook:
