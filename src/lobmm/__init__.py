@@ -32,7 +32,6 @@ from .curves import (
     walras,
 )
 from .engine import (
-    DiscreteMap,
     FreezeReport,
     InsufficientDataError,
     InvalidMapError,
@@ -74,7 +73,6 @@ __all__ = [
     "BookSnapshot",
     "DemandSupplyPair",
     "Direction",
-    "DiscreteMap",
     "DomainError",
     "EmptySupportError",
     "FreezeReport",

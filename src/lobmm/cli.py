@@ -24,7 +24,7 @@ import argparse
 import json
 import math
 import sys
-from collections import deque
+from contextlib import closing
 from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -41,10 +41,10 @@ from .curves import (
     walras,
 )
 from .engine import (
-    DiscreteMap,
     SimConfig,
     Trajectory,
-    _process_pool,
+    _in_order,
+    _pool_size,
     image_book,
     quote_cdfs,
     run,
@@ -202,7 +202,11 @@ KEYS: Dict[str, Tuple[Parser, Any, Tuple[str, ...]]] = {
     ),
     "run.restriction": (_as_is, None, ("simulate", "compare")),  # see parse_restriction
     "run.restriction.volume": (_as_number, REQUIRED, ("simulate", "compare")),
-    "run.map.divisor": (_as_number, REQUIRED, ("simulate",)),
+    "run.map.divisor": (
+        _checked(_as_number, lambda d: d > 0.0, "must be positive"),
+        REQUIRED,
+        ("simulate",),
+    ),
     "output.directory": (
         _checked(_as_is, lambda d: isinstance(d, str), "must be a string"),
         "out",
@@ -462,9 +466,6 @@ def write_json(path: Path, payload: Dict[str, Any], written: Optional[List[Path]
 _BLOCK_ROWS = 8192
 # tables of at least this many blocks are formatted in worker processes
 _POOL_BLOCKS = 4
-# blocks in flight per worker: enough to keep the workers busy while the
-# main process writes, few enough that memory does not grow with the rows
-_AHEAD = 2
 _NEEDS_QUOTING = frozenset(',"\r\n')
 
 
@@ -489,10 +490,11 @@ def write_csv(
     Columns are formatted a block of ``_BLOCK_ROWS`` rows at a time, and a
     block's text depends on its own cells only.  A table of at least
     ``_POOL_BLOCKS`` blocks is formatted in worker processes, one per CPU,
-    with a bounded number of blocks in flight; the main process writes the
-    texts in row order.  So the bytes do not depend on the CPU count, and
-    memory does not grow with the row count.  Every worker has exited when
-    this returns or raises.
+    through the engine's one fan-out (``_in_order``), which bounds the
+    blocks in flight; the main process writes the texts in row order.  So
+    the bytes do not depend on the CPU count, and memory does not grow
+    with the row count.  Every worker has exited when this returns or
+    raises.
     """
     if len(header) < 2 or len(columns) != len(header):
         raise ValueError(f"{path.name}: need one column per header field, at least two")
@@ -501,28 +503,11 @@ def write_csv(
         raise ValueError(f"{path.name}: columns differ in length")
     blocks = ([col[s : s + _BLOCK_ROWS] for col in columns] for s in range(0, n, _BLOCK_ROWS))
     n_blocks = -(-n // _BLOCK_ROWS)
-    with _open_artifact(path, written) as fh:
+    size = _pool_size(n_blocks) if n_blocks >= _POOL_BLOCKS else 1
+    texts = _in_order(_block_text, blocks, size)
+    with _open_artifact(path, written) as fh, closing(texts):
         fh.write(",".join(_fields(list(header))) + "\n")
-        pool, workers = _process_pool(n_blocks) if n_blocks >= _POOL_BLOCKS else (None, 1)
-        if pool is None:
-            fh.writelines(map(_block_text, blocks))
-            return
-        try:
-            fh.writelines(_in_order(pool, _block_text, blocks, _AHEAD * workers))
-        finally:
-            pool.shutdown(cancel_futures=True)
-
-
-def _in_order(pool, fn: Callable, items, ahead: int):
-    """``fn`` over ``items`` in ``pool``, results in order, with at most
-    ``ahead`` items submitted and not yet yielded."""
-    pending = deque()
-    for item in items:
-        if len(pending) == ahead:
-            yield pending.popleft().result()
-        pending.append(pool.submit(fn, item))
-    while pending:
-        yield pending.popleft().result()
+        fh.writelines(texts)
 
 
 def _block_text(block: Sequence[Sequence[Any]]) -> str:
@@ -700,7 +685,6 @@ def cmd_simulate(cfg: Config, out: OutputSettings) -> int:
     base = sim_config(cfg, pair, rho, restriction=window, burn_in=burn_in, snapshot_at=snapshot_at)
     replicas = cfg.get("run.replicas")
     divisor = cfg.get("run.map.divisor")
-    image_map = None if divisor is None else DiscreteMap.ceil_div(divisor)
     bins = cfg.get("output.histogram_bins")
     formats = cfg.get("output.formats")
 
@@ -730,8 +714,8 @@ def cmd_simulate(cfg: Config, out: OutputSettings) -> int:
             )
             for idx, snap in sorted(traj.snapshots.items()):
                 out.csv(rdir / f"snapshot-{idx}.csv", _BOOK_HEADER, _columns(snap.rows(), 3))
-            if image_map is not None:
-                image = image_book(traj.final_book, image_map).snapshot()
+            if divisor is not None:
+                image = image_book(traj.final_book, divisor).snapshot()
                 out.csv(rdir / "image-book.csv", _BOOK_HEADER, _columns(image.rows(), 3))
         if "json" in formats:
             out.json(rdir / "summary.json", _summary_payload(traj))

@@ -5,14 +5,15 @@ supply curve the rate of sell interest at or below each price.  Both are
 stored as breakpoint sequences spanning one closed price interval and are
 evaluated by linear interpolation.  Curve increments act as measures (the
 local arrival intensities of limit orders), so alongside evaluation this
-module provides left-continuous inverses, the total increment mass and
-the tables that the engine samples limit prices from, the vertical shift
-used by market-maker corrections, and the walrasian crossing point.
+module provides left-continuous inverses, the total increment mass, the
+vertical shift used by market-maker corrections, and the walrasian
+crossing point.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
@@ -88,14 +89,10 @@ class MonotoneCurve:
     direction: Direction
     allow_negative: InitVar[bool] = False
 
-    # interpolation and sampling tables, derived once
+    # interpolation tables, derived once
     _px: np.ndarray = field(init=False, repr=False, compare=False)
     _rx: np.ndarray = field(init=False, repr=False, compare=False)
-    _price_list: list = field(init=False, repr=False, compare=False)
-    _rate_list: list = field(init=False, repr=False, compare=False)
     _rev_rate_list: list = field(init=False, repr=False, compare=False)
-    _cum_list: list = field(init=False, repr=False, compare=False)
-    _seg_per_mass: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, allow_negative: bool):
         prices = tuple(float(p) for p in self.prices)
@@ -120,22 +117,19 @@ class MonotoneCurve:
             )
         if not allow_negative and min(rates) < 0.0:
             raise ValueError("rates must be nonnegative")
+        # a gap of subnormal or overflowing width, or a slope beyond the float
+        # range, leaves the segment too few bits for the theory's and the
+        # sampler's algebra
+        for k, (a, b, d) in enumerate(zip(prices, prices[1:], diffs)):
+            if not (sys.float_info.min <= b - a < math.inf and math.isfinite(d / (b - a))):
+                raise ValueError(
+                    f"segment {k} [{a!r}, {b!r}] is too narrow, too wide or too steep "
+                    f"for floats: width {b - a!r}, rate change {d!r}"
+                )
 
-        px = np.asarray(prices, dtype=np.float64)
-        rx = np.asarray(rates, dtype=np.float64)
-        cl = np.abs(rx - rx[0]).tolist()  # nondecreasing by monotonicity
-        seg = []
-        pl = px.tolist()
-        for k in range(len(pl) - 1):
-            dm = cl[k + 1] - cl[k]
-            seg.append((pl[k + 1] - pl[k]) / dm if dm > 0.0 else 0.0)
-        object.__setattr__(self, "_px", px)
-        object.__setattr__(self, "_rx", rx)
-        object.__setattr__(self, "_price_list", pl)
-        object.__setattr__(self, "_rate_list", rx.tolist())
-        object.__setattr__(self, "_rev_rate_list", rx.tolist()[::-1])
-        object.__setattr__(self, "_cum_list", cl)
-        object.__setattr__(self, "_seg_per_mass", seg)
+        object.__setattr__(self, "_px", np.asarray(prices, dtype=np.float64))
+        object.__setattr__(self, "_rx", np.asarray(rates, dtype=np.float64))
+        object.__setattr__(self, "_rev_rate_list", list(rates[::-1]))
 
     @property
     def lo(self) -> float:
@@ -152,7 +146,7 @@ class MonotoneCurve:
     @property
     def total_mass(self) -> float:
         """Total increment mass, |rate(hi) - rate(lo)|."""
-        return self._cum_list[-1]
+        return abs(self.rates[-1] - self.rates[0])
 
     def _check_price(self, x: float) -> float:
         tol = _REL_TOL * (self.hi - self.lo)
@@ -171,13 +165,13 @@ class MonotoneCurve:
                 raise DomainError("price array leaves the curve span")
             return np.interp(np.clip(x, self.lo, self.hi), self._px, self._rx)
         x = self._check_price(float(x))
-        pl = self._price_list
+        pl = self.prices
         j = bisect_right(pl, x) - 1
         if j < 0:
             j = 0
         elif j >= len(pl) - 1:
             j = len(pl) - 2
-        rl = self._rate_list
+        rl = self.rates
         if x == pl[j]:
             return rl[j]
         if x == pl[j + 1]:
@@ -201,8 +195,7 @@ class MonotoneCurve:
             return self._inverse_array(v)
         v = float(v)
         self._check_level(v)
-        pl = self._price_list
-        rl = self._rate_list
+        pl, rl = self.prices, self.rates
         n = len(pl)
         if self.direction is Direction.DECREASING:
             if v <= rl[-1]:

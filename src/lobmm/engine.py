@@ -64,10 +64,11 @@ from __future__ import annotations
 import math
 import os
 from array import array
+from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import partial
 from heapq import heappop, heappush
-from itertools import repeat
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -80,7 +81,6 @@ from .curves import (
 
 __all__ = [
     "DROPPED",
-    "DiscreteMap",
     "FreezeReport",
     "InsufficientDataError",
     "InvalidMapError",
@@ -128,7 +128,8 @@ class InsufficientDataError(RuntimeError):
 
 
 class InvalidMapError(ValueError):
-    """A discrete map broke monotonicity or the non-crossing property."""
+    """The image of a book under a discrete price map crosses or leaves
+    the interval."""
 
 
 def generator_for(seed: int, replica: int = 0) -> np.random.Generator:
@@ -289,11 +290,16 @@ def _event_chunks(config: SimConfig, rates: RateTable):
     thresholds = np.array(rates.thresholds)
     inv_total = rates.inv_total
     # limit-price sampler inputs per recorded kind: knots, cumulative mass,
-    # price per unit mass on each segment, total mass
-    samplers = [
-        (code, *map(np.array, (c._price_list, c._cum_list, c._seg_per_mass)), c._cum_list[-1])
-        for code, c in ((2, pair.demand), (3, pair.supply))
-    ]
+    # price per unit mass on each segment (0 where the curve is flat, inf
+    # where the mass is too small for the quotient), and total mass
+    samplers = []
+    for code, curve in ((2, pair.demand), (3, pair.supply)):
+        knots, rx = np.array(curve.prices), np.array(curve.rates)
+        cum = np.abs(rx - rx[0])  # nondecreasing by monotonicity
+        dm = np.diff(cum)
+        with np.errstate(over="ignore"):
+            seg = np.divide(np.diff(knots), dm, out=np.zeros_like(dm), where=dm > 0.0)
+        samplers.append((code, knots, cum, seg, curve.total_mass))
 
     block = _BLOCK
     gen = generator_for(config.seed, config.replica)
@@ -615,9 +621,9 @@ def _weighted_below(values: np.ndarray, weights: np.ndarray, grid: np.ndarray, s
 
 def _summarize(traj: Trajectory) -> TrajectorySummary:
     """The post-run record of ``traj`` (see :class:`TrajectorySummary`)."""
-    # the freeze scan needs only block-sized arrays; the window scan copies
-    # the resting post-burn-in quotes, so it runs while no other temporary
-    # of this summary is alive
+    # the freeze scan needs only block-sized arrays and the window scan two
+    # boolean masks of the post-burn-in quotes; both run before the larger
+    # temporaries below
     fz = detect_freeze(traj)
     try:
         we = estimate_window(traj)
@@ -698,11 +704,13 @@ def estimate_window(traj: Trajectory) -> WindowEstimate:
     hi = traj.config.pair.interval.hi
     b = traj.bids[k0:]
     a = traj.asks[k0:]
-    rb = b[b > lo]
-    ra = a[a < hi]
-    if len(rb) == 0 or len(ra) == 0:
+    # an empty side quotes the interval edge; the masks skip those states
+    # without copying the resting quotes
+    floor = float(np.min(b, where=b > lo, initial=math.inf))
+    cap = float(np.max(a, where=a < hi, initial=-math.inf))
+    if math.isinf(floor) or math.isinf(cap):
         raise InsufficientDataError("no resting quotes after burn-in")
-    return WindowEstimate(float(rb.min()), float(ra.max()))
+    return WindowEstimate(floor, cap)
 
 
 @dataclass(frozen=True)
@@ -758,50 +766,30 @@ def detect_freeze(traj: Trajectory) -> Optional[FreezeReport]:
     return FreezeReport(float(traj.times[k]), float(midpoint), k)
 
 
-@dataclass(frozen=True)
-class DiscreteMap:
-    """Nondecreasing step map from continuous prices to a discrete set."""
+def image_book(book: OrderBook, divisor: float) -> OrderBook:
+    """The book aggregated onto the cells ceil(price / divisor).
 
-    fn: Callable[[float], float]
-    name: str = "map"
-
-    @staticmethod
-    def ceil_div(divisor: float = 2.0) -> "DiscreteMap":
-        if not divisor > 0.0:
-            raise ValueError("divisor must be positive")
-        return DiscreteMap(
-            lambda x: float(math.ceil(x / divisor)), f"ceil_div_{divisor:g}"
-        )
-
-
-def image_book(book: OrderBook, dmap: DiscreteMap) -> OrderBook:
-    """Aggregate the book through a discrete price map.
-
-    Monotonicity is checked on the resting prices; the image must still be
-    non-crossing (guaranteed when buys and sells arrive on alternating
-    cells of the map, checked here regardless).
+    Correctly rounded division is monotone, so the map never reorders
+    prices; the image must still be non-crossing (guaranteed when buys and
+    sells arrive on alternating cells, checked here regardless).
     """
-    fn = dmap.fn
-    prices = sorted(list(book.buy_counts) + list(book.sell_counts))
-    mapped = [fn(p) for p in prices]
-    if any(b < a for a, b in zip(mapped, mapped[1:])):
-        raise InvalidMapError(f"map {dmap.name} is not nondecreasing on the book prices")
-    ibuys: Dict[float, int] = {}
-    for p, c in book.buy_counts.items():
-        q = fn(p)
-        ibuys[q] = ibuys.get(q, 0) + c
-    isells: Dict[float, int] = {}
-    for p, c in book.sell_counts.items():
-        q = fn(p)
-        isells[q] = isells.get(q, 0) + c
+    if not divisor > 0.0:
+        raise ValueError("divisor must be positive")
+    images = []
+    for counts in (book.buy_counts, book.sell_counts):
+        image: Dict[float, int] = {}
+        for p, c in counts.items():
+            q = float(math.ceil(p / divisor))
+            image[q] = image.get(q, 0) + c
+        images.append(image)
     try:
-        return OrderBook(book.interval, buys=ibuys, sells=isells)
+        return OrderBook(book.interval, buys=images[0], sells=images[1])
     except ValueError as exc:
-        raise InvalidMapError(f"image under {dmap.name} is invalid: {exc}") from exc
+        raise InvalidMapError(f"image under ceil(price / {divisor:g}) is invalid: {exc}") from exc
 
 
-def _replica_summary(base: SimConfig, r: int) -> TrajectorySummary:
-    return run(replace(base, replica=r)).summary
+def _replica_summaries(base: SimConfig, replicas: range) -> List[TrajectorySummary]:
+    return [run(replace(base, replica=r)).summary for r in replicas]
 
 
 def run_ensemble(
@@ -810,38 +798,55 @@ def run_ensemble(
     """Post-run records of replicas 0..replicas-1 of ``base_config``.
 
     ``workers`` processes run them (None or 0: one per CPU; never more
-    than the CPUs or the replicas).  Results are ordered by replica index
-    and independent of scheduling; replica r always consumes the stream
-    (seed, spawn_key=(r,)).
+    than the CPUs or the replicas), in batches of a quarter of each
+    process's share.  Results are ordered by replica index and
+    independent of scheduling; replica r always consumes the stream
+    (seed, spawn_key=(r,)).  A replica that fails raises its error here;
+    the batches not yet handed to a process never start.
     """
     if replicas < 1:
         raise ValueError("need at least one replica")
     if workers is not None and workers < 0:
         raise ValueError("workers must be nonnegative (0 means one per CPU)")
-    pool, workers = _process_pool(replicas, workers)
-    if pool is None:
-        return [_replica_summary(base_config, r) for r in range(replicas)]
-    with pool:
-        return list(
-            pool.map(
-                _replica_summary,
-                repeat(base_config),
-                range(replicas),
-                chunksize=max(1, replicas // (4 * workers)),
-            )
-        )
+    size = _pool_size(replicas, workers)
+    batch = max(1, replicas // (4 * size))
+    batches = (range(r, min(r + batch, replicas)) for r in range(0, replicas, batch))
+    fn = partial(_replica_summaries, base_config)
+    return [s for part in _in_order(fn, batches, size) for s in part]
 
 
-def _process_pool(tasks: int, workers: Optional[int] = None):
-    """``(pool, size)`` for ``tasks`` independent tasks: a process pool of
-    ``workers`` processes (None or 0: one per CPU), never more than the
-    CPUs or the tasks.  The pool is None when that leaves one process, and
-    the caller then works serially."""
+def _pool_size(tasks: int, workers: Optional[int] = None) -> int:
+    """Processes for ``tasks`` independent tasks: ``workers`` (None or 0:
+    one per CPU), never more than the CPUs or the tasks."""
     cpus = os.cpu_count() or 1
-    size = min(workers or cpus, cpus, tasks)
+    return min(workers or cpus, cpus, tasks)
+
+
+def _in_order(fn: Callable, items: Iterable, size: int) -> Iterator:
+    """``fn`` over ``items``, results in item order, in ``size`` processes.
+
+    With one process (``size`` <= 1) this works in the caller's process.
+    Otherwise one process pool runs ``fn``, with at most two items per
+    process submitted and not yet yielded, so a long ``items`` never sits
+    in the pool's queue at once, and an error stops further submissions.
+    The pool shuts down on every exit, cancelling what has not started,
+    so no worker outlives the iteration: not on the last result, an error
+    or the caller closing the iterator early.
+    """
     if size <= 1:
-        return None, size
+        yield from map(fn, items)
+        return
     # imported here: every command pays for the import, few start a pool
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(max_workers=size), size
+    pool = ProcessPoolExecutor(max_workers=size)
+    pending = deque()
+    try:
+        for item in items:
+            if len(pending) == 2 * size:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, item))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)

@@ -112,12 +112,16 @@ def _draws(draw):
 
 
 def price_at_mass(curve, target):
-    """The price at cumulative increment mass ``target`` of ``curve``."""
-    cum = curve._cum_list
+    """The price at cumulative increment mass ``target`` of ``curve``:
+    linear in the mass on the first segment whose end reaches it."""
+    prices, rates = curve.prices, curve.rates
+    cum = [abs(r - rates[0]) for r in rates]
     j = bisect_left(cum, target)
     if j == 0:
-        return curve._price_list[0]
-    return curve._price_list[j - 1] + (target - cum[j - 1]) * curve._seg_per_mass[j - 1]
+        return prices[0]
+    # cum[j - 1] < target <= cum[j], so the segment has positive mass
+    per_mass = (prices[j] - prices[j - 1]) / (cum[j] - cum[j - 1])
+    return prices[j - 1] + (target - cum[j - 1]) * per_mass
 
 
 def events(config):

@@ -11,7 +11,6 @@ import time
 import numpy as np
 
 from lobmm import (
-    DiscreteMap,
     OrderBook,
     PriceInterval,
     Recurrence,
@@ -219,7 +218,6 @@ def test_c09_resting_order_survival_bound():
 
 def test_c10_discrete_image_invariants():
     pair = make_evenodd_pair()
-    dmap = DiscreteMap.ceil_div(2.0)
     t0 = time.perf_counter()
     traj = run(
         SimConfig(
@@ -234,7 +232,7 @@ def test_c10_discrete_image_invariants():
     allowed = {1.0, 2.0, 3.0}
     ok, nonempty = True, 0
     for book in books:
-        img = image_book(book, dmap)  # raises if the image crosses
+        img = image_book(book, 2.0)  # raises if the image crosses
         prices = set(img.buy_counts) | set(img.sell_counts)
         ok = ok and prices <= allowed
         if img.buy_counts and img.sell_counts:

@@ -4,6 +4,7 @@ Everything goes through ``main(argv)`` with tiny event budgets; one test
 exercises the installed console script. Artifacts land in tmp_path.
 """
 
+import concurrent.futures
 import csv
 import hashlib
 import json
@@ -13,6 +14,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -579,6 +581,22 @@ class TestTheory:
         assert main(["sweep", cfg, "--out", str(outdir)]) == 0
         assert [row[1:] for row in read_csv(outdir / "sweep.csv")[1]] == [["", "out_of_domain"]]
 
+    @pytest.mark.parametrize("command", ["theory", "simulate"])
+    def test_a_subnormal_interval_is_refused(self, tmp_path, outdir, capsys, command):
+        # the uniform pair on [0, 1e-320]: the interval length is subnormal,
+        # so the curves carry about 10 bits and their slopes overflow
+        hi = 1e-320
+        model = {"interval": [0.0, hi], "demand": [[0.0, 1.0], [hi, 0.0]], "supply": [[0.0, 0.0], [hi, 1.0]]}
+        doc = {"model": model} if command == "theory" else {"model": model, "run": {"events": 100}}
+        cfg = write_config(tmp_path, doc)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, cfg, "--seed", "1", "--out", str(outdir)]) == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert "segment 0 [0.0, 1e-320] is too narrow, too wide or too steep" in err and "Traceback" not in err
+        assert not outdir.exists()
+
     def test_json_only_format(self, tmp_path, outdir):
         doc = {"model": UNIFORM_MODEL, "output": {"formats": ["json"]}}
         cfg = write_config(tmp_path, doc)
@@ -691,6 +709,16 @@ class TestSimulate:
         assert header == ["side", "price", "count"]
         for row in rows:
             assert float(row[1]) in (1.0, 2.0, 3.0)
+
+    @pytest.mark.parametrize("divisor", [0.0, -2.0])
+    def test_image_divisor_must_be_positive(self, tmp_path, outdir, capsys, monkeypatch, divisor):
+        # refused before any event is drawn
+        monkeypatch.setattr(cli, "run", lambda config: pytest.fail("simulated"))
+        doc = {"model": TICK_MODEL, "run": {"events": 400, "map": {"divisor": divisor}}}
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", cfg, "--seed", "6", "--out", str(outdir)]) == 2
+        assert "run.map.divisor must be positive" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_restriction_by_volume(self, tmp_path, outdir):
         doc = self.base(events=2000)
@@ -1101,19 +1129,19 @@ class TestWriteCsv:
         ]
 
     def pooled(self, monkeypatch):
-        """Blocks of 4 rows on two CPUs; returns the sizes of the pools
-        that write_csv started."""
+        """Blocks of 4 rows on two CPUs; returns the sizes of the process
+        pools that write_csv started."""
         started = []
-        real = cli._process_pool
 
-        def recorded(tasks, workers=None):
-            pool, size = real(tasks, workers)
-            started.append(size if pool is not None else None)
-            return pool, size
+        class Recorded(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
 
         monkeypatch.setattr(cli, "_BLOCK_ROWS", 4)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(cli, "_process_pool", recorded)
+        # the pool class is imported where a pool starts
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
         return started
 
     def test_bad_cell_in_a_late_block_raises_from_a_worker(self, tmp_path, monkeypatch):
@@ -1154,10 +1182,12 @@ class TestWriteCsv:
 
         monkeypatch.setattr(Future, "result", result)
         monkeypatch.setattr(cli, "_BLOCK_ROWS", 4)
-        monkeypatch.setattr(cli, "_process_pool", lambda tasks: (CountingPool(), 2))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda max_workers: CountingPool())
         rows = 4 * 25
         write_csv(tmp_path / "t.csv", ("i", "x"), (range(rows), [0.5] * rows))
-        assert peak[0] == cli._AHEAD * 2
+        # two blocks per process
+        assert peak[0] == 2 * 2
         assert (tmp_path / "t.csv").read_text() == "i,x\n" + "".join(f"{i},0.5\n" for i in range(rows))
 
     def test_failed_write_in_a_pool_leaves_no_file(self, tmp_path, outdir, monkeypatch):

@@ -4,6 +4,7 @@ walrasian crossing."""
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -46,6 +47,24 @@ class TestConstruction:
             MonotoneCurve((0.0, 1.0), (0.5, -0.5), Direction.DECREASING)
         curve = MonotoneCurve((0.0, 1.0), (0.5, -0.5), Direction.DECREASING, allow_negative=True)
         assert curve.value_at(1.0) == -0.5
+
+    @pytest.mark.parametrize(
+        "prices, rates, segment",
+        [
+            pytest.param((0.0, 1e-320), (1.0, 0.0), 0, id="subnormal-interval"),
+            pytest.param((-1.0, 0.0, 1e-320, 1.0), (1.0, 0.5, 0.5, 0.0), 1, id="subnormal-gap"),
+            pytest.param((0.0, 1e-10, 1.0), (1e300, 1e299, 0.0), 0, id="slope-overflows"),
+            pytest.param((-1e308, 1e308), (1.0, 0.0), 0, id="width-overflows"),
+        ],
+    )
+    def test_segment_floats_cannot_carry_rejected(self, prices, rates, segment):
+        with pytest.raises(ValueError, match=f"segment {segment} "):
+            MonotoneCurve(prices, rates, Direction.DECREASING)
+
+    def test_narrowest_normal_gap_accepted(self):
+        tiny = sys.float_info.min
+        curve = MonotoneCurve((0.0, tiny, 1.0), (1.0, 1.0, 0.0), Direction.DECREASING)
+        assert curve.value_at(tiny) == 1.0
 
     def test_infinite_endpoint_rejected(self):
         with pytest.raises(ValueError):

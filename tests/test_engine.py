@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+import multiprocessing
+import time
 import tracemalloc
 from array import array
 from dataclasses import replace
@@ -18,7 +20,6 @@ from hypothesis import strategies as st
 
 from lobmm import (
     DemandSupplyPair,
-    DiscreteMap,
     InsufficientDataError,
     InvalidMapError,
     MonotoneCurve,
@@ -725,6 +726,21 @@ class TestSummaryMemory:
         columns = (traj.times, traj.kinds, traj.trade_prices, traj.bids, traj.asks)
         assert peak - sum(col.nbytes for col in columns) < self.OVERHEAD
 
+    def test_window_scan_copies_no_quotes(self, uniform_pair):
+        # the window extremes come from one boolean mask of the post-burn-in
+        # quotes at a time (measured 0.26 MB here); copying the resting
+        # quotes, as a mask-and-index would, took 4.5 MB
+        traj = run(SimConfig(pair=uniform_pair, events=1 << 19, seed=1, rho=0.6))
+        assert traj.summary.frozen
+        tracemalloc.start()
+        try:
+            we = estimate_window(traj)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (we.lo, we.hi) == (traj.summary.window_lo, traj.summary.window_hi)
+        assert peak < 2 * (traj.n_events - traj.burn_index)
+
 
 class TestCoupling:
     """A window-restricted stream tracks the full stream inside the window.
@@ -999,17 +1015,32 @@ class TestWindowEstimate:
         with pytest.raises(InsufficientDataError):
             estimate_window(traj)
 
+    def test_skips_empty_sides(self, uniform_pair):
+        # crafted quotes: after the burn-in (events 4-7) each side is empty
+        # at some event and quotes its interval edge there; the estimate
+        # takes the extremes of the resting quotes only, and none when a
+        # side never rests
+        bids = [0.1, 0.0, 0.3, 0.4, 0.0, 0.35, 0.45, 0.0]
+        asks = [0.9, 1.0, 0.7, 0.6, 0.65, 1.0, 0.55, 1.0]
+        est = estimate_window(crafted_run(uniform_pair, bids, asks))
+        assert (est.lo, est.hi) == (0.35, 0.65)
+        for quotes in ((bids, [0.9] * 4 + [1.0] * 4), ([0.1] * 4 + [0.0] * 4, asks)):
+            with pytest.raises(InsufficientDataError):
+                estimate_window(crafted_run(uniform_pair, *quotes))
+
 
 FREEZE_BLOCKS = (1, 7, 64, engine._FREEZE_BLOCK)
 
 
 def crafted_run(uniform_pair, bids, asks):
-    """The columns detect_freeze reads, for crafted quotes on the uniform
-    pair (eps 0.01): event i at time i + 1."""
+    """The fields detect_freeze and estimate_window read, for crafted
+    quotes on the uniform pair (eps 0.01, burn-in half the events): event
+    i at time i + 1."""
     n = len(bids)
     return SimpleNamespace(
         config=SimConfig(pair=uniform_pair, events=n),
         n_events=n,
+        burn_index=n // 2,
         times=np.arange(1.0, n + 1.0),
         bids=np.array(bids, dtype=float),
         asks=np.array(asks, dtype=float),
@@ -1180,24 +1211,31 @@ class TestFreezeDetection:
 class TestImageBook:
     def test_ceil_halves(self):
         book = OrderBook(PriceInterval(0.0, 6.0), buys=[0.4, 1.8], sells=[4.2])
-        img = image_book(book, DiscreteMap.ceil_div(2.0))
+        img = image_book(book, 2.0)
         assert dict(img.buy_counts) == {1.0: 2}
         assert dict(img.sell_counts) == {3.0: 1}
 
     def test_empty_book(self):
-        img = image_book(OrderBook(PriceInterval(0.0, 6.0)), DiscreteMap.ceil_div(2.0))
+        img = image_book(OrderBook(PriceInterval(0.0, 6.0)), 2.0)
         assert img.snapshot() == OrderBook(PriceInterval(0.0, 6.0)).snapshot()
 
-    def test_non_monotone_map_rejected(self):
-        book = OrderBook(PriceInterval(0.0, 6.0), buys=[1.0, 2.0])
-        with pytest.raises(InvalidMapError):
-            image_book(book, DiscreteMap(lambda x: -x, "negate"))
-
     def test_crossing_image_rejected(self):
-        # collapsing everything to one cell makes buys meet sells
+        # ceil(1.0 / 2) == ceil(2.0 / 2) == 1: the buy and the sell share a cell
         book = OrderBook(PriceInterval(0.0, 6.0), buys=[1.0], sells=[2.0])
+        with pytest.raises(InvalidMapError, match="crossed"):
+            image_book(book, 2.0)
+
+    def test_image_outside_the_interval_rejected(self):
+        # ceil(5.5 / 0.5) == 11 lies beyond the interval's upper end 6
+        book = OrderBook(PriceInterval(0.0, 6.0), buys=[5.5])
         with pytest.raises(InvalidMapError):
-            image_book(book, DiscreteMap(lambda x: 3.0, "const"))
+            image_book(book, 0.5)
+
+    @pytest.mark.parametrize("divisor", [0.0, -2.0, math.nan])
+    def test_divisor_must_be_positive(self, divisor):
+        book = OrderBook(PriceInterval(0.0, 6.0), buys=[1.0])
+        with pytest.raises(ValueError, match="divisor must be positive"):
+            image_book(book, divisor)
 
 
 class TestEnsemble:
@@ -1225,21 +1263,22 @@ class TestEnsemble:
             run_ensemble(SimConfig(pair=uniform_pair, events=10), replicas=2, workers=-1)
 
     def test_pool_capped_at_cpu_count(self, uniform_pair, monkeypatch):
-        # a pool that maps serially, so the test starts no process
-        pools = []
+        # a pool that runs each batch when it is submitted, so the test
+        # starts no process; it records its size and the batches
+        pools, batches = [], []
 
         class SerialPool:
             def __init__(self, max_workers):
                 pools.append(max_workers)
 
-            def __enter__(self):
-                return self
+            def submit(self, fn, item):
+                batches.append(item)
+                future = concurrent.futures.Future()
+                future.set_result(fn(item))
+                return future
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
+            def shutdown(self, cancel_futures=False):
+                pass
 
         # the pool class is imported where a pool starts, not with engine
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
@@ -1250,3 +1289,44 @@ class TestEnsemble:
         for workers in (5000, 0, None):
             assert run_ensemble(cfg, replicas=5, workers=workers) == serial
         assert pools == [2, 2, 2]
+        assert batches == [range(r, r + 1) for r in range(5)] * 3
+
+    def test_batches_are_a_quarter_of_the_replicas_per_process(self, uniform_pair, monkeypatch):
+        # max(1, replicas // (4 * processes)) replicas per batch, in order
+        batches = []
+        real = engine._replica_summaries
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(
+            engine, "_replica_summaries", lambda base, rs: batches.append(rs) or real(base, rs)
+        )
+        cfg = SimConfig(pair=uniform_pair, events=50, seed=74)
+        stats = run_ensemble(cfg, replicas=10)
+        assert batches == [range(0, 2), range(2, 4), range(4, 6), range(6, 8), range(8, 10)]
+        assert [s.replica for s in stats] == list(range(10))
+
+    def test_a_failed_replica_stops_the_ensemble(self, uniform_pair, monkeypatch, tmp_path):
+        # replica 0 fails at once and every other replica waits a little
+        # before it runs: the error comes back as raised, the batches not
+        # yet handed to a process never start, and no worker is left
+        started = tmp_path / "started"
+        real = engine.run
+
+        def logged(config):
+            with started.open("a") as fh:
+                fh.write(f"{config.replica}\n")
+            if config.replica == 0:
+                raise RuntimeError("replica 0 failed")
+            time.sleep(0.02)
+            return real(config)
+
+        monkeypatch.setattr(engine, "run", logged)
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+        cfg = SimConfig(pair=uniform_pair, events=20, seed=75)
+        with pytest.raises(RuntimeError, match="replica 0 failed"):
+            run_ensemble(cfg, replicas=32, workers=2)
+        assert multiprocessing.active_children() == []
+        # batches of 4 replicas and at most 2 per process submitted: replica
+        # 0's batch stops at its first replica, and 3 more batches at most
+        # were handed out.  Submitting every batch at once starts at least
+        # 17, the batches already in the pool's call queue.
+        assert 1 <= len(started.read_text().split()) <= 1 + 3 * 4

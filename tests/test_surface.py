@@ -46,7 +46,6 @@ def test_package_exports():
         "BookSnapshot",
         "DemandSupplyPair",
         "Direction",
-        "DiscreteMap",
         "DomainError",
         "EmptySupportError",
         "FreezeReport",
@@ -190,3 +189,28 @@ def test_oracle_stays_independent_of_the_engine_book():
     assert not {n for n in names if n.startswith("lobmm.book") or n.endswith(".OrderBook")}
     for path in sorted((ROOT / "src" / "lobmm").glob("*.py")):
         assert not {n for n in imported_names(path) if "oracle" in n}, path.name
+
+
+def pool_scopes(path: Path) -> list:
+    """``file:function`` for each mention of ``ProcessPoolExecutor`` in the
+    file at ``path`` (``file:<module>`` outside any function)."""
+    tree = ast.parse(path.read_text())
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    scopes = []
+    for node in ast.walk(tree):
+        named = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}.get(type(node))
+        if named is None or getattr(node, named) != "ProcessPoolExecutor":
+            continue
+        scope = node
+        while scope in parents and not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = parents[scope]
+        scopes.append(f"{path.name}:{getattr(scope, 'name', '<module>')}")
+    return scopes
+
+
+def test_one_function_starts_process_pools():
+    """Every process pool of the package starts in the engine's one
+    fan-out, so a second pool path with its own policy cannot return
+    unnoticed."""
+    scopes = [s for path in sorted((ROOT / "src" / "lobmm").glob("*.py")) for s in pool_scopes(path)]
+    assert scopes and set(scopes) == {"engine.py:_in_order"}
