@@ -41,6 +41,7 @@ from .curves import (
     walras,
 )
 from .engine import (
+    RateTable,
     SimConfig,
     Trajectory,
     _in_order,
@@ -395,6 +396,35 @@ def sim_config(cfg: Config, pair: DemandSupplyPair, rho: float, **extra) -> SimC
     return SimConfig(pair=pair, rho=rho, events=events, duration=duration, seed=seed, **extra)
 
 
+# the most events one command may expect to draw over all its runs: 500
+# times the largest total horizon in the shipped configs, tests and benchmark
+# (200 replicas of 1e5 events), so it refuses only horizons that would run
+# for hours or more on any machine
+_MAX_EVENTS = 10**10
+
+
+def _check_horizon(base: SimConfig, copies: int, rhos: Sequence[float] = ()) -> None:
+    """Refuse, before any work, a command whose runs expect more than
+    ``_MAX_EVENTS`` events in all: ``copies`` runs of ``base`` at each of
+    ``rhos`` (default: ``base.rho``).  A run expects its ``events``, or its
+    ``duration`` times the total event rate."""
+    rhos = rhos or (base.rho,)
+    if base.events is not None:
+        per_copy = base.events * len(rhos)
+    else:
+        per_copy = 0.0
+        for rho in rhos:
+            inv_total = RateTable.from_pair(base.pair, rho).inv_total
+            per_copy += base.duration / inv_total if inv_total > 0.0 else math.inf
+    # a config's integers may lie beyond the float range
+    expected = float(min(per_copy, math.inf)) * float(min(copies, math.inf))
+    if expected > _MAX_EVENTS:
+        raise ConfigError(
+            f"the run horizon expects {expected:.3g} events in all, over the limit "
+            f"of {_MAX_EVENTS:.0e} events per command"
+        )
+
+
 class OutputSettings:
     """The output directory, and what a command wrote there."""
 
@@ -684,6 +714,7 @@ def cmd_simulate(cfg: Config, out: OutputSettings) -> int:
     burn_in, snapshot_at = cfg.get("run.burn_in"), cfg.get("output.snapshot_at")
     base = sim_config(cfg, pair, rho, restriction=window, burn_in=burn_in, snapshot_at=snapshot_at)
     replicas = cfg.get("run.replicas")
+    _check_horizon(base, replicas)
     divisor = cfg.get("run.map.divisor")
     bins = cfg.get("output.histogram_bins")
     formats = cfg.get("output.formats")
@@ -727,6 +758,7 @@ def cmd_compare(cfg: Config, out: OutputSettings) -> int:
     window, volume = parse_restriction(cfg, pair)
     burn_in = cfg.get("run.burn_in")
     base = sim_config(cfg, pair, rho, restriction=window, burn_in=burn_in)
+    _check_horizon(base, 1)
     tol_cdf = cfg.get("compare.tolerance_cdf")
     tol_empty = cfg.get("compare.tolerance_empty")
     grid_size = cfg.get("compare.grid_size")
@@ -830,6 +862,8 @@ def cmd_freeze(cfg: Config, out: OutputSettings) -> int:
     y = cfg.get("freeze.gambler.y")
     if y is not None:
         bound = gambler_bound(pair, rho, y)
+    # the gambler's ensemble runs as many replicas again
+    _check_horizon(base, replicas * (1 if y is None else 2))
 
     stats = run_ensemble(base, replicas=replicas, workers=workers)
     frozen = [s for s in stats if s.frozen]
@@ -899,6 +933,8 @@ def cmd_sweep(cfg: Config, out: OutputSettings) -> int:
     # a rho sweep with a run block simulates at each rate too
     simulate = "run" in cfg.doc
     base = sim_config(cfg, pair, rho_model, burn_in=cfg.get("run.burn_in")) if simulate else None
+    if simulate:
+        _check_horizon(base, 1, rhos)
     header = ["rho", "v_w", "v_l", "x_minus", "x_plus", "window_length", "degenerate", "boundary"]
     if simulate:
         header += ["est_lo", "est_hi", "sim_frozen"]

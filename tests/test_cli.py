@@ -295,6 +295,49 @@ class TestConfigValidation:
         assert proc.returncode == 2, proc.stderr
         assert "run.duration must be a finite number" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "command,model,run",
+        [
+            pytest.param("simulate", UNIFORM_MODEL, {"duration": 1e300}, id="duration-1e300"),
+            pytest.param("simulate", UNIFORM_MODEL, {"events": 10**15}, id="events-1e15"),
+            pytest.param(
+                "freeze",
+                dict(UNIFORM_MODEL, rho=0.6),
+                {"events": 1000, "replicas": 10**9},
+                id="replicas-1e9",
+            ),
+            pytest.param(
+                "simulate",
+                {
+                    "interval": [0.0, 1.0],
+                    "demand": [[0.0, 1e300], [1.0, 0.0]],
+                    "supply": [[0.0, 0.0], [1.0, 1e300]],
+                },
+                {"duration": 1.0},
+                id="rates-1e300",
+            ),
+        ],
+    )
+    def test_horizon_beyond_the_event_limit(self, tmp_path, outdir, command, model, run):
+        # a horizon no machine finishes is refused before any work; in a
+        # child, so that a missing bound fails on the timeout and hangs nothing
+        cfg = write_config(tmp_path, {"model": model, "run": run})
+        timed = (
+            "import sys, time; from lobmm.cli import main; t = time.perf_counter(); "
+            "code = main(sys.argv[1:]); print(time.perf_counter() - t); sys.exit(code)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", timed, command, cfg, "--seed", "1", "--out", str(outdir)],
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert float(proc.stdout) < 1.0
+        assert "limit of 1e+10 events per command" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not outdir.exists()
+
     def test_restriction_bad_shape(self, tmp_path, outdir):
         doc = {
             "model": UNIFORM_MODEL,
@@ -542,8 +585,9 @@ class TestTheory:
 
     def test_prices_at_a_large_offset(self, tmp_path, outdir):
         # the uniform pair on [1e12, 1e12 + 1], where lo + 1e-9 rounds to lo:
-        # the (A4) check must probe no point off the breakpoints; json only,
-        # since at this offset every phi piece runs to its doubling cap
+        # the (A4) check must probe no point off the breakpoints.  At this
+        # offset every phi piece runs to its doubling cap: v_l alone samples
+        # the integrand 16.5 million times, about 1 s on 2 vCPUs, so json only
         lo, hi = 1e12, 1e12 + 1.0
         model = {"interval": [lo, hi], "demand": [[lo, 1.0], [hi, 0.0]], "supply": [[lo, 0.0], [hi, 1.0]]}
         cfg = write_config(tmp_path, {"model": model, "output": {"formats": ["json"]}})

@@ -745,33 +745,160 @@ class TestSharedEvaluator:
         assert np.linspace(a, b, 2 * n + 1)[::2].tobytes() == coarse.tobytes()
 
 
+def _moved(pair, scale_exp, offset):
+    """``pair`` with every rate times 2**scale_exp and every price plus ``offset``."""
+
+    def move(curve):
+        return MonotoneCurve(
+            tuple(p + offset for p in curve.prices),
+            tuple(math.ldexp(r, scale_exp) for r in curve.rates),
+            curve.direction,
+        )
+
+    return DemandSupplyPair(move(pair.demand), move(pair.supply))
+
+
+def signed_zero_pair() -> DemandSupplyPair:
+    """Supply rising from -0.0 to 2 against uniform demand.  At the volume
+    ceiling x_lo is the left end, where np.interp returns that zero itself
+    and slope * 0.0 + -0.0 reads +0.0."""
+    return DemandSupplyPair(
+        MonotoneCurve((0.0, 1.0), (1.0, 0.0), Direction.DECREASING),
+        MonotoneCurve((0.0, 1.0), (-0.0, 2.0), Direction.INCREASING),
+    )
+
+
+PIECE_PAIRS = dict(
+    uniform=make_uniform_pair,
+    floor=make_floor_pair,
+    evenodd=make_evenodd_pair,
+    signed_zero=signed_zero_pair,
+)
+
+
+def _ulps_from(x, steps):
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+class TestPieceIntegrand:
+    """The per-piece integrand gives the general one's bits on every sample
+    array the quadrature can hand it, and raises where the general one does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        name=st.one_of(st.sampled_from(sorted(PIECE_PAIRS)), st.integers(2, 64)),
+        rho_frac=st.floats(0.0, 1.0, exclude_max=True),
+        scale_exp=st.integers(-40, 40),
+        offset=st.sampled_from([0.0, 1e4, 1e12]),
+        kind=st.sampled_from(["knot", "table", "ulps", "past-ceiling"]),
+        where=st.floats(0.0, 1.0, exclude_max=True),
+        cut=st.floats(0.0, 1.0, exclude_max=True),
+        steps=st.integers(-8, 8).filter(bool),
+        level=st.integers(0, 9),
+    )
+    # the kinked pair's cap piece at rho 0.1, which runs every doubling
+    @example(
+        name=32, rho_frac=0.1 / 0.43564418151680256, scale_exp=0, offset=0.0,
+        kind="knot", where=0.999, cut=0.0, steps=1, level=9,
+    )
+    # a piece one ulp wide above a knot: every sample rounds onto one of its ends
+    @example(
+        name=32, rho_frac=0.0, scale_exp=0, offset=1e12,
+        kind="ulps", where=0.5, cut=0.0, steps=1, level=3,
+    )
+    # the whole grid of the last piece, which ends on the ceiling: there
+    # x_lo is the left end of the signed-zero pair's supply
+    @example(
+        name="signed_zero", rho_frac=0.0, scale_exp=0, offset=0.0,
+        kind="knot", where=0.999, cut=0.0, steps=1, level=0,
+    )
+    def test_bit_identical_to_the_general_integrand(
+        self, name, rho_frac, scale_exp, offset, kind, where, cut, steps, level
+    ):
+        make = PIECE_PAIRS.get(name, lambda: make_kinked_pair(name))
+        pair = _moved(make(), scale_exp, offset)
+        ev = theory._PhiEvaluator(pair, rho_frac * walras(pair).volume)
+        v_w, v_max = ev.v_w, ev.v_max
+        inner = ev.knots(v_w, v_max)
+        pts = [v_w] + inner + [v_max]
+        if kind == "knot":
+            k = int(where * (len(pts) - 1))
+            a, b = pts[k], pts[k + 1]
+        elif kind == "table":
+            # a piece PhiTable.build integrates: a grid cell cut at the knots
+            v_hi = ev.v_eff - theory._EDGE_MARGIN
+            assume(v_w < v_hi)
+            vols = np.linspace(v_w, v_hi, 64).tolist()
+            k = int(where * 63)
+            cell = [vols[k]] + ev.knots(vols[k], vols[k + 1]) + [vols[k + 1]]
+            k = int(cut * (len(cell) - 1))
+            a, b = cell[k], cell[k + 1]
+        elif kind == "ulps":
+            # a few ulps on one side of a knot, so linspace rounds samples onto it
+            assume(inner)
+            knot = inner[int(where * len(inner))]
+            a, b = sorted((knot, _ulps_from(knot, steps)))
+        else:
+            # the last piece runs past the ceiling, where the general
+            # integrand raises DomainError
+            a, b = pts[-2], v_max + (1.0 + where) * max(v_max, 1.0) * 1e-9
+        assume(a < b)
+        if level == 0:
+            w = np.linspace(a, b, 9)
+        else:
+            w = np.linspace(a, b, 8 * 2**level + 1)[1::2]
+        general = theory._phi_integrand(pair, ev.rho)
+        piece = theory._piece_integrand(pair, ev.rho, a, b, general)
+        with np.errstate(all="ignore"):
+            expected = _outcome(general, w)
+            got = _outcome(piece, w)
+        if isinstance(expected, type):
+            assert got is expected
+        else:
+            assert got.tobytes() == expected.tobytes()
+
+
 class TestPhiWork:
     """Deterministic work counts: integrand samples, not wall-clock time."""
 
     @pytest.fixture
     def samples(self, monkeypatch):
-        count = [0]
-        make = theory._phi_integrand
+        """[samples through the per-piece integrands, of which the general
+        integrand took]"""
+        count = [0, 0]
 
-        def counting(pair, rho):
-            f = make(pair, rho)
+        def counting(slot, make):
+            def build(*args):
+                f = make(*args)
 
-            def g(w):
-                count[0] += len(w)
-                return f(w)
+                def g(w):
+                    count[slot] += len(w)
+                    return f(w)
 
-            return g
+                return g
 
-        monkeypatch.setattr(theory, "_phi_integrand", counting)
+            return build
+
+        monkeypatch.setattr(theory, "_piece_integrand", counting(0, theory._piece_integrand))
+        monkeypatch.setattr(theory, "_phi_integrand", counting(1, theory._phi_integrand))
         return count
 
     # one pass per call over fresh grids took 1,099,382 samples for v_l and
     # 1,061,326 for the table; the piece ending at the cap runs all 16
-    # doublings (524,289 samples) and bounds either from below
+    # doublings (524,289 samples) and bounds either from below.  The general
+    # integrand takes only samples that leave a piece's segments, such as
+    # the first grid's end points on a knot: under 1%, or the per-piece
+    # integrand's speed is lost while its bits stay right
     def test_v_l_sample_budget(self, samples):
         v_l(make_kinked_pair(32), 0.1)
-        assert 524_289 <= samples[0] <= 600_000
+        total, general = samples
+        assert 524_289 <= total <= 600_000
+        assert general <= 0.01 * total
 
     def test_phi_table_sample_budget(self, samples):
         PhiTable.build(make_kinked_pair(32), 0.1)
-        assert 524_289 <= samples[0] <= 600_000
+        total, general = samples
+        assert 524_289 <= total <= 600_000
+        assert general <= 0.01 * total
