@@ -12,8 +12,8 @@ values, and every command is a pure function of (config, flags):
 rerunning writes byte-identical artifacts.
 
 Exit codes: 0 success; 2 config or validation error, a config that
-asks for more memory than there is, or an output path that cannot be
-written; 3 a structural assumption on the curves fails; 4 a compare run
+asks for more memory than there is, a run horizon beyond the event limit
+(``_check_horizon``), or an output path that cannot be written; 3 a structural assumption on the curves fails; 4 a compare run
 exceeded its tolerances.  A command that fails (exit 2 or 3, or an
 uncaught error) removes the files it wrote and the directories it made.
 """
