@@ -798,10 +798,11 @@ class TestPieceIntegrand:
         steps=st.integers(-8, 8).filter(bool),
         level=st.integers(0, 9),
     )
-    # the kinked pair's cap piece at rho 0.1, which runs every doubling
+    # the kinked pair's cap piece at rho 0.1, the last piece of the table,
+    # which runs every doubling
     @example(
         name=32, rho_frac=0.1 / 0.43564418151680256, scale_exp=0, offset=0.0,
-        kind="knot", where=0.999, cut=0.0, steps=1, level=9,
+        kind="table", where=0.999, cut=0.999, steps=1, level=9,
     )
     # a piece one ulp wide above a knot: every sample rounds onto one of its ends
     @example(
