@@ -27,11 +27,10 @@ import sys
 from contextlib import closing
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .book import OrderBook
 from .curves import (
     AssumptionError,
     DemandSupplyPair,
@@ -40,29 +39,13 @@ from .curves import (
     PriceInterval,
     walras,
 )
-from .engine import (
-    RateTable,
-    SimConfig,
-    Trajectory,
-    _in_order,
-    _pool_size,
-    image_book,
-    quote_cdfs,
-    run,
-    run_ensemble,
-)
-from .theory import (
-    PhiTable,
-    Recurrence,
-    SingularCoefficientError,
-    classify_recurrence,
-    freeze_support,
-    gambler_bound,
-    phi,
-    recurrence_sweep,
-    solve_luckock,
-    v_l,
-)
+from .pool import _in_order, _pool_size
+
+# each command imports the engine and the theory where it runs them, so
+# theory and sweep never load the simulator
+if TYPE_CHECKING:
+    from .book import OrderBook
+    from .engine import SimConfig, Trajectory
 
 SCHEMA_VERSION = 1
 
@@ -386,6 +369,8 @@ def parse_restriction(
 def sim_config(cfg: Config, pair: DemandSupplyPair, rho: float, **extra) -> SimConfig:
     """The run the config's horizon and seed describe, at maker rate
     ``rho``; ``extra`` sets the remaining :class:`SimConfig` fields."""
+    from .engine import SimConfig
+
     events, duration, seed = map(cfg.get, _HORIZON)
     if events is not None and duration is not None:
         raise ConfigError("run block sets both events and duration")
@@ -407,21 +392,24 @@ def _check_horizon(base: SimConfig, copies: int, rhos: Sequence[float] = ()) -> 
     """Refuse, before any work, a command whose runs expect more than
     ``_MAX_EVENTS`` events in all: ``copies`` runs of ``base`` at each of
     ``rhos`` (default: ``base.rho``).  A run expects its ``events``, or its
-    ``duration`` times the total event rate."""
+    ``duration`` times the total event rate, and at least one random block
+    (``engine._BLOCK`` events), which it draws before its first event."""
+    from .engine import _BLOCK, RateTable
+
     rhos = rhos or (base.rho,)
     if base.events is not None:
-        per_copy = base.events * len(rhos)
+        per_copy = max(base.events, _BLOCK) * len(rhos)
     else:
         per_copy = 0.0
         for rho in rhos:
             inv_total = RateTable.from_pair(base.pair, rho).inv_total
-            per_copy += base.duration / inv_total if inv_total > 0.0 else math.inf
+            per_copy += max(base.duration / inv_total, _BLOCK) if inv_total > 0.0 else math.inf
     # a config's integers may lie beyond the float range
     expected = float(min(per_copy, math.inf)) * float(min(copies, math.inf))
     if expected > _MAX_EVENTS:
         raise ConfigError(
-            f"the run horizon expects {expected:.3g} events in all, over the limit "
-            f"of {_MAX_EVENTS:.0e} events per command"
+            f"the run horizon expects {expected:.3g} events in all, at least {_BLOCK} "
+            f"per run, over the limit of {_MAX_EVENTS:.0e} events per command"
         )
 
 
@@ -520,7 +508,7 @@ def write_csv(
     Columns are formatted a block of ``_BLOCK_ROWS`` rows at a time, and a
     block's text depends on its own cells only.  A table of at least
     ``_POOL_BLOCKS`` blocks is formatted in worker processes, one per CPU,
-    through the engine's one fan-out (``_in_order``), which bounds the
+    through the package's one fan-out (``pool._in_order``), which bounds the
     blocks in flight; the main process writes the texts in row order.  So
     the bytes do not depend on the CPU count, and memory does not grow
     with the row count.  Every worker has exited when this returns or
@@ -625,6 +613,8 @@ def _window_payload(rep) -> Dict[str, Any]:
 
 
 def cmd_theory(cfg: Config, out: OutputSettings) -> int:
+    from .theory import PhiTable, SingularCoefficientError, freeze_support, solve_luckock, v_l
+
     pair, rho = _model(cfg)
     formats = cfg.get("output.formats")
     out.make_dir(out.directory)
@@ -709,6 +699,8 @@ def _summary_payload(traj: Trajectory) -> Dict[str, Any]:
 
 
 def cmd_simulate(cfg: Config, out: OutputSettings) -> int:
+    from .engine import image_book, run
+
     pair, rho = _model(cfg)
     window, _ = parse_restriction(cfg, pair)
     burn_in, snapshot_at = cfg.get("run.burn_in"), cfg.get("output.snapshot_at")
@@ -754,6 +746,9 @@ def cmd_simulate(cfg: Config, out: OutputSettings) -> int:
 
 
 def cmd_compare(cfg: Config, out: OutputSettings) -> int:
+    from .engine import quote_cdfs, run
+    from .theory import Recurrence, classify_recurrence, phi, solve_luckock
+
     pair, rho = _model(cfg)
     window, volume = parse_restriction(cfg, pair)
     burn_in = cfg.get("run.burn_in")
@@ -845,6 +840,9 @@ def cmd_compare(cfg: Config, out: OutputSettings) -> int:
 
 
 def cmd_freeze(cfg: Config, out: OutputSettings) -> int:
+    from .engine import run_ensemble
+    from .theory import freeze_support, gambler_bound
+
     pair, rho = _model(cfg)
     base = sim_config(cfg, pair, rho)
     replicas = cfg.get("run.replicas")
@@ -915,6 +913,8 @@ def cmd_freeze(cfg: Config, out: OutputSettings) -> int:
 
 
 def cmd_sweep(cfg: Config, out: OutputSettings) -> int:
+    from .theory import recurrence_sweep, v_l
+
     pair, rho_model = _model(cfg)
     rhos = cfg.get("sweep.rho")
     volumes = cfg.get("sweep.volume")
@@ -932,8 +932,10 @@ def cmd_sweep(cfg: Config, out: OutputSettings) -> int:
 
     # a rho sweep with a run block simulates at each rate too
     simulate = "run" in cfg.doc
-    base = sim_config(cfg, pair, rho_model, burn_in=cfg.get("run.burn_in")) if simulate else None
     if simulate:
+        from .engine import run
+
+        base = sim_config(cfg, pair, rho_model, burn_in=cfg.get("run.burn_in"))
         _check_horizon(base, 1, rhos)
     header = ["rho", "v_w", "v_l", "x_minus", "x_plus", "window_length", "degenerate", "boundary"]
     if simulate:

@@ -22,7 +22,10 @@ maker rate rho.  The central objects:
   call, or one volume sweep.  Nothing is cached across calls.  Each
   piece resolves the curve segments its integrand reads once, and
   samples it as straight-line arithmetic with the general integrand's
-  bits (``_piece_integrand``).
+  bits (``_piece_integrand``), written in place into the evaluator's
+  workspace (``_Workspace``).  The evaluator runs the general integrand
+  once, on all knot levels in (V_W, v_eff), and a piece that ends on a
+  knot reads its end sample from that table.
 - The trade volume ``v_l``: the supremum of V with phi(V) < 1/V_W^2,
   capped at the effective ceiling where a shifted curve hits zero at a
   window edge.  J(v_l) is the competitive window.
@@ -174,16 +177,60 @@ def _simpson(fx: np.ndarray, h: float) -> float:
     return float((h / 3.0) * (fx[0] + fx[-1] + 4.0 * fx[1:-1:2].sum() + 2.0 * fx[2:-1:2].sum()))
 
 
+class _Workspace:
+    """The arrays one evaluator's quadrature writes its samples into.
+
+    ``reserve(m)`` makes room for a doubling with ``m`` new samples:
+    ``odd`` holds the odd grid indices 1.0, 3.0, ..., ``w`` the new
+    samples, ``t1`` and ``t2`` a piece integrand's temporaries (one longer,
+    so the first 9-point grid fits), and ``grids`` two grids of 2m + 1
+    samples, the current doubling's and the previous one's.  The arrays
+    grow to the deepest doubling a call reaches and no further, and every
+    piece of the evaluator reuses them.
+    """
+
+    def __init__(self) -> None:
+        self.m = 0
+        self.reserve(8)
+
+    def reserve(self, m: int) -> None:
+        if m <= self.m:
+            return
+        self.m = m
+        self.odd = np.arange(1.0, 2.0 * m, 2.0)
+        self.w = np.empty(m)
+        self.t1 = np.empty(m + 1)
+        self.t2 = np.empty(m + 1)
+        self.grids = (np.empty(2 * m + 1), np.empty(2 * m + 1))
+
+
+# an integrand that writes its values at the samples ``w`` into ``out``
+Integrand = Callable[[np.ndarray, np.ndarray], None]
+
+
 def _integrate_piece(
-    f: Callable[[np.ndarray], np.ndarray], a: float, b: float, tol: float
+    f: Integrand,
+    a: float,
+    b: float,
+    tol: float,
+    work: _Workspace,
+    ends: Tuple[Optional[float], Optional[float]],
 ) -> Tuple[float, float]:
     """Composite Simpson on one smooth piece, doubling the grid to ``tol``.
 
-    Returns (value, last doubling difference).  Each doubled grid takes its
-    even-indexed samples from the previous grid, because
-    ``np.linspace(a, b, 2n + 1)[::2]`` equals ``np.linspace(a, b, n + 1)``
-    bit for bit when n is a power of two, and evaluates ``f`` only at the
-    new odd points.
+    Returns (value, last doubling difference).  The first grid is
+    ``np.linspace(a, b, 9)``; ``ends`` gives the integrand's values at
+    ``a`` and ``b`` where they are already known (a knot level), and ``f``
+    samples the rest.  Each doubled grid takes its even-indexed samples
+    from the previous grid, because ``np.linspace(a, b, 2n + 1)[::2]``
+    equals ``np.linspace(a, b, n + 1)`` bit for bit when n is a power of
+    two, and samples ``f`` only at the new odd points.  It computes them
+    as ``odd * ((b - a) / n) + a``, which is ``np.linspace``'s own
+    arithmetic and so equals ``np.linspace(a, b, n + 1)[1::2]`` bit for
+    bit (its step is never zero: pieces start at or above V_W, which
+    exceeds 1e-155 because 1/V_W^2 is finite).  Samples and grids live in
+    ``work``; ``f`` writes the new samples straight into the odd slots of
+    the grid.
 
     The doubling count is capped at 16 (524,289 samples).  Where a shifted
     curve reaches zero at the effective ceiling, the piece ending just
@@ -196,16 +243,28 @@ def _integrate_piece(
     if b <= a:
         return 0.0, 0.0
     n = 8
-    fx = f(np.linspace(a, b, n + 1))
+    fx = work.grids[0][: n + 1]
+    f_a, f_b = ends
+    lo = 0 if f_a is None else 1
+    hi = n + 1 if f_b is None else n
+    f(np.linspace(a, b, n + 1)[lo:hi], fx[lo:hi])
+    if f_a is not None:
+        fx[0] = f_a
+    if f_b is not None:
+        fx[n] = f_b
     prev = _simpson(fx, (b - a) / n)
-    for _ in range(16):
+    for level in range(1, 17):
         n *= 2
-        xs = np.linspace(a, b, n + 1)
-        finer = np.empty(n + 1)
+        m = n // 2
+        work.reserve(m)
+        h = (b - a) / n
+        w = np.multiply(work.odd[:m], h, out=work.w[:m])
+        w += a
+        finer = work.grids[level % 2][: n + 1]
         finer[::2] = fx
-        finer[1::2] = f(xs[1::2])
+        f(w, finer[1::2])
         fx = finer
-        cur = _simpson(fx, (b - a) / n)
+        cur = _simpson(fx, h)
         if abs(cur - prev) <= tol:
             return cur, abs(cur - prev)
         prev = cur
@@ -231,7 +290,8 @@ def _piece_integrand(
     a: float,
     b: float,
     general: Callable[[np.ndarray], np.ndarray],
-) -> Callable[[np.ndarray], np.ndarray]:
+    work: _Workspace,
+) -> Integrand:
     """The phi integrand on the piece [a, b] between two adjacent knot levels.
 
     On such a piece each of the integrand's four lookups, demand_inv(w),
@@ -240,19 +300,25 @@ def _piece_integrand(
     the index rules of :meth:`MonotoneCurve.inverse` and ``np.interp``, and
     the returned integrand is straight-line arithmetic on their end points,
     in exactly the operations and order the general code uses, so both give
-    the same bits.  Samples are monotone (``np.linspace``), and every
-    correctly rounded step keeps them so; checks on the first and last
-    sample of each call therefore cover all of them.  A call whose samples
-    leave the resolved segments, or a piece with none (levels at or below a
-    curve's end rate), is handed to ``general``, the one general integrand.
+    the same bits.  It works in place, in ``work.t1`` and ``work.t2``, and
+    writes into ``out``, which may be a strided view.  Samples are monotone
+    (``np.linspace``'s arithmetic), and every correctly rounded step keeps
+    them so; checks on the first and last sample of each call therefore
+    cover all of them.  A call whose samples leave the resolved segments,
+    or a piece with none (levels at or below a curve's end rate), is handed
+    to ``general``, the one general integrand.
     """
+
+    def fallback(w: np.ndarray, out: np.ndarray) -> None:
+        out[...] = general(w)
+
     demand, supply = pair.demand, pair.supply
     dp, dr, sp, sr = demand.prices, demand.rates, supply.prices, supply.rates
     m = _midpoint(a, b)
     j = len(dr) - 1 - bisect_left(demand._rev_rate_list, m)  # dr[j] >= m > dr[j + 1]
     i = bisect_left(sr, m) - 1  # sr[i] < m <= sr[i + 1]
     if not (0 <= j < len(dr) - 1 and 0 <= i < len(sr) - 1):
-        return general
+        return fallback
     d0, d1, dx0, dx1 = dr[j], dr[j + 1], dp[j], dp[j + 1]
     s0, s1, sx0, sx1 = sr[i], sr[i + 1], sp[i], sp[i + 1]
     d_fall, d_width, s_rise, s_width = d0 - d1, dx1 - dx0, s1 - s0, sx1 - sx0
@@ -262,22 +328,41 @@ def _piece_integrand(
     # np.interp returns sr[k] itself at x == sp[k], which differs from the
     # formula below only in the sign of a zero rate
     if not (0 <= k < len(sp) - 1 and 0 <= h < len(dp) - 1) or math.copysign(1.0, sr[k]) < 0:
-        return general
+        return fallback
     sk0, sk1, dh0, dh1 = sp[k], sp[k + 1], dp[h], dp[h + 1]
     s_slope = (sr[k + 1] - sr[k]) / (sk1 - sk0)
     d_slope = (dr[h + 1] - dr[h]) / (dh1 - dh0)
     sk_rate, dh_rate = sr[k], dr[h]
 
-    def f(w: np.ndarray) -> np.ndarray:
+    def f(w: np.ndarray, out: np.ndarray) -> None:
         if not (w_lo < w[0] and w[-1] <= w_hi):
-            return general(w)
-        x_lo = dx0 + ((d0 - w) / d_fall) * d_width
-        x_hi = sx0 + ((w - s0) / s_rise) * s_width
+            return fallback(w, out)
+        # x_lo = dx0 + ((d0 - w) / d_fall) * d_width, and its increasing twin
+        x_lo = np.subtract(d0, w, out=work.t1[: len(w)])
+        x_lo /= d_fall
+        x_lo *= d_width
+        x_lo += dx0
+        x_hi = np.subtract(w, s0, out=work.t2[: len(w)])
+        x_hi /= s_rise
+        x_hi *= s_width
+        x_hi += sx0
         if not (sk0 <= x_lo[-1] and x_lo[0] < sk1 and dh0 <= x_hi[0] and x_hi[-1] < dh1):
-            return general(w)
-        gap_lo = (s_slope * (x_lo - sk0) + sk_rate) - rho
-        gap_hi = (d_slope * (x_hi - dh0) + dh_rate) - rho
-        return (1.0 / gap_lo + 1.0 / gap_hi) / (w * w)
+            return fallback(w, out)
+        # gap = (slope * (x - x_k) + rate_k) - rho on each side
+        gap_lo, gap_hi = x_lo, x_hi
+        gap_lo -= sk0
+        gap_lo *= s_slope
+        gap_lo += sk_rate
+        gap_lo -= rho
+        gap_hi -= dh0
+        gap_hi *= d_slope
+        gap_hi += dh_rate
+        gap_hi -= rho
+        # (1 / gap_lo + 1 / gap_hi) / (w * w)
+        np.divide(1.0, gap_lo, out=gap_lo)
+        np.divide(1.0, gap_hi, out=gap_hi)
+        gap_lo += gap_hi
+        np.divide(gap_lo, np.multiply(w, w, out=gap_hi), out=out)
 
     return f
 
@@ -285,12 +370,13 @@ def _piece_integrand(
 class _PhiEvaluator:
     """phi of one (pair, rho), integrated once per quadrature piece.
 
-    Holds the walrasian point, the pair's sorted knot levels and, on first
-    use, the effective ceiling.  Every finished piece is kept under
-    ``(a, b, piece_tol)``, so bisection steps that share knot pieces, and
-    phi and the recurrence class of one volume, integrate them once.  The
-    cache lives as long as the evaluator: one call of a public function,
-    or one volume sweep.
+    Holds the walrasian point, the pair's sorted knot levels, the
+    workspace every piece samples into and, on first use, the effective
+    ceiling and the general integrand at the knot levels in (V_W, v_eff).
+    Every finished piece is kept under ``(a, b, piece_tol)``, so bisection
+    steps that share knot pieces, and phi and the recurrence class of one
+    volume, integrate them once.  The cache lives as long as the
+    evaluator: one call of a public function, or one volume sweep.
     """
 
     def __init__(self, pair: DemandSupplyPair, rho: float):
@@ -314,11 +400,23 @@ class _PhiEvaluator:
             )
         self._levels = _knot_levels(pair)
         self._f = _phi_integrand(pair, rho)
+        self._work = _Workspace()
         self._pieces: dict = {}
 
     @cached_property
     def v_eff(self) -> float:
         return _effective_ceiling(self.pair, self.rho, self.v_w)
+
+    @cached_property
+    def _at_knots(self) -> dict:
+        """The general integrand at each knot level in (V_W, v_eff), from
+        one vectorised call; both shifted edge values are positive there.
+        The integrand is elementwise, so each value has the bits a grid
+        sample at that level gets."""
+        inside = self.knots(self.v_w, self.v_eff)
+        if not inside:
+            return {}
+        return dict(zip(inside, self._f(np.array(inside)).tolist()))
 
     def knots(self, lo: float, hi: float) -> list:
         """Knot levels strictly between ``lo`` and ``hi``."""
@@ -329,8 +427,9 @@ class _PhiEvaluator:
         key = (a, b, tol)
         done = self._pieces.get(key)
         if done is None:
-            f = _piece_integrand(self.pair, self.rho, a, b, self._f)
-            done = self._pieces[key] = _integrate_piece(f, a, b, tol)
+            f = _piece_integrand(self.pair, self.rho, a, b, self._f, self._work)
+            ends = (self._at_knots.get(a), self._at_knots.get(b))
+            done = self._pieces[key] = _integrate_piece(f, a, b, tol, self._work, ends)
         return done
 
     def value(self, v: float) -> Tuple[float, float]:

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lobmm import cli, theory
+from lobmm import cli, engine, theory
 from lobmm.cli import KIND_TOKENS, READS, check_contract, load_config, main, write_csv
 from lobmm.theory import Recurrence
 
@@ -305,6 +305,13 @@ class TestConfigValidation:
                 dict(UNIFORM_MODEL, rho=0.6),
                 {"events": 1000, "replicas": 10**9},
                 id="replicas-1e9",
+            ),
+            # each run draws a full random block before its first event
+            pytest.param(
+                "freeze",
+                dict(UNIFORM_MODEL, rho=0.6),
+                {"events": 0, "replicas": 10**9},
+                id="replicas-1e9-no-events",
             ),
             pytest.param(
                 "simulate",
@@ -757,7 +764,7 @@ class TestSimulate:
     @pytest.mark.parametrize("divisor", [0.0, -2.0])
     def test_image_divisor_must_be_positive(self, tmp_path, outdir, capsys, monkeypatch, divisor):
         # refused before any event is drawn
-        monkeypatch.setattr(cli, "run", lambda config: pytest.fail("simulated"))
+        monkeypatch.setattr(engine, "run", lambda config: pytest.fail("simulated"))
         doc = {"model": TICK_MODEL, "run": {"events": 400, "map": {"divisor": divisor}}}
         cfg = write_config(tmp_path, doc)
         assert main(["simulate", cfg, "--seed", "6", "--out", str(outdir)]) == 2
@@ -1236,7 +1243,7 @@ class TestWriteCsv:
 
     def test_failed_write_in_a_pool_leaves_no_file(self, tmp_path, outdir, monkeypatch):
         started = self.pooled(monkeypatch)
-        real = cli.run
+        real = engine.run
 
         def bad_trade_price(config):
             traj = real(config)
@@ -1245,7 +1252,7 @@ class TestWriteCsv:
             object.__setattr__(traj, "trade_prices", cells)  # after the summary
             return traj
 
-        monkeypatch.setattr(cli, "run", bad_trade_price)
+        monkeypatch.setattr(engine, "run", bad_trade_price)
         cfg = write_config(tmp_path, {"model": UNIFORM_MODEL, "run": {"events": 40}})
         with pytest.raises(TypeError):
             main(["simulate", cfg, "--seed", "1", "--out", str(outdir)])
@@ -1486,9 +1493,9 @@ def test_volume_sweep_integrates_each_volume_once(tmp_path, outdir, monkeypatch)
     ends = []
     integrate = theory._integrate_piece
 
-    def recording(f, a, b, tol):
+    def recording(f, a, b, *rest):
         ends.append(b)
-        return integrate(f, a, b, tol)
+        return integrate(f, a, b, *rest)
 
     monkeypatch.setattr(theory, "_integrate_piece", recording)
     volumes = [0.4, 0.5, 0.6, 0.7, 0.9, 1.0]

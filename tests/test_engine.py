@@ -7,6 +7,7 @@ from __future__ import annotations
 import concurrent.futures
 import math
 import multiprocessing
+import os
 import time
 import tracemalloc
 from array import array
@@ -1280,9 +1281,9 @@ class TestEnsemble:
             def shutdown(self, cancel_futures=False):
                 pass
 
-        # the pool class is imported where a pool starts, not with engine
+        # the pool class is imported where a pool starts, not with the package
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         cfg = SimConfig(pair=uniform_pair, events=500, seed=73)
         serial = run_ensemble(cfg, replicas=5, workers=1)
         assert pools == []
@@ -1295,7 +1296,7 @@ class TestEnsemble:
         # max(1, replicas // (4 * processes)) replicas per batch, in order
         batches = []
         real = engine._replica_summaries
-        monkeypatch.setattr(engine.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
         monkeypatch.setattr(
             engine, "_replica_summaries", lambda base, rs: batches.append(rs) or real(base, rs)
         )
@@ -1320,7 +1321,7 @@ class TestEnsemble:
             return real(config)
 
         monkeypatch.setattr(engine, "run", logged)
-        monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         cfg = SimConfig(pair=uniform_pair, events=20, seed=75)
         with pytest.raises(RuntimeError, match="replica 0 failed"):
             run_ensemble(cfg, replicas=32, workers=2)

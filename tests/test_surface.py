@@ -10,6 +10,9 @@ from __future__ import annotations
 import ast
 import dataclasses
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -209,8 +212,54 @@ def pool_scopes(path: Path) -> list:
 
 
 def test_one_function_starts_process_pools():
-    """Every process pool of the package starts in the engine's one
-    fan-out, so a second pool path with its own policy cannot return
-    unnoticed."""
+    """Every process pool of the package starts in its one fan-out,
+    ``pool._in_order``, so a second pool path with its own policy cannot
+    return unnoticed."""
     scopes = [s for path in sorted((ROOT / "src" / "lobmm").glob("*.py")) for s in pool_scopes(path)]
-    assert scopes and set(scopes) == {"engine.py:_in_order"}
+    assert scopes and set(scopes) == {"pool.py:_in_order"}
+
+
+STARTUP = """
+import json, sys
+from lobmm.cli import load_config, main, parse_model
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("lobmm."))
+
+config, sweep, out = sys.argv[1:]
+parse_model(load_config(config))
+after_parse = loaded()
+assert main(["theory", config, "--out", out + "/theory"]) == 0
+assert main(["sweep", sweep, "--out", out + "/sweep"]) == 0
+after_commands = loaded()
+names = {}
+exec("from lobmm import *", names)
+print(json.dumps([after_parse, after_commands, sorted(set(names) - {"__builtins__"})]))
+"""
+
+
+def test_theory_commands_never_load_the_simulator(tmp_path):
+    """A fresh interpreter that parses a model, then runs theory and a
+    volume sweep, never loads the engine or the book; parsing alone loads
+    no theory.  The star import still binds every public name."""
+    model = {
+        "interval": [0.0, 1.0],
+        "demand": [[0.0, 1.0], [1.0, 0.0]],
+        "supply": [[0.0, 0.0], [1.0, 1.0]],
+    }
+    config, sweep = tmp_path / "theory.json", tmp_path / "sweep.json"
+    config.write_text(json.dumps({"model": model}))
+    sweep.write_text(json.dumps({"model": model, "sweep": {"volume": [0.6, 0.8]}}))
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP, str(config), str(sweep), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    after_parse, after_commands, names = json.loads(proc.stdout)
+    assert "lobmm.theory" not in after_parse
+    assert "lobmm.theory" in after_commands
+    for module in ("lobmm.engine", "lobmm.book"):
+        assert module not in after_parse and module not in after_commands
+    assert names == sorted(lobmm.__all__) and len(names) == 41

@@ -782,22 +782,60 @@ def _ulps_from(x, steps):
     return x
 
 
+def _pick_piece(ev, kind, where, cut, steps):
+    """A piece [a, b] the quadrature of ``ev`` can integrate: a whole knot
+    piece, a ``PhiTable`` grid cell cut at the knots, a few ulps on one
+    side of a knot, or the last piece run past the ceiling."""
+    v_w, v_max = ev.v_w, ev.v_max
+    inner = ev.knots(v_w, v_max)
+    pts = [v_w] + inner + [v_max]
+    if kind == "knot":
+        k = int(where * (len(pts) - 1))
+        a, b = pts[k], pts[k + 1]
+    elif kind == "table":
+        v_hi = ev.v_eff - theory._EDGE_MARGIN
+        assume(v_w < v_hi)
+        vols = np.linspace(v_w, v_hi, 64).tolist()
+        k = int(where * 63)
+        cell = [vols[k]] + ev.knots(vols[k], vols[k + 1]) + [vols[k + 1]]
+        k = int(cut * (len(cell) - 1))
+        a, b = cell[k], cell[k + 1]
+    elif kind == "ulps":
+        # linspace rounds samples onto the knot
+        assume(inner)
+        knot = inner[int(where * len(inner))]
+        a, b = sorted((knot, _ulps_from(knot, steps)))
+    else:
+        # past the ceiling the general integrand raises DomainError
+        a, b = pts[-2], v_max + (1.0 + where) * max(v_max, 1.0) * 1e-9
+    assume(a < b)
+    return a, b
+
+
+PIECE_STRATEGIES = dict(
+    name=st.one_of(st.sampled_from(sorted(PIECE_PAIRS)), st.integers(2, 64)),
+    rho_frac=st.floats(0.0, 1.0, exclude_max=True),
+    scale_exp=st.integers(-40, 40),
+    offset=st.sampled_from([0.0, 1e4, 1e12]),
+    kind=st.sampled_from(["knot", "table", "ulps", "past-ceiling"]),
+    where=st.floats(0.0, 1.0, exclude_max=True),
+    cut=st.floats(0.0, 1.0, exclude_max=True),
+    steps=st.integers(-8, 8).filter(bool),
+)
+
+
+def _evaluator(name, rho_frac, scale_exp, offset):
+    make = PIECE_PAIRS.get(name, lambda: make_kinked_pair(name))
+    pair = _moved(make(), scale_exp, offset)
+    return theory._PhiEvaluator(pair, rho_frac * walras(pair).volume)
+
+
 class TestPieceIntegrand:
     """The per-piece integrand gives the general one's bits on every sample
     array the quadrature can hand it, and raises where the general one does."""
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        name=st.one_of(st.sampled_from(sorted(PIECE_PAIRS)), st.integers(2, 64)),
-        rho_frac=st.floats(0.0, 1.0, exclude_max=True),
-        scale_exp=st.integers(-40, 40),
-        offset=st.sampled_from([0.0, 1e4, 1e12]),
-        kind=st.sampled_from(["knot", "table", "ulps", "past-ceiling"]),
-        where=st.floats(0.0, 1.0, exclude_max=True),
-        cut=st.floats(0.0, 1.0, exclude_max=True),
-        steps=st.integers(-8, 8).filter(bool),
-        level=st.integers(0, 9),
-    )
+    @given(level=st.integers(0, 9), **PIECE_STRATEGIES)
     # the kinked pair's cap piece at rho 0.1, the last piece of the table,
     # which runs every doubling
     @example(
@@ -818,47 +856,69 @@ class TestPieceIntegrand:
     def test_bit_identical_to_the_general_integrand(
         self, name, rho_frac, scale_exp, offset, kind, where, cut, steps, level
     ):
-        make = PIECE_PAIRS.get(name, lambda: make_kinked_pair(name))
-        pair = _moved(make(), scale_exp, offset)
-        ev = theory._PhiEvaluator(pair, rho_frac * walras(pair).volume)
-        v_w, v_max = ev.v_w, ev.v_max
-        inner = ev.knots(v_w, v_max)
-        pts = [v_w] + inner + [v_max]
-        if kind == "knot":
-            k = int(where * (len(pts) - 1))
-            a, b = pts[k], pts[k + 1]
-        elif kind == "table":
-            # a piece PhiTable.build integrates: a grid cell cut at the knots
-            v_hi = ev.v_eff - theory._EDGE_MARGIN
-            assume(v_w < v_hi)
-            vols = np.linspace(v_w, v_hi, 64).tolist()
-            k = int(where * 63)
-            cell = [vols[k]] + ev.knots(vols[k], vols[k + 1]) + [vols[k + 1]]
-            k = int(cut * (len(cell) - 1))
-            a, b = cell[k], cell[k + 1]
-        elif kind == "ulps":
-            # a few ulps on one side of a knot, so linspace rounds samples onto it
-            assume(inner)
-            knot = inner[int(where * len(inner))]
-            a, b = sorted((knot, _ulps_from(knot, steps)))
-        else:
-            # the last piece runs past the ceiling, where the general
-            # integrand raises DomainError
-            a, b = pts[-2], v_max + (1.0 + where) * max(v_max, 1.0) * 1e-9
-        assume(a < b)
+        ev = _evaluator(name, rho_frac, scale_exp, offset)
+        a, b = _pick_piece(ev, kind, where, cut, steps)
         if level == 0:
             w = np.linspace(a, b, 9)
         else:
             w = np.linspace(a, b, 8 * 2**level + 1)[1::2]
-        general = theory._phi_integrand(pair, ev.rho)
-        piece = theory._piece_integrand(pair, ev.rho, a, b, general)
+        general = theory._phi_integrand(ev.pair, ev.rho)
+        work = theory._Workspace()
+        work.reserve(len(w))
+        piece = theory._piece_integrand(ev.pair, ev.rho, a, b, general, work)
+        # written as a whole array, and through the odd slots of a grid
+        out = np.empty(len(w))
+        grid = np.full(2 * len(w) + 1, np.nan)
         with np.errstate(all="ignore"):
             expected = _outcome(general, w)
-            got = _outcome(piece, w)
+            got = _outcome(piece, w, out)
+            strided = _outcome(piece, w, grid[1::2])
         if isinstance(expected, type):
-            assert got is expected
+            assert got is expected and strided is expected
         else:
-            assert got.tobytes() == expected.tobytes()
+            assert got is None and strided is None
+            assert out.tobytes() == expected.tobytes()
+            assert grid[1::2].tobytes() == expected.tobytes()
+            assert np.isnan(grid[::2]).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(**PIECE_STRATEGIES)
+    def test_odd_samples_are_linspace(self, name, rho_frac, scale_exp, offset, kind, where, cut, steps):
+        # every doubling of _integrate_piece, n = 2^4 ... 2^19, samples the
+        # odd points of np.linspace(a, b, n + 1), bit for bit
+        ev = _evaluator(name, rho_frac, scale_exp, offset)
+        a, b = _pick_piece(ev, kind, where, cut, steps)
+        seen = []
+
+        def record(w, out):
+            seen.append(w.tobytes())
+            out[...] = 1.0
+
+        # a tolerance of -1 never converges
+        theory._integrate_piece(record, a, b, -1.0, theory._Workspace(), (None, None))
+        assert len(seen) == 17
+        assert seen[0] == np.linspace(a, b, 9).tobytes()
+        for level, samples in enumerate(seen[1:], start=1):
+            n = 8 * 2**level
+            assert samples == np.linspace(a, b, n + 1)[1::2].tobytes(), n
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        name=PIECE_STRATEGIES["name"],
+        rho_frac=PIECE_STRATEGIES["rho_frac"],
+        scale_exp=PIECE_STRATEGIES["scale_exp"],
+        offset=PIECE_STRATEGIES["offset"],
+    )
+    @example(name=32, rho_frac=0.1 / 0.43564418151680256, scale_exp=0, offset=0.0)
+    def test_knot_table_is_the_general_integrand(self, name, rho_frac, scale_exp, offset):
+        # one vectorised call gives each knot level the bits a grid sample
+        # there gets, for every level in (V_W, v_eff)
+        ev = _evaluator(name, rho_frac, scale_exp, offset)
+        general = theory._phi_integrand(ev.pair, ev.rho)
+        levels = [v for v in theory._knot_levels(ev.pair) if ev.v_w < v < ev.v_eff]
+        assert list(ev._at_knots) == levels
+        for level, value in ev._at_knots.items():
+            assert np.float64(value).tobytes() == general(np.array([level])).tobytes()
 
 
 class TestPhiWork:
@@ -866,40 +926,51 @@ class TestPhiWork:
 
     @pytest.fixture
     def samples(self, monkeypatch):
-        """[samples through the per-piece integrands, of which the general
-        integrand took]"""
-        count = [0, 0]
+        """[samples through the per-piece integrands, samples the general
+        integrand took, calls of the general integrand]"""
+        count = [0, 0, 0]
 
-        def counting(slot, make):
-            def build(*args):
-                f = make(*args)
+        def pieces(*args):
+            f = real_piece(*args)
 
-                def g(w):
-                    count[slot] += len(w)
-                    return f(w)
+            def g(w, out):
+                count[0] += len(w)
+                f(w, out)
 
-                return g
+            return g
 
-            return build
+        def general(*args):
+            f = real_general(*args)
 
-        monkeypatch.setattr(theory, "_piece_integrand", counting(0, theory._piece_integrand))
-        monkeypatch.setattr(theory, "_phi_integrand", counting(1, theory._phi_integrand))
+            def g(w):
+                count[1] += len(w)
+                count[2] += 1
+                return f(w)
+
+            return g
+
+        real_piece, real_general = theory._piece_integrand, theory._phi_integrand
+        monkeypatch.setattr(theory, "_piece_integrand", pieces)
+        monkeypatch.setattr(theory, "_phi_integrand", general)
         return count
 
     # one pass per call over fresh grids took 1,099,382 samples for v_l and
     # 1,061,326 for the table; the piece ending at the cap runs all 16
     # doublings (524,289 samples) and bounds either from below.  The general
-    # integrand takes only samples that leave a piece's segments, such as
-    # the first grid's end points on a knot: under 1%, or the per-piece
-    # integrand's speed is lost while its bits stay right
+    # integrand runs once, on the knot levels, where pieces end; a piece
+    # integrand that hands samples to it (92 calls in v_l and 29 in the
+    # table before the knot levels were tabulated) keeps the bits but
+    # loses the speed
     def test_v_l_sample_budget(self, samples):
         v_l(make_kinked_pair(32), 0.1)
-        total, general = samples
-        assert 524_289 <= total <= 600_000
-        assert general <= 0.01 * total
+        pieces, general, calls = samples
+        assert calls == 1
+        assert 524_289 <= pieces + general <= 600_000
+        assert general <= 0.01 * (pieces + general)
 
     def test_phi_table_sample_budget(self, samples):
         PhiTable.build(make_kinked_pair(32), 0.1)
-        total, general = samples
-        assert 524_289 <= total <= 600_000
-        assert general <= 0.01 * total
+        pieces, general, calls = samples
+        assert calls == 1
+        assert 524_289 <= pieces + general <= 600_000
+        assert general <= 0.01 * (pieces + general)
