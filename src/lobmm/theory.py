@@ -177,19 +177,26 @@ def _simpson(fx: np.ndarray, h: float) -> float:
     return float((h / 3.0) * (fx[0] + fx[-1] + 4.0 * fx[1:-1:2].sum() + 2.0 * fx[2:-1:2].sum()))
 
 
+# samples a piece integrand computes at a time, so that its temporaries stay
+# in cache; any positive value gives the same bits
+_SAMPLE_BLOCK = 4096
+
+
 class _Workspace:
     """The arrays one evaluator's quadrature writes its samples into.
 
-    ``reserve(m)`` makes room for a doubling with ``m`` new samples:
-    ``odd`` holds the odd grid indices 1.0, 3.0, ..., ``w`` the new
-    samples, ``t1`` and ``t2`` a piece integrand's temporaries (one longer,
-    so the first 9-point grid fits), and ``grids`` two grids of 2m + 1
-    samples, the current doubling's and the previous one's.  The arrays
-    grow to the deepest doubling a call reaches and no further, and every
-    piece of the evaluator reuses them.
+    ``t1`` and ``t2`` hold a piece integrand's temporaries for one block of
+    ``_SAMPLE_BLOCK`` samples.  ``reserve(m)`` makes room for a doubling
+    with ``m`` new samples: ``odd`` holds the odd grid indices 1.0, 3.0,
+    ..., ``w`` the new samples, and ``grids`` two grids of 2m + 1 samples,
+    the current doubling's and the previous one's.  These grow to the
+    deepest doubling a call reaches and no further, and every piece of the
+    evaluator reuses them.
     """
 
     def __init__(self) -> None:
+        self.t1 = np.empty(_SAMPLE_BLOCK)
+        self.t2 = np.empty(_SAMPLE_BLOCK)
         self.m = 0
         self.reserve(8)
 
@@ -199,8 +206,6 @@ class _Workspace:
         self.m = m
         self.odd = np.arange(1.0, 2.0 * m, 2.0)
         self.w = np.empty(m)
-        self.t1 = np.empty(m + 1)
-        self.t2 = np.empty(m + 1)
         self.grids = (np.empty(2 * m + 1), np.empty(2 * m + 1))
 
 
@@ -300,13 +305,14 @@ def _piece_integrand(
     the index rules of :meth:`MonotoneCurve.inverse` and ``np.interp``, and
     the returned integrand is straight-line arithmetic on their end points,
     in exactly the operations and order the general code uses, so both give
-    the same bits.  It works in place, in ``work.t1`` and ``work.t2``, and
-    writes into ``out``, which may be a strided view.  Samples are monotone
-    (``np.linspace``'s arithmetic), and every correctly rounded step keeps
-    them so; checks on the first and last sample of each call therefore
-    cover all of them.  A call whose samples leave the resolved segments,
-    or a piece with none (levels at or below a curve's end rate), is handed
-    to ``general``, the one general integrand.
+    the same bits.  It works in place, a block of ``_SAMPLE_BLOCK`` samples
+    at a time in ``work.t1`` and ``work.t2``, and writes into ``out``,
+    which may be a strided view.  Samples are monotone (``np.linspace``'s
+    arithmetic), and every correctly rounded step keeps them so; checks on
+    the first and last sample of each block therefore cover all of them.
+    A call with a sample that leaves the resolved segments, or a piece
+    with none (levels at or below a curve's end rate), is handed whole to
+    ``general``, the one general integrand.
     """
 
     def fallback(w: np.ndarray, out: np.ndarray) -> None:
@@ -337,32 +343,34 @@ def _piece_integrand(
     def f(w: np.ndarray, out: np.ndarray) -> None:
         if not (w_lo < w[0] and w[-1] <= w_hi):
             return fallback(w, out)
-        # x_lo = dx0 + ((d0 - w) / d_fall) * d_width, and its increasing twin
-        x_lo = np.subtract(d0, w, out=work.t1[: len(w)])
-        x_lo /= d_fall
-        x_lo *= d_width
-        x_lo += dx0
-        x_hi = np.subtract(w, s0, out=work.t2[: len(w)])
-        x_hi /= s_rise
-        x_hi *= s_width
-        x_hi += sx0
-        if not (sk0 <= x_lo[-1] and x_lo[0] < sk1 and dh0 <= x_hi[0] and x_hi[-1] < dh1):
-            return fallback(w, out)
-        # gap = (slope * (x - x_k) + rate_k) - rho on each side
-        gap_lo, gap_hi = x_lo, x_hi
-        gap_lo -= sk0
-        gap_lo *= s_slope
-        gap_lo += sk_rate
-        gap_lo -= rho
-        gap_hi -= dh0
-        gap_hi *= d_slope
-        gap_hi += dh_rate
-        gap_hi -= rho
-        # (1 / gap_lo + 1 / gap_hi) / (w * w)
-        np.divide(1.0, gap_lo, out=gap_lo)
-        np.divide(1.0, gap_hi, out=gap_hi)
-        gap_lo += gap_hi
-        np.divide(gap_lo, np.multiply(w, w, out=gap_hi), out=out)
+        for start in range(0, len(w), _SAMPLE_BLOCK):
+            wb = w[start : start + _SAMPLE_BLOCK]
+            # x_lo = dx0 + ((d0 - w) / d_fall) * d_width, and its increasing twin
+            x_lo = np.subtract(d0, wb, out=work.t1[: len(wb)])
+            x_lo /= d_fall
+            x_lo *= d_width
+            x_lo += dx0
+            x_hi = np.subtract(wb, s0, out=work.t2[: len(wb)])
+            x_hi /= s_rise
+            x_hi *= s_width
+            x_hi += sx0
+            if not (sk0 <= x_lo[-1] and x_lo[0] < sk1 and dh0 <= x_hi[0] and x_hi[-1] < dh1):
+                return fallback(w, out)
+            # gap = (slope * (x - x_k) + rate_k) - rho on each side
+            gap_lo, gap_hi = x_lo, x_hi
+            gap_lo -= sk0
+            gap_lo *= s_slope
+            gap_lo += sk_rate
+            gap_lo -= rho
+            gap_hi -= dh0
+            gap_hi *= d_slope
+            gap_hi += dh_rate
+            gap_hi -= rho
+            # (1 / gap_lo + 1 / gap_hi) / (w * w)
+            np.divide(1.0, gap_lo, out=gap_lo)
+            np.divide(1.0, gap_hi, out=gap_hi)
+            gap_lo += gap_hi
+            np.divide(gap_lo, np.multiply(wb, wb, out=gap_hi), out=out[start : start + _SAMPLE_BLOCK])
 
     return f
 

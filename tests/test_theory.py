@@ -835,26 +835,36 @@ class TestPieceIntegrand:
     array the quadrature can hand it, and raises where the general one does."""
 
     @settings(max_examples=300, deadline=None)
-    @given(level=st.integers(0, 9), **PIECE_STRATEGIES)
+    @given(
+        level=st.integers(0, 9),
+        block=st.sampled_from([3, 64, theory._SAMPLE_BLOCK]),
+        **PIECE_STRATEGIES,
+    )
     # the kinked pair's cap piece at rho 0.1, the last piece of the table,
     # which runs every doubling
     @example(
         name=32, rho_frac=0.1 / 0.43564418151680256, scale_exp=0, offset=0.0,
-        kind="table", where=0.999, cut=0.999, steps=1, level=9,
+        kind="table", where=0.999, cut=0.999, steps=1, level=9, block=64,
     )
     # a piece one ulp wide above a knot: every sample rounds onto one of its ends
     @example(
         name=32, rho_frac=0.0, scale_exp=0, offset=1e12,
-        kind="ulps", where=0.5, cut=0.0, steps=1, level=3,
+        kind="ulps", where=0.5, cut=0.0, steps=1, level=3, block=3,
     )
     # the whole grid of the last piece, which ends on the ceiling: there
     # x_lo is the left end of the signed-zero pair's supply
     @example(
         name="signed_zero", rho_frac=0.0, scale_exp=0, offset=0.0,
-        kind="knot", where=0.999, cut=0.0, steps=1, level=0,
+        kind="knot", where=0.999, cut=0.0, steps=1, level=0, block=3,
+    )
+    # a piece one ulp wide below a knot, in blocks of 3: the last block's
+    # samples round onto the knot and leave the segments, the first's do not
+    @example(
+        name=2, rho_frac=0.0, scale_exp=0, offset=0.0,
+        kind="ulps", where=0.0, cut=0.0, steps=-1, level=1, block=3,
     )
     def test_bit_identical_to_the_general_integrand(
-        self, name, rho_frac, scale_exp, offset, kind, where, cut, steps, level
+        self, name, rho_frac, scale_exp, offset, kind, where, cut, steps, level, block
     ):
         ev = _evaluator(name, rho_frac, scale_exp, offset)
         a, b = _pick_piece(ev, kind, where, cut, steps)
@@ -863,16 +873,20 @@ class TestPieceIntegrand:
         else:
             w = np.linspace(a, b, 8 * 2**level + 1)[1::2]
         general = theory._phi_integrand(ev.pair, ev.rho)
-        work = theory._Workspace()
-        work.reserve(len(w))
-        piece = theory._piece_integrand(ev.pair, ev.rho, a, b, general, work)
-        # written as a whole array, and through the odd slots of a grid
-        out = np.empty(len(w))
-        grid = np.full(2 * len(w) + 1, np.nan)
-        with np.errstate(all="ignore"):
-            expected = _outcome(general, w)
-            got = _outcome(piece, w, out)
-            strided = _outcome(piece, w, grid[1::2])
+        # any block length gives the same bits; short ones split every call
+        saved, theory._SAMPLE_BLOCK = theory._SAMPLE_BLOCK, block
+        try:
+            work = theory._Workspace()
+            piece = theory._piece_integrand(ev.pair, ev.rho, a, b, general, work)
+            # written as a whole array, and through the odd slots of a grid
+            out = np.empty(len(w))
+            grid = np.full(2 * len(w) + 1, np.nan)
+            with np.errstate(all="ignore"):
+                expected = _outcome(general, w)
+                got = _outcome(piece, w, out)
+                strided = _outcome(piece, w, grid[1::2])
+        finally:
+            theory._SAMPLE_BLOCK = saved
         if isinstance(expected, type):
             assert got is expected and strided is expected
         else:
