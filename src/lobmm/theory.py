@@ -22,10 +22,10 @@ maker rate rho.  The central objects:
   call, or one volume sweep.  Nothing is cached across calls.  Each
   piece resolves the curve segments its integrand reads once, and
   samples it as straight-line arithmetic with the general integrand's
-  bits (``_piece_integrand``), written in place into the evaluator's
-  workspace (``_Workspace``).  The evaluator runs the general integrand
-  once, on all knot levels in (V_W, v_eff), and a piece that ends on a
-  knot reads its end sample from that table.
+  bits (``_piece_integrand``), in cache-sized blocks and in place in the
+  evaluator's workspace (``_Workspace``).  The evaluator runs the
+  general integrand once, on all knot levels in (V_W, v_eff), and a
+  piece that ends on a knot reads its end sample from that table.
 - The trade volume ``v_l``: the supremum of V with phi(V) < 1/V_W^2,
   capped at the effective ceiling where a shifted curve hits zero at a
   window edge.  J(v_l) is the competitive window.
@@ -344,7 +344,8 @@ def _piece_integrand(
         if not (w_lo < w[0] and w[-1] <= w_hi):
             return fallback(w, out)
         for start in range(0, len(w), _SAMPLE_BLOCK):
-            wb = w[start : start + _SAMPLE_BLOCK]
+            stop = start + _SAMPLE_BLOCK
+            wb = w[start:stop]
             # x_lo = dx0 + ((d0 - w) / d_fall) * d_width, and its increasing twin
             x_lo = np.subtract(d0, wb, out=work.t1[: len(wb)])
             x_lo /= d_fall
@@ -370,7 +371,7 @@ def _piece_integrand(
             np.divide(1.0, gap_lo, out=gap_lo)
             np.divide(1.0, gap_hi, out=gap_hi)
             gap_lo += gap_hi
-            np.divide(gap_lo, np.multiply(wb, wb, out=gap_hi), out=out[start : start + _SAMPLE_BLOCK])
+            np.divide(gap_lo, np.multiply(wb, wb, out=gap_hi), out=out[start:stop])
 
     return f
 

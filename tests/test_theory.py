@@ -897,7 +897,9 @@ class TestPieceIntegrand:
 
     @settings(max_examples=100, deadline=None)
     @given(**PIECE_STRATEGIES)
-    def test_odd_samples_are_linspace(self, name, rho_frac, scale_exp, offset, kind, where, cut, steps):
+    def test_odd_samples_are_linspace(
+        self, name, rho_frac, scale_exp, offset, kind, where, cut, steps
+    ):
         # every doubling of _integrate_piece, n = 2^4 ... 2^19, samples the
         # odd points of np.linspace(a, b, n + 1), bit for bit
         ev = _evaluator(name, rho_frac, scale_exp, offset)
