@@ -47,6 +47,18 @@ if TYPE_CHECKING:
     from .book import OrderBook
     from .engine import SimConfig, Trajectory
 
+
+def __getattr__(name: str):
+    # ``cli.run`` is read from the engine on each access and never bound
+    # here, so it is whatever ``engine.run`` is now: the benchmark's tracer
+    # wraps ``engine.run`` and expects ``cli.run`` to be the wrapper
+    if name != "run":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .engine import run
+
+    return run
+
+
 SCHEMA_VERSION = 1
 
 EXIT_OK = 0

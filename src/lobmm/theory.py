@@ -177,8 +177,9 @@ def _simpson(fx: np.ndarray, h: float) -> float:
     return float((h / 3.0) * (fx[0] + fx[-1] + 4.0 * fx[1:-1:2].sum() + 2.0 * fx[2:-1:2].sum()))
 
 
-# samples a piece integrand computes at a time, so that its temporaries stay
-# in cache; any positive value gives the same bits
+# samples a piece integrand computes at a time, so that its two temporaries
+# stay in cache instead of growing with the grid; any positive value gives
+# the same bits
 _SAMPLE_BLOCK = 4096
 
 

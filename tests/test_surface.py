@@ -172,6 +172,21 @@ def test_bench_tracer_still_binds(tmp_path):
     assert spans["engine.estimate_window"]["parent"] == spans["engine.run"]["id"]
 
 
+def test_cli_run_is_read_from_the_engine(monkeypatch):
+    """``cli`` loads the engine only in the commands that run it, but still
+    offers ``cli.run``, read from ``engine`` on each access and never bound,
+    so a wrapper the tracer puts on ``engine.run`` is what ``cli.run`` is."""
+    import lobmm.cli as cli
+
+    assert cli.run is lobmm.engine.run
+    stand_in = object()
+    monkeypatch.setattr(lobmm.engine, "run", stand_in)
+    assert cli.run is stand_in
+    assert "run" not in vars(cli)
+    with pytest.raises(AttributeError, match="no attribute 'v_l'"):
+        cli.v_l
+
+
 def imported_names(path: Path) -> set:
     """Every module and name that the file at ``path`` imports."""
     names = set()
