@@ -23,11 +23,17 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import closing
 from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+# lobmm makes no BLAS call, but importing numpy starts OpenBLAS's thread
+# pool, whose idle threads spin and cost CPU time; one thread is enough.  A
+# value already in the environment wins.  This must run before numpy loads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -42,6 +42,16 @@ and each chunk's rows (trade price, bid, ask) follow by one rule:
   at or above that ask; sells mirror this at the bid.  Every other event
   has trade price NaN.
 
+The run's five columns (time, kind, trade price, bid, ask) are numpy
+arrays that :func:`run` fills one chunk at a time, each chunk into its
+own slice (:func:`_rows` writes the rows there directly), and that the
+:class:`Trajectory` then holds without a copy.  An
+``events`` horizon sizes them once.  A ``duration`` horizon cannot know
+its count ahead, so its columns start at ``_CAPACITY`` events, grow in
+place by at least an eighth whenever a chunk would not fit, and are
+trimmed to the run's events at the end; both horizons share the one
+assembly path.
+
 The model one event at a time, written for reading rather than speed,
 lives with the tests in ``tests/oracle.py``.  The test-suite pins
 :func:`run` to it event by event, at tiny block sizes to the same sequence
@@ -50,8 +60,8 @@ change the two in lockstep.  ``_BLOCK`` and the order of the block draws
 (exponential block, then uniform block, each refilled when the next draw
 needs it, the exponential first when both fall on one event) are part of
 the byte-identity contract: changing either changes every trajectory.  The
-look-ahead constants ``_LOOK`` and ``_MIN_STRETCH`` are not: any positive
-values give the same bytes.
+look-ahead constants ``_LOOK`` and ``_MIN_STRETCH``, and ``_CAPACITY``,
+are not: any positive values give the same bytes.
 
 After a run, :attr:`Trajectory.summary` reduces it, once, to the
 :class:`TrajectorySummary` record that ``simulate``, ``sweep``, ``freeze``
@@ -108,6 +118,10 @@ _BLOCK = 1 << 16
 # change no byte of a run, only its speed.
 _LOOK = 1024
 _MIN_STRETCH = 128
+
+# events that a duration horizon's columns hold before they first grow
+# (see run); like _LOOK it changes no byte of a run
+_CAPACITY = 1 << 16
 
 # points of the price grid that the post-burn-in quote CDFs are sampled on
 _CDF_GRID_SIZE = 1024
@@ -201,6 +215,8 @@ class SimConfig:
         if self.rho < 0.0 or not math.isfinite(self.rho):
             raise ValueError("rho must be finite and nonnegative")
         iv = self.pair.interval
+        if math.nextafter(iv.lo, iv.hi) == iv.hi:
+            raise ValueError("the price interval holds no float strictly inside, where limit orders rest")
         if self.restriction is not None:
             r = self.restriction
             if not (iv.lo <= r.lo < r.hi <= iv.hi):
@@ -285,20 +301,21 @@ def _event_chunks(config: SimConfig, rates: RateTable):
     lo, hi = pair.interval.lo, pair.interval.hi
     lo_in, hi_in = math.nextafter(lo, hi), math.nextafter(hi, lo)
     window = config.restriction
-    c_sm, c_sl = rates.thresholds[1], rates.thresholds[3]
-    thresholds = np.array(rates.thresholds)
+    thresholds = rates.thresholds
+    c_sm, c_sl = thresholds[1], thresholds[3]
     inv_total = rates.inv_total
-    # limit-price sampler inputs per recorded kind: knots, cumulative mass,
-    # price per unit mass on each segment (0 where the curve is flat, inf
-    # where the mass is too small for the quotient), and total mass
+    # limit-price sampler inputs per side: knots, cumulative mass, price per
+    # unit mass on each segment (0 where the curve is flat, inf where the
+    # mass is too small for the quotient), the inner knots' cumulative mass
+    # that a target's segment is searched in, and total mass
     samplers = []
-    for code, curve in ((2, pair.demand), (3, pair.supply)):
+    for curve in (pair.demand, pair.supply):
         knots, rx = np.array(curve.prices), np.array(curve.rates)
-        cum = np.abs(rx - rx[0])  # nondecreasing by monotonicity
+        cum = np.abs(rx - rx[0])  # nondecreasing by monotonicity, from 0
         dm = np.diff(cum)
         with np.errstate(over="ignore"):
             seg = np.divide(np.diff(knots), dm, out=np.zeros_like(dm), where=dm > 0.0)
-        samplers.append((code, knots, cum, seg, curve.total_mass))
+        samplers.append((knots, cum, seg, cum[1:-1], curve.total_mass))
 
     block = _BLOCK
     gen = generator_for(config.seed, config.replica)
@@ -334,15 +351,16 @@ def _event_chunks(config: SimConfig, rates: RateTable):
         # The uniforms read as a variable-length code.  A uniform in
         # [c_sm, c_sl) at an even offset into its run of such uniforms is a
         # limit kind draw, and the uniform after it is its price draw;
-        # every other uniform is a kind draw.  k events take at most 2k.
+        # every other uniform is a kind draw.  k events take at most 2k,
+        # few enough for int32 positions.
         stop = min(block, u_i + 2 * k)
         w = unis[u_i:stop] if carry is None else np.concatenate((carry, unis[:stop]))
         flagged = (w >= c_sm) & (w < c_sl)
         run_start = flagged.copy()
         run_start[1:] &= ~flagged[:-1]
-        pos = np.arange(len(w))
-        offset = pos - np.maximum.accumulate(np.where(run_start, pos, 0))
-        limit = flagged & (offset % 2 == 0)
+        pos = np.arange(len(w), dtype=np.int32)
+        offset = pos - np.maximum.accumulate(pos * run_start)
+        limit = flagged & ((offset & 1) == 0)
         is_kind = np.ones(len(w), dtype=bool)
         is_kind[1:] = ~limit[:-1]
         kind_pos = np.flatnonzero(is_kind)
@@ -351,17 +369,29 @@ def _event_chunks(config: SimConfig, rates: RateTable):
         u_i = stop - len(w) + (kind_pos[m] if m < len(kind_pos) else len(w))
 
         kind_pos = kind_pos[:m]
-        kinds = np.searchsorted(thresholds, w[kind_pos], side="right").astype(np.uint8)
+        # the number of thresholds at or below each kind draw, as bisecting to
+        # the right counts them: a draw on two equal thresholds passes both
+        u = w[kind_pos]
+        kinds = (u >= thresholds[0]).view(np.uint8)
+        for c in thresholds[1:]:
+            kinds += u >= c
+        is_limit = (kinds == 2, kinds == 3)
         prices = np.full(m, math.nan)
-        for code, knots, cum, seg, total in samplers:
-            sel = kinds == code
+        for is_side, (knots, cum, seg, inner, total) in zip(is_limit, samplers):
+            sel = np.flatnonzero(is_side)  # positions index faster than a mask
             target = w[kind_pos[sel] + 1] * total
-            j = np.searchsorted(cum, target, side="left")
-            jm = np.maximum(j - 1, 0)
-            x = np.where(j == 0, knots[0], knots[jm] + (target - cum[jm]) * seg[jm])
-            prices[sel] = np.where(x <= lo, lo_in, np.where(x >= hi, hi_in, x))
+            # the segment of each target (the first for a target of 0): cum[j]
+            # < target <= cum[j + 1]; one segment needs no search
+            j = np.searchsorted(inner, target) if len(inner) else 0
+            with np.errstate(invalid="ignore"):  # 0 * inf, reset below
+                x = knots[j] + (target - cum[j]) * seg[j]
+            # a target of 0 prices at knots[0] (x is NaN there when seg[0] is
+            # inf); no float lies strictly between lo and lo_in, so clipping to
+            # [lo_in, hi_in] moves exactly the prices at or beyond an end
+            x[target == 0.0] = lo
+            prices[sel] = np.clip(x, lo_in, hi_in, out=x)
         if window is not None:
-            buy, sell = kinds == 2, kinds == 3
+            buy, sell = is_limit
             kinds[buy & (prices >= window.hi)] = 0  # rewritten to a market buy
             kinds[sell & (prices <= window.lo)] = 1  # rewritten to a market sell
             kinds[(buy & (prices <= window.lo)) | (sell & (prices >= window.hi))] = DROPPED
@@ -495,20 +525,27 @@ def _rows(
     stepped: np.ndarray,
     quotes: Tuple[array, array],
     interval: PriceInterval,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A chunk's rows (see the module docstring): trade prices, bids and
-    asks.  ``stepped`` marks the events the loop stepped, and ``quotes``
-    holds the quotes before the chunk and after each stepped event."""
+    out: Tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> None:
+    """Write a chunk's rows (see the module docstring) into ``out``: trade
+    prices, and bids and asks one longer, opening with the quotes before
+    the chunk.  ``stepped`` marks the events the loop stepped, and
+    ``quotes`` holds the quotes before the chunk and after each stepped
+    event."""
+    trade_prices, bids, asks = out
     # the index in ``quotes`` of the quotes before each event, then after the last
     last = np.zeros(len(kinds) + 1, dtype=np.intp)
     np.cumsum(stepped, out=last[1:])
-    bids, asks = (np.frombuffer(col)[last] for col in quotes)
+    for col, q in zip((bids, asks), quotes):
+        # mode "clip" writes into out directly; "raise" would buffer a copy
+        np.take(np.frombuffer(q), last, out=col, mode="clip")
     bid, ask = bids[:-1], asks[:-1]
-    buy = np.where(kinds == 0, ask < interval.hi, (kinds == 2) & (prices >= ask))
-    sell = np.where(kinds == 1, bid > interval.lo, (kinds == 3) & (prices <= bid))
-    trade_prices = np.where(sell, bid, math.nan)
-    np.copyto(trade_prices, ask, where=buy)
-    return trade_prices, bids[1:], asks[1:]
+    buy = ((kinds == 0) & (ask < interval.hi)) | ((kinds == 2) & (prices >= ask))
+    sell = ((kinds == 1) & (bid > interval.lo)) | ((kinds == 3) & (prices <= bid))
+    trade_prices.fill(math.nan)
+    for trades, quote in ((buy, ask), (sell, bid)):
+        trades = np.flatnonzero(trades)
+        trade_prices[trades] = quote[trades]
 
 
 def run(config: SimConfig) -> Trajectory:
@@ -520,9 +557,11 @@ def run(config: SimConfig) -> Trajectory:
     :func:`_quiet_stretch` applies a stretch of at least ``_MIN_STRETCH``
     events in bulk, and :func:`_book_loop` steps the event that ends it;
     where the stream is busy, the loop steps runs of events instead,
-    doubled while it stays busy.  :func:`_rows` then builds the chunk's
+    doubled while it stays busy.  :func:`_rows` then writes the chunk's
     rows.  The final book keeps its cold tiers; its order totals count
-    them, and its whole-book views merge them in when first read.
+    them, and its whole-book views merge them in when first read.  Each
+    chunk goes straight into its slice of the run's columns (see the
+    module docstring).
     """
     pair = config.pair
     require_core_assumptions(pair)
@@ -531,9 +570,12 @@ def run(config: SimConfig) -> Trajectory:
     book = OrderBook(pair.interval, config.initial_buys, config.initial_sells)
     bid, ask = book.bid, book.ask
 
-    # per-event columns: time, kind, trade price, bid, ask
-    columns = [array(code) for code in "dBddd"]
-    t_col, k_col, *out = columns
+    # per-event columns: time, kind, trade price, bid, ask.  The quote
+    # columns open with the quotes before the first event.
+    size = config.events if config.events is not None else _CAPACITY
+    columns = [np.empty(size + extra, dtype=code) for code, extra in zip("dBddd", (0, 0, 0, 1, 1))]
+    t_col, k_col, tp_col, b_col, a_col = columns
+    b_col[0], a_col[0] = bid, ask
 
     snap_at = set(config.snapshot_at)
     snapshots: Dict[int, BookSnapshot] = {0: book.snapshot()} if 0 in snap_at else {}
@@ -541,8 +583,12 @@ def run(config: SimConfig) -> Trajectory:
     look, busy = _LOOK, _MIN_STRETCH
     n = 0
     for times, kinds, prices in _event_chunks(config, rates):
-        t_col.frombytes(times.tobytes())
-        k_col.frombytes(kinds.tobytes())
+        end = n + len(kinds)
+        if end > size:  # only a duration horizon outgrows its columns
+            size = max(end, size + (size >> 3))
+            _resize(columns, size)
+        t_col[n:end] = times
+        k_col[n:end] = kinds
         kept = kinds != DROPPED
         book_kinds, book_prices = (kinds, prices) if kept.all() else (kinds[kept], prices[kept])
         quotes = (array("d", [bid]), array("d", [ask]))
@@ -569,11 +615,11 @@ def run(config: SimConfig) -> Trajectory:
         if m < len(kinds):  # the marks over the whole chunk: no dropped order is stepped
             kept[kept] = stepped
             stepped = kept
-        for col, values in zip(out, _rows(kinds, prices, stepped, quotes, pair.interval)):
-            col.frombytes(values.tobytes())
+        rows = (tp_col[n:end], b_col[n : end + 1], a_col[n : end + 1])
+        _rows(kinds, prices, stepped, quotes, pair.interval, rows)
         # free the chunk's book stage before the pre-pass decodes the next chunk
-        book_kinds = book_prices = kept = stepped = quotes = values = None
-        n += len(kinds)
+        book_kinds = book_prices = kept = stepped = quotes = rows = None
+        n = end
         if n in snap_at:
             snapshots[n] = book.snapshot()
 
@@ -581,17 +627,25 @@ def run(config: SimConfig) -> Trajectory:
     times = kinds = prices = None
     # the book stage leaves the order totals to the end
     book._count_orders()
-    times, kinds, tps, bids, asks = (
-        np.frombuffer(col, dtype=col.typecode) if n else np.empty(0, dtype=col.typecode)
-        for col in columns
-    )
-    for arr in (times, kinds, tps, bids, asks):
+    if n < size:  # a duration horizon keeps only the run's events
+        _resize(columns, n)
+    out = (t_col, k_col, tp_col, b_col[1:], a_col[1:])
+    for arr in out:
         arr.flags.writeable = False
 
-    end_time = float(times[-1]) if n else 0.0
+    end_time = float(t_col[-1]) if n else 0.0
     if config.duration is not None:
         end_time = config.duration
-    return Trajectory(config, n, end_time, times, kinds, tps, bids, asks, book, snapshots)
+    return Trajectory(config, n, end_time, *out, book, snapshots)
+
+
+def _resize(columns: List[np.ndarray], size: int) -> None:
+    """Resize ``columns`` in place to ``size`` events (the quote columns
+    one more).  No view of them may live across the call: the memory may
+    move."""
+    events = len(columns[0])
+    for col in columns:
+        col.resize(size + len(col) - events, refcheck=False)
 
 
 def _occupation_weights(traj: Trajectory) -> Optional[np.ndarray]:

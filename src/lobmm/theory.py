@@ -733,7 +733,12 @@ def solve_luckock(
 
     base = np.linspace(window.lo, window.hi, grid_size)
     inner = [p for p in set(demand.prices) | set(supply.prices) if window.lo < p < window.hi]
-    grid = np.unique(np.concatenate([base, np.asarray(inner)])) if inner else base
+    grid = base
+    if inner:
+        # sorted and deduplicated as np.unique does it, without loading
+        # numpy.ma, which np.unique imports on its first call
+        grid = np.sort(np.concatenate([base, np.asarray(inner)]))
+        grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
     x0 = grid[:-1]
     x1 = grid[1:]
     h = x1 - x0

@@ -11,6 +11,7 @@ import os
 import time
 import tracemalloc
 from array import array
+from bisect import bisect_right
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 from lobmm import (
     DemandSupplyPair,
+    Direction,
     InsufficientDataError,
     InvalidMapError,
     MonotoneCurve,
@@ -346,6 +348,149 @@ class TestBlockBoundaries:
                     assert short.final_book.snapshot() == ref.final_book.snapshot()
 
 
+class CraftedGenerator:
+    """A generator whose uniform stream opens with crafted draws; the rest
+    of each uniform block, and every exponential, comes from ``generator``."""
+
+    def __init__(self, generator, uniforms):
+        self._generator = generator
+        self._uniforms = list(uniforms)
+
+    def standard_exponential(self, size):
+        return self._generator.standard_exponential(size)
+
+    def random(self, size):
+        block = self._generator.random(size)
+        head, self._uniforms = self._uniforms[:size], self._uniforms[size:]
+        block[: len(head)] = head
+        return block
+
+
+def pair_on(lo, hi, mass=1.0):
+    """The uniform pair moved to [lo, hi], each curve of increment mass ``mass``."""
+    return DemandSupplyPair(
+        MonotoneCurve((lo, hi), (mass, 0.0), Direction.DECREASING),
+        MonotoneCurve((lo, hi), (0.0, mass), Direction.INCREASING),
+    )
+
+
+class TestDrawKernels:
+    """The pre-pass's kind and limit-price kernels on crafted uniforms,
+    against the oracle's decoding one draw at a time: kind draws exactly
+    on each threshold, tied ones included, and price draws that land at or
+    beyond either end of the interval."""
+
+    RHO = 0.5
+
+    @staticmethod
+    def decoded(monkeypatch, config, draws):
+        """The pre-pass's kinds and prices for events whose (kind draw,
+        price draw) are ``draws``, each checked against the oracle; the
+        run of them is checked against the replay."""
+        thresholds = RateTable.from_pair(config.pair, config.rho).thresholds
+        uniforms = []
+        for kind_draw, price_draw in draws:
+            uniforms.append(kind_draw)
+            if bisect_right(thresholds, kind_draw) in (2, 3):
+                uniforms.append(price_draw)
+        real = generator_for
+
+        def crafted(seed, replica=0):
+            return CraftedGenerator(real(seed, replica), uniforms)
+
+        monkeypatch.setattr(engine, "generator_for", crafted)
+        monkeypatch.setattr(oracle, "generator_for", crafted)
+        config = replace(config, events=len(draws))
+        rates = RateTable.from_pair(config.pair, config.rho)
+        _, kinds, prices = (np.concatenate(c) for c in zip(*engine._event_chunks(config, rates)))
+        ref = list(oracle.events(config))
+        assert kinds.tolist() == [kind for _, kind, _ in ref]
+        np.testing.assert_array_equal(prices, [price for *_, price in ref])
+        assert_matches_replay(run(config))
+        return kinds, prices
+
+    @pytest.mark.parametrize("name", ["uniform", "floor", "kinked"])
+    def test_kind_draws_on_each_threshold(self, monkeypatch, name):
+        # the uniform pair ties its first two thresholds at 0, the floor
+        # pair at 0.08; the kinked pair's four are distinct
+        pair = make_kinked_pair(4) if name == "kinked" else PAIRS[name]
+        thresholds = RateTable.from_pair(pair, self.RHO).thresholds
+        kind_draws = [u for t in thresholds for u in (t, math.nextafter(t, -1.0)) if u >= 0.0]
+        config = SimConfig(pair=pair, rho=self.RHO, events=0, seed=6)
+        kinds, _ = self.decoded(monkeypatch, config, [(u, 0.5) for u in kind_draws])
+        assert kinds.tolist() == [bisect_right(thresholds, u) for u in kind_draws]
+        # a draw on a threshold takes the kind above it, on the tie the kind
+        # above both: limit buy, limit sell, market maker
+        on = {t: bisect_right(thresholds, t) for t in thresholds}
+        assert [on[t] for t in thresholds[1:]] == [2, 3, 4]
+
+    @pytest.mark.parametrize(
+        "lo, hi, mass, price_draws, ends",
+        [
+            # a target of 0 is the low end; 1 + 2**-53 rounds to 1.0, and
+            # 1 + (1 - 2**-53) to 2.0, the high end
+            (1.0, 2.0, 1.0, (0.0, 2.0**-53, 1.0 - 2.0**-53), ("lo", "lo", "hi")),
+            # price per unit mass 1e9 / 1e-300 overflows to inf: every
+            # positive target lies beyond the high end, and a target of 0
+            # (0 * inf) still prices at the low end
+            (0.0, 1e9, 1e-300, (0.0, 0.5, 1.0 - 2.0**-53), ("lo", "hi", "hi")),
+        ],
+        ids=["rounding-onto-the-ends", "beyond-the-high-end"],
+    )
+    def test_price_draws_at_and_beyond_the_ends(self, monkeypatch, lo, hi, mass, price_draws, ends):
+        pair = pair_on(lo, hi, mass)
+        t = RateTable.from_pair(pair, self.RHO).thresholds
+        buy, sell = 0.5 * (t[1] + t[2]), 0.5 * (t[2] + t[3])
+        draws = [(kind_draw, u) for kind_draw in (buy, sell) for u in price_draws]
+        config = SimConfig(pair=pair, rho=self.RHO, events=0, seed=7)
+        kinds, prices = self.decoded(monkeypatch, config, draws)
+        assert kinds.tolist() == [2] * len(ends) + [3] * len(ends)
+        inside = {"lo": math.nextafter(lo, hi), "hi": math.nextafter(hi, lo)}
+        assert prices.tolist() == [inside[end] for end in ends] * 2
+
+    def test_an_interval_without_an_inner_float_is_refused(self):
+        # limit orders rest strictly inside the interval; with two floats
+        # inside, both ends clamp onto the one between them
+        one_ulp = pair_on(1.0, math.nextafter(1.0, 2.0))
+        with pytest.raises(ValueError, match="strictly inside"):
+            SimConfig(pair=one_ulp, events=10)
+        two_ulp = pair_on(1.0, math.nextafter(math.nextafter(1.0, 2.0), 2.0))
+        traj = run(SimConfig(pair=two_ulp, rho=self.RHO, events=2_000, seed=8))
+        assert_matches_replay(traj)
+        assert traj.summary.trade_count > 0
+
+
+class TestDurationColumns:
+    """A duration horizon's columns start at ``engine._CAPACITY`` events
+    and grow while the run goes on; they end as the columns of the events
+    run of the same count."""
+
+    @pytest.mark.parametrize("capacity", [1, 3, 64])
+    def test_growing_columns_equal_the_events_run(self, small_block, capacity, monkeypatch):
+        monkeypatch.setattr(engine, "_CAPACITY", capacity)
+        sizes = []
+        real = engine._resize
+
+        def logged(columns, size):
+            sizes.append(size)
+            real(columns, size)
+
+        monkeypatch.setattr(engine, "_resize", logged)
+        for cfg in TestBlockBoundaries.configs(0):
+            sizes.clear()
+            short = run(replace(cfg, events=None, duration=400.0, snapshot_at=(5, 77)))
+            n = short.n_events
+            # grown several times, then trimmed to the count
+            assert len(sizes) >= 4 and sizes[-1] == n
+            ref = run(replace(cfg, events=n, snapshot_at=(5, 77)))
+            for name in ("times", "kinds", "trade_prices", "bids", "asks"):
+                column = getattr(short, name)
+                assert len(column) == n
+                assert column.tobytes() == getattr(ref, name).tobytes(), name
+            assert short.snapshots == ref.snapshots
+            assert short.final_book.snapshot() == ref.final_book.snapshot()
+
+
 # (look-ahead window, shortest bulk stretch)
 LOOKS = ((1, 1), (2, 1), (3, 2), (16, 4))
 DEFAULT_LOOK = (engine._LOOK, engine._MIN_STRETCH)
@@ -652,7 +797,8 @@ class TestDroppedOrders:
             book = OrderBook(PAIRS["uniform"].interval, (0.3, 0.4), (0.6, 0.7))
             quotes = (array("d", [book.bid]), array("d", [book.ask]))
             last = engine._book_loop(book, book.bid, book.ask, kinds[stepped], prices[stepped], quotes)
-            rows = engine._rows(kinds, prices, stepped, quotes, book.interval)
+            rows = (np.empty(len(kinds)), np.empty(len(kinds) + 1), np.empty(len(kinds) + 1))
+            engine._rows(kinds, prices, stepped, quotes, book.interval, rows)
             results.append((last, [col.tobytes() for col in rows], book.snapshot()))
         assert results[0] == results[1]
 
@@ -686,9 +832,12 @@ class TestDroppedOrders:
 
 class TestPrepassMemory:
     # peak traced memory of run() beyond its five output columns, with the
-    # post-run reduction stubbed out; measured 6.2 MB at 2**17 and 6.3 MB
-    # at 2**19 events (CPython 3.11, numpy 2.4), plus 25% headroom.  A
-    # pre-pass over the whole horizon at once needs tens of MB more at 2**19.
+    # post-run reduction stubbed out; measured 5.7 MB at 2**17 and 5.0 MB
+    # at 2**19 events, and 4.6 MB and 5.3 MB to the duration horizons
+    # (CPython 3.11, numpy 2.4; 6.2 MB and 6.3 MB to the events horizons
+    # when the columns were copied chunk by chunk into growing arrays).  The
+    # bound keeps its 25% headroom over those older figures.  A pre-pass
+    # over the whole horizon at once needs tens of MB more at 2**19.
     OVERHEAD = 8_000_000
 
     @pytest.mark.parametrize("events", [1 << 17, 1 << 19])
@@ -706,12 +855,31 @@ class TestPrepassMemory:
         columns = (traj.times, traj.kinds, traj.trade_prices, traj.bids, traj.asks)
         assert peak - sum(col.nbytes for col in columns) < self.OVERHEAD
 
+    @pytest.mark.parametrize("events", [1 << 17, 1 << 19])
+    def test_peak_does_not_grow_with_duration(self, uniform_pair, events, monkeypatch):
+        # the same runs to a duration horizon (total rate 2), whose columns
+        # grow from engine._CAPACITY events while the run goes on
+        monkeypatch.setattr(engine, "_summarize", lambda traj: None)
+        window = PriceInterval(0.4, 0.6)
+        cfg = SimConfig(pair=uniform_pair, duration=events / 2, seed=3, restriction=window)
+        tracemalloc.start()
+        try:
+            traj = run(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traj.n_events > engine._CAPACITY
+        columns = (traj.times, traj.kinds, traj.trade_prices, traj.bids, traj.asks)
+        assert peak - sum(col.nbytes for col in columns) < self.OVERHEAD
+
 
 class TestSummaryMemory:
     # peak traced memory of run() with its summary beyond the five output
-    # columns, on a run that freezes; measured 6.5 MB at 2**17 and 8.3 MB at
-    # 2**19 events (CPython 3.11, numpy 2.4), plus 25% headroom.  A freeze
-    # scan over whole-run arrays needs about 30 MB at 2**19.
+    # columns, on a run that freezes; measured 5.9 MB at 2**17 and 7.7 MB at
+    # 2**19 events (CPython 3.11, numpy 2.4; 6.5 MB and 8.3 MB before the
+    # columns were preallocated), and the bound keeps its 25% headroom over
+    # the older figures.  A freeze scan over whole-run arrays needs about
+    # 30 MB at 2**19.
     OVERHEAD = 10_400_000
 
     @pytest.mark.parametrize("events", [1 << 17, 1 << 19])

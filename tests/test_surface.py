@@ -11,6 +11,7 @@ import ast
 import dataclasses
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -239,7 +240,7 @@ import json, sys
 from lobmm.cli import load_config, main, parse_model
 
 def loaded():
-    return sorted(m for m in sys.modules if m.startswith("lobmm."))
+    return sorted(m for m in sys.modules if m.startswith("lobmm.") or m == "numpy.ma")
 
 config, sweep, out = sys.argv[1:]
 parse_model(load_config(config))
@@ -253,28 +254,72 @@ print(json.dumps([after_parse, after_commands, sorted(set(names) - {"__builtins_
 """
 
 
-def test_theory_commands_never_load_the_simulator(tmp_path):
-    """A fresh interpreter that parses a model, then runs theory and a
-    volume sweep, never loads the engine or the book; parsing alone loads
-    no theory.  The star import still binds every public name."""
-    model = {
+# the uniform pair, and a 4-segment kinked pair whose inner knots reach
+# solve_luckock's grid
+STARTUP_MODELS = {
+    "uniform": {
         "interval": [0.0, 1.0],
         "demand": [[0.0, 1.0], [1.0, 0.0]],
         "supply": [[0.0, 0.0], [1.0, 1.0]],
-    }
-    config, sweep = tmp_path / "theory.json", tmp_path / "sweep.json"
-    config.write_text(json.dumps({"model": model}))
-    sweep.write_text(json.dumps({"model": model, "sweep": {"volume": [0.6, 0.8]}}))
+    },
+    "kinked": {
+        "interval": [0.0, 1.0],
+        "demand": [[k / 4, 1.5 * (1 - k / 4) ** 2 + 0.05] for k in range(5)],
+        "supply": [[k / 4, 1.2 * (k / 4) ** 1.5 + 0.02] for k in range(5)],
+    },
+}
+
+
+def test_theory_commands_never_load_the_simulator(tmp_path):
+    """A fresh interpreter that parses a model, then runs theory and a
+    volume sweep, never loads the engine or the book, nor numpy.ma
+    (np.unique imports it); parsing alone loads no theory.  The star
+    import still binds every public name."""
+    for name, model in STARTUP_MODELS.items():
+        config, sweep = tmp_path / f"{name}.json", tmp_path / f"{name}-sweep.json"
+        config.write_text(json.dumps({"model": model}))
+        sweep.write_text(json.dumps({"model": model, "sweep": {"volume": [0.6, 0.8]}}))
+        proc = subprocess.run(
+            [sys.executable, "-c", STARTUP, str(config), str(sweep), str(tmp_path / name)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        after_parse, after_commands, names = json.loads(proc.stdout)
+        assert "lobmm.theory" not in after_parse
+        assert "lobmm.theory" in after_commands
+        for module in ("lobmm.engine", "lobmm.book", "numpy.ma"):
+            assert module not in after_parse and module not in after_commands
+        assert names == sorted(lobmm.__all__) and len(names) == 41
+
+
+BLAS_THREADS = """
+import json, os
+import lobmm.cli
+import numpy
+
+blas = numpy.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
+tasks = "/proc/self/task"
+threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
+print(json.dumps([os.environ["OPENBLAS_NUM_THREADS"], blas, threads]))
+"""
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_cli_runs_one_blas_thread_unless_told_otherwise(preset):
+    """Importing lobmm.cli caps OpenBLAS at one thread before numpy loads,
+    unless the environment already sets OPENBLAS_NUM_THREADS.  Where
+    numpy uses OpenBLAS and the process's threads can be counted, the
+    capped process runs its main thread only."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
     proc = subprocess.run(
-        [sys.executable, "-c", STARTUP, str(config), str(sweep), str(tmp_path)],
-        capture_output=True,
-        text=True,
-        timeout=120,
+        [sys.executable, "-c", BLAS_THREADS], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    after_parse, after_commands, names = json.loads(proc.stdout)
-    assert "lobmm.theory" not in after_parse
-    assert "lobmm.theory" in after_commands
-    for module in ("lobmm.engine", "lobmm.book"):
-        assert module not in after_parse and module not in after_commands
-    assert names == sorted(lobmm.__all__) and len(names) == 41
+    value, blas, threads = json.loads(proc.stdout)
+    assert value == (preset or "1")
+    if preset is None and "openblas" in blas and threads is not None:
+        assert threads == 1
