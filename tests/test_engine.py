@@ -449,8 +449,8 @@ class TestDrawKernels:
         assert prices.tolist() == [inside[end] for end in ends] * 2
 
     def test_an_interval_without_an_inner_float_is_refused(self):
-        # limit orders rest strictly inside the interval; with two floats
-        # inside, both ends clamp onto the one between them
+        # limit orders rest strictly inside the interval; two ulps wide, it
+        # holds one float, onto which both ends clamp
         one_ulp = pair_on(1.0, math.nextafter(1.0, 2.0))
         with pytest.raises(ValueError, match="strictly inside"):
             SimConfig(pair=one_ulp, events=10)
