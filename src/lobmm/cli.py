@@ -524,7 +524,9 @@ def write_csv(
     line).
 
     Columns are formatted a block of ``_BLOCK_ROWS`` rows at a time, and a
-    block's text depends on its own cells only.  A table of at least
+    block's text depends on its own cells only; a column may also be any
+    object with a length whose slices are such columns, read a block at a
+    time.  A table of at least
     ``_POOL_BLOCKS`` blocks is formatted in worker processes, one per CPU,
     through the package's one fan-out (``pool._in_order``), which bounds the
     blocks in flight; the main process writes the texts in row order.  So
@@ -741,9 +743,8 @@ def cmd_simulate(cfg: Config, out: OutputSettings) -> int:
                     range(traj.n_events),
                     traj.times,
                     np.array(KIND_TOKENS, dtype=object)[traj.kinds],
-                    traj.trade_prices,
-                    traj.bids,
-                    traj.asks,
+                    # built a block at a time as the writer reads them
+                    *traj._columns(),
                 ),
             )
             final = traj.final_book.snapshot()

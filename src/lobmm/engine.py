@@ -32,7 +32,7 @@ level and a cold price reaches the new quote, the book flushes that
 side's whole cold tier into the hot tier.
 
 The book stage records only the quotes after each event that it steps,
-and each chunk's rows (trade price, bid, ask) follow by one rule:
+and the quotes and trade prices of every event follow by one rule:
 
 - an event that the loop did not step (in a quiet stretch, or a dropped
   order) keeps the quotes of the last stepped event before it, or else the
@@ -42,14 +42,19 @@ and each chunk's rows (trade price, bid, ask) follow by one rule:
   at or above that ask; sells mirror this at the bid.  Every other event
   has trade price NaN.
 
-The run's five columns (time, kind, trade price, bid, ask) are numpy
-arrays that :func:`run` fills one chunk at a time, each chunk into its
-own slice (:func:`_rows` writes the rows there directly), and that the
-:class:`Trajectory` then holds without a copy.  An
-``events`` horizon sizes them once.  A ``duration`` horizon cannot know
-its count ahead, so its columns start at ``_CAPACITY`` events, grow in
+A run stores its events compactly (see :class:`Trajectory`): the times and
+kinds, one trade bit per event, and the quotes as change points, the
+events after which the loop moved a quote and the quotes it moved them
+to.  :func:`run` fills the per-event arrays one chunk at a time, each
+chunk into its own slice, and :func:`_chunk_record` reads a chunk's trade
+bits and change points off its stepped quotes; no per-event quote or
+trade price is written.  The bid, ask and trade-price columns are built
+from the compact form when first read, or a slice at a time for a writer
+that goes block by block.  An ``events`` horizon sizes the
+arrays once.  A ``duration`` horizon sizes them for its expected count
+and a few standard deviations more (:func:`_capacity`); they grow in
 place by at least an eighth whenever a chunk would not fit, and are
-trimmed to the run's events at the end; both horizons share the one
+trimmed to the run's events at the end, so both horizons share the one
 assembly path.
 
 The model one event at a time, written for reading rather than speed,
@@ -60,13 +65,15 @@ change the two in lockstep.  ``_BLOCK`` and the order of the block draws
 (exponential block, then uniform block, each refilled when the next draw
 needs it, the exponential first when both fall on one event) are part of
 the byte-identity contract: changing either changes every trajectory.  The
-look-ahead constants ``_LOOK`` and ``_MIN_STRETCH``, and ``_CAPACITY``,
-are not: any positive values give the same bytes.
+look-ahead constants ``_LOOK`` and ``_MIN_STRETCH``, and the first
+capacity of the arrays, are not: any positive values give the same bytes.
 
 After a run, :attr:`Trajectory.summary` reduces it, once, to the
 :class:`TrajectorySummary` record that ``simulate``, ``sweep``, ``freeze``
-and :func:`run_ensemble` all report from.  The quote CDFs that ``compare``
-checks come from :func:`quote_cdfs`.
+and :func:`run_ensemble` all report from.  It reads the compact form
+directly, scanning runs of equal quotes rather than events, so a replica
+of :func:`run_ensemble` never builds a per-event quote or trade price.
+The quote CDFs that ``compare`` checks come from :func:`quote_cdfs`.
 """
 
 from __future__ import annotations
@@ -74,7 +81,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
@@ -119,9 +126,10 @@ _BLOCK = 1 << 16
 _LOOK = 1024
 _MIN_STRETCH = 128
 
-# events that a duration horizon's columns hold before they first grow
-# (see run); like _LOOK it changes no byte of a run
-_CAPACITY = 1 << 16
+# standard deviations of its Poisson count that a duration horizon's arrays
+# hold beyond its expected count before they first grow (see _capacity);
+# like _LOOK it changes no byte of a run
+_HEADROOM = 6.0
 
 # points of the price grid that the post-burn-in quote CDFs are sampled on
 _CDF_GRID_SIZE = 1024
@@ -131,8 +139,8 @@ _CDF_GRID_SIZE = 1024
 _FREEZE_EPS = 0.01
 _FREEZE_SPAN = 0.1
 
-# events per block of detect_freeze's backward scan.  Like _LOOK it changes
-# no result, only the scan's memory and speed.
+# runs of equal quotes per block of detect_freeze's backward scan.  Like
+# _LOOK it changes no result, only the scan's memory and speed.
 _FREEZE_BLOCK = 1 << 14
 
 
@@ -258,10 +266,23 @@ class TrajectorySummary:
 class Trajectory:
     """Per-event series of one run and its post-run record.
 
-    ``kinds`` holds the kind codes, and ``trade_prices``, ``bids`` and
-    ``asks`` the rows, of the module docstring.  State ``i`` (``bids[i]``,
-    ``asks[i]``) holds on ``[times[i], times[i+1])``; post-burn-in
-    reductions weight it accordingly.
+    State ``i`` (``bids[i]``, ``asks[i]``), the quotes after event ``i``,
+    holds on ``[times[i], times[i+1])``; post-burn-in reductions weight it
+    accordingly.  The run stores its events compactly:
+
+    - ``times`` and ``kinds`` (the kind codes of the module docstring);
+    - ``_traded``, one bit per event, set where the event traded
+      (``np.packbits`` order);
+    - the quotes as change points: the quotes before event ``i`` are
+      ``_quote_bids[j]`` and ``_quote_asks[j]`` for the last ``j`` with
+      ``_quote_at[j] <= i``.  ``_quote_at`` opens with 0, the quotes before
+      the first event, and rises strictly to at most ``n_events``, the
+      quotes after the last one.
+
+    ``bids``, ``asks`` and ``trade_prices`` are derived: read-only arrays,
+    one entry per event, built from the compact form when first read and
+    then kept.  The summary never reads them, and ``simulate`` writes them
+    through :meth:`_columns`, a block of rows at a time.
     """
 
     config: SimConfig
@@ -269,9 +290,10 @@ class Trajectory:
     end_time: float
     times: np.ndarray
     kinds: np.ndarray
-    trade_prices: np.ndarray
-    bids: np.ndarray
-    asks: np.ndarray
+    _traded: np.ndarray
+    _quote_at: np.ndarray
+    _quote_bids: np.ndarray
+    _quote_asks: np.ndarray
     final_book: OrderBook
     snapshots: Dict[int, BookSnapshot]
     summary: TrajectorySummary = field(init=False)
@@ -283,6 +305,72 @@ class Trajectory:
     def __post_init__(self):
         # reduce inside run(), so timing or tracing run() covers the whole run
         object.__setattr__(self, "summary", _summarize(self))
+
+    @cached_property
+    def bids(self) -> np.ndarray:
+        return _read_only(self._quotes(self._quote_bids, 0, self.n_events))
+
+    @cached_property
+    def asks(self) -> np.ndarray:
+        return _read_only(self._quotes(self._quote_asks, 0, self.n_events))
+
+    @cached_property
+    def trade_prices(self) -> np.ndarray:
+        return _read_only(self._trade_prices(0, self.n_events))
+
+    def _columns(self) -> Tuple["_Column", "_Column", "_Column"]:
+        """``trade_prices``, ``bids`` and ``asks`` as columns that build
+        only the slices read from them, so that a writer going block by
+        block never holds them whole."""
+        n = self.n_events
+        return (
+            _Column(self._trade_prices, n),
+            _Column(partial(self._quotes, self._quote_bids), n),
+            _Column(partial(self._quotes, self._quote_asks), n),
+        )
+
+    def _quotes(self, quotes: np.ndarray, start: int, stop: int) -> np.ndarray:
+        """``quotes`` of the change points, one per state from ``start``
+        to ``stop``."""
+        if start >= stop:
+            return np.zeros(0)
+        # state i holds the quotes of the last change point at or before i + 1
+        first, last = np.searchsorted(self._quote_at, (start + 1, stop), side="right") - 1
+        runs = np.diff(self._quote_at[first + 1 : last + 1], prepend=start + 1, append=stop + 1)
+        return np.repeat(quotes[first : last + 1], runs)
+
+    def _trade_prices(self, start: int, stop: int) -> np.ndarray:
+        """The trade prices of events ``start`` to ``stop``."""
+        prices = np.full(max(stop - start, 0), math.nan)
+        head = start & 7
+        traded = np.unpackbits(self._traded[start >> 3 : -(-stop // 8)])[head : head + len(prices)]
+        kinds = self.kinds[start:stop]
+        buy = (kinds == 0) | (kinds == 2)
+        for trades, quotes in ((traded & buy, self._quote_asks), (traded & ~buy, self._quote_bids)):
+            trades = np.flatnonzero(trades)
+            # a trade meets the quote before it: the last change point at or before it
+            prices[trades] = quotes[np.searchsorted(self._quote_at, trades + start, side="right") - 1]
+        return prices
+
+
+class _Column:
+    """A column of ``n`` rows that ``build(start, stop)`` makes a slice
+    at a time, as it is read."""
+
+    def __init__(self, build, n: int):
+        self._build, self._n = build, n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop, _ = rows.indices(self._n)
+        return self._build(start, stop)
+
+
+def _read_only(column: np.ndarray) -> np.ndarray:
+    column.flags.writeable = False
+    return column
 
 
 def _event_chunks(config: SimConfig, rates: RateTable):
@@ -377,7 +465,7 @@ def _event_chunks(config: SimConfig, rates: RateTable):
             kinds += u >= c
         is_limit = (kinds == 2, kinds == 3)
         prices = np.full(m, math.nan)
-        for is_side, (knots, cum, seg, inner, total) in zip(is_limit, samplers):
+        for side, (is_side, (knots, cum, seg, inner, total)) in enumerate(zip(is_limit, samplers)):
             sel = np.flatnonzero(is_side)  # positions index faster than a mask
             target = w[kind_pos[sel] + 1] * total
             # the segment of each target (the first for a target of 0): cum[j]
@@ -390,11 +478,13 @@ def _event_chunks(config: SimConfig, rates: RateTable):
             # [lo_in, hi_in] moves exactly the prices at or beyond an end
             x[target == 0.0] = lo
             prices[sel] = np.clip(x, lo_in, hi_in, out=x)
-        if window is not None:
-            buy, sell = is_limit
-            kinds[buy & (prices >= window.hi)] = 0  # rewritten to a market buy
-            kinds[sell & (prices <= window.lo)] = 1  # rewritten to a market sell
-            kinds[(buy & (prices <= window.lo)) | (sell & (prices >= window.hi))] = DROPPED
+            if window is not None:
+                # a buy at or above the window, a sell at or below it, goes
+                # to the market; one at or behind its near edge is dropped
+                above, below = x >= window.hi, x <= window.lo
+                beyond, behind = (above, below) if side == 0 else (below, above)
+                kinds[sel[beyond]] = side  # rewritten to the market order of its side
+                kinds[sel[behind]] = DROPPED
 
         times = times[:m]
         yield times, kinds, prices
@@ -519,33 +609,30 @@ def _quiet_stretch(
     return q
 
 
-def _rows(
+def _chunk_record(
     kinds: np.ndarray,
     prices: np.ndarray,
     stepped: np.ndarray,
     quotes: Tuple[array, array],
     interval: PriceInterval,
-    out: Tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> None:
-    """Write a chunk's rows (see the module docstring) into ``out``: trade
-    prices, and bids and asks one longer, opening with the quotes before
-    the chunk.  ``stepped`` marks the events the loop stepped, and
-    ``quotes`` holds the quotes before the chunk and after each stepped
-    event."""
-    trade_prices, bids, asks = out
-    # the index in ``quotes`` of the quotes before each event, then after the last
-    last = np.zeros(len(kinds) + 1, dtype=np.intp)
-    np.cumsum(stepped, out=last[1:])
-    for col, q in zip((bids, asks), quotes):
-        # mode "clip" writes into out directly; "raise" would buffer a copy
-        np.take(np.frombuffer(q), last, out=col, mode="clip")
-    bid, ask = bids[:-1], asks[:-1]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What a run keeps of the events that one chunk's book stage saw, by
+    the rule of the module docstring: ``(traded, moved, bids, asks)``,
+    whether each event traded, and the change points, the positions of the
+    events after which a quote moved and the quotes after them.
+    ``stepped`` marks the events the loop stepped, and ``quotes`` holds the
+    quotes before the chunk and after each stepped event."""
+    bids, asks = np.frombuffer(quotes[0]), np.frombuffer(quotes[1])
+    # the index in ``quotes`` of the quotes before each event
+    before = np.zeros(len(kinds), dtype=np.intp)
+    np.cumsum(stepped[:-1], out=before[1:])
+    bid, ask = bids[before], asks[before]
     buy = ((kinds == 0) & (ask < interval.hi)) | ((kinds == 2) & (prices >= ask))
     sell = ((kinds == 1) & (bid > interval.lo)) | ((kinds == 3) & (prices <= bid))
-    trade_prices.fill(math.nan)
-    for trades, quote in ((buy, ask), (sell, bid)):
-        trades = np.flatnonzero(trades)
-        trade_prices[trades] = quote[trades]
+    # compare bits, so that the quotes read back are the loop's to the bit
+    b, a = bids.view(np.int64), asks.view(np.int64)
+    moved = np.flatnonzero((b[1:] != b[:-1]) | (a[1:] != a[:-1]))
+    return buy | sell, np.flatnonzero(stepped)[moved], bids[moved + 1], asks[moved + 1]
 
 
 def run(config: SimConfig) -> Trajectory:
@@ -557,11 +644,11 @@ def run(config: SimConfig) -> Trajectory:
     :func:`_quiet_stretch` applies a stretch of at least ``_MIN_STRETCH``
     events in bulk, and :func:`_book_loop` steps the event that ends it;
     where the stream is busy, the loop steps runs of events instead,
-    doubled while it stays busy.  :func:`_rows` then writes the chunk's
-    rows.  The final book keeps its cold tiers; its order totals count
-    them, and its whole-book views merge them in when first read.  Each
-    chunk goes straight into its slice of the run's columns (see the
-    module docstring).
+    doubled while it stays busy.  :func:`_chunk_record` then reads the
+    chunk's trade bits and quote change points.  The final book keeps its
+    cold tiers; its order totals count them, and its whole-book views
+    merge them in when first read.  Each chunk goes straight into its
+    slice of the run's per-event arrays (see the module docstring).
     """
     pair = config.pair
     require_core_assumptions(pair)
@@ -570,12 +657,13 @@ def run(config: SimConfig) -> Trajectory:
     book = OrderBook(pair.interval, config.initial_buys, config.initial_sells)
     bid, ask = book.bid, book.ask
 
-    # per-event columns: time, kind, trade price, bid, ask.  The quote
-    # columns open with the quotes before the first event.
-    size = config.events if config.events is not None else _CAPACITY
-    columns = [np.empty(size + extra, dtype=code) for code, extra in zip("dBddd", (0, 0, 0, 1, 1))]
-    t_col, k_col, tp_col, b_col, a_col = columns
-    b_col[0], a_col[0] = bid, ask
+    # per-event arrays: time, kind, and the trade bits packed eight to a byte
+    size = _capacity(config, rates)
+    columns = [np.empty(size), np.empty(size, dtype=np.uint8), np.empty(-(-size // 8), dtype=np.uint8)]
+    t_col, k_col, traded_col = columns
+    # the change points, one array per chunk; the first holds the quotes
+    # before the first event
+    moves = [(np.zeros(1, dtype=np.intp), np.array([bid]), np.array([ask]))]
 
     snap_at = set(config.snapshot_at)
     snapshots: Dict[int, BookSnapshot] = {0: book.snapshot()} if 0 in snap_at else {}
@@ -584,13 +672,14 @@ def run(config: SimConfig) -> Trajectory:
     n = 0
     for times, kinds, prices in _event_chunks(config, rates):
         end = n + len(kinds)
-        if end > size:  # only a duration horizon outgrows its columns
+        if end > size:  # only a duration horizon outgrows its arrays
             size = max(end, size + (size >> 3))
             _resize(columns, size)
         t_col[n:end] = times
         k_col[n:end] = kinds
-        kept = kinds != DROPPED
-        book_kinds, book_prices = (kinds, prices) if kept.all() else (kinds[kept], prices[kept])
+        # the book stage never sees a dropped order
+        kept = np.flatnonzero(kinds != DROPPED) if (kinds == DROPPED).any() else None
+        book_kinds, book_prices = (kinds, prices) if kept is None else (kinds[kept], prices[kept])
         quotes = (array("d", [bid]), array("d", [ask]))
         m = len(book_kinds)
         stepped = np.zeros(m, dtype=bool)
@@ -612,13 +701,18 @@ def run(config: SimConfig) -> Trajectory:
             bid, ask = _book_loop(book, bid, ask, book_kinds[r], book_prices[r], quotes)
             stepped[r] = True
             s = r.stop
-        if m < len(kinds):  # the marks over the whole chunk: no dropped order is stepped
-            kept[kept] = stepped
-            stepped = kept
-        rows = (tp_col[n:end], b_col[n : end + 1], a_col[n : end + 1])
-        _rows(kinds, prices, stepped, quotes, pair.interval, rows)
+        traded, moved, moved_bids, moved_asks = _chunk_record(
+            book_kinds, book_prices, stepped, quotes, pair.interval
+        )
+        if kept is not None:  # back to positions in the whole chunk
+            every = np.zeros(len(kinds), dtype=bool)
+            every[kept] = traded
+            traded, moved = every, kept[moved]
+        _write_bits(traded_col, n, traded)
+        # the quotes after event n + i are change point n + i + 1
+        moves.append((moved + (n + 1), moved_bids, moved_asks))
         # free the chunk's book stage before the pre-pass decodes the next chunk
-        book_kinds = book_prices = kept = stepped = quotes = rows = None
+        book_kinds = book_prices = kept = stepped = quotes = traded = None
         n = end
         if n in snap_at:
             snapshots[n] = book.snapshot()
@@ -629,7 +723,8 @@ def run(config: SimConfig) -> Trajectory:
     book._count_orders()
     if n < size:  # a duration horizon keeps only the run's events
         _resize(columns, n)
-    out = (t_col, k_col, tp_col, b_col[1:], a_col[1:])
+    quote_at, quote_bids, quote_asks = (np.concatenate(parts) for parts in zip(*moves))
+    out = (t_col, k_col, traded_col, quote_at, quote_bids, quote_asks)
     for arr in out:
         arr.flags.writeable = False
 
@@ -639,13 +734,33 @@ def run(config: SimConfig) -> Trajectory:
     return Trajectory(config, n, end_time, *out, book, snapshots)
 
 
+def _capacity(config: SimConfig, rates: RateTable) -> int:
+    """Events that the per-event arrays of a run hold before they first
+    grow: an ``events`` horizon's count, or a ``duration`` horizon's
+    expected count and ``_HEADROOM`` standard deviations of it more."""
+    if config.events is not None:
+        return config.events
+    expected = config.duration / rates.inv_total
+    # a count past any memory (inf included) fails at once, in np.empty
+    return int(min(expected + _HEADROOM * math.sqrt(expected), 2.0**62))
+
+
 def _resize(columns: List[np.ndarray], size: int) -> None:
-    """Resize ``columns`` in place to ``size`` events (the quote columns
-    one more).  No view of them may live across the call: the memory may
-    move."""
-    events = len(columns[0])
-    for col in columns:
-        col.resize(size + len(col) - events, refcheck=False)
+    """Resize the per-event arrays ``columns`` (time, kind, packed trade
+    bits) in place to ``size`` events.  No view of them may live across
+    the call: the memory may move."""
+    for col, length in zip(columns, (size, size, -(-size // 8))):
+        col.resize(length, refcheck=False)
+
+
+def _write_bits(packed: np.ndarray, start: int, bits: np.ndarray) -> None:
+    """Write ``bits`` into ``packed`` from bit ``start`` on, keeping the
+    bits before it in their byte."""
+    byte, head = divmod(start, 8)
+    if head:
+        bits = np.concatenate((np.unpackbits(packed[byte : byte + 1], count=head).view(bool), bits))
+    chunk = np.packbits(bits)
+    packed[byte : byte + len(chunk)] = chunk
 
 
 def _occupation_weights(traj: Trajectory) -> Optional[np.ndarray]:
@@ -656,7 +771,7 @@ def _occupation_weights(traj: Trajectory) -> Optional[np.ndarray]:
         return None
     tail = traj.times[k0:]
     w = np.empty(n - k0)
-    w[:-1] = np.diff(tail)
+    np.subtract(tail[1:], tail[:-1], out=w[:-1])
     w[-1] = max(traj.end_time - tail[-1], 0.0)
     if not w.sum() > 0.0:
         w = np.ones(n - k0)
@@ -672,11 +787,23 @@ def _weighted_below(values: np.ndarray, weights: np.ndarray, grid: np.ndarray, s
     return np.where(idx > 0, cw[np.maximum(idx - 1, 0)], 0.0), cw[-1]
 
 
+def _segments(traj: Trajectory, k0: int = 0) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The runs of equal quotes over states ``k0`` to the last, from the
+    change points: ``(starts, bids, asks)``, the first state of each run
+    and its quotes.  Two runs in a row never hold the same quotes."""
+    at, n = traj._quote_at, traj.n_events
+    if k0 >= n:
+        return np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0)
+    # state i holds the quotes of change point i + 1
+    j = int(np.searchsorted(at, k0 + 1, side="right")) - 1
+    starts = at[j:] - 1
+    starts[0] = k0
+    return starts, traj._quote_bids[j:], traj._quote_asks[j:]
+
+
 def _summarize(traj: Trajectory) -> TrajectorySummary:
-    """The post-run record of ``traj`` (see :class:`TrajectorySummary`)."""
-    # the freeze scan needs only block-sized arrays and the window scan two
-    # boolean masks of the post-burn-in quotes; both run before the larger
-    # temporaries below
+    """The post-run record of ``traj`` (see :class:`TrajectorySummary`),
+    from its compact form: runs of equal quotes stand for their states."""
     fz = detect_freeze(traj)
     try:
         we = estimate_window(traj)
@@ -685,8 +812,8 @@ def _summarize(traj: Trajectory) -> TrajectorySummary:
         wlo = whi = None
     config, n = traj.config, traj.n_events
     lo, hi = config.pair.interval.lo, config.pair.interval.hi
-    bids, asks = traj.bids, traj.asks
-    trades = n - int(np.count_nonzero(np.isnan(traj.trade_prices)))
+    trades = int(np.count_nonzero(np.unpackbits(traj._traded)))  # the padding bits are 0
+    _, bids, asks = _segments(traj)
     # resting prices lie strictly inside the interval, so a quote on the
     # interval edge marks an empty side
     empty = (bids == lo) & (asks == hi)
@@ -694,12 +821,18 @@ def _summarize(traj: Trajectory) -> TrajectorySummary:
     if n and empty[0] and (config.initial_buys or config.initial_sells):
         empties += 1
     empty_buy = empty_sell = math.nan
-    w = _occupation_weights(traj)
-    if w is not None:
-        k0 = traj.burn_index
-        total = w.sum()
-        empty_buy = float(w[bids[k0:] == lo].sum() / total)
-        empty_sell = float(w[asks[k0:] == hi].sum() / total)
+    k0 = traj.burn_index
+    if k0 < n:
+        starts, tail_bids, tail_asks = _segments(traj, k0)
+        buy_empty, sell_empty = tail_bids == lo, tail_asks == hi
+        empty_buy = empty_sell = 0.0
+        # the weights only where a side empties: a frozen run never does
+        if buy_empty.any() or sell_empty.any():
+            w = _occupation_weights(traj)
+            runs = np.diff(starts, append=n)
+            total = w.sum()
+            empty_buy = float(w[np.repeat(buy_empty, runs)].sum() / total)
+            empty_sell = float(w[np.repeat(sell_empty, runs)].sum() / total)
     return TrajectorySummary(
         replica=config.replica,
         n_events=n,
@@ -752,12 +885,11 @@ def estimate_window(traj: Trajectory) -> WindowEstimate:
     A finite run visits the window edges rarely, so the estimate sits
     inside the true window; treat it as an inner bound.
     """
-    k0 = traj.burn_index
     lo = traj.config.pair.interval.lo
     hi = traj.config.pair.interval.hi
-    b = traj.bids[k0:]
-    a = traj.asks[k0:]
-    # an empty side quotes the interval edge; the masks skip those states
+    # the extremes over runs of equal quotes are those over their states
+    _, b, a = _segments(traj, traj.burn_index)
+    # an empty side quotes the interval edge; the masks skip those runs
     # without copying the resting quotes
     floor = float(np.min(b, where=b > lo, initial=math.inf))
     cap = float(np.max(a, where=a < hi, initial=-math.inf))
@@ -783,25 +915,28 @@ def detect_freeze(traj: Trajectory) -> Optional[FreezeReport]:
 
     A suffix of a stable suffix is stable too, since fewer events lower
     each maximum and raise each minimum, so the stable suffixes are exactly
-    those from the first index where the condition holds.  The scan walks
-    backward over ``_FREEZE_BLOCK`` events at a time, carrying four running
-    extremes of everything after the current block (the max and min bid,
-    the max and min ask), and stops at the last event where the condition
-    fails.  The spread needs no running max: every later spread passed
-    before the scan gets to an event.  So the scan needs a few block-sized
-    arrays whatever the horizon, and gives what whole-run arrays give, bit
-    for bit: max and min are exact.
+    those from the first index where the condition holds.  The condition
+    holds on all states of a run of equal quotes or on none, so the scan
+    walks the runs (see :class:`Trajectory`), not the events: backward,
+    ``_FREEZE_BLOCK`` runs at a time, carrying four running extremes of
+    everything after the current block (the max and min bid, the max and
+    min ask), and it stops at the last run where the condition fails.  The
+    spread needs no running max: every later spread passed before the scan
+    gets to a run.  So the scan needs a few block-sized arrays whatever the
+    horizon, and gives what whole-run arrays give, bit for bit: max and
+    min are exact.
     """
     n = traj.n_events
     eps = _FREEZE_EPS * traj.config.pair.interval.length
-    bids, asks = traj.bids, traj.asks
+    starts, bids, asks = _segments(traj)
+    c = len(starts)
     bid_hi = ask_hi = -math.inf
     bid_lo = ask_lo = math.inf
-    k = 0  # first index of the maximal stable suffix
-    for stop in range(n, 0, -_FREEZE_BLOCK):
+    j = 0  # first run of the maximal stable suffix
+    for stop in range(c, 0, -_FREEZE_BLOCK):
         start = max(stop - _FREEZE_BLOCK, 0)
-        # entry i of each array below belongs to event stop - 1 - i; the
-        # extremes are over the suffix from that event on
+        # entry i of each array below belongs to run stop - 1 - i; the
+        # extremes are over the suffix from that run on
         b, a = bids[start:stop][::-1], asks[start:stop][::-1]
         b_hi = np.maximum(np.maximum.accumulate(b), bid_hi)
         b_lo = np.minimum(np.minimum.accumulate(b), bid_lo)
@@ -810,9 +945,10 @@ def detect_freeze(traj: Trajectory) -> Optional[FreezeReport]:
         ok = (a - b <= eps) & (b_hi - b_lo <= eps) & (a_hi - a_lo <= eps)
         i = int(np.argmin(ok))  # the first failure, or 0 if none
         if not ok[i]:
-            k = stop - i
+            j = stop - i
             break
         bid_hi, bid_lo, ask_hi, ask_lo = b_hi[-1], b_lo[-1], a_hi[-1], a_lo[-1]
+    k = int(starts[j]) if j < c else n  # its first state
     if n - k < max(1, int(_FREEZE_SPAN * n)):
         return None
     midpoint = 0.5 * (bids[-1] + asks[-1])

@@ -12,7 +12,9 @@ restriction dropped.  Only limit orders carry a price; the others carry NaN.
 
 :func:`detect_freeze` is the reference for ``engine.detect_freeze``: the
 freeze criterion on whole-run arrays, which the engine's backward block
-scan must match bit for bit.
+scan must match bit for bit.  :func:`summarize` is the reference for a
+run's summary in the same way: every field from the run's per-event
+columns, where the engine reduces runs of equal quotes.
 """
 
 from __future__ import annotations
@@ -26,7 +28,13 @@ from itertools import chain, count
 import numpy as np
 
 from lobmm import engine
-from lobmm.engine import DROPPED, FreezeReport, RateTable, generator_for
+from lobmm.engine import (
+    DROPPED,
+    FreezeReport,
+    RateTable,
+    TrajectorySummary,
+    generator_for,
+)
 
 
 class Book:
@@ -205,3 +213,51 @@ def detect_freeze(traj):
         return None
     midpoint = 0.5 * (bids[-1] + asks[-1])
     return FreezeReport(float(traj.times[k]), float(midpoint), k)
+
+
+def summarize(traj):
+    """``traj``'s summary on whole-run arrays: its ``bids``, ``asks`` and
+    ``trade_prices`` columns, and an occupation weight per post-burn-in
+    state from its ``times``."""
+    config, n = traj.config, traj.n_events
+    lo, hi = config.pair.interval.lo, config.pair.interval.hi
+    bids, asks = traj.bids, traj.asks
+    fz = detect_freeze(traj)
+    k0 = traj.burn_index
+    # the window: the extreme post-burn-in quotes where the side rests
+    b, a = bids[k0:], asks[k0:]
+    wlo = float(b[b > lo].min()) if (b > lo).any() else None
+    whi = float(a[a < hi].max()) if (a < hi).any() else None
+    if wlo is None or whi is None:
+        wlo = whi = None
+    # an empty side quotes its interval edge
+    empty = (bids == lo) & (asks == hi)
+    empties = int(np.count_nonzero(empty[1:] & ~empty[:-1]))
+    if n and empty[0] and (config.initial_buys or config.initial_sells):
+        empties += 1
+    empty_buy = empty_sell = math.nan
+    if k0 < n:
+        w = np.diff(np.append(traj.times[k0:], max(traj.end_time, traj.times[-1])))
+        if not w.sum() > 0.0:
+            w = np.ones(n - k0)
+        total = w.sum()
+        empty_buy = float(w[b == lo].sum() / total)
+        empty_sell = float(w[a == hi].sum() / total)
+    return TrajectorySummary(
+        replica=config.replica,
+        n_events=n,
+        trade_count=n - int(np.count_nonzero(np.isnan(traj.trade_prices))),
+        min_bid=float(bids.min()) if n else math.nan,
+        max_ask=float(asks.max()) if n else math.nan,
+        empty_book_transitions=empties,
+        final_buys=traj.final_book.n_buys,
+        final_sells=traj.final_book.n_sells,
+        frozen=fz is not None,
+        freeze_time=fz.t_freeze if fz else None,
+        freeze_midpoint=fz.midpoint if fz else None,
+        freeze_start_index=fz.start_index if fz else None,
+        window_lo=wlo,
+        window_hi=whi,
+        empty_buy_prob=empty_buy,
+        empty_sell_prob=empty_sell,
+    )

@@ -1243,16 +1243,16 @@ class TestWriteCsv:
 
     def test_failed_write_in_a_pool_leaves_no_file(self, tmp_path, outdir, monkeypatch):
         started = self.pooled(monkeypatch)
-        real = engine.run
+        real = engine.Trajectory._trade_prices
 
-        def bad_trade_price(config):
-            traj = real(config)
-            cells = traj.trade_prices.astype(object)
-            cells[37] = None
-            object.__setattr__(traj, "trade_prices", cells)  # after the summary
-            return traj
+        def bad_trade_price(traj, start, stop):
+            # the writer reads the trade prices a block at a time
+            cells = real(traj, start, stop).astype(object)
+            if start <= 37 < stop:
+                cells[37 - start] = None
+            return cells
 
-        monkeypatch.setattr(engine, "run", bad_trade_price)
+        monkeypatch.setattr(engine.Trajectory, "_trade_prices", bad_trade_price)
         cfg = write_config(tmp_path, {"model": UNIFORM_MODEL, "run": {"events": 40}})
         with pytest.raises(TypeError):
             main(["simulate", cfg, "--seed", "1", "--out", str(outdir)])

@@ -8,11 +8,12 @@ import concurrent.futures
 import math
 import multiprocessing
 import os
+import struct
 import time
 import tracemalloc
 from array import array
 from bisect import bisect_right
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -53,6 +54,15 @@ PAIRS = {
     "floor": make_floor_pair(),
     "evenodd": make_evenodd_pair(3),
 }
+
+# what a Trajectory stores of its events, and the columns it derives from them
+STORED = ("times", "kinds", "_traded", "_quote_at", "_quote_bids", "_quote_asks")
+DERIVED = ("trade_prices", "bids", "asks")
+
+
+def stored_bytes(traj: Trajectory) -> int:
+    """Bytes of the arrays ``traj`` stores, the derived columns not included."""
+    return sum(getattr(traj, name).nbytes for name in STORED)
 
 
 def assert_matches_replay(traj: Trajectory):
@@ -461,13 +471,14 @@ class TestDrawKernels:
 
 
 class TestDurationColumns:
-    """A duration horizon's columns start at ``engine._CAPACITY`` events
-    and grow while the run goes on; they end as the columns of the events
-    run of the same count."""
+    """A duration horizon's per-event arrays start at its expected count
+    and a few standard deviations more (``engine._capacity``), grow while
+    the run goes on if it outruns them, and end as the arrays of the
+    events run of the same count."""
 
     @pytest.mark.parametrize("capacity", [1, 3, 64])
     def test_growing_columns_equal_the_events_run(self, small_block, capacity, monkeypatch):
-        monkeypatch.setattr(engine, "_CAPACITY", capacity)
+        monkeypatch.setattr(engine, "_capacity", lambda config, rates: capacity)
         sizes = []
         real = engine._resize
 
@@ -483,12 +494,30 @@ class TestDurationColumns:
             # grown several times, then trimmed to the count
             assert len(sizes) >= 4 and sizes[-1] == n
             ref = run(replace(cfg, events=n, snapshot_at=(5, 77)))
-            for name in ("times", "kinds", "trade_prices", "bids", "asks"):
+            for name in STORED + DERIVED:
                 column = getattr(short, name)
-                assert len(column) == n
                 assert column.tobytes() == getattr(ref, name).tobytes(), name
+            for name in ("times", "kinds") + DERIVED:
+                assert len(getattr(short, name)) == n
             assert short.snapshots == ref.snapshots
             assert short.final_book.snapshot() == ref.final_book.snapshot()
+
+    def test_expected_count_fits_at_once(self, uniform_pair, monkeypatch):
+        # the freeze model (total rate 2.6) to about 1e6 events: the arrays
+        # fit the run from the start and are only trimmed at its end; a first
+        # capacity of 2**16 events grew them about 23 times
+        sizes = []
+        real = engine._resize
+
+        def logged(columns, size):
+            sizes.append(size)
+            real(columns, size)
+
+        monkeypatch.setattr(engine, "_resize", logged)
+        monkeypatch.setattr(engine, "_summarize", lambda traj: None)
+        traj = run(SimConfig(pair=uniform_pair, rho=0.6, duration=1e6 / 2.6, seed=1))
+        assert traj.n_events > 990_000
+        assert sizes in ([], [traj.n_events])
 
 
 # (look-ahead window, shortest bulk stretch)
@@ -788,18 +817,24 @@ class TestDroppedOrders:
     @pytest.mark.parametrize("events", [pytest.param(v, id=k) for k, v in STREAMS.items()])
     def test_busy_run_equals_the_loop_over_every_event(self, events):
         # the loop applies a dropped order as a no-op, so stepping every
-        # event is the reference for a busy run that leaves them to _rows;
-        # the book starts with quotes of its own
+        # event is the reference for a busy run that leaves them out of the
+        # book stage, with its record mapped back to positions in the
+        # chunk; the book starts with quotes of its own
         kinds = np.array([k for k, _ in events], dtype=np.uint8)
         prices = np.array([x for _, x in events])
         results = []
-        for stepped in (np.ones(len(kinds), dtype=bool), kinds != DROPPED):
+        for kept in (np.arange(len(kinds)), np.flatnonzero(kinds != DROPPED)):
             book = OrderBook(PAIRS["uniform"].interval, (0.3, 0.4), (0.6, 0.7))
             quotes = (array("d", [book.bid]), array("d", [book.ask]))
-            last = engine._book_loop(book, book.bid, book.ask, kinds[stepped], prices[stepped], quotes)
-            rows = (np.empty(len(kinds)), np.empty(len(kinds) + 1), np.empty(len(kinds) + 1))
-            engine._rows(kinds, prices, stepped, quotes, book.interval, rows)
-            results.append((last, [col.tobytes() for col in rows], book.snapshot()))
+            last = engine._book_loop(book, book.bid, book.ask, kinds[kept], prices[kept], quotes)
+            stepped = np.ones(len(kept), dtype=bool)
+            traded, moved, *moved_quotes = engine._chunk_record(
+                kinds[kept], prices[kept], stepped, quotes, book.interval
+            )
+            full = np.zeros(len(kinds), dtype=bool)
+            full[kept[traded]] = True
+            record = [full, kept[moved]] + moved_quotes
+            results.append((last, [col.tobytes() for col in record], book.snapshot()))
         assert results[0] == results[1]
 
     def test_runs_match_the_slow_path(self, monkeypatch):
@@ -830,14 +865,24 @@ class TestDroppedOrders:
         assert seen and sum(seen) == 0
 
 
+def traced(fn, *args):
+    """``fn(*args)`` and the peak memory that tracemalloc traced in the call."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestPrepassMemory:
-    # peak traced memory of run() beyond its five output columns, with the
-    # post-run reduction stubbed out; measured 5.7 MB at 2**17 and 5.0 MB
-    # at 2**19 events, and 4.6 MB and 5.3 MB to the duration horizons
-    # (CPython 3.11, numpy 2.4; 6.2 MB and 6.3 MB to the events horizons
-    # when the columns were copied chunk by chunk into growing arrays).  The
-    # bound keeps its 25% headroom over those older figures.  A pre-pass
-    # over the whole horizon at once needs tens of MB more at 2**19.
+    # peak traced memory of run() beyond the arrays its Trajectory stores,
+    # with the post-run reduction stubbed out; measured 5.6 MB at 2**17 and
+    # 4.9 MB at 2**19 events, and 5.0 MB to both duration horizons (CPython
+    # 3.11, numpy 2.4; 6.2 MB and 6.3 MB to the events horizons when the
+    # columns were copied chunk by chunk into growing arrays).  The bound
+    # keeps its 25% headroom over those older figures.  A pre-pass over the
+    # whole horizon at once needs tens of MB more at 2**19.
     OVERHEAD = 8_000_000
 
     @pytest.mark.parametrize("events", [1 << 17, 1 << 19])
@@ -846,67 +891,59 @@ class TestPrepassMemory:
         # volume 0.6 on the uniform pair: the book stays small
         window = PriceInterval(0.4, 0.6)
         cfg = SimConfig(pair=uniform_pair, events=events, seed=3, restriction=window)
-        tracemalloc.start()
-        try:
-            traj = run(cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        columns = (traj.times, traj.kinds, traj.trade_prices, traj.bids, traj.asks)
-        assert peak - sum(col.nbytes for col in columns) < self.OVERHEAD
+        traj, peak = traced(run, cfg)
+        assert peak - stored_bytes(traj) < self.OVERHEAD
 
     @pytest.mark.parametrize("events", [1 << 17, 1 << 19])
     def test_peak_does_not_grow_with_duration(self, uniform_pair, events, monkeypatch):
-        # the same runs to a duration horizon (total rate 2), whose columns
-        # grow from engine._CAPACITY events while the run goes on
+        # the same runs to a duration horizon (total rate 2), over many
+        # chunks of the pre-pass
         monkeypatch.setattr(engine, "_summarize", lambda traj: None)
         window = PriceInterval(0.4, 0.6)
         cfg = SimConfig(pair=uniform_pair, duration=events / 2, seed=3, restriction=window)
-        tracemalloc.start()
-        try:
-            traj = run(cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert traj.n_events > engine._CAPACITY
-        columns = (traj.times, traj.kinds, traj.trade_prices, traj.bids, traj.asks)
-        assert peak - sum(col.nbytes for col in columns) < self.OVERHEAD
+        traj, peak = traced(run, cfg)
+        assert traj.n_events > engine._BLOCK
+        assert peak - stored_bytes(traj) < self.OVERHEAD
 
 
 class TestSummaryMemory:
-    # peak traced memory of run() with its summary beyond the five output
-    # columns, on a run that freezes; measured 5.9 MB at 2**17 and 7.7 MB at
-    # 2**19 events (CPython 3.11, numpy 2.4; 6.5 MB and 8.3 MB before the
-    # columns were preallocated), and the bound keeps its 25% headroom over
-    # the older figures.  A freeze scan over whole-run arrays needs about
-    # 30 MB at 2**19.
+    # peak traced memory of run() with its summary beyond the arrays its
+    # Trajectory stores, on a run that freezes; measured 5.9 MB at 2**17 and
+    # 7.7 MB at 2**19 events (CPython 3.11, numpy 2.4; 6.5 MB and 8.3 MB
+    # before the columns were preallocated), and the bound keeps its 25%
+    # headroom over the older figures.  Most of it is the book, whose
+    # resting orders grow with the events.  A freeze scan over whole-run
+    # arrays needs about 30 MB at 2**19.
     OVERHEAD = 10_400_000
 
     @pytest.mark.parametrize("events", [1 << 17, 1 << 19])
     def test_freeze_scan_stays_small(self, uniform_pair, events):
         cfg = SimConfig(pair=uniform_pair, events=events, seed=3, rho=0.6)
-        tracemalloc.start()
-        try:
-            traj = run(cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        traj, peak = traced(run, cfg)
         assert traj.summary.frozen
-        columns = (traj.times, traj.kinds, traj.trade_prices, traj.bids, traj.asks)
-        assert peak - sum(col.nbytes for col in columns) < self.OVERHEAD
+        assert peak - stored_bytes(traj) < self.OVERHEAD
+
+    def test_frozen_replica_stays_compact(self, uniform_pair):
+        # a replica of the freeze model, 1e6 events at rho 0.6: it stores
+        # the times (8 B per event), the kinds (1 B), the trade bits (1/8 B)
+        # and some 200 quote change points of 24 B, 9.13 B per event (33 B
+        # in five per-event columns before).  Its traced peak, the summary
+        # included, was 18.7 B per event (45.8 B before).
+        traj, peak = traced(run, SimConfig(pair=uniform_pair, events=10**6, seed=3, rho=0.6))
+        assert traj.summary.frozen
+        assert stored_bytes(traj) <= 10 * traj.n_events
+        assert peak <= 24 * traj.n_events
+        # the summary read no derived column
+        assert not set(DERIVED) & set(vars(traj))
 
     def test_window_scan_copies_no_quotes(self, uniform_pair):
-        # the window extremes come from one boolean mask of the post-burn-in
-        # quotes at a time (measured 0.26 MB here); copying the resting
-        # quotes, as a mask-and-index would, took 4.5 MB
+        # the window extremes come from the runs of equal post-burn-in
+        # quotes, a few hundred on this frozen run; a boolean mask of the
+        # post-burn-in quotes of every event took 0.26 MB here, and copying
+        # the resting quotes, as a mask-and-index would, 4.5 MB
         traj = run(SimConfig(pair=uniform_pair, events=1 << 19, seed=1, rho=0.6))
         assert traj.summary.frozen
-        tracemalloc.start()
-        try:
-            we = estimate_window(traj)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        we, peak = traced(estimate_window, traj)
         assert (we.lo, we.hi) == (traj.summary.window_lo, traj.summary.window_hi)
         assert peak < 2 * (traj.n_events - traj.burn_index)
 
@@ -1077,7 +1114,30 @@ class TestHorizons:
             SimConfig(pair=uniform_pair, events=10, rho=-0.1)
 
 
+def bits(value):
+    """``value`` as compared bit for bit: a float by its bytes, any NaN
+    alike; anything else as it is."""
+    if isinstance(value, float):
+        return "nan" if math.isnan(value) else struct.pack("<d", value)
+    return value
+
+
 class TestSummary:
+    @given(cfg=sim_configs(), to_duration=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_reference(self, cfg, to_duration):
+        """The summary from runs of equal quotes against ``oracle.summarize``
+        on whole-run arrays: all 16 fields, bit for bit.  A duration
+        horizon ends after its last event, so its last state has weight."""
+        if to_duration:
+            inv_total = RateTable.from_pair(cfg.pair, cfg.rho).inv_total
+            cfg = replace(cfg, events=None, duration=(cfg.events + 1) * inv_total)
+        traj = run(cfg)
+        got, want = astuple(traj.summary), astuple(oracle.summarize(traj))
+        assert len(got) == 16
+        for f, x, y in zip(fields(traj.summary), got, want):
+            assert bits(x) == bits(y), f.name
+
     def test_cdf_matches_direct_recomputation(self, uniform_pair):
         cfg = SimConfig(pair=uniform_pair, events=20_000, seed=31)
         traj = run(cfg)
@@ -1204,24 +1264,34 @@ FREEZE_BLOCKS = (1, 7, 64, engine._FREEZE_BLOCK)
 def crafted_run(uniform_pair, bids, asks):
     """The fields detect_freeze and estimate_window read, for crafted
     quotes on the uniform pair (eps 0.01, burn-in half the events): event
-    i at time i + 1."""
+    i at time i + 1, from an empty book.  The engine reads the quotes as
+    change points, the reference as ``bids`` and ``asks``."""
     n = len(bids)
+    bids, asks = np.array(bids, dtype=float), np.array(asks, dtype=float)
+    # the quotes before the first event and after each, and where they move
+    b, a = np.append(0.0, bids), np.append(1.0, asks)
+    at = np.flatnonzero(np.append(True, (b[1:] != b[:-1]) | (a[1:] != a[:-1])))
     return SimpleNamespace(
         config=SimConfig(pair=uniform_pair, events=n),
         n_events=n,
         burn_index=n // 2,
         times=np.arange(1.0, n + 1.0),
-        bids=np.array(bids, dtype=float),
-        asks=np.array(asks, dtype=float),
+        bids=bids,
+        asks=asks,
+        _quote_at=at,
+        _quote_bids=b[at],
+        _quote_asks=a[at],
     )
 
 
 def settled(n, breaks=()):
-    """Quotes 0.5 and 0.505 for ``n`` events, with the bid at 0.3 at each
-    index of ``breaks``: the stable suffix starts after the last one."""
+    """Quotes 0.5 and 0.505 for ``n`` events, with the ask at 0.504 at
+    every other event before the last, so each event is a run of equal
+    quotes of its own, and the bid at 0.3 at each index of ``breaks``: the
+    stable suffix starts after the last one."""
     bids = np.full(n, 0.5)
     bids[list(breaks)] = 0.3
-    return bids, np.full(n, 0.505)
+    return bids, 0.505 - 0.001 * ((n - 1 - np.arange(n)) % 2)
 
 
 # (bid, ask) at an event among bids in [0.5, 0.502] and asks up to 0.504 that
@@ -1325,8 +1395,8 @@ class TestFreezeDetection:
         ],
     )
     def test_crafted_quotes(self, uniform_pair, monkeypatch, block, n, breaks, start):
-        # blocks count from the end: with 35 events and a block of 7, index
-        # 13 ends a block and 14 starts one
+        # blocks count from the end: with 35 events, each a run of equal
+        # quotes, and a block of 7, index 13 ends a block and 14 starts one
         monkeypatch.setattr(engine, "_FREEZE_BLOCK", block)
         traj = crafted_run(uniform_pair, *settled(n, breaks))
         fz = detect_freeze(traj)
@@ -1422,6 +1492,28 @@ class TestEnsemble:
         assert stats[1].trade_count == solo.summary.trade_count
         assert stats[1].min_bid == solo.bids.min()
         assert stats[1] == solo.summary
+
+    def test_replicas_build_no_derived_column(self, uniform_pair, monkeypatch):
+        # a replica's summary reduces the compact form: no per-event quote
+        # or trade price is built, in a frozen run or in a busy restricted
+        # one whose sides empty
+        made = []
+        real = engine.run
+
+        def kept(config):
+            made.append(real(config))
+            return made[-1]
+
+        monkeypatch.setattr(engine, "run", kept)
+        for cfg in (
+            SimConfig(pair=uniform_pair, events=20_000, seed=76, rho=0.6),
+            SimConfig(pair=uniform_pair, events=20_000, seed=77, restriction=PriceInterval(0.4, 0.6)),
+        ):
+            made.clear()
+            stats = run_ensemble(cfg, replicas=3, workers=1)
+            assert [traj.summary for traj in made] == stats
+            assert not any(set(DERIVED) & set(vars(traj)) for traj in made)
+        assert stats[0].empty_buy_prob > 0.0
 
     def test_rejects_zero_replicas(self, uniform_pair):
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lobmm
@@ -24,6 +25,7 @@ from lobmm import (
     FreezeReport,
     MonotoneCurve,
     OrderBook,
+    PriceInterval,
     RateTable,
     SimConfig,
     TrajectorySummary,
@@ -148,7 +150,9 @@ def test_class_attributes(cls):
 
 def test_bench_tracer_still_binds(tmp_path):
     """The benchmark's tracer wraps lobmm functions by module and name and
-    reads each run's record; a rename here would break its traced runs."""
+    reads each run's record; a rename here would break its traced runs.
+    It reads a frozen replica and a restricted run, whose dropped orders
+    it counts, from what the trajectory stores."""
     spec = importlib.util.spec_from_file_location("lobmm_bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
@@ -162,15 +166,25 @@ def test_bench_tracer_still_binds(tmp_path):
     assert attrs["orders"] >= attrs["levels"] >= 0
     assert tracer._attrs_ensemble((cfg,), {"replicas": 3, "workers": 2}, None) == {"pool": 2}
 
-    with tracer.Tracer(tmp_path) as traced:
-        lobmm.engine.run(cfg)
-    spans = {s["name"]: s for s in traced.spans}
-    assert spans["engine.run"]["attrs"]["events"] == 100
-    # the post-run reduction happens inside run(): a traced call made while
-    # the tracer reads a run's attributes would, in a pool worker, flush the
-    # run's span before its attributes are set
-    assert spans["engine.detect_freeze"]["parent"] == spans["engine.run"]["id"]
-    assert spans["engine.estimate_window"]["parent"] == spans["engine.run"]["id"]
+    frozen = SimConfig(pair=make_uniform_pair(), events=20_000, seed=1, rho=0.6, replica=1)
+    restricted = SimConfig(pair=make_uniform_pair(), events=20_000, seed=1, restriction=PriceInterval(0.4, 0.6))
+    read = {}
+    for config in (cfg, frozen, restricted):
+        traj = run(config)
+        attrs = tracer._attrs_run((config,), {}, traj)
+        assert attrs["dropped"] == np.count_nonzero(traj.kinds == lobmm.engine.DROPPED)
+        assert (attrs["events"], attrs["trades"]) == (traj.summary.n_events, traj.summary.trade_count)
+        with tracer.Tracer(tmp_path) as traced:
+            lobmm.engine.run(config)
+        spans = {s["name"]: s for s in traced.spans}
+        assert spans["engine.run"]["attrs"] == attrs
+        # the post-run reduction happens inside run(): a traced call made
+        # while the tracer reads a run's attributes would, in a pool worker,
+        # flush the run's span before its attributes are set
+        assert spans["engine.detect_freeze"]["parent"] == spans["engine.run"]["id"]
+        assert spans["engine.estimate_window"]["parent"] == spans["engine.run"]["id"]
+        read[config] = traj.summary, attrs
+    assert read[frozen][0].frozen and read[restricted][1]["dropped"] > 0
 
 
 def test_cli_run_is_read_from_the_engine(monkeypatch):
