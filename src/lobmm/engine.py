@@ -318,7 +318,7 @@ class Trajectory:
     def trade_prices(self) -> np.ndarray:
         return _read_only(self._trade_prices(0, self.n_events))
 
-    def _columns(self) -> Tuple["_Column", "_Column", "_Column"]:
+    def _columns(self) -> Tuple[_Column, _Column, _Column]:
         """``trade_prices``, ``bids`` and ``asks`` as columns that build
         only the slices read from them, so that a writer going block by
         block never holds them whole."""
@@ -825,8 +825,10 @@ def _summarize(traj: Trajectory) -> TrajectorySummary:
     if k0 < n:
         starts, tail_bids, tail_asks = _segments(traj, k0)
         buy_empty, sell_empty = tail_bids == lo, tail_asks == hi
+        # a side that never empties has probability 0.0, as its zero sum of
+        # weights would give; so the weights are built only where one does,
+        # which a frozen run after its burn-in does not
         empty_buy = empty_sell = 0.0
-        # the weights only where a side empties: a frozen run never does
         if buy_empty.any() or sell_empty.any():
             w = _occupation_weights(traj)
             runs = np.diff(starts, append=n)
