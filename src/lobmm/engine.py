@@ -42,20 +42,15 @@ and the quotes and trade prices of every event follow by one rule:
   at or above that ask; sells mirror this at the bid.  Every other event
   has trade price NaN.
 
-A run stores its events compactly (see :class:`Trajectory`): the times and
-kinds, one trade bit per event, and the quotes as change points, the
-events after which the loop moved a quote and the quotes it moved them
-to.  :func:`run` fills the per-event arrays one chunk at a time, each
-chunk into its own slice, and :func:`_chunk_record` reads a chunk's trade
-bits and change points off its stepped quotes; no per-event quote or
-trade price is written.  The bid, ask and trade-price columns are built
-from the compact form when first read, or a slice at a time for a writer
-that goes block by block.  An ``events`` horizon sizes the
-arrays once.  A ``duration`` horizon sizes them for its expected count
-and a few standard deviations more (:func:`_capacity`); they grow in
-place by at least an eighth whenever a chunk would not fit, and are
-trimmed to the run's events at the end, so both horizons share the one
-assembly path.
+A run stores only what the book decides (see :class:`Trajectory`): the
+quotes as change points (the events after which the loop moved a quote,
+their times, and the quotes after them), the trade count, the final book
+and the snapshots.  No per-event array outlives its chunk, so nothing is
+sized by the horizon.  Every per-event column is derived: the pre-pass
+never reads the book, so one replay of it from the seed gives the times
+and kinds, and with the change points the trade bits by the rule above,
+and from those the bid, ask and trade-price columns, built whole when
+first read, or a slice at a time for a writer that goes block by block.
 
 The model one event at a time, written for reading rather than speed,
 lives with the tests in ``tests/oracle.py``.  The test-suite pins
@@ -65,15 +60,17 @@ change the two in lockstep.  ``_BLOCK`` and the order of the block draws
 (exponential block, then uniform block, each refilled when the next draw
 needs it, the exponential first when both fall on one event) are part of
 the byte-identity contract: changing either changes every trajectory.  The
-look-ahead constants ``_LOOK`` and ``_MIN_STRETCH``, and the first
-capacity of the arrays, are not: any positive values give the same bytes.
+look-ahead constants ``_LOOK`` and ``_MIN_STRETCH`` are not: any positive
+values give the same bytes.
 
 After a run, :attr:`Trajectory.summary` reduces it, once, to the
 :class:`TrajectorySummary` record that ``simulate``, ``sweep``, ``freeze``
 and :func:`run_ensemble` all report from.  It reads the compact form
-directly, scanning runs of equal quotes rather than events, so a replica
-of :func:`run_ensemble` never builds a per-event quote or trade price.
-The quote CDFs that ``compare`` checks come from :func:`quote_cdfs`.
+directly, scanning runs of equal quotes rather than events.  It replays
+the run only where a post-burn-in run of equal quotes has an empty side,
+for the occupation times, so a frozen replica of :func:`run_ensemble`
+keeps no per-event array at all.  The quote CDFs that ``compare`` checks
+come from :func:`quote_cdfs`.
 """
 
 from __future__ import annotations
@@ -125,11 +122,6 @@ _BLOCK = 1 << 16
 # change no byte of a run, only its speed.
 _LOOK = 1024
 _MIN_STRETCH = 128
-
-# standard deviations of its Poisson count that a duration horizon's arrays
-# hold beyond its expected count before they first grow (see _capacity);
-# like _LOOK it changes no byte of a run
-_HEADROOM = 6.0
 
 # points of the price grid that the post-burn-in quote CDFs are sampled on
 _CDF_GRID_SIZE = 1024
@@ -268,32 +260,37 @@ class Trajectory:
 
     State ``i`` (``bids[i]``, ``asks[i]``), the quotes after event ``i``,
     holds on ``[times[i], times[i+1])``; post-burn-in reductions weight it
-    accordingly.  The run stores its events compactly:
+    accordingly.  The run stores what the book decides:
 
-    - ``times`` and ``kinds`` (the kind codes of the module docstring);
-    - ``_traded``, one bit per event, set where the event traded
-      (``np.packbits`` order);
     - the quotes as change points: the quotes before event ``i`` are
       ``_quote_bids[j]`` and ``_quote_asks[j]`` for the last ``j`` with
       ``_quote_at[j] <= i``.  ``_quote_at`` opens with 0, the quotes before
       the first event, and rises strictly to at most ``n_events``, the
-      quotes after the last one.
+      quotes after the last one;
+    - ``_quote_times[j]``, the time of the event after which change point
+      ``j`` holds, the first state of its run of equal quotes (``times[0]``
+      for the opening one; 0.0 in a run of no events);
+    - ``_trade_count``, the events that traded;
+    - ``end_time``, the final book and the snapshots.
 
-    ``bids``, ``asks`` and ``trade_prices`` are derived: read-only arrays,
-    one entry per event, built from the compact form when first read and
-    then kept.  The summary never reads them, and ``simulate`` writes them
-    through :meth:`_columns`, a block of rows at a time.
+    Every per-event column is derived: a read-only array built when first
+    read and then kept.  One replay of the pre-pass from the seed builds
+    ``times``, ``kinds`` (the kind codes of the module docstring) and
+    ``_traded``, one trade bit per event (``np.packbits`` order), together;
+    ``bids``, ``asks`` and ``trade_prices`` follow from those and the
+    change points.  The summary replays only to weigh a post-burn-in empty
+    side, and ``simulate`` writes the quote and trade-price columns through
+    :meth:`_columns`, a block of rows at a time.
     """
 
     config: SimConfig
     n_events: int
     end_time: float
-    times: np.ndarray
-    kinds: np.ndarray
-    _traded: np.ndarray
     _quote_at: np.ndarray
+    _quote_times: np.ndarray
     _quote_bids: np.ndarray
     _quote_asks: np.ndarray
+    _trade_count: int
     final_book: OrderBook
     snapshots: Dict[int, BookSnapshot]
     summary: TrajectorySummary = field(init=False)
@@ -306,6 +303,11 @@ class Trajectory:
         # reduce inside run(), so timing or tracing run() covers the whole run
         object.__setattr__(self, "summary", _summarize(self))
 
+    # one replay builds all three (see _replay)
+    times = cached_property(lambda self: self._replay()[0])
+    kinds = cached_property(lambda self: self._replay()[1])
+    _traded = cached_property(lambda self: self._replay()[2])
+
     @cached_property
     def bids(self) -> np.ndarray:
         return _read_only(self._quotes(self._quote_bids, 0, self.n_events))
@@ -317,6 +319,30 @@ class Trajectory:
     @cached_property
     def trade_prices(self) -> np.ndarray:
         return _read_only(self._trade_prices(0, self.n_events))
+
+    def _replay(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(times, kinds, _traded)``, replayed from the seed through
+        :func:`_event_chunks`, and kept as all three columns at once.  It
+        calls nothing that reads the book or evaluates a curve."""
+        config, n = self.config, self.n_events
+        times, kinds = np.empty(n), np.empty(n, dtype=np.uint8)
+        traded = np.empty(-(-n // 8), dtype=np.uint8)
+        head = np.zeros(0, dtype=bool)  # the bits not yet packed into a byte
+        start = byte = 0
+        for t, k, x in _event_chunks(config, RateTable.from_pair(config.pair, config.rho)):
+            stop = start + len(k)
+            times[start:stop], kinds[start:stop] = t, k
+            # the quotes before event i are those of state i - 1
+            bid, ask = (self._quotes(q, start - 1, stop - 1) for q in (self._quote_bids, self._quote_asks))
+            bits = np.concatenate((head, _trades(k, x, bid, ask, config.pair.interval)))
+            full = len(bits) & ~7
+            traded[byte : byte + full // 8] = np.packbits(bits[:full])
+            byte, head = byte + full // 8, bits[full:]
+            start = stop
+        traded[byte:] = np.packbits(head)
+        columns = tuple(_read_only(c) for c in (times, kinds, traded))
+        vars(self).update(zip(("times", "kinds", "_traded"), columns))
+        return columns
 
     def _columns(self) -> Tuple[_Column, _Column, _Column]:
         """``trade_prices``, ``bids`` and ``asks`` as columns that build
@@ -331,7 +357,7 @@ class Trajectory:
 
     def _quotes(self, quotes: np.ndarray, start: int, stop: int) -> np.ndarray:
         """``quotes`` of the change points, one per state from ``start``
-        to ``stop``."""
+        to ``stop``; state -1 holds the quotes before the first event."""
         if start >= stop:
             return np.zeros(0)
         # state i holds the quotes of the last change point at or before i + 1
@@ -609,6 +635,14 @@ def _quiet_stretch(
     return q
 
 
+def _trades(kinds, prices, bid, ask, interval: PriceInterval) -> np.ndarray:
+    """Whether each event traded, by the rule of the module docstring, from
+    its kind, its price and the quotes ``bid`` and ``ask`` before it."""
+    buy = ((kinds == 0) & (ask < interval.hi)) | ((kinds == 2) & (prices >= ask))
+    sell = ((kinds == 1) & (bid > interval.lo)) | ((kinds == 3) & (prices <= bid))
+    return buy | sell
+
+
 def _chunk_record(
     kinds: np.ndarray,
     prices: np.ndarray,
@@ -616,23 +650,21 @@ def _chunk_record(
     quotes: Tuple[array, array],
     interval: PriceInterval,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """What a run keeps of the events that one chunk's book stage saw, by
-    the rule of the module docstring: ``(traded, moved, bids, asks)``,
-    whether each event traded, and the change points, the positions of the
-    events after which a quote moved and the quotes after them.
-    ``stepped`` marks the events the loop stepped, and ``quotes`` holds the
-    quotes before the chunk and after each stepped event."""
+    """What a run keeps of the events that one chunk's book stage saw:
+    ``(traded, moved, bids, asks)``, whether each event traded, and the
+    change points, the positions of the events after which a quote moved
+    and the quotes after them.  ``stepped`` marks the events the loop
+    stepped, and ``quotes`` holds the quotes before the chunk and after
+    each stepped event."""
     bids, asks = np.frombuffer(quotes[0]), np.frombuffer(quotes[1])
     # the index in ``quotes`` of the quotes before each event
     before = np.zeros(len(kinds), dtype=np.intp)
     np.cumsum(stepped[:-1], out=before[1:])
-    bid, ask = bids[before], asks[before]
-    buy = ((kinds == 0) & (ask < interval.hi)) | ((kinds == 2) & (prices >= ask))
-    sell = ((kinds == 1) & (bid > interval.lo)) | ((kinds == 3) & (prices <= bid))
+    traded = _trades(kinds, prices, bids[before], asks[before], interval)
     # compare bits, so that the quotes read back are the loop's to the bit
     b, a = bids.view(np.int64), asks.view(np.int64)
     moved = np.flatnonzero((b[1:] != b[:-1]) | (a[1:] != a[:-1]))
-    return buy | sell, np.flatnonzero(stepped)[moved], bids[moved + 1], asks[moved + 1]
+    return traded, np.flatnonzero(stepped)[moved], bids[moved + 1], asks[moved + 1]
 
 
 def run(config: SimConfig) -> Trajectory:
@@ -645,10 +677,11 @@ def run(config: SimConfig) -> Trajectory:
     events in bulk, and :func:`_book_loop` steps the event that ends it;
     where the stream is busy, the loop steps runs of events instead,
     doubled while it stays busy.  :func:`_chunk_record` then reads the
-    chunk's trade bits and quote change points.  The final book keeps its
-    cold tiers; its order totals count them, and its whole-book views
-    merge them in when first read.  Each chunk goes straight into its
-    slice of the run's per-event arrays (see the module docstring).
+    chunk's trade bits, which the run only counts, and its quote change
+    points, which it keeps with their events' times.  The final book
+    keeps its cold tiers; its order totals count them, and its whole-book
+    views merge them in when first read.  The per-event columns are
+    replayed when read (see :class:`Trajectory`).
     """
     pair = config.pair
     require_core_assumptions(pair)
@@ -657,26 +690,21 @@ def run(config: SimConfig) -> Trajectory:
     book = OrderBook(pair.interval, config.initial_buys, config.initial_sells)
     bid, ask = book.bid, book.ask
 
-    # per-event arrays: time, kind, and the trade bits packed eight to a byte
-    size = _capacity(config, rates)
-    columns = [np.empty(size), np.empty(size, dtype=np.uint8), np.empty(-(-size // 8), dtype=np.uint8)]
-    t_col, k_col, traded_col = columns
-    # the change points, one array per chunk; the first holds the quotes
-    # before the first event
-    moves = [(np.zeros(1, dtype=np.intp), np.array([bid]), np.array([ask]))]
+    # the change points, with their events' times, one array per chunk; the
+    # first holds the quotes before the first event, at that event's time
+    moves = [(np.zeros(1, dtype=np.intp), np.zeros(1), np.array([bid]), np.array([ask]))]
+    trades = 0
 
     snap_at = set(config.snapshot_at)
     snapshots: Dict[int, BookSnapshot] = {0: book.snapshot()} if 0 in snap_at else {}
 
     look, busy = _LOOK, _MIN_STRETCH
     n = 0
+    end_time = 0.0
     for times, kinds, prices in _event_chunks(config, rates):
-        end = n + len(kinds)
-        if end > size:  # only a duration horizon outgrows its arrays
-            size = max(end, size + (size >> 3))
-            _resize(columns, size)
-        t_col[n:end] = times
-        k_col[n:end] = kinds
+        if not n:
+            moves[0][1][0] = times[0]
+        end_time = float(times[-1])
         # the book stage never sees a dropped order
         kept = np.flatnonzero(kinds != DROPPED) if (kinds == DROPPED).any() else None
         book_kinds, book_prices = (kinds, prices) if kept is None else (kinds[kept], prices[kept])
@@ -704,16 +732,14 @@ def run(config: SimConfig) -> Trajectory:
         traded, moved, moved_bids, moved_asks = _chunk_record(
             book_kinds, book_prices, stepped, quotes, pair.interval
         )
+        trades += int(np.count_nonzero(traded))
         if kept is not None:  # back to positions in the whole chunk
-            every = np.zeros(len(kinds), dtype=bool)
-            every[kept] = traded
-            traded, moved = every, kept[moved]
-        _write_bits(traded_col, n, traded)
+            moved = kept[moved]
         # the quotes after event n + i are change point n + i + 1
-        moves.append((moved + (n + 1), moved_bids, moved_asks))
+        moves.append((moved + (n + 1), times[moved], moved_bids, moved_asks))
         # free the chunk's book stage before the pre-pass decodes the next chunk
         book_kinds = book_prices = kept = stepped = quotes = traded = None
-        n = end
+        n += len(kinds)
         if n in snap_at:
             snapshots[n] = book.snapshot()
 
@@ -721,46 +747,12 @@ def run(config: SimConfig) -> Trajectory:
     times = kinds = prices = None
     # the book stage leaves the order totals to the end
     book._count_orders()
-    if n < size:  # a duration horizon keeps only the run's events
-        _resize(columns, n)
-    quote_at, quote_bids, quote_asks = (np.concatenate(parts) for parts in zip(*moves))
-    out = (t_col, k_col, traded_col, quote_at, quote_bids, quote_asks)
-    for arr in out:
+    change_points = [np.concatenate(parts) for parts in zip(*moves)]
+    for arr in change_points:
         arr.flags.writeable = False
-
-    end_time = float(t_col[-1]) if n else 0.0
     if config.duration is not None:
         end_time = config.duration
-    return Trajectory(config, n, end_time, *out, book, snapshots)
-
-
-def _capacity(config: SimConfig, rates: RateTable) -> int:
-    """Events that the per-event arrays of a run hold before they first
-    grow: an ``events`` horizon's count, or a ``duration`` horizon's
-    expected count and ``_HEADROOM`` standard deviations of it more."""
-    if config.events is not None:
-        return config.events
-    expected = config.duration / rates.inv_total
-    # a count past any memory (inf included) fails at once, in np.empty
-    return int(min(expected + _HEADROOM * math.sqrt(expected), 2.0**62))
-
-
-def _resize(columns: List[np.ndarray], size: int) -> None:
-    """Resize the per-event arrays ``columns`` (time, kind, packed trade
-    bits) in place to ``size`` events.  No view of them may live across
-    the call: the memory may move."""
-    for col, length in zip(columns, (size, size, -(-size // 8))):
-        col.resize(length, refcheck=False)
-
-
-def _write_bits(packed: np.ndarray, start: int, bits: np.ndarray) -> None:
-    """Write ``bits`` into ``packed`` from bit ``start`` on, keeping the
-    bits before it in their byte."""
-    byte, head = divmod(start, 8)
-    if head:
-        bits = np.concatenate((np.unpackbits(packed[byte : byte + 1], count=head).view(bool), bits))
-    chunk = np.packbits(bits)
-    packed[byte : byte + len(chunk)] = chunk
+    return Trajectory(config, n, end_time, *change_points, trades, book, snapshots)
 
 
 def _occupation_weights(traj: Trajectory) -> Optional[np.ndarray]:
@@ -812,7 +804,6 @@ def _summarize(traj: Trajectory) -> TrajectorySummary:
         wlo = whi = None
     config, n = traj.config, traj.n_events
     lo, hi = config.pair.interval.lo, config.pair.interval.hi
-    trades = int(np.count_nonzero(np.unpackbits(traj._traded)))  # the padding bits are 0
     _, bids, asks = _segments(traj)
     # resting prices lie strictly inside the interval, so a quote on the
     # interval edge marks an empty side
@@ -826,8 +817,8 @@ def _summarize(traj: Trajectory) -> TrajectorySummary:
         starts, tail_bids, tail_asks = _segments(traj, k0)
         buy_empty, sell_empty = tail_bids == lo, tail_asks == hi
         # a side that never empties has probability 0.0, as its zero sum of
-        # weights would give; so the weights are built only where one does,
-        # which a frozen run after its burn-in does not
+        # weights would give; so the run is replayed for its weights only
+        # where one does, which a frozen run after its burn-in does not
         empty_buy = empty_sell = 0.0
         if buy_empty.any() or sell_empty.any():
             w = _occupation_weights(traj)
@@ -838,7 +829,7 @@ def _summarize(traj: Trajectory) -> TrajectorySummary:
     return TrajectorySummary(
         replica=config.replica,
         n_events=n,
-        trade_count=trades,
+        trade_count=traj._trade_count,
         min_bid=float(bids.min()) if n else math.nan,
         max_ask=float(asks.max()) if n else math.nan,
         empty_book_transitions=empties,
@@ -954,7 +945,9 @@ def detect_freeze(traj: Trajectory) -> Optional[FreezeReport]:
     if n - k < max(1, int(_FREEZE_SPAN * n)):
         return None
     midpoint = 0.5 * (bids[-1] + asks[-1])
-    return FreezeReport(float(traj.times[k]), float(midpoint), k)
+    # the runs are the last c change points, each at its first state's time
+    t = traj._quote_times[len(traj._quote_at) - c + j]
+    return FreezeReport(float(t), float(midpoint), k)
 
 
 def image_book(book: OrderBook, divisor: float) -> OrderBook:

@@ -726,6 +726,28 @@ class TestSimulate:
         assert header == ["side", "price", "count"]
         assert len(rows) == booked  # uniform pair: all resting counts are 1
 
+    def test_each_replica_replays_once(self, tmp_path, outdir, monkeypatch):
+        # the run draws its events once and the trajectory.csv writer once
+        # more, by one replay; where the summary has replayed already, for a
+        # side that empties after the burn-in, the writer reuses its columns
+        calls = []
+        real = engine._event_chunks
+
+        def counted(config, rates):
+            calls.append(config.replica)
+            return real(config, rates)
+
+        monkeypatch.setattr(engine, "_event_chunks", counted)
+        frozen = dict(self.base(events=5_000, replicas=2), model=dict(UNIFORM_MODEL, rho=0.6))
+        restricted = self.base(events=5_000, replicas=2, restriction=[0.4, 0.6])
+        for name, doc in (("frozen", frozen), ("restricted", restricted)):
+            calls.clear()
+            cfg = write_config(tmp_path, doc, f"{name}.json")
+            assert main(["simulate", cfg, "--seed", "1", "--out", str(outdir / name)]) == 0
+            assert calls == [0, 0, 1, 1]
+        assert read_json(outdir / "frozen" / "replica-000" / "summary.json")["freeze"] is not None
+        assert read_json(outdir / "restricted" / "replica-000" / "summary.json")["empty_buy_prob"] > 0.0
+
     def test_trajectory_row_count_honors_events(self, tmp_path, outdir):
         cfg = write_config(tmp_path, self.base(events=500))
         assert main(["simulate", cfg, "--seed", "9", "--out", str(outdir)]) == 0

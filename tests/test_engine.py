@@ -55,14 +55,28 @@ PAIRS = {
     "evenodd": make_evenodd_pair(3),
 }
 
-# what a Trajectory stores of its events, and the columns it derives from them
-STORED = ("times", "kinds", "_traded", "_quote_at", "_quote_bids", "_quote_asks")
-DERIVED = ("trade_prices", "bids", "asks")
+# what a Trajectory stores of its events, its quote change points, and the
+# per-event columns it derives from them and from a replay of its seed
+STORED = ("_quote_at", "_quote_times", "_quote_bids", "_quote_asks")
+DERIVED = ("times", "kinds", "trade_prices", "bids", "asks")
 
 
 def stored_bytes(traj: Trajectory) -> int:
     """Bytes of the arrays ``traj`` stores, the derived columns not included."""
     return sum(getattr(traj, name).nbytes for name in STORED)
+
+
+def counted_chunks(monkeypatch) -> list:
+    """Patch ``engine._event_chunks`` to count its calls; returns the one-entry count."""
+    calls = [0]
+    real = engine._event_chunks
+
+    def counted(config, rates):
+        calls[0] += 1
+        return real(config, rates)
+
+    monkeypatch.setattr(engine, "_event_chunks", counted)
+    return calls
 
 
 def assert_matches_replay(traj: Trajectory):
@@ -315,6 +329,10 @@ class TestBlockBoundaries:
         assert_matches_replay(run(cfg))
 
     def test_same_block_draws_as_replay(self, small_block, monkeypatch):
+        """run() draws the oracle's blocks in the oracle's order.  Reading
+        ``times`` replays them once more, and nothing after that draws
+        again; where a post-burn-in side empties, the summary replays
+        inside run(), which then draws the sequence exactly twice."""
         log = []
         real = generator_for
 
@@ -324,19 +342,32 @@ class TestBlockBoundaries:
         monkeypatch.setattr(engine, "generator_for", logged)
         monkeypatch.setattr(oracle, "generator_for", logged)
         last_uniform = both = 0
+        replayed_in_run = [0, 0]
         for events in (0, 1, small_block, 2 * small_block + 1, 1_000):
             for cfg in self.configs(events):
                 log.clear()
-                run(cfg)
-                from_run = list(log)
-                log.clear()
                 replay(cfg)
-                assert from_run == log
+                draws = list(log)
+                log.clear()
+                traj = run(cfg)
+                # the quote columns come from the change points, without a replay
+                k0, iv = traj.burn_index, cfg.pair.interval
+                empties = bool(((traj.bids[k0:] == iv.lo) | (traj.asks[k0:] == iv.hi)).any())
+                assert log == draws * (1 + empties)
+                replayed_in_run[empties] += 1
+                log.clear()
+                traj.times
+                assert log == ([] if empties else draws)
+                log.clear()
+                traj.times, traj.kinds, traj.trade_prices
+                assert log == []
                 a, b = boundary_events(cfg)
                 last_uniform += a
                 both += b
-        # the cases do reach both block-edge events the pre-pass must order
+        # the cases do reach both block-edge events the pre-pass must order,
+        # and runs whose summary replays and runs whose summary does not
         assert last_uniform >= 1 and both >= 1
+        assert min(replayed_in_run) >= 1
 
     def test_snapshots_and_durations_at_block_edges(self, small_block):
         edges = sorted({k * small_block + d for k in (1, 2, 5) for d in (-1, 0, 1)})
@@ -470,54 +501,24 @@ class TestDrawKernels:
         assert traj.summary.trade_count > 0
 
 
-class TestDurationColumns:
-    """A duration horizon's per-event arrays start at its expected count
-    and a few standard deviations more (``engine._capacity``), grow while
-    the run goes on if it outruns them, and end as the arrays of the
-    events run of the same count."""
+class TestDurationHorizon:
+    """A duration horizon's run, whose event count the pre-pass finds only
+    as it goes, equals the events run of the same count: the change points
+    it stores, every column it derives, the snapshots and the final book."""
 
-    @pytest.mark.parametrize("capacity", [1, 3, 64])
-    def test_growing_columns_equal_the_events_run(self, small_block, capacity, monkeypatch):
-        monkeypatch.setattr(engine, "_capacity", lambda config, rates: capacity)
-        sizes = []
-        real = engine._resize
-
-        def logged(columns, size):
-            sizes.append(size)
-            real(columns, size)
-
-        monkeypatch.setattr(engine, "_resize", logged)
+    def test_equals_the_events_run(self, small_block):
         for cfg in TestBlockBoundaries.configs(0):
-            sizes.clear()
             short = run(replace(cfg, events=None, duration=400.0, snapshot_at=(5, 77)))
             n = short.n_events
-            # grown several times, then trimmed to the count
-            assert len(sizes) >= 4 and sizes[-1] == n
+            assert n > 2 * small_block
             ref = run(replace(cfg, events=n, snapshot_at=(5, 77)))
             for name in STORED + DERIVED:
                 column = getattr(short, name)
                 assert column.tobytes() == getattr(ref, name).tobytes(), name
-            for name in ("times", "kinds") + DERIVED:
+            for name in DERIVED:
                 assert len(getattr(short, name)) == n
             assert short.snapshots == ref.snapshots
             assert short.final_book.snapshot() == ref.final_book.snapshot()
-
-    def test_expected_count_fits_at_once(self, uniform_pair, monkeypatch):
-        # the freeze model (total rate 2.6) to about 1e6 events: the arrays
-        # fit the run from the start and are only trimmed at its end; a first
-        # capacity of 2**16 events grew them about 23 times
-        sizes = []
-        real = engine._resize
-
-        def logged(columns, size):
-            sizes.append(size)
-            real(columns, size)
-
-        monkeypatch.setattr(engine, "_resize", logged)
-        monkeypatch.setattr(engine, "_summarize", lambda traj: None)
-        traj = run(SimConfig(pair=uniform_pair, rho=0.6, duration=1e6 / 2.6, seed=1))
-        assert traj.n_events > 990_000
-        assert sizes in ([], [traj.n_events])
 
 
 # (look-ahead window, shortest bulk stretch)
@@ -877,12 +878,14 @@ def traced(fn, *args):
 
 class TestPrepassMemory:
     # peak traced memory of run() beyond the arrays its Trajectory stores,
-    # with the post-run reduction stubbed out; measured 5.6 MB at 2**17 and
-    # 4.9 MB at 2**19 events, and 5.0 MB to both duration horizons (CPython
-    # 3.11, numpy 2.4; 6.2 MB and 6.3 MB to the events horizons when the
-    # columns were copied chunk by chunk into growing arrays).  The bound
-    # keeps its 25% headroom over those older figures.  A pre-pass over the
-    # whole horizon at once needs tens of MB more at 2**19.
+    # with the post-run reduction stubbed out; measured 5.4 MB at 2**17 and
+    # 5.3 MB at 2**19 events, and 4.6 MB and 5.3 MB to the duration
+    # horizons (CPython 3.11, numpy 2.4), with no per-event array stored;
+    # 5.6 MB and 4.9 MB beyond the stored times and kinds when a run kept
+    # them, and 6.2 MB and 6.3 MB when the columns were copied chunk by
+    # chunk into growing arrays.  The bound keeps its 25% headroom over
+    # those older figures.  A pre-pass over the whole horizon at once needs
+    # tens of MB more at 2**19.
     OVERHEAD = 8_000_000
 
     @pytest.mark.parametrize("events", [1 << 17, 1 << 19])
@@ -909,11 +912,11 @@ class TestPrepassMemory:
 class TestSummaryMemory:
     # peak traced memory of run() with its summary beyond the arrays its
     # Trajectory stores, on a run that freezes; measured 5.9 MB at 2**17 and
-    # 7.7 MB at 2**19 events (CPython 3.11, numpy 2.4; 6.5 MB and 8.3 MB
-    # before the columns were preallocated), and the bound keeps its 25%
-    # headroom over the older figures.  Most of it is the book, whose
-    # resting orders grow with the events.  A freeze scan over whole-run
-    # arrays needs about 30 MB at 2**19.
+    # 7.7 MB at 2**19 events (CPython 3.11, numpy 2.4), as when the run
+    # stored its times and kinds (6.5 MB and 8.3 MB before the columns were
+    # preallocated), and the bound keeps its 25% headroom over the older
+    # figures.  Most of it is the book, whose resting orders grow with the
+    # events.  A freeze scan over whole-run arrays needs about 30 MB at 2**19.
     OVERHEAD = 10_400_000
 
     @pytest.mark.parametrize("events", [1 << 17, 1 << 19])
@@ -923,18 +926,46 @@ class TestSummaryMemory:
         assert traj.summary.frozen
         assert peak - stored_bytes(traj) < self.OVERHEAD
 
-    def test_frozen_replica_stays_compact(self, uniform_pair):
+    def test_frozen_replica_stays_compact(self, uniform_pair, monkeypatch):
         # a replica of the freeze model, 1e6 events at rho 0.6: it stores
-        # the times (8 B per event), the kinds (1 B), the trade bits (1/8 B)
-        # and some 200 quote change points of 24 B, 9.13 B per event (33 B
-        # in five per-event columns before).  Its traced peak, the summary
-        # included, was 18.7 B per event (45.8 B before).
+        # some 200 quote change points of 32 B, 0.0064 B per event, besides
+        # its final book (9.13 B when it kept the times, kinds and trade
+        # bits, and 33 B in five per-event columns before that).  Its traced
+        # peak, the summary included, was 10.3 B per event (18.7 B and 45.8 B
+        # before), and the bound keeps 25% headroom over it.  It runs the
+        # pre-pass once: its summary does not replay.
+        calls = counted_chunks(monkeypatch)
         traj, peak = traced(run, SimConfig(pair=uniform_pair, events=10**6, seed=3, rho=0.6))
         assert traj.summary.frozen
-        assert stored_bytes(traj) <= 10 * traj.n_events
-        assert peak <= 24 * traj.n_events
-        # the summary read no derived column
+        assert stored_bytes(traj) < 0.1 * traj.n_events
+        assert peak <= 12.8 * traj.n_events
+        assert calls[0] == 1
         assert not set(DERIVED) & set(vars(traj))
+
+    # peak traced memory of a frozen run with its summary beyond its final
+    # book.  The book's bytes are what tracemalloc still traces once the
+    # run's Trajectory is deleted and only its final book is kept (its hot
+    # tiers and the cold tiers' arrays, ~3.2-3.8 B per event here, with
+    # whatever the first run in a process leaves cached).  Measured 4.8-5.8
+    # MB at 2**17 and at 2**20 events on seeds 3-5 (CPython 3.11, numpy
+    # 2.4), and the bound keeps 25% headroom over it.  It does not grow with
+    # the events: a run that stored its times and kinds rose from 6.0-6.9 MB
+    # at 2**17 to 14.4-15.3 MB at 2**20.
+    BEYOND_BOOK = 7_200_000
+
+    @pytest.mark.parametrize("events", [1 << 17, 1 << 20])
+    def test_peak_beyond_the_book_does_not_grow(self, uniform_pair, events):
+        tracemalloc.start()
+        try:
+            traj = run(SimConfig(pair=uniform_pair, events=events, seed=4, rho=0.6))
+            peak = tracemalloc.get_traced_memory()[1]
+            frozen, book = traj.summary.frozen, traj.final_book
+            del traj
+            book_bytes = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert frozen and book.n_buys + book.n_sells > events // 4
+        assert peak - book_bytes < self.BEYOND_BOOK
 
     def test_window_scan_copies_no_quotes(self, uniform_pair):
         # the window extremes come from the runs of equal post-burn-in
@@ -1265,7 +1296,8 @@ def crafted_run(uniform_pair, bids, asks):
     """The fields detect_freeze and estimate_window read, for crafted
     quotes on the uniform pair (eps 0.01, burn-in half the events): event
     i at time i + 1, from an empty book.  The engine reads the quotes as
-    change points, the reference as ``bids`` and ``asks``."""
+    change points with their times, the reference as ``bids``, ``asks``
+    and ``times``."""
     n = len(bids)
     bids, asks = np.array(bids, dtype=float), np.array(asks, dtype=float)
     # the quotes before the first event and after each, and where they move
@@ -1279,6 +1311,8 @@ def crafted_run(uniform_pair, bids, asks):
         bids=bids,
         asks=asks,
         _quote_at=at,
+        # each change point at the time of the event before it, the first at event 0's
+        _quote_times=np.maximum(at, 1).astype(float),
         _quote_bids=b[at],
         _quote_asks=a[at],
     )
@@ -1342,6 +1376,18 @@ class TestFreezeDetection:
     def test_empty_run(self, uniform_pair):
         traj = run(SimConfig(pair=uniform_pair, events=0, seed=64))
         assert detect_freeze(traj) is None
+
+    def test_settled_from_the_first_state(self, uniform_pair):
+        # quotes 0.005 apart, held by makers at 5 times the other flows: the
+        # stable suffix is the whole run, and the first event moves no
+        # quote, so the freeze time is the one the opening change point keeps
+        for seed in (1, 4):
+            book = dict(initial_buys=(0.5,) * 2, initial_sells=(0.505,) * 2)
+            traj = run(SimConfig(pair=uniform_pair, rho=5.0, events=2_000, seed=seed, **book))
+            assert len(traj._quote_at) == 1 or traj._quote_at[1] > 1
+            fz = traj.summary
+            assert (fz.freeze_start_index, fz.freeze_time) == (0, traj.times[0])
+            assert detect_freeze(traj) == oracle.detect_freeze(traj)
 
     @given(cfg=sim_configs(max_events=20_000))
     @settings(
@@ -1495,8 +1541,10 @@ class TestEnsemble:
 
     def test_replicas_build_no_derived_column(self, uniform_pair, monkeypatch):
         # a replica's summary reduces the compact form: no per-event quote
-        # or trade price is built, in a frozen run or in a busy restricted
-        # one whose sides empty
+        # or trade price is built.  A frozen replica runs the pre-pass once
+        # and builds no per-event column at all; a busy restricted replica,
+        # whose sides empty after the burn-in, replays it once more for its
+        # occupation times, and so builds the times and kinds
         made = []
         real = engine.run
 
@@ -1505,14 +1553,21 @@ class TestEnsemble:
             return made[-1]
 
         monkeypatch.setattr(engine, "run", kept)
-        for cfg in (
-            SimConfig(pair=uniform_pair, events=20_000, seed=76, rho=0.6),
-            SimConfig(pair=uniform_pair, events=20_000, seed=77, restriction=PriceInterval(0.4, 0.6)),
+        calls = counted_chunks(monkeypatch)
+        for cfg, replays, replayed in (
+            (SimConfig(pair=uniform_pair, events=20_000, seed=76, rho=0.6), 1, ()),
+            (
+                SimConfig(pair=uniform_pair, events=20_000, seed=77, restriction=PriceInterval(0.4, 0.6)),
+                2,
+                ("times", "kinds"),
+            ),
         ):
             made.clear()
+            calls[0] = 0
             stats = run_ensemble(cfg, replicas=3, workers=1)
             assert [traj.summary for traj in made] == stats
-            assert not any(set(DERIVED) & set(vars(traj)) for traj in made)
+            assert calls[0] == replays * len(made)
+            assert all(set(DERIVED) & set(vars(traj)) == set(replayed) for traj in made)
         assert stats[0].empty_buy_prob > 0.0
 
     def test_rejects_zero_replicas(self, uniform_pair):

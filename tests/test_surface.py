@@ -152,7 +152,10 @@ def test_bench_tracer_still_binds(tmp_path):
     """The benchmark's tracer wraps lobmm functions by module and name and
     reads each run's record; a rename here would break its traced runs.
     It reads a frozen replica and a restricted run, whose dropped orders
-    it counts, from what the trajectory stores."""
+    it counts from the kinds that the trajectory replays.  The replay runs
+    after the run's span has closed, so it may call nothing the tracer
+    spans or counts: in a pool worker, a span opened there would flush the
+    run's span before its attributes are set."""
     spec = importlib.util.spec_from_file_location("lobmm_bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
@@ -184,7 +187,16 @@ def test_bench_tracer_still_binds(tmp_path):
         assert spans["engine.detect_freeze"]["parent"] == spans["engine.run"]["id"]
         assert spans["engine.estimate_window"]["parent"] == spans["engine.run"]["id"]
         read[config] = traj.summary, attrs
+        fresh = run(config)
+        with tracer.Tracer(tmp_path) as traced:
+            spans, counts = list(traced.spans), dict(traced.counts)
+            assert fresh.kinds.shape == (fresh.n_events,)
+            assert (traced.spans, traced.stack, dict(traced.counts)) == (spans, [], counts)
+            assert tracer._attrs_run((config,), {}, fresh) == attrs
+            assert (traced.spans, traced.stack, dict(traced.counts)) == (spans, [], counts)
     assert read[frozen][0].frozen and read[restricted][1]["dropped"] > 0
+    # the frozen replica's summary did not replay it: _attrs_run did
+    assert "kinds" not in vars(run(frozen))
 
 
 def test_cli_run_is_read_from_the_engine(monkeypatch):
