@@ -690,9 +690,10 @@ def run(config: SimConfig) -> Trajectory:
     book = OrderBook(pair.interval, config.initial_buys, config.initial_sells)
     bid, ask = book.bid, book.ask
 
-    # the change points, with their events' times, one array per chunk; the
-    # first holds the quotes before the first event, at that event's time
-    moves = [(np.zeros(1, dtype=np.intp), np.zeros(1), np.array([bid]), np.array([ask]))]
+    # the change points, one list of per-chunk parts for each of their
+    # positions, events' times, bids and asks; the first parts hold the
+    # quotes before the first event, at that event's time
+    moves = ([np.zeros(1, dtype=np.intp)], [np.zeros(1)], [np.array([bid])], [np.array([ask])])
     trades = 0
 
     snap_at = set(config.snapshot_at)
@@ -703,7 +704,7 @@ def run(config: SimConfig) -> Trajectory:
     end_time = 0.0
     for times, kinds, prices in _event_chunks(config, rates):
         if not n:
-            moves[0][1][0] = times[0]
+            moves[1][0][0] = times[0]
         end_time = float(times[-1])
         # the book stage never sees a dropped order
         kept = np.flatnonzero(kinds != DROPPED) if (kinds == DROPPED).any() else None
@@ -736,7 +737,8 @@ def run(config: SimConfig) -> Trajectory:
         if kept is not None:  # back to positions in the whole chunk
             moved = kept[moved]
         # the quotes after event n + i are change point n + i + 1
-        moves.append((moved + (n + 1), times[moved], moved_bids, moved_asks))
+        for parts, part in zip(moves, (moved + (n + 1), times[moved], moved_bids, moved_asks)):
+            parts.append(part)
         # free the chunk's book stage before the pre-pass decodes the next chunk
         book_kinds = book_prices = kept = stepped = quotes = traded = None
         n += len(kinds)
@@ -747,9 +749,12 @@ def run(config: SimConfig) -> Trajectory:
     times = kinds = prices = None
     # the book stage leaves the order totals to the end
     book._count_orders()
-    change_points = [np.concatenate(parts) for parts in zip(*moves)]
-    for arr in change_points:
-        arr.flags.writeable = False
+    # join the parts one field at a time, so that a busy run, whose change
+    # points are many, holds them twice over one field at most
+    change_points = []
+    for parts in moves:
+        change_points.append(_read_only(np.concatenate(parts)))
+        parts.clear()
     if config.duration is not None:
         end_time = config.duration
     return Trajectory(config, n, end_time, *change_points, trades, book, snapshots)
