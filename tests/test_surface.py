@@ -195,7 +195,8 @@ def test_bench_tracer_still_binds(tmp_path):
             assert tracer._attrs_run((config,), {}, fresh) == attrs
             assert (traced.spans, traced.stack, dict(traced.counts)) == (spans, [], counts)
     assert read[frozen][0].frozen and read[restricted][1]["dropped"] > 0
-    # the frozen replica's summary did not replay it: _attrs_run did
+    # a frozen replica's summary never replays it, so the read inside the
+    # tracer above did
     assert "kinds" not in vars(run(frozen))
 
 
