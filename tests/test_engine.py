@@ -501,17 +501,34 @@ class TestDrawKernels:
         assert traj.summary.trade_count > 0
 
 
-class TestDurationHorizon:
+class TestDurationColumns:
     """A duration horizon's run, whose event count the pre-pass finds only
-    as it goes, equals the events run of the same count: the change points
-    it stores, every column it derives, the snapshots and the final book."""
+    as it goes, grows its change point columns a chunk at a time and ends
+    as the events run of the same count: the change points it stores,
+    every column it derives, the snapshots and the final book."""
 
-    def test_equals_the_events_run(self, small_block):
+    # a snapshot every ``cut`` events cuts the pre-pass into chunks of at
+    # most ``cut`` events, so the columns grow in that many parts or more
+    @pytest.mark.parametrize("cut", [1, 3, 64])
+    def test_growing_columns_equal_the_events_run(self, small_block, cut, monkeypatch):
+        parts = []
+        real = engine._chunk_record
+
+        def logged(kinds, *args):
+            parts.append(len(kinds))
+            return real(kinds, *args)
+
+        monkeypatch.setattr(engine, "_chunk_record", logged)
+        snap_at = tuple(range(0, 10_000, cut))
         for cfg in TestBlockBoundaries.configs(0):
-            short = run(replace(cfg, events=None, duration=400.0, snapshot_at=(5, 77)))
+            parts.clear()
+            short = run(replace(cfg, events=None, duration=150.0, snapshot_at=snap_at))
             n = short.n_events
-            assert n > 2 * small_block
-            ref = run(replace(cfg, events=n, snapshot_at=(5, 77)))
+            assert 2 * small_block < n < 10_000
+            # one part per chunk, each of at most min(cut, block) events
+            assert len(parts) >= -(-n // min(cut, small_block)) >= 4
+            assert max(parts) <= min(cut, small_block)
+            ref = run(replace(cfg, events=n, snapshot_at=snap_at))
             for name in STORED + DERIVED:
                 column = getattr(short, name)
                 assert column.tobytes() == getattr(ref, name).tobytes(), name
