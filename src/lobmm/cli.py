@@ -27,8 +27,9 @@ import os
 import sys
 from contextlib import closing
 from dataclasses import replace
+from itertools import chain, islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 # lobmm makes no BLAS call, but importing numpy starts OpenBLAS's thread
 # pool, whose idle threads spin and cost CPU time; one thread is enough.  A
@@ -441,7 +442,7 @@ class OutputSettings:
         self.written: List[Path] = []
 
     def csv(self, path: Path, header: Sequence[str], columns: Sequence[Sequence[Any]]) -> None:
-        write_csv(path, header, columns, self.written)
+        write_csv(path, header, (columns,), self.written)
 
     def json(self, path: Path, payload: Dict[str, Any]) -> None:
         write_json(path, payload, self.written)
@@ -508,11 +509,13 @@ _NEEDS_QUOTING = frozenset(',"\r\n')
 def write_csv(
     path: Path,
     header: Sequence[str],
-    columns: Sequence[Sequence[Any]],
+    blocks: Iterable[Sequence[Sequence[Any]]],
     written: Optional[List[Path]] = None,
 ) -> None:
-    """Write equal-length ``columns`` under ``header``, one line per row;
-    ``written``, when given, records the path once the file is open.
+    """Write ``blocks`` of rows under ``header``, one line per row;
+    ``written``, when given, records the path once the file is open.  A
+    block is a sequence of equal-length columns of any length, one per
+    header field.
 
     Cell contract: a float is written as its ``repr`` and NaN as an empty
     field, an int as ``str``, a str token as is.  A column is a float or
@@ -523,29 +526,36 @@ def write_csv(
     as does a table of one column (a lone empty field would be a blank
     line).
 
-    Columns are formatted a block of ``_BLOCK_ROWS`` rows at a time, and a
-    block's text depends on its own cells only; a column may also be any
-    object with a length whose slices are such columns, read a block at a
-    time.  A table of at least
-    ``_POOL_BLOCKS`` blocks is formatted in worker processes, one per CPU,
-    through the package's one fan-out (``pool._in_order``), which bounds the
-    blocks in flight; the main process writes the texts in row order.  So
-    the bytes do not depend on the CPU count, and memory does not grow
-    with the row count.  Every worker has exited when this returns or
-    raises.
+    Each block is cut into pieces of at most ``_BLOCK_ROWS`` rows, read as
+    they are written, and a piece's text depends on its own cells only; so
+    the bytes depend neither on how the rows are split into blocks nor on
+    the CPU count, and memory does not grow with the row count.  Once the
+    first ``_POOL_BLOCKS`` pieces are read, the pieces are formatted in
+    worker processes: one per piece read ahead, up to one per CPU, and
+    never more than the CPUs (2 on a 2-CPU host).  They run through the
+    package's one fan-out (``pool._in_order``), which bounds the pieces in
+    flight, and the main process writes the texts in row order.  Every
+    worker has exited when this returns or raises.
     """
-    if len(header) < 2 or len(columns) != len(header):
-        raise ValueError(f"{path.name}: need one column per header field, at least two")
-    n = len(columns[0])
-    if any(len(col) != n for col in columns):
-        raise ValueError(f"{path.name}: columns differ in length")
-    blocks = ([col[s : s + _BLOCK_ROWS] for col in columns] for s in range(0, n, _BLOCK_ROWS))
-    n_blocks = -(-n // _BLOCK_ROWS)
-    size = _pool_size(n_blocks) if n_blocks >= _POOL_BLOCKS else 1
-    texts = _in_order(_block_text, blocks, size)
+    if len(header) < 2:
+        raise ValueError(f"{path.name}: need at least two columns")
+    pieces = _pieces(path, len(header), blocks)
+    head = list(islice(pieces, max(_POOL_BLOCKS, os.cpu_count() or 1)))
+    size = _pool_size(len(head)) if len(head) >= _POOL_BLOCKS else 1
+    texts = _in_order(_block_text, chain(head, pieces), size)
     with _open_artifact(path, written) as fh, closing(texts):
         fh.write(",".join(_fields(list(header))) + "\n")
         fh.writelines(texts)
+
+
+def _pieces(path: Path, width: int, blocks: Iterable[Sequence[Sequence[Any]]]):
+    """``blocks``, each checked to hold ``width`` equal-length columns, in
+    pieces of at most ``_BLOCK_ROWS`` rows."""
+    for block in blocks:
+        if len(block) != width or any(len(col) != len(block[0]) for col in block):
+            raise ValueError(f"{path.name}: a block needs {width} columns of equal length")
+        for s in range(0, len(block[0]), _BLOCK_ROWS):
+            yield [col[s : s + _BLOCK_ROWS] for col in block]
 
 
 def _block_text(block: Sequence[Sequence[Any]]) -> str:
@@ -718,6 +728,14 @@ def _summary_payload(traj: Trajectory) -> Dict[str, Any]:
     }
 
 
+def _trajectory_blocks(traj: Trajectory):
+    """The rows of ``trajectory.csv``, one block per chunk of the replay."""
+    tokens, i = np.array(KIND_TOKENS, dtype=object), 0
+    for times, kinds, trade_prices, bids, asks in traj._chunks():
+        yield range(i, i + len(kinds)), times, tokens[kinds], trade_prices, bids, asks
+        i += len(kinds)
+
+
 def cmd_simulate(cfg: Config, out: OutputSettings) -> int:
     from .engine import image_book, run
 
@@ -736,16 +754,11 @@ def cmd_simulate(cfg: Config, out: OutputSettings) -> int:
         rdir = out.directory / f"replica-{r:03d}" if replicas > 1 else out.directory
         out.make_dir(rdir)
         if "csv" in formats:
-            out.csv(
+            write_csv(
                 rdir / "trajectory.csv",
                 ("event_index", "time", "kind", "trade_price", "bid", "ask"),
-                (
-                    range(traj.n_events),
-                    traj.times,
-                    np.array(KIND_TOKENS, dtype=object)[traj.kinds],
-                    # built a block at a time as the writer reads them
-                    *traj._columns(),
-                ),
+                _trajectory_blocks(traj),
+                out.written,
             )
             final = traj.final_book.snapshot()
             out.csv(rdir / "final-book.csv", _BOOK_HEADER, _columns(final.rows(), 3))

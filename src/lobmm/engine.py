@@ -47,10 +47,9 @@ quotes as change points (the events after which the loop moved a quote,
 their times, and the quotes after them), the trade count, the final book
 and the snapshots.  No per-event array outlives its chunk, so nothing is
 sized by the horizon.  Every per-event column is derived: the pre-pass
-never reads the book, so one replay of it from the seed gives the times
-and kinds, and with the change points the trade bits by the rule above,
-and from those the bid, ask and trade-price columns, built whole when
-first read, or a slice at a time for a writer that goes block by block.
+never reads the book, so one generator, :meth:`Trajectory._chunks`,
+replays it from the seed chunk by chunk for the times and kinds, and
+reads the quotes and trade prices off the change points by the rule above.
 
 The model one event at a time, written for reading rather than speed,
 lives with the tests in ``tests/oracle.py``.  The test-suite pins
@@ -67,10 +66,10 @@ After a run, :attr:`Trajectory.summary` reduces it, once, to the
 :class:`TrajectorySummary` record that ``simulate``, ``sweep``, ``freeze``
 and :func:`run_ensemble` all report from.  It reads the compact form
 directly, scanning runs of equal quotes rather than events.  It replays
-the run only where a post-burn-in run of equal quotes has an empty side,
-for the occupation times, so a frozen replica of :func:`run_ensemble`
-keeps no per-event array at all.  The quote CDFs that ``compare`` checks
-come from :func:`quote_cdfs`.
+the run, keeping nothing of it, only where a post-burn-in run of equal
+quotes has an empty side, for the occupation times, so a frozen replica
+of :func:`run_ensemble` never replays.  The quote CDFs that ``compare``
+checks come from :func:`quote_cdfs`.
 """
 
 from __future__ import annotations
@@ -273,14 +272,14 @@ class Trajectory:
     - ``_trade_count``, the events that traded;
     - ``end_time``, the final book and the snapshots.
 
-    Every per-event column is derived: a read-only array built when first
-    read and then kept.  One replay of the pre-pass from the seed builds
-    ``times``, ``kinds`` (the kind codes of the module docstring) and
-    ``_traded``, one trade bit per event (``np.packbits`` order), together;
-    ``bids``, ``asks`` and ``trade_prices`` follow from those and the
-    change points.  The summary replays only to weigh a post-burn-in empty
-    side, and ``simulate`` writes the quote and trade-price columns through
-    :meth:`_columns`, a block of rows at a time.
+    Every per-event column is derived, by a replay of the pre-pass from
+    the seed a chunk at a time (:meth:`_chunks`).  ``times``, ``kinds``
+    (the kind codes of the module docstring), ``trade_prices``, ``bids``
+    and ``asks`` are read-only arrays, all five joined from one replay on
+    the first read of any and then kept.  The summary joins only the
+    post-burn-in times, to weigh a post-burn-in empty side, and
+    :func:`quote_cdfs` the post-burn-in times and quotes; ``simulate``
+    writes its rows straight from the chunks.  None of them keeps a column.
     """
 
     config: SimConfig
@@ -303,95 +302,55 @@ class Trajectory:
         # reduce inside run(), so timing or tracing run() covers the whole run
         object.__setattr__(self, "summary", _summarize(self))
 
-    # one replay builds all three (see _replay)
-    times = cached_property(lambda self: self._replay()[0])
-    kinds = cached_property(lambda self: self._replay()[1])
-    _traded = cached_property(lambda self: self._replay()[2])
+    # the first read of any of the five joins all of them, from one replay
+    times, kinds, trade_prices, bids, asks = (
+        cached_property(lambda self, f=f: self._join_all()[f]) for f in range(5)
+    )
 
-    @cached_property
-    def bids(self) -> np.ndarray:
-        return _read_only(self._quotes(self._quote_bids, 0, self.n_events))
-
-    @cached_property
-    def asks(self) -> np.ndarray:
-        return _read_only(self._quotes(self._quote_asks, 0, self.n_events))
-
-    @cached_property
-    def trade_prices(self) -> np.ndarray:
-        return _read_only(self._trade_prices(0, self.n_events))
-
-    def _replay(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(times, kinds, _traded)``, replayed from the seed through
-        :func:`_event_chunks`, and kept as all three columns at once.  It
-        calls nothing that reads the book or evaluates a curve."""
-        config, n = self.config, self.n_events
-        times, kinds = np.empty(n), np.empty(n, dtype=np.uint8)
-        traded = np.empty(-(-n // 8), dtype=np.uint8)
-        head = np.zeros(0, dtype=bool)  # the bits not yet packed into a byte
-        start = byte = 0
-        for t, k, x in _event_chunks(config, RateTable.from_pair(config.pair, config.rho)):
-            stop = start + len(k)
-            times[start:stop], kinds[start:stop] = t, k
-            # the quotes before event i are those of state i - 1
-            bid, ask = (self._quotes(q, start - 1, stop - 1) for q in (self._quote_bids, self._quote_asks))
-            bits = np.concatenate((head, _trades(k, x, bid, ask, config.pair.interval)))
-            full = len(bits) & ~7
-            traded[byte : byte + full // 8] = np.packbits(bits[:full])
-            byte, head = byte + full // 8, bits[full:]
-            start = stop
-        traded[byte:] = np.packbits(head)
-        columns = tuple(_read_only(c) for c in (times, kinds, traded))
-        vars(self).update(zip(("times", "kinds", "_traded"), columns))
+    def _join_all(self) -> List[np.ndarray]:
+        columns = [_read_only(c) for c in self._join()]
+        vars(self).update(zip(("times", "kinds", "trade_prices", "bids", "asks"), columns))
         return columns
 
-    def _columns(self) -> Tuple[_Column, _Column, _Column]:
-        """``trade_prices``, ``bids`` and ``asks`` as columns that build
-        only the slices read from them, so that a writer going block by
-        block never holds them whole."""
-        n = self.n_events
-        return (
-            _Column(self._trade_prices, n),
-            _Column(partial(self._quotes, self._quote_bids), n),
-            _Column(partial(self._quotes, self._quote_asks), n),
-        )
+    def _join(self, start: int = 0, fields: Tuple[int, ...] = (0, 1, 2, 3, 4)) -> List[np.ndarray]:
+        """The ``fields`` of :meth:`_chunks`, by position, from event
+        ``start`` on, each joined into one array."""
+        columns = [np.empty(self.n_events - start, dtype=np.uint8 if f == 1 else float) for f in fields]
+        i = 0
+        for chunk in self._chunks(start):
+            stop = i + len(chunk[0])
+            for column, f in zip(columns, fields):
+                column[i:stop] = chunk[f]
+            i = stop
+        return columns
 
-    def _quotes(self, quotes: np.ndarray, start: int, stop: int) -> np.ndarray:
-        """``quotes`` of the change points, one per state from ``start``
-        to ``stop``; state -1 holds the quotes before the first event."""
-        if start >= stop:
-            return np.zeros(0)
+    def _chunks(self, start: int = 0):
+        """``(times, kinds, trade_prices, bids, asks)`` of events ``start``
+        on, one chunk of the pre-pass (:func:`_event_chunks`, which reads no
+        book and evaluates no curve) at a time, replayed from the seed."""
+        config, i = self.config, 0
+        interval = config.pair.interval
+        for times, kinds, prices in _event_chunks(config, RateTable.from_pair(config.pair, config.rho)):
+            stop = i + len(kinds)
+            if stop > start:
+                # states i - 1 to stop - 1: the quotes before each event and after it
+                bids, asks = self._quotes(i - 1, stop)
+                bid, ask = bids[:-1], asks[:-1]
+                # a buy meets the ask before it, a sell the bid
+                buys, sells = _trades(kinds, prices, bid, ask, interval)
+                trade_prices = np.where(buys, ask, np.where(sells, bid, math.nan))
+                cut = max(start - i, 0)
+                yield times[cut:], kinds[cut:], trade_prices[cut:], bids[cut + 1 :], asks[cut + 1 :]
+            i = stop
+
+    def _quotes(self, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The bids and asks of states ``start`` to ``stop`` - 1, from the
+        change points; state -1 holds the quotes before the first event."""
         # state i holds the quotes of the last change point at or before i + 1
         first, last = np.searchsorted(self._quote_at, (start + 1, stop), side="right") - 1
-        runs = np.diff(self._quote_at[first + 1 : last + 1], prepend=start + 1, append=stop + 1)
-        return np.repeat(quotes[first : last + 1], runs)
-
-    def _trade_prices(self, start: int, stop: int) -> np.ndarray:
-        """The trade prices of events ``start`` to ``stop``."""
-        prices = np.full(max(stop - start, 0), math.nan)
-        head = start & 7
-        traded = np.unpackbits(self._traded[start >> 3 : -(-stop // 8)])[head : head + len(prices)]
-        kinds = self.kinds[start:stop]
-        buy = (kinds == 0) | (kinds == 2)
-        for trades, quotes in ((traded & buy, self._quote_asks), (traded & ~buy, self._quote_bids)):
-            trades = np.flatnonzero(trades)
-            # a trade meets the quote before it: the last change point at or before it
-            prices[trades] = quotes[np.searchsorted(self._quote_at, trades + start, side="right") - 1]
-        return prices
-
-
-class _Column:
-    """A column of ``n`` rows that ``build(start, stop)`` makes a slice
-    at a time, as it is read."""
-
-    def __init__(self, build, n: int):
-        self._build, self._n = build, n
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        start, stop, _ = rows.indices(self._n)
-        return self._build(start, stop)
+        edges = np.concatenate(((start + 1,), self._quote_at[first + 1 : last + 1], (stop + 1,)))
+        runs = edges[1:] - edges[:-1]
+        return tuple(np.repeat(q[first : last + 1], runs) for q in (self._quote_bids, self._quote_asks))
 
 
 def _read_only(column: np.ndarray) -> np.ndarray:
@@ -635,12 +594,12 @@ def _quiet_stretch(
     return q
 
 
-def _trades(kinds, prices, bid, ask, interval: PriceInterval) -> np.ndarray:
-    """Whether each event traded, by the rule of the module docstring, from
-    its kind, its price and the quotes ``bid`` and ``ask`` before it."""
+def _trades(kinds, prices, bid, ask, interval: PriceInterval) -> Tuple[np.ndarray, np.ndarray]:
+    """Whether each event traded as a buy, and as a sell, by the rule of the
+    module docstring, from its kind, price and the quotes before it."""
     buy = ((kinds == 0) & (ask < interval.hi)) | ((kinds == 2) & (prices >= ask))
     sell = ((kinds == 1) & (bid > interval.lo)) | ((kinds == 3) & (prices <= bid))
-    return buy | sell
+    return buy, sell
 
 
 def _chunk_record(
@@ -660,7 +619,7 @@ def _chunk_record(
     # the index in ``quotes`` of the quotes before each event
     before = np.zeros(len(kinds), dtype=np.intp)
     np.cumsum(stepped[:-1], out=before[1:])
-    traded = _trades(kinds, prices, bids[before], asks[before], interval)
+    traded = np.logical_or(*_trades(kinds, prices, bids[before], asks[before], interval))
     # compare bits, so that the quotes read back are the loop's to the bit
     b, a = bids.view(np.int64), asks.view(np.int64)
     moved = np.flatnonzero((b[1:] != b[:-1]) | (a[1:] != a[:-1]))
@@ -681,7 +640,7 @@ def run(config: SimConfig) -> Trajectory:
     points, which it keeps with their events' times.  The final book
     keeps its cold tiers; its order totals count them, and its whole-book
     views merge them in when first read.  The per-event columns are
-    replayed when read (see :class:`Trajectory`).
+    replayed from the seed (see :class:`Trajectory`).
     """
     pair = config.pair
     require_core_assumptions(pair)
@@ -760,18 +719,14 @@ def run(config: SimConfig) -> Trajectory:
     return Trajectory(config, n, end_time, *change_points, trades, book, snapshots)
 
 
-def _occupation_weights(traj: Trajectory) -> Optional[np.ndarray]:
-    """Occupation time of each post-burn-in state, or None when there is no
-    such state; a run of zero length falls back to counting states."""
-    k0, n = traj.burn_index, traj.n_events
-    if k0 >= n:
-        return None
-    tail = traj.times[k0:]
-    w = np.empty(n - k0)
+def _occupation_weights(traj: Trajectory, tail: np.ndarray) -> np.ndarray:
+    """Occupation time of each post-burn-in state, from ``tail``, the times
+    of its events; a run of zero length falls back to counting states."""
+    w = np.empty(len(tail))
     np.subtract(tail[1:], tail[:-1], out=w[:-1])
     w[-1] = max(traj.end_time - tail[-1], 0.0)
     if not w.sum() > 0.0:
-        w = np.ones(n - k0)
+        w = np.ones(len(tail))
     return w
 
 
@@ -826,7 +781,7 @@ def _summarize(traj: Trajectory) -> TrajectorySummary:
         # where one does, which a frozen run after its burn-in does not
         empty_buy = empty_sell = 0.0
         if buy_empty.any() or sell_empty.any():
-            w = _occupation_weights(traj)
+            w = _occupation_weights(traj, *traj._join(k0, (0,)))
             runs = np.diff(starts, append=n)
             total = w.sum()
             empty_buy = float(w[np.repeat(buy_empty, runs)].sum() / total)
@@ -859,13 +814,14 @@ def quote_cdfs(traj: Trajectory) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     config = traj.config
     iv = config.restriction if config.restriction is not None else config.pair.interval
     grid = np.linspace(iv.lo, iv.hi, _CDF_GRID_SIZE)
-    w = _occupation_weights(traj)
-    if w is None:
+    k0 = traj.burn_index
+    if k0 >= traj.n_events:
         nans = np.full(_CDF_GRID_SIZE, math.nan)
         return grid, nans, nans
-    k0 = traj.burn_index
-    b_le, b_total = _weighted_below(np.clip(traj.bids[k0:], iv.lo, iv.hi), w, grid, "right")
-    a_lt, a_total = _weighted_below(np.clip(traj.asks[k0:], iv.lo, iv.hi), w, grid, "left")
+    times, bids, asks = traj._join(k0, (0, 3, 4))
+    w = _occupation_weights(traj, times)
+    b_le, b_total = _weighted_below(np.clip(bids, iv.lo, iv.hi, out=bids), w, grid, "right")
+    a_lt, a_total = _weighted_below(np.clip(asks, iv.lo, iv.hi, out=asks), w, grid, "left")
     return grid, b_le / b_total, (a_total - a_lt) / a_total
 
 

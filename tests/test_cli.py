@@ -14,6 +14,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import Future
 from pathlib import Path
@@ -727,9 +728,10 @@ class TestSimulate:
         assert len(rows) == booked  # uniform pair: all resting counts are 1
 
     def test_each_replica_replays_once(self, tmp_path, outdir, monkeypatch):
-        # the run draws its events once and the trajectory.csv writer once
-        # more, by one replay; where the summary has replayed already, for a
-        # side that empties after the burn-in, the writer reuses its columns
+        # the run draws its events once, and the trajectory.csv writer once
+        # more, by one replay read a chunk at a time; where a side empties
+        # after the burn-in, the summary replays in between, and the writer
+        # still replays once, as it keeps no column
         calls = []
         real = engine._event_chunks
 
@@ -740,13 +742,38 @@ class TestSimulate:
         monkeypatch.setattr(engine, "_event_chunks", counted)
         frozen = dict(self.base(events=5_000, replicas=2), model=dict(UNIFORM_MODEL, rho=0.6))
         restricted = self.base(events=5_000, replicas=2, restriction=[0.4, 0.6])
-        for name, doc in (("frozen", frozen), ("restricted", restricted)):
+        for name, doc, replays in (("frozen", frozen, 2), ("restricted", restricted, 3)):
             calls.clear()
             cfg = write_config(tmp_path, doc, f"{name}.json")
             assert main(["simulate", cfg, "--seed", "1", "--out", str(outdir / name)]) == 0
-            assert calls == [0, 0, 1, 1]
+            assert calls == [0] * replays + [1] * replays
         assert read_json(outdir / "frozen" / "replica-000" / "summary.json")["freeze"] is not None
         assert read_json(outdir / "restricted" / "replica-000" / "summary.json")["empty_buy_prob"] > 0.0
+
+    # the traced peak of a serial restricted simulate, beyond the quote
+    # change points its run stores, was 8.7-9.6 MB at both 2**16 and 2**18
+    # events on seeds 1-6 (CPython 3.11, numpy 2.4): one chunk of the
+    # writer's replay and its formatting.  A writer that read whole times,
+    # kinds and kind tokens grew by 1.7-2.6 MB from 2**16 to 2**18.
+    def test_writer_holds_no_whole_column(self, tmp_path, outdir, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        made = []
+        real = engine.run
+        monkeypatch.setattr(engine, "run", lambda config: made.append(real(config)) or made[-1])
+        beyond = []
+        for events in (1 << 16, 1 << 18):
+            made.clear()
+            cfg = write_config(tmp_path, self.base(events=events, restriction=[0.4, 0.6]), f"{events}.json")
+            tracemalloc.start()
+            try:
+                assert main(["simulate", cfg, "--seed", "1", "--out", str(outdir / str(events))]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            (traj,) = made
+            stored = sum(c.nbytes for c in (traj._quote_at, traj._quote_times, traj._quote_bids, traj._quote_asks))
+            beyond.append(peak - stored)
+        assert beyond[1] - beyond[0] < 1_000_000
 
     def test_trajectory_row_count_honors_events(self, tmp_path, outdir):
         cfg = write_config(tmp_path, self.base(events=500))
@@ -1155,27 +1182,38 @@ def tables(draw, block=BLOCK):
     return header, columns, plain
 
 
+@st.composite
+def split_tables(draw, block=BLOCK):
+    """(header, blocks, reference columns): a table of ``tables`` with its
+    rows cut into blocks of random length, empty blocks included."""
+    header, columns, plain = draw(tables(block))
+    n = len(plain[0])
+    edges = [0, *sorted(draw(st.lists(st.integers(0, n), max_size=6))), n]
+    blocks = [[col[a:b] for col in columns] for a, b in zip(edges, edges[1:])]
+    return header, blocks, plain
+
+
 class TestWriteCsv:
     @settings(max_examples=60, deadline=None)
-    @given(tables())
+    @given(split_tables())
     def test_matches_the_csv_module_writer(self, tmp_path_factory, table):
-        header, columns, plain = table
+        header, blocks, plain = table
         d = tmp_path_factory.mktemp("csv")
-        write_csv(d / "new.csv", header, columns)
+        write_csv(d / "new.csv", header, blocks)
         reference_csv(d / "old.csv", header, plain)
         assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
 
     @settings(max_examples=60, deadline=None)
-    @given(tables(block=4))
+    @given(split_tables(block=4))
     def test_matches_the_csv_module_writer_in_blocks_of_4(self, tmp_path_factory, table):
-        # tables of 4 blocks or more (13-40 rows) go through the pool, and
-        # small blocks often repeat their floats, so both new paths are taken
-        header, columns, plain = table
+        # tables cut into 4 pieces or more (13-40 rows) go through the pool,
+        # and small pieces often repeat their floats, so both new paths are taken
+        header, blocks, plain = table
         d = tmp_path_factory.mktemp("csv")
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cli, "_BLOCK_ROWS", 4)
             patch.setattr(os, "cpu_count", lambda: 2)
-            write_csv(d / "new.csv", header, columns)
+            write_csv(d / "new.csv", header, blocks)
         assert multiprocessing.active_children() == []
         reference_csv(d / "old.csv", header, plain)
         assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
@@ -1189,7 +1227,7 @@ class TestWriteCsv:
         formatted = []
         real = cli._float_fields
         monkeypatch.setattr(cli, "_float_fields", lambda values: formatted.append(len(values)) or real(values))
-        write_csv(tmp_path / "new.csv", ("i", "x"), (range(BLOCK), column))
+        write_csv(tmp_path / "new.csv", ("i", "x"), [(range(BLOCK), column)])
         assert formatted == [len(distinct)]
         reference_csv(tmp_path / "old.csv", ("i", "x"), (range(BLOCK), column.tolist()))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
@@ -1225,7 +1263,7 @@ class TestWriteCsv:
         column[37] = None  # block 9 of 10
         written = []
         with pytest.raises(TypeError) as raised:
-            write_csv(tmp_path / "t.csv", ("i", "x"), (range(40), column), written)
+            write_csv(tmp_path / "t.csv", ("i", "x"), [(range(40), column)], written)
         assert str(raised.value) == str(serial.value)
         assert started == [2]
         assert written == [tmp_path / "t.csv"]
@@ -1258,23 +1296,25 @@ class TestWriteCsv:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda max_workers: CountingPool())
         rows = 4 * 25
-        write_csv(tmp_path / "t.csv", ("i", "x"), (range(rows), [0.5] * rows))
+        write_csv(tmp_path / "t.csv", ("i", "x"), [(range(rows), [0.5] * rows)])
         # two blocks per process
         assert peak[0] == 2 * 2
         assert (tmp_path / "t.csv").read_text() == "i,x\n" + "".join(f"{i},0.5\n" for i in range(rows))
 
     def test_failed_write_in_a_pool_leaves_no_file(self, tmp_path, outdir, monkeypatch):
         started = self.pooled(monkeypatch)
-        real = engine.Trajectory._trade_prices
+        real = engine.Trajectory._chunks
 
-        def bad_trade_price(traj, start, stop):
-            # the writer reads the trade prices a block at a time
-            cells = real(traj, start, stop).astype(object)
-            if start <= 37 < stop:
-                cells[37 - start] = None
-            return cells
+        def bad_chunks(traj, start=0):
+            # the writer reads the trade prices a chunk of the replay at a time
+            for times, kinds, trade_prices, bids, asks in real(traj, start):
+                cells = trade_prices.astype(object)
+                if start <= 37 < start + len(kinds):
+                    cells[37 - start] = None
+                yield times, kinds, cells, bids, asks
+                start += len(kinds)
 
-        monkeypatch.setattr(engine.Trajectory, "_trade_prices", bad_trade_price)
+        monkeypatch.setattr(engine.Trajectory, "_chunks", bad_chunks)
         cfg = write_config(tmp_path, {"model": UNIFORM_MODEL, "run": {"events": 40}})
         with pytest.raises(TypeError):
             main(["simulate", cfg, "--seed", "1", "--out", str(outdir)])
@@ -1283,7 +1323,7 @@ class TestWriteCsv:
         assert multiprocessing.active_children() == []
 
     def test_header_only(self, tmp_path):
-        write_csv(tmp_path / "t.csv", ("a", "b"), ([], np.empty(0)))
+        write_csv(tmp_path / "t.csv", ("a", "b"), [([], np.empty(0))])
         assert (tmp_path / "t.csv").read_text() == "a,b\n"
 
     @pytest.mark.parametrize(
@@ -1300,14 +1340,14 @@ class TestWriteCsv:
     )
     def test_unknown_cell_type_raises(self, tmp_path, column):
         with pytest.raises(TypeError):
-            write_csv(tmp_path / "t.csv", ("a", "b"), ([0.0, 1.0], column))
+            write_csv(tmp_path / "t.csv", ("a", "b"), [([0.0, 1.0], column)])
 
     @pytest.mark.parametrize("token", ["a,b", 'say "hi"', "x\ry", "x\ny"])
     def test_token_that_needs_quoting_raises(self, tmp_path, token):
         with pytest.raises(ValueError, match="quoting"):
-            write_csv(tmp_path / "t.csv", ("a", "b"), ([0.0], [token]))
+            write_csv(tmp_path / "t.csv", ("a", "b"), [([0.0], [token])])
         with pytest.raises(ValueError, match="quoting"):
-            write_csv(tmp_path / "h.csv", ("a", token), ([0.0], [1]))
+            write_csv(tmp_path / "h.csv", ("a", token), [([0.0], [1])])
 
     @pytest.mark.parametrize(
         "header,columns",
@@ -1319,7 +1359,7 @@ class TestWriteCsv:
     )
     def test_malformed_table_raises(self, tmp_path, header, columns):
         with pytest.raises(ValueError):
-            write_csv(tmp_path / "t.csv", header, columns)
+            write_csv(tmp_path / "t.csv", header, [columns])
 
 
 # -- artifact bytes -----------------------------------------------------------

@@ -28,6 +28,7 @@ from lobmm import (
     PriceInterval,
     RateTable,
     SimConfig,
+    Trajectory,
     TrajectorySummary,
     WindowEstimate,
     run,
@@ -122,6 +123,20 @@ ATTRIBUTES = {
     RateTable: ["from_pair", "inv_total", "thresholds"],
     WindowEstimate: ["hi", "lo"],
     FreezeReport: ["midpoint", "start_index", "t_freeze"],
+    Trajectory: [
+        "asks",
+        "bids",
+        "burn_index",
+        "config",
+        "end_time",
+        "final_book",
+        "kinds",
+        "n_events",
+        "snapshots",
+        "summary",
+        "times",
+        "trade_prices",
+    ],
     TrajectorySummary: [
         "empty_book_transitions",
         "empty_buy_prob",
