@@ -531,8 +531,8 @@ def write_csv(
     the bytes depend neither on how the rows are split into blocks nor on
     the CPU count, and memory does not grow with the row count.  Once the
     first ``_POOL_BLOCKS`` pieces are read, the pieces are formatted in
-    worker processes: one per piece read ahead, up to one per CPU, and
-    never more than the CPUs (2 on a 2-CPU host).  They run through the
+    worker processes, one per piece read ahead and never more than the
+    CPUs (so 2 on a 2-CPU host).  They run through the
     package's one fan-out (``pool._in_order``), which bounds the pieces in
     flight, and the main process writes the texts in row order.  Every
     worker has exited when this returns or raises.
@@ -559,7 +559,7 @@ def _pieces(path: Path, width: int, blocks: Iterable[Sequence[Sequence[Any]]]):
 
 
 def _block_text(block: Sequence[Sequence[Any]]) -> str:
-    """One block of rows, given as its columns, as CSV lines."""
+    """One piece of rows, given as its columns, as CSV lines."""
     return "\n".join(map(",".join, zip(*map(_fields, block)))) + "\n"
 
 
