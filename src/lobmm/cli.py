@@ -813,6 +813,13 @@ def cmd_compare(cfg: Config, out: OutputSettings) -> int:
 
     sol = solve_luckock(pair, rho, window, grid_size=grid_size)
     traj = run(base)
+    if traj.burn_index >= traj.n_events:
+        print(
+            f"compare needs a state after the burn-in: the run drew {traj.n_events} "
+            f"events and run.burn_in {burn_in} leaves none of them",
+            file=sys.stderr,
+        )
+        return EXIT_CONFIG
     s = traj.summary
     grid, bid_cdf, ask_survival = quote_cdfs(traj)
     theory_bid = np.interp(grid, sol.grid, sol.f_minus)

@@ -277,9 +277,10 @@ class Trajectory:
     (the kind codes of the module docstring), ``trade_prices``, ``bids``
     and ``asks`` are read-only arrays, all five joined from one replay on
     the first read of any and then kept.  The summary joins only the
-    post-burn-in times, to weigh a post-burn-in empty side, and
-    :func:`quote_cdfs` the post-burn-in times and quotes; ``simulate``
-    writes its rows straight from the chunks.  None of them keeps a column.
+    post-burn-in times, to weigh a post-burn-in empty side, and so does
+    :func:`quote_cdfs`, which reads the quotes off the change points;
+    ``simulate`` writes its rows straight from the chunks.  None of them
+    keeps a column.
     """
 
     config: SimConfig
@@ -470,7 +471,12 @@ def _event_chunks(config: SimConfig, rates: RateTable):
                 beyond, behind = (above, below) if side == 0 else (below, above)
                 kinds[sel[beyond]] = side  # rewritten to the market order of its side
                 kinds[sel[behind]] = DROPPED
+                del above, below, beyond, behind
 
+        # the consumer runs while this frame waits at the yield, so it keeps
+        # the chunk and the random blocks and no decode temporary
+        del w, carry, flagged, run_start, pos, offset, limit, is_kind, kind_pos, u
+        del is_limit, is_side, sel, target, j, x
         times = times[:m]
         yield times, kinds, prices
         t = times[-1]
@@ -818,8 +824,8 @@ def quote_cdfs(traj: Trajectory) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     if k0 >= traj.n_events:
         nans = np.full(_CDF_GRID_SIZE, math.nan)
         return grid, nans, nans
-    times, bids, asks = traj._join(k0, (0, 3, 4))
-    w = _occupation_weights(traj, times)
+    w = _occupation_weights(traj, *traj._join(k0, (0,)))
+    bids, asks = traj._quotes(k0, traj.n_events)
     b_le, b_total = _weighted_below(np.clip(bids, iv.lo, iv.hi, out=bids), w, grid, "right")
     a_lt, a_total = _weighted_below(np.clip(asks, iv.lo, iv.hi, out=asks), w, grid, "left")
     return grid, b_le / b_total, (a_total - a_lt) / a_total

@@ -22,10 +22,10 @@ maker rate rho.  The central objects:
   call, or one volume sweep.  Nothing is cached across calls.  Each
   piece resolves the curve segments its integrand reads once, and
   samples it as straight-line arithmetic with the general integrand's
-  bits (``_piece_integrand``), in cache-sized blocks and in place in the
-  evaluator's workspace (``_Workspace``).  The evaluator runs the
-  general integrand once, on all knot levels in (V_W, v_eff), and a
-  piece that ends on a knot reads its end sample from that table.
+  bits (``_piece_integrand``), in cache-sized blocks; every doubling
+  samples into a fresh grid.  The evaluator runs the general integrand
+  once, on all knot levels in (V_W, v_eff), and a piece that ends on a
+  knot reads its end sample from that table.
 - The trade volume ``v_l``: the supremum of V with phi(V) < 1/V_W^2,
   capped at the effective ceiling where a shifted curve hits zero at a
   window edge.  J(v_l) is the competitive window.
@@ -183,33 +183,6 @@ def _simpson(fx: np.ndarray, h: float) -> float:
 _SAMPLE_BLOCK = 4096
 
 
-class _Workspace:
-    """The arrays one evaluator's quadrature writes its samples into.
-
-    ``t1`` and ``t2`` hold a piece integrand's temporaries for one block of
-    ``_SAMPLE_BLOCK`` samples.  ``reserve(m)`` makes room for a doubling
-    with ``m`` new samples: ``odd`` holds the odd grid indices 1.0, 3.0,
-    ..., ``w`` the new samples, and ``grids`` two grids of 2m + 1 samples,
-    the current doubling's and the previous one's.  These grow to the
-    deepest doubling a call reaches and no further, and every piece of the
-    evaluator reuses them.
-    """
-
-    def __init__(self) -> None:
-        self.t1 = np.empty(_SAMPLE_BLOCK)
-        self.t2 = np.empty(_SAMPLE_BLOCK)
-        self.m = 0
-        self.reserve(8)
-
-    def reserve(self, m: int) -> None:
-        if m <= self.m:
-            return
-        self.m = m
-        self.odd = np.arange(1.0, 2.0 * m, 2.0)
-        self.w = np.empty(m)
-        self.grids = (np.empty(2 * m + 1), np.empty(2 * m + 1))
-
-
 # an integrand that writes its values at the samples ``w`` into ``out``
 Integrand = Callable[[np.ndarray, np.ndarray], None]
 
@@ -219,7 +192,6 @@ def _integrate_piece(
     a: float,
     b: float,
     tol: float,
-    work: _Workspace,
     ends: Tuple[Optional[float], Optional[float]],
 ) -> Tuple[float, float]:
     """Composite Simpson on one smooth piece, doubling the grid to ``tol``.
@@ -231,12 +203,12 @@ def _integrate_piece(
     from the previous grid, because ``np.linspace(a, b, 2n + 1)[::2]``
     equals ``np.linspace(a, b, n + 1)`` bit for bit when n is a power of
     two, and samples ``f`` only at the new odd points.  It computes them
-    as ``odd * ((b - a) / n) + a``, which is ``np.linspace``'s own
-    arithmetic and so equals ``np.linspace(a, b, n + 1)[1::2]`` bit for
-    bit (its step is never zero: pieces start at or above V_W, which
-    exceeds 1e-155 because 1/V_W^2 is finite).  Samples and grids live in
-    ``work``; ``f`` writes the new samples straight into the odd slots of
-    the grid.
+    as ``np.arange(1.0, n, 2.0) * ((b - a) / n) + a``, which is
+    ``np.linspace``'s own arithmetic and so equals
+    ``np.linspace(a, b, n + 1)[1::2]`` bit for bit (its step is never
+    zero: pieces start at or above V_W, which exceeds 1e-155 because
+    1/V_W^2 is finite).  ``f`` writes the new samples straight into the
+    odd slots of the doubled grid.
 
     The doubling count is capped at 16 (524,289 samples).  Where a shifted
     curve reaches zero at the effective ceiling, the piece ending just
@@ -249,7 +221,7 @@ def _integrate_piece(
     if b <= a:
         return 0.0, 0.0
     n = 8
-    fx = work.grids[0][: n + 1]
+    fx = np.empty(n + 1)
     f_a, f_b = ends
     lo = 0 if f_a is None else 1
     hi = n + 1 if f_b is None else n
@@ -259,16 +231,12 @@ def _integrate_piece(
     if f_b is not None:
         fx[n] = f_b
     prev = _simpson(fx, (b - a) / n)
-    for level in range(1, 17):
+    for _ in range(16):
         n *= 2
-        m = n // 2
-        work.reserve(m)
         h = (b - a) / n
-        w = np.multiply(work.odd[:m], h, out=work.w[:m])
-        w += a
-        finer = work.grids[level % 2][: n + 1]
+        finer = np.empty(n + 1)
         finer[::2] = fx
-        f(w, finer[1::2])
+        f(np.arange(1.0, n, 2.0) * h + a, finer[1::2])
         fx = finer
         cur = _simpson(fx, h)
         if abs(cur - prev) <= tol:
@@ -296,7 +264,6 @@ def _piece_integrand(
     a: float,
     b: float,
     general: Callable[[np.ndarray], np.ndarray],
-    work: _Workspace,
 ) -> Integrand:
     """The phi integrand on the piece [a, b] between two adjacent knot levels.
 
@@ -306,9 +273,9 @@ def _piece_integrand(
     the index rules of :meth:`MonotoneCurve.inverse` and ``np.interp``, and
     the returned integrand is straight-line arithmetic on their end points,
     in exactly the operations and order the general code uses, so both give
-    the same bits.  It works in place, a block of ``_SAMPLE_BLOCK`` samples
-    at a time in ``work.t1`` and ``work.t2``, and writes into ``out``,
-    which may be a strided view.  Samples are monotone (``np.linspace``'s
+    the same bits.  Each call works in place in two temporaries of at
+    most ``_SAMPLE_BLOCK`` samples, a block at a time, and writes into
+    ``out``, which may be a strided view.  Samples are monotone (``np.linspace``'s
     arithmetic), and every correctly rounded step keeps them so; checks on
     the first and last sample of each block therefore cover all of them.
     A call with a sample that leaves the resolved segments, or a piece
@@ -344,15 +311,16 @@ def _piece_integrand(
     def f(w: np.ndarray, out: np.ndarray) -> None:
         if not (w_lo < w[0] and w[-1] <= w_hi):
             return fallback(w, out)
+        t1, t2 = np.empty(min(len(w), _SAMPLE_BLOCK)), np.empty(min(len(w), _SAMPLE_BLOCK))
         for start in range(0, len(w), _SAMPLE_BLOCK):
             stop = start + _SAMPLE_BLOCK
             wb = w[start:stop]
             # x_lo = dx0 + ((d0 - w) / d_fall) * d_width, and its increasing twin
-            x_lo = np.subtract(d0, wb, out=work.t1[: len(wb)])
+            x_lo = np.subtract(d0, wb, out=t1[: len(wb)])
             x_lo /= d_fall
             x_lo *= d_width
             x_lo += dx0
-            x_hi = np.subtract(wb, s0, out=work.t2[: len(wb)])
+            x_hi = np.subtract(wb, s0, out=t2[: len(wb)])
             x_hi /= s_rise
             x_hi *= s_width
             x_hi += sx0
@@ -380,9 +348,9 @@ def _piece_integrand(
 class _PhiEvaluator:
     """phi of one (pair, rho), integrated once per quadrature piece.
 
-    Holds the walrasian point, the pair's sorted knot levels, the
-    workspace every piece samples into and, on first use, the effective
-    ceiling and the general integrand at the knot levels in (V_W, v_eff).
+    Holds the walrasian point, the pair's sorted knot levels and, on
+    first use, the effective ceiling and the general integrand at the
+    knot levels in (V_W, v_eff).
     Every finished piece is kept under ``(a, b, piece_tol)``, so bisection
     steps that share knot pieces, and phi and the recurrence class of one
     volume, integrate them once.  The cache lives as long as the
@@ -410,7 +378,6 @@ class _PhiEvaluator:
             )
         self._levels = _knot_levels(pair)
         self._f = _phi_integrand(pair, rho)
-        self._work = _Workspace()
         self._pieces: dict = {}
 
     @cached_property
@@ -437,9 +404,9 @@ class _PhiEvaluator:
         key = (a, b, tol)
         done = self._pieces.get(key)
         if done is None:
-            f = _piece_integrand(self.pair, self.rho, a, b, self._f, self._work)
+            f = _piece_integrand(self.pair, self.rho, a, b, self._f)
             ends = (self._at_knots.get(a), self._at_knots.get(b))
-            done = self._pieces[key] = _integrate_piece(f, a, b, tol, self._work, ends)
+            done = self._pieces[key] = _integrate_piece(f, a, b, tol, ends)
         return done
 
     def value(self, v: float) -> Tuple[float, float]:

@@ -900,6 +900,19 @@ class TestCompare:
         assert f"compare.{key} must be nonnegative" in capsys.readouterr().err
         assert list(outdir.iterdir()) == []
 
+    @pytest.mark.parametrize("horizon", [{"events": 0}, {"duration": 1e-9}], ids=["events", "duration"])
+    def test_no_state_after_the_burn_in_exits_2(self, tmp_path, outdir, capsys, horizon):
+        # a run that draws no event has no post-burn-in state to measure:
+        # a config error, not a tolerance failure over NaN distances
+        doc = self.config(0)
+        del doc["run"]["events"]
+        doc["run"].update(horizon)
+        cfg = write_config(tmp_path, doc)
+        assert main(["compare", cfg, "--out", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert "drew 0 events" in err and "run.burn_in 0.5" in err
+        assert not outdir.exists()
+
     def test_refuses_critical_window(self, tmp_path, outdir, capsys):
         # restriction at the long-run volume: null recurrent, no stationary law
         doc = self.config(10_000)

@@ -929,6 +929,32 @@ class TestPrepassMemory:
         assert traj.n_events > engine._BLOCK
         assert peak - stored_bytes(traj) < self.OVERHEAD
 
+    @pytest.mark.parametrize("name", ["uniform-restricted", "kinked"])
+    def test_suspended_frame_keeps_only_its_chunk(self, name):
+        # every book stage and every replay reader runs while the pre-pass
+        # waits at its yield; its frame may keep the chunk it yielded and
+        # the two random blocks, and no other array longer than the curves'
+        # knot tables (1.8-2.3 MB of decode temporaries rode along before)
+        def arrays(value, label):
+            if isinstance(value, np.ndarray):
+                yield label, value
+            elif isinstance(value, (tuple, list)):
+                for i, v in enumerate(value):
+                    yield from arrays(v, f"{label}[{i}]")
+
+        if name == "kinked":
+            pair, window = make_kinked_pair(32), None
+        else:
+            pair, window = make_uniform_pair(), PriceInterval(0.4, 0.6)
+        cfg = SimConfig(pair=pair, events=1 << 18, seed=1, restriction=window)
+        chunks = engine._event_chunks(cfg, RateTable.from_pair(pair))
+        for chunk in chunks:
+            held = chunks.gi_frame.f_locals
+            keep = (*chunk, held["exps"], held["unis"])
+            for local, value in held.items():
+                for label, a in arrays(value, local):
+                    assert a.size <= 64 or any(np.shares_memory(a, b) for b in keep), label
+
 
 class TestSummaryMemory:
     # peak traced memory of run() with its summary beyond the arrays its

@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -876,8 +877,7 @@ class TestPieceIntegrand:
         # any block length gives the same bits; short ones split every call
         saved, theory._SAMPLE_BLOCK = theory._SAMPLE_BLOCK, block
         try:
-            work = theory._Workspace()
-            piece = theory._piece_integrand(ev.pair, ev.rho, a, b, general, work)
+            piece = theory._piece_integrand(ev.pair, ev.rho, a, b, general)
             # written as a whole array, and through the odd slots of a grid
             out = np.empty(len(w))
             grid = np.full(2 * len(w) + 1, np.nan)
@@ -911,7 +911,7 @@ class TestPieceIntegrand:
             out[...] = 1.0
 
         # a tolerance of -1 never converges
-        theory._integrate_piece(record, a, b, -1.0, theory._Workspace(), (None, None))
+        theory._integrate_piece(record, a, b, -1.0, (None, None))
         assert len(seen) == 17
         assert seen[0] == np.linspace(a, b, 9).tobytes()
         for level, samples in enumerate(seen[1:], start=1):
@@ -990,3 +990,17 @@ class TestPhiWork:
         assert calls == 1
         assert 524_289 <= pieces + general <= 600_000
         assert general <= 0.01 * (pieces + general)
+
+    # the cap piece's last doubling holds its grid of 524,289 samples, the
+    # previous grid and the new odd samples: 8.5 MB traced.  A workspace
+    # that kept two grids of the deepest doubling beside them read 17.9 MB
+    @pytest.mark.parametrize("build", [v_l, PhiTable.build], ids=["v_l", "PhiTable.build"])
+    def test_traced_peak(self, build):
+        pair = make_kinked_pair(32)
+        tracemalloc.start()
+        try:
+            build(pair, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
