@@ -275,12 +275,12 @@ def _piece_integrand(
     in exactly the operations and order the general code uses, so both give
     the same bits.  Each call works in place in two temporaries of at
     most ``_SAMPLE_BLOCK`` samples, a block at a time, and writes into
-    ``out``, which may be a strided view.  Samples are monotone (``np.linspace``'s
-    arithmetic), and every correctly rounded step keeps them so; checks on
-    the first and last sample of each block therefore cover all of them.
-    A call with a sample that leaves the resolved segments, or a piece
-    with none (levels at or below a curve's end rate), is handed whole to
-    ``general``, the one general integrand.
+    ``out``, which may be a strided view.  Samples are monotone
+    (``np.linspace``'s arithmetic), and every correctly rounded step keeps
+    them so; checks on the first and last sample of each block therefore
+    cover all of them.  A call with a sample that leaves the resolved
+    segments, or a piece with none (levels at or below a curve's end
+    rate), is handed whole to ``general``, the one general integrand.
     """
 
     def fallback(w: np.ndarray, out: np.ndarray) -> None:
@@ -350,11 +350,12 @@ class _PhiEvaluator:
 
     Holds the walrasian point, the pair's sorted knot levels and, on
     first use, the effective ceiling and the general integrand at the
-    knot levels in (V_W, v_eff).
-    Every finished piece is kept under ``(a, b, piece_tol)``, so bisection
-    steps that share knot pieces, and phi and the recurrence class of one
-    volume, integrate them once.  The cache lives as long as the
-    evaluator: one call of a public function, or one volume sweep.
+    knot levels in (V_W, v_eff).  Every finished piece is kept under
+    ``(a, b, piece_tol)``, so bisection steps that share knot pieces, and
+    phi and the recurrence class of one volume, integrate them once.  The
+    cache lives as long as the evaluator: one call of a public function,
+    or one volume sweep.  Nothing else is kept between pieces: each
+    doubling of each piece samples into arrays of its own.
     """
 
     def __init__(self, pair: DemandSupplyPair, rho: float):
