@@ -311,7 +311,8 @@ def _piece_integrand(
     def f(w: np.ndarray, out: np.ndarray) -> None:
         if not (w_lo < w[0] and w[-1] <= w_hi):
             return fallback(w, out)
-        t1, t2 = np.empty(min(len(w), _SAMPLE_BLOCK)), np.empty(min(len(w), _SAMPLE_BLOCK))
+        size = min(len(w), _SAMPLE_BLOCK)
+        t1, t2 = np.empty(size), np.empty(size)
         for start in range(0, len(w), _SAMPLE_BLOCK):
             stop = start + _SAMPLE_BLOCK
             wb = w[start:stop]
