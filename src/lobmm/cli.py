@@ -879,6 +879,11 @@ def cmd_compare(cfg: Config, out: OutputSettings) -> int:
 
 
 def cmd_freeze(cfg: Config, out: OutputSettings) -> int:
+    """The freeze ensemble, and with ``freeze.gambler.y`` the survival
+    scenario: each replica again from a book holding one resting buy at y.
+    The gambler's replica r draws the stream of the main replica r, so
+    one ``run_ensemble`` call decodes each stream once and steps both
+    books through it."""
     from .engine import run_ensemble
     from .theory import freeze_support, gambler_bound
 
@@ -899,10 +904,14 @@ def cmd_freeze(cfg: Config, out: OutputSettings) -> int:
     y = cfg.get("freeze.gambler.y")
     if y is not None:
         bound = gambler_bound(pair, rho, y)
-    # the gambler's ensemble runs as many replicas again
+    # the gambler's books step as many replicas again
     _check_horizon(base, replicas * (1 if y is None else 2))
 
-    stats = run_ensemble(base, replicas=replicas, workers=workers)
+    if y is None:
+        stats = run_ensemble(base, replicas=replicas, workers=workers)
+    else:
+        gambler = replace(base, initial_buys=(y,))
+        stats, gstats = run_ensemble(base, replicas=replicas, workers=workers, also=(gambler,))
     frozen = [s for s in stats if s.frozen]
     midpoints = np.array([s.freeze_midpoint for s in frozen])
 
@@ -938,7 +947,6 @@ def cmd_freeze(cfg: Config, out: OutputSettings) -> int:
     }
 
     if y is not None:
-        gstats = run_ensemble(replace(base, initial_buys=(y,)), replicas=replicas, workers=workers)
         held = sum(1 for s in gstats if s.min_bid >= y)
         payload["gambler"] = {
             "y": y,

@@ -29,7 +29,11 @@ orders behind the quotes in the cold tiers one array at a time, and steps
 only the events that end a stretch, and busy parts of the stream, through
 the per-event book loop on the hot tiers.  When the loop empties a quote
 level and a cold price reaches the new quote, the book flushes that
-side's whole cold tier into the hot tier.
+side's whole cold tier into the hot tier.  Since the pre-pass never reads
+the book, one decode can drive several books whose configs agree on all
+but their initial books, as ``freeze``'s gambler replica does with its
+main replica: :func:`_run_books` steps each book through every chunk in
+turn, and :func:`run` is its one-book case.
 
 The book stage records only the quotes after each event that it steps,
 and the quotes and trade prices of every event follow by one rule:
@@ -76,10 +80,10 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, partial
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -632,55 +636,38 @@ def _chunk_record(
     return traded, np.flatnonzero(stepped)[moved], bids[moved + 1], asks[moved + 1]
 
 
-def run(config: SimConfig) -> Trajectory:
-    """Simulate one trajectory; deterministic in (seed, replica).
+class _BookStage:
+    """The book stage of one run: its book, stepped through the chunks of a
+    pre-pass, and what the run keeps of it (the quote change points, the
+    trade count and the snapshots).  It holds nothing of a chunk between
+    two calls of :meth:`step`."""
 
-    For each chunk of the pre-pass (:func:`_event_chunks`), the book stage
-    looks ahead over the chunk's events, less its dropped orders, in a
-    window of ``_LOOK`` events, doubled while quiet stretches fill it.
-    :func:`_quiet_stretch` applies a stretch of at least ``_MIN_STRETCH``
-    events in bulk, and :func:`_book_loop` steps the event that ends it;
-    where the stream is busy, the loop steps runs of events instead,
-    doubled while it stays busy.  :func:`_chunk_record` then reads the
-    chunk's trade bits, which the run only counts, and its quote change
-    points, which it keeps with their events' times.  The final book
-    keeps its cold tiers; its order totals count them, and its whole-book
-    views merge them in when first read.  The per-event columns are
-    replayed from the seed (see :class:`Trajectory`).
-    """
-    pair = config.pair
-    require_core_assumptions(pair)
-    rates = RateTable.from_pair(pair, config.rho)
+    def __init__(self, config: SimConfig):
+        self.config = config
+        self.book = OrderBook(config.pair.interval, config.initial_buys, config.initial_sells)
+        self.bid, self.ask = self.book.bid, self.book.ask
+        # the change points, one list of per-chunk parts for each of their
+        # positions, events' times, bids and asks; the first parts hold the
+        # quotes before the first event, at that event's time
+        self.moves = ([np.zeros(1, dtype=np.intp)], [np.zeros(1)], [np.array([self.bid])], [np.array([self.ask])])
+        self.trades = 0
+        self.snap_at = set(config.snapshot_at)
+        self.snapshots: Dict[int, BookSnapshot] = {0: self.book.snapshot()} if 0 in self.snap_at else {}
+        # the look-ahead window and the busy run, carried across chunks
+        self.look, self.busy = _LOOK, _MIN_STRETCH
 
-    book = OrderBook(pair.interval, config.initial_buys, config.initial_sells)
-    bid, ask = book.bid, book.ask
-
-    # the change points, one list of per-chunk parts for each of their
-    # positions, events' times, bids and asks; the first parts hold the
-    # quotes before the first event, at that event's time
-    moves = ([np.zeros(1, dtype=np.intp)], [np.zeros(1)], [np.array([bid])], [np.array([ask])])
-    trades = 0
-
-    snap_at = set(config.snapshot_at)
-    snapshots: Dict[int, BookSnapshot] = {0: book.snapshot()} if 0 in snap_at else {}
-
-    look, busy = _LOOK, _MIN_STRETCH
-    n = 0
-    end_time = 0.0
-    for times, kinds, prices in _event_chunks(config, rates):
-        if not n:
-            moves[1][0][0] = times[0]
-        end_time = float(times[-1])
-        # the book stage never sees a dropped order
-        kept = np.flatnonzero(kinds != DROPPED) if (kinds == DROPPED).any() else None
-        book_kinds, book_prices = (kinds, prices) if kept is None else (kinds[kept], prices[kept])
+    def step(self, n: int, times: np.ndarray, kept: Optional[np.ndarray], kinds: np.ndarray, prices: np.ndarray) -> None:
+        """Apply the chunk of events ``n`` on, whose times are ``times``:
+        ``kinds`` and ``prices`` are its events less its dropped orders, and
+        ``kept`` their positions in the chunk (None when it drops none)."""
+        book, bid, ask, look, busy = self.book, self.bid, self.ask, self.look, self.busy
         quotes = (array("d", [bid]), array("d", [ask]))
-        m = len(book_kinds)
+        m = len(kinds)
         stepped = np.zeros(m, dtype=bool)
         s = 0
         while s < m:
             w = slice(s, min(m, s + look))
-            q = _quiet_stretch(book, bid, ask, book_kinds[w], book_prices[w])
+            q = _quiet_stretch(book, bid, ask, kinds[w], prices[w])
             s += q
             if q:
                 if s == w.stop:  # quiet to the end of the look-ahead: look further
@@ -692,37 +679,94 @@ def run(config: SimConfig) -> Trajectory:
             else:  # busy: the loop takes a run, longer while it stays busy
                 r = slice(s, min(m, s + busy))
                 busy *= 2
-            bid, ask = _book_loop(book, bid, ask, book_kinds[r], book_prices[r], quotes)
+            bid, ask = _book_loop(book, bid, ask, kinds[r], prices[r], quotes)
             stepped[r] = True
             s = r.stop
-        traded, moved, moved_bids, moved_asks = _chunk_record(
-            book_kinds, book_prices, stepped, quotes, pair.interval
-        )
-        trades += int(np.count_nonzero(traded))
+        self.bid, self.ask, self.look, self.busy = bid, ask, look, busy
+        traded, moved, moved_bids, moved_asks = _chunk_record(kinds, prices, stepped, quotes, book.interval)
+        self.trades += int(np.count_nonzero(traded))
         if kept is not None:  # back to positions in the whole chunk
             moved = kept[moved]
+        if not n:
+            self.moves[1][0][0] = times[0]
         # the quotes after event n + i are change point n + i + 1
-        for parts, part in zip(moves, (moved + (n + 1), times[moved], moved_bids, moved_asks)):
+        for parts, part in zip(self.moves, (moved + (n + 1), times[moved], moved_bids, moved_asks)):
             parts.append(part)
-        # free the chunk's book stage before the pre-pass decodes the next chunk
-        book_kinds = book_prices = kept = stepped = quotes = traded = None
-        n += len(kinds)
-        if n in snap_at:
-            snapshots[n] = book.snapshot()
+        n += len(times)
+        if n in self.snap_at:
+            self.snapshots[n] = book.snapshot()
 
-    # free the last chunk before Trajectory reduces the run
+    def finish(self, n: int, end_time: float) -> Trajectory:
+        """The run of ``n`` events that ends at ``end_time``."""
+        # the book stage leaves the order totals to the end
+        self.book._count_orders()
+        # join the parts one field at a time, so that a busy run, whose change
+        # points are many, holds them twice over one field at most
+        change_points = []
+        for parts in self.moves:
+            change_points.append(_read_only(np.concatenate(parts)))
+            parts.clear()
+        return Trajectory(self.config, n, end_time, *change_points, self.trades, self.book, self.snapshots)
+
+
+def _shared_stream(configs: Sequence[SimConfig]) -> None:
+    """Refuse ``configs`` that would not draw one event stream: they must
+    agree on every field but the initial book."""
+    first = configs[0]
+    for config in configs[1:]:
+        for f in fields(SimConfig):
+            if f.name not in ("initial_buys", "initial_sells") and getattr(config, f.name) != getattr(first, f.name):
+                raise ValueError(f"configs that share one event stream must agree on {f.name}")
+
+
+def _run_books(configs: Sequence[SimConfig]) -> List[Trajectory]:
+    """Simulate one trajectory per config from one decode of their shared
+    event stream; the configs differ only in their initial books.
+
+    For each chunk of the pre-pass (:func:`_event_chunks`), each book's
+    stage (:class:`_BookStage`) in turn looks ahead over the chunk's
+    events, less its dropped orders, in a window of ``_LOOK`` events,
+    doubled while quiet stretches fill it.  :func:`_quiet_stretch` applies
+    a stretch of at least ``_MIN_STRETCH`` events in bulk, and
+    :func:`_book_loop` steps the event that ends it; where the stream is
+    busy, the loop steps runs of events instead, doubled while it stays
+    busy.  :func:`_chunk_record` then reads the chunk's trade bits, which
+    the run only counts, and its quote change points, which it keeps with
+    their events' times.  Each final book keeps its cold tiers; its order
+    totals count them, and its whole-book views merge them in when first
+    read.  The per-event columns are replayed from the seed (see
+    :class:`Trajectory`).
+    """
+    _shared_stream(configs)
+    config = configs[0]
+    require_core_assumptions(config.pair)
+    stages = [_BookStage(c) for c in configs]
+    n = 0
+    end_time = 0.0
+    for times, kinds, prices in _event_chunks(config, RateTable.from_pair(config.pair, config.rho)):
+        end_time = float(times[-1])
+        # the book stage never sees a dropped order
+        kept = np.flatnonzero(kinds != DROPPED) if (kinds == DROPPED).any() else None
+        book_kinds, book_prices = (kinds, prices) if kept is None else (kinds[kept], prices[kept])
+        for stage in stages:
+            stage.step(n, times, kept, book_kinds, book_prices)
+        # free the chunk's book stage before the pre-pass decodes the next chunk
+        book_kinds = book_prices = kept = None
+        n += len(kinds)
+    # free the last chunk before each Trajectory reduces its run
     times = kinds = prices = None
-    # the book stage leaves the order totals to the end
-    book._count_orders()
-    # join the parts one field at a time, so that a busy run, whose change
-    # points are many, holds them twice over one field at most
-    change_points = []
-    for parts in moves:
-        change_points.append(_read_only(np.concatenate(parts)))
-        parts.clear()
     if config.duration is not None:
         end_time = config.duration
-    return Trajectory(config, n, end_time, *change_points, trades, book, snapshots)
+    return [stage.finish(n, end_time) for stage in stages]
+
+
+def run(config: SimConfig) -> Trajectory:
+    """Simulate one trajectory; deterministic in (seed, replica).
+
+    This is the one-book case of :func:`_run_books`, which steps any books
+    that share one event stream through one decode of it.
+    """
+    return _run_books((config,))[0]
 
 
 def _occupation_weights(traj: Trajectory, tail: np.ndarray) -> np.ndarray:
@@ -939,13 +983,23 @@ def image_book(book: OrderBook, divisor: float) -> OrderBook:
         raise InvalidMapError(f"image under ceil(price / {divisor:g}) is invalid: {exc}") from exc
 
 
-def _replica_summaries(base: SimConfig, replicas: range) -> List[TrajectorySummary]:
-    return [run(replace(base, replica=r)).summary for r in replicas]
+def _replica_summaries(configs: Tuple[SimConfig, ...], replicas: range) -> list:
+    """The records of ``replicas``: of each one's run of the one config, or,
+    for several configs, a tuple of each one's runs from one decode."""
+    if len(configs) == 1:
+        return [run(replace(configs[0], replica=r)).summary for r in replicas]
+    return [
+        tuple(traj.summary for traj in _run_books([replace(c, replica=r) for c in configs]))
+        for r in replicas
+    ]
 
 
 def run_ensemble(
-    base_config: SimConfig, replicas: int, workers: Optional[int] = None
-) -> List[TrajectorySummary]:
+    base_config: SimConfig,
+    replicas: int,
+    workers: Optional[int] = None,
+    also: Sequence[SimConfig] = (),
+) -> list:
     """Post-run records of replicas 0..replicas-1 of ``base_config``.
 
     ``workers`` processes run them (None or 0: one per CPU; never more
@@ -954,13 +1008,24 @@ def run_ensemble(
     independent of scheduling; replica r always consumes the stream
     (seed, spawn_key=(r,)).  A replica that fails raises its error here;
     the batches not yet handed to a process never start.
+
+    ``also`` adds ensembles of companion configs, which must agree with
+    ``base_config`` on every field but the initial book (else
+    ``ValueError``, before any run starts).  Each replica then decodes its
+    stream once and steps every book through it (:func:`_run_books`), and
+    the call returns one list of records per config, ``base_config``'s
+    first, each equal to that config's own ensemble.  Without ``also`` it
+    returns the one list.
     """
     if replicas < 1:
         raise ValueError("need at least one replica")
     if workers is not None and workers < 0:
         raise ValueError("workers must be nonnegative (0 means one per CPU)")
+    configs = (base_config, *also)
+    _shared_stream(configs)
     size = _pool_size(replicas, workers)
     batch = max(1, replicas // (4 * size))
     batches = (range(r, min(r + batch, replicas)) for r in range(0, replicas, batch))
-    fn = partial(_replica_summaries, base_config)
-    return [s for part in _in_order(fn, batches, size) for s in part]
+    fn = partial(_replica_summaries, configs)
+    records = [s for part in _in_order(fn, batches, size) for s in part]
+    return [list(books) for books in zip(*records)] if also else records

@@ -1008,6 +1008,24 @@ class TestFreeze:
         assert main(["freeze", cfg, "--seed", "1", "--out", str(outdir)]) == 2
         assert list(outdir.iterdir()) == []
 
+    def test_each_replica_decodes_once(self, tmp_path, outdir, monkeypatch):
+        # the gambler's replica r draws the stream of replica r, so one
+        # decode steps both books; no side of these replicas empties after
+        # the burn-in, so none replays for its summary
+        calls = []
+        real = engine._event_chunks
+
+        def counted(config, rates):
+            calls.append(config.replica)
+            return real(config, rates)
+
+        monkeypatch.setattr(engine, "_event_chunks", counted)
+        for name, freeze in (("main", {}), ("gambler", {"gambler": {"y": 0.3}})):
+            calls.clear()
+            cfg = write_config(tmp_path, self.config(replicas=4, events=20_000, **freeze), f"{name}.json")
+            assert main(["freeze", cfg, "--seed", "3", "--workers", "1", "--out", str(outdir / name)]) == 0
+            assert calls == [0, 1, 2, 3]
+
     def test_gambler_vacuous_bound_is_config_error(self, tmp_path, outdir):
         cfg = write_config(tmp_path, self.config(gambler={"y": 0.7}))
         assert main(["freeze", cfg, "--seed", "1", "--out", str(outdir)]) == 2

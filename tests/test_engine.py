@@ -1727,3 +1727,151 @@ class TestEnsemble:
         # were handed out.  Submitting every batch at once starts at least
         # 17, the batches already in the pool's call queue.
         assert 1 <= len(started.read_text().split()) <= 1 + 3 * 4
+
+
+SHARED_PAIRS = {"uniform": make_uniform_pair(), "kinked": make_kinked_pair(32)}
+
+
+@st.composite
+def shared_books(draw, max_events=3_000):
+    """1-3 configs that draw one event stream: a pair of ``SHARED_PAIRS``,
+    a maker rate below or above the walrasian volume, a window or none, an
+    event or a duration horizon and snapshot indices, shared; an initial
+    book each, the empty book and one resting buy at y among the draws."""
+    pair = SHARED_PAIRS[draw(st.sampled_from(sorted(SHARED_PAIRS)))]
+    iv = pair.interval
+    v_w = walras(pair).volume
+    window = None
+    volume_share = draw(st.none() | st.floats(0.05, 0.95))
+    if volume_share is not None:
+        v_max = min(pair.demand.value_at(iv.lo), pair.supply.value_at(iv.hi))
+        v = v_w + volume_share * (v_max - v_w)
+        window = PriceInterval(float(pair.demand.inverse(v)), float(pair.supply.inverse(v)))
+    rho = v_w * draw(st.floats(0.0, 0.9) | st.floats(1.0, 3.0))
+    rate = 1.0 / RateTable.from_pair(pair, rho).inv_total
+    if draw(st.booleans()):
+        horizon = {"events": draw(st.integers(0, max_events))}
+    else:
+        horizon = {"duration": draw(st.floats(0.1, max_events / rate))}
+    base = SimConfig(
+        pair=pair,
+        rho=rho,
+        seed=draw(st.integers(0, 2**32 - 1)),
+        replica=draw(st.integers(0, 3)),
+        restriction=window,
+        snapshot_at=tuple(draw(st.lists(st.integers(0, max_events), max_size=3))),
+        **horizon,
+    )
+    y = iv.lo + draw(st.floats(0.05, 0.95)) * iv.length
+    cut = iv.lo + draw(st.floats(0.2, 0.8)) * iv.length
+    fracs = st.lists(st.floats(0.01, 0.99), max_size=4)
+    books = draw(
+        st.lists(
+            st.just(((), ()))
+            | st.just(((y,), ()))
+            | st.tuples(
+                fracs.map(lambda fs: tuple(iv.lo + f * (cut - iv.lo) for f in fs)),
+                fracs.map(lambda fs: tuple(cut + f * (iv.hi - cut) for f in fs)),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    return [replace(base, initial_buys=buys, initial_sells=sells) for buys, sells in books]
+
+
+def assert_same_run(traj: Trajectory, solo: Trajectory):
+    assert traj.config == solo.config
+    assert (traj.n_events, traj.end_time, traj._trade_count) == (solo.n_events, solo.end_time, solo._trade_count)
+    for name in STORED:
+        np.testing.assert_array_equal(getattr(traj, name), getattr(solo, name))
+    assert traj.final_book.snapshot() == solo.final_book.snapshot()
+    assert traj.snapshots == solo.snapshots
+    assert traj.summary == solo.summary
+
+
+class TestSharedStream:
+    """Books that share one event stream, stepped through one decode of it
+    (engine._run_books, and run_ensemble's ``also``)."""
+
+    @given(configs=shared_books())
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_each_book_equals_its_own_run(self, configs):
+        trajs = engine._run_books(configs)
+        assert len(trajs) == len(configs)
+        for traj, config in zip(trajs, configs):
+            assert_same_run(traj, run(config))
+
+    def test_one_decode_steps_every_book(self, uniform_pair, monkeypatch):
+        # a frozen run never replays, so every entry is a decode
+        calls = counted_chunks(monkeypatch)
+        cfg = SimConfig(pair=uniform_pair, events=20_000, seed=5, rho=0.6)
+        trajs = engine._run_books([cfg, replace(cfg, initial_buys=(0.3,)), replace(cfg, initial_sells=(0.8,))])
+        assert all(traj.summary.frozen for traj in trajs)
+        assert calls[0] == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "rho,window", [(0.6, None), (0.0, PriceInterval(0.4, 0.6))], ids=["frozen", "restricted"]
+    )
+    def test_ensemble_equals_separate_ensembles(self, uniform_pair, workers, rho, window):
+        cfg = SimConfig(pair=uniform_pair, events=5_000, seed=78, rho=rho, restriction=window)
+        also = (replace(cfg, initial_buys=(0.3,)), replace(cfg, initial_buys=(0.2,), initial_sells=(0.9,)))
+        together = run_ensemble(cfg, replicas=5, workers=workers, also=also)
+        assert together == [run_ensemble(c, replicas=5, workers=workers) for c in (cfg, *also)]
+        assert run_ensemble(cfg, replicas=5, workers=workers, also=()) == together[0]
+
+    @pytest.mark.parametrize(
+        "change,name",
+        [
+            ({"seed": 2}, "seed"),
+            ({"replica": 1}, "replica"),
+            ({"rho": 0.5}, "rho"),
+            ({"events": 1_001}, "events"),
+            ({"events": None, "duration": 500.0}, "events"),
+            ({"restriction": PriceInterval(0.4, 0.6)}, "restriction"),
+            ({"snapshot_at": (10,)}, "snapshot_at"),
+            ({"burn_in": 0.25}, "burn_in"),
+        ],
+    )
+    def test_configs_that_draw_apart_are_refused(self, uniform_pair, monkeypatch, change, name):
+        calls = counted_chunks(monkeypatch)
+        cfg = SimConfig(pair=uniform_pair, events=1_000, seed=1, rho=0.6)
+        other = replace(cfg, initial_buys=(0.3,), **change)
+        with pytest.raises(ValueError, match=f"agree on {name}$"):
+            engine._run_books([cfg, other])
+        with pytest.raises(ValueError, match=f"agree on {name}$"):
+            run_ensemble(cfg, replicas=4, workers=2, also=(other,))
+        assert calls[0] == 0
+
+    def test_duration_is_shared(self, uniform_pair):
+        cfg = SimConfig(pair=uniform_pair, duration=100.0, seed=1)
+        with pytest.raises(ValueError, match="agree on duration$"):
+            engine._run_books([cfg, replace(cfg, duration=101.0)])
+
+    def test_pair_is_shared(self, uniform_pair):
+        cfg = SimConfig(pair=uniform_pair, events=100, seed=1)
+        with pytest.raises(ValueError, match="agree on pair$"):
+            run_ensemble(cfg, replicas=1, also=(replace(cfg, pair=make_evenodd_pair(3)),))
+
+    def test_a_second_book_costs_its_stored_size(self, uniform_pair):
+        # a frozen replica and its gambler book, 2**18 events at rho 0.6:
+        # stepping the second book through the same decode may add to the
+        # peak what the second run keeps (its final book, mostly) and 1 MB
+        cfg = SimConfig(pair=uniform_pair, events=1 << 18, seed=3, rho=0.6)
+        gambler = replace(cfg, initial_buys=(0.3,))
+        run(cfg)  # what a first run in a process leaves cached
+        one, one_peak = traced(run, cfg)
+        tracemalloc.start()
+        try:
+            trajs = engine._run_books([cfg, gambler])
+            both_peak = tracemalloc.get_traced_memory()[1]
+            second = trajs.pop()
+            frozen = second.summary.frozen and trajs[0].summary.frozen
+            with_second = tracemalloc.get_traced_memory()[0]
+            del second
+            second_bytes = with_second - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert frozen and one.summary.frozen
+        assert both_peak - one_peak <= second_bytes + 1_000_000
