@@ -986,7 +986,7 @@ def image_book(book: OrderBook, divisor: float) -> OrderBook:
 def _replica_summaries(configs: Tuple[SimConfig, ...], replicas: range) -> list:
     """The records of ``replicas``: of each one's run of the one config, or,
     for several configs, a tuple of each one's runs from one decode."""
-    if len(configs) == 1:
+    if len(configs) == 1:  # through run(), which callers may wrap by name
         return [run(replace(configs[0], replica=r)).summary for r in replicas]
     return [
         tuple(traj.summary for traj in _run_books([replace(c, replica=r) for c in configs]))
