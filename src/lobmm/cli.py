@@ -673,14 +673,15 @@ def cmd_theory(cfg: Config, out: OutputSettings) -> int:
                 ("volume", "phi", "error_estimate"),
                 (table.volumes, table.values, table.errors),
             )
-        if rep.window is not None and "csv" in formats:
+        if rep.window is not None:
             try:
                 sol = solve_luckock(pair, rho, rep.window)
-                out.csv(
-                    out.directory / "quotes.csv",
-                    ("price", "bid_cdf", "ask_survival"),
-                    (sol.grid, sol.f_minus, sol.f_plus),
-                )
+                if "csv" in formats:
+                    out.csv(
+                        out.directory / "quotes.csv",
+                        ("price", "bid_cdf", "ask_survival"),
+                        (sol.grid, sol.f_minus, sol.f_plus),
+                    )
                 payload["quote_law"] = {
                     "empty_buy_prob": sol.f_minus_lo,
                     "empty_sell_prob": sol.f_plus_hi,
@@ -745,6 +746,11 @@ def cmd_simulate(cfg: Config, out: OutputSettings) -> int:
     base = sim_config(cfg, pair, rho, restriction=window, burn_in=burn_in, snapshot_at=snapshot_at)
     replicas = cfg.get("run.replicas")
     _check_horizon(base, replicas)
+    # under a duration horizon an index past the last event writes no file
+    if base.events is not None and base.snapshot_at and base.snapshot_at[-1] > base.events:
+        raise ConfigError(
+            f"output.snapshot_at index {base.snapshot_at[-1]} lies past run.events {base.events}"
+        )
     divisor = cfg.get("run.map.divisor")
     bins = cfg.get("output.histogram_bins")
     formats = cfg.get("output.formats")
@@ -947,7 +953,8 @@ def cmd_freeze(cfg: Config, out: OutputSettings) -> int:
     }
 
     if y is not None:
-        held = sum(1 for s in gstats if s.min_bid >= y)
+        # a replica of no events has a NaN min_bid: its bid never left y
+        held = sum(1 for s in gstats if not s.min_bid < y)
         payload["gambler"] = {
             "y": y,
             "bound": bound,

@@ -134,10 +134,6 @@ _CDF_GRID_SIZE = 1024
 _FREEZE_EPS = 0.01
 _FREEZE_SPAN = 0.1
 
-# runs of equal quotes per block of detect_freeze's backward scan.  Like
-# _LOOK it changes no result, only the scan's memory and speed.
-_FREEZE_BLOCK = 1 << 14
-
 
 class InsufficientDataError(RuntimeError):
     """A post-burn-in estimate was requested from an empty sample."""
@@ -919,39 +915,24 @@ def detect_freeze(traj: Trajectory) -> Optional[FreezeReport]:
 
     A suffix of a stable suffix is stable too, since fewer events lower
     each maximum and raise each minimum, so the stable suffixes are exactly
-    those from the first index where the condition holds.  The condition
-    holds on all states of a run of equal quotes or on none, so the scan
-    walks the runs (see :class:`Trajectory`), not the events: backward,
-    ``_FREEZE_BLOCK`` runs at a time, carrying four running extremes of
-    everything after the current block (the max and min bid, the max and
-    min ask), and it stops at the last run where the condition fails.  The
-    spread needs no running max: every later spread passed before the scan
-    gets to a run.  So the scan needs a few block-sized arrays whatever the
-    horizon, and gives what whole-run arrays give, bit for bit: max and
-    min are exact.
+    those after the last index where the condition fails.  The condition
+    holds on all states of a run of equal quotes or on none, so one
+    backward pass over the runs (see :class:`Trajectory`) finds that index.
     """
     n = traj.n_events
+    if not n:  # no runs, and no suffix of at least one event
+        return None
     eps = _FREEZE_EPS * traj.config.pair.interval.length
     starts, bids, asks = _segments(traj)
     c = len(starts)
-    bid_hi = ask_hi = -math.inf
-    bid_lo = ask_lo = math.inf
-    j = 0  # first run of the maximal stable suffix
-    for stop in range(c, 0, -_FREEZE_BLOCK):
-        start = max(stop - _FREEZE_BLOCK, 0)
-        # entry i of each array below belongs to run stop - 1 - i; the
-        # extremes are over the suffix from that run on
-        b, a = bids[start:stop][::-1], asks[start:stop][::-1]
-        b_hi = np.maximum(np.maximum.accumulate(b), bid_hi)
-        b_lo = np.minimum(np.minimum.accumulate(b), bid_lo)
-        a_hi = np.maximum(np.maximum.accumulate(a), ask_hi)
-        a_lo = np.minimum(np.minimum.accumulate(a), ask_lo)
-        ok = (a - b <= eps) & (b_hi - b_lo <= eps) & (a_hi - a_lo <= eps)
-        i = int(np.argmin(ok))  # the first failure, or 0 if none
-        if not ok[i]:
-            j = stop - i
-            break
-        bid_hi, bid_lo, ask_hi, ask_lo = b_hi[-1], b_lo[-1], a_hi[-1], a_lo[-1]
+    # entry i belongs to run c - 1 - i, and its extremes are over the suffix
+    # from that run on; a failing spread fails every suffix that holds it
+    b, a = bids[::-1], asks[::-1]
+    ok = a - b <= eps
+    for q in (b, a):
+        ok &= np.maximum.accumulate(q) - np.minimum.accumulate(q) <= eps
+    i = int(np.argmin(ok))  # the last failure, or 0 if none
+    j = c - i if not ok[i] else 0  # first run of the maximal stable suffix
     k = int(starts[j]) if j < c else n  # its first state
     if n - k < max(1, int(_FREEZE_SPAN * n)):
         return None
@@ -984,10 +965,8 @@ def image_book(book: OrderBook, divisor: float) -> OrderBook:
 
 
 def _replica_summaries(configs: Tuple[SimConfig, ...], replicas: range) -> list:
-    """The records of ``replicas``: of each one's run of the one config, or,
-    for several configs, a tuple of each one's runs from one decode."""
-    if len(configs) == 1:  # through run(), which callers may wrap by name
-        return [run(replace(configs[0], replica=r)).summary for r in replicas]
+    """The records of ``replicas``: for each, a tuple of every config's
+    record, its books stepped through one decode of its stream."""
     return [
         tuple(traj.summary for traj in _run_books([replace(c, replica=r) for c in configs]))
         for r in replicas
@@ -1028,4 +1007,5 @@ def run_ensemble(
     batches = (range(r, min(r + batch, replicas)) for r in range(0, replicas, batch))
     fn = partial(_replica_summaries, configs)
     records = [s for part in _in_order(fn, batches, size) for s in part]
-    return [list(books) for books in zip(*records)] if also else records
+    per_config = [list(books) for books in zip(*records)]
+    return per_config if also else per_config[0]

@@ -656,6 +656,22 @@ class TestTheory:
         assert (outdir / "window.json").exists()
         assert not (outdir / "phi.csv").exists()
 
+    @pytest.mark.parametrize(
+        "model", [dict(UNIFORM_MODEL, rho=0.1), KINKED_MODEL], ids=["uniform", "kinked"]
+    )
+    def test_window_json_does_not_depend_on_the_formats(self, tmp_path, model):
+        # the quote law is solved whenever a window exists; only quotes.csv
+        # waits for csv
+        written = {}
+        for formats in (["json"], ["csv", "json"]):
+            name = "+".join(formats)
+            cfg = write_config(tmp_path, {"model": model, "output": {"formats": formats}}, f"{name}.json")
+            assert main(["theory", cfg, "--out", str(tmp_path / name)]) == 0
+            written[name] = (tmp_path / name / "window.json").read_bytes()
+            assert (tmp_path / name / "quotes.csv").exists() == ("csv" in formats)
+        assert written["json"] == written["csv+json"]
+        assert json.loads(written["json"])["quote_law"]["grid_size"] > 0
+
 
 # -- simulate -----------------------------------------------------------------
 
@@ -790,6 +806,22 @@ class TestSimulate:
         assert header == ["side", "price", "count"]
         prices = [float(r[1]) for r in rows]
         assert prices == sorted(prices)
+
+    def test_snapshot_past_the_events_is_refused(self, tmp_path, outdir, capsys, monkeypatch):
+        # refused before any event is drawn; an index equal to run.events
+        # is the final book, and stays valid
+        monkeypatch.setattr(engine, "run", lambda config: pytest.fail("simulated"))
+        doc = self.base(events=1000)
+        doc["output"]["snapshot_at"] = [1000, 5000]
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", cfg, "--seed", "2", "--out", str(outdir)]) == 2
+        assert "output.snapshot_at index 5000 lies past run.events 1000" in capsys.readouterr().err
+        assert not outdir.exists()
+        monkeypatch.undo()
+        doc["output"]["snapshot_at"] = [1000]
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", cfg, "--seed", "2", "--out", str(outdir)]) == 0
+        assert (outdir / "snapshot-1000.csv").read_bytes() == (outdir / "final-book.csv").read_bytes()
 
     def test_replica_directories(self, tmp_path, outdir):
         cfg = write_config(tmp_path, self.base(events=100, replicas=3))
@@ -1025,6 +1057,18 @@ class TestFreeze:
             cfg = write_config(tmp_path, self.config(replicas=4, events=20_000, **freeze), f"{name}.json")
             assert main(["freeze", cfg, "--seed", "3", "--workers", "1", "--out", str(outdir / name)]) == 0
             assert calls == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("run", [{"events": 0}, {"events": None, "duration": 1e-9}], ids=["events", "duration"])
+    def test_gambler_replicas_of_no_events_hold(self, tmp_path, outdir, run):
+        # a replica of no events has no bid to take its minimum of (min_bid
+        # NaN); its bid never left y, so it counts as held
+        doc = self.config(replicas=3, gambler={"y": 0.3})
+        doc["run"] = {k: v for k, v in dict(doc["run"], **run).items() if v is not None}
+        cfg = write_config(tmp_path, doc)
+        assert main(["freeze", cfg, "--seed", "1", "--out", str(outdir)]) == 0
+        _, rows = read_csv(outdir / "replicas.csv")
+        assert rows and all(row[1] == "0" for row in rows)
+        assert read_json(outdir / "ensemble.json")["gambler"]["empirical_fraction"] == 1.0
 
     def test_gambler_vacuous_bound_is_config_error(self, tmp_path, outdir):
         cfg = write_config(tmp_path, self.config(gambler={"y": 0.7}))

@@ -1375,9 +1375,6 @@ class TestWindowEstimate:
                 estimate_window(crafted_run(uniform_pair, *quotes))
 
 
-FREEZE_BLOCKS = (1, 7, 64, engine._FREEZE_BLOCK)
-
-
 def crafted_run(uniform_pair, bids, asks):
     """The fields detect_freeze and estimate_window read, for crafted
     quotes on the uniform pair (eps 0.01, burn-in half the events): event
@@ -1476,47 +1473,43 @@ class TestFreezeDetection:
             assert detect_freeze(traj) == oracle.detect_freeze(traj)
 
     @given(cfg=sim_configs(max_events=20_000))
-    @settings(
-        max_examples=100,
-        deadline=None,
-        # the test patches the block size itself, example by example
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    def test_matches_the_reference(self, cfg, monkeypatch):
-        """The backward block scan against the whole-run arrays of
-        ``oracle.detect_freeze``, at every block size; sim_configs draws
-        freezing maker rates too."""
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_reference(self, cfg):
+        """The backward scan over runs of equal quotes against the whole-run
+        arrays of ``oracle.detect_freeze``; sim_configs draws freezing maker
+        rates too."""
         traj = run(cfg)
         want = oracle.detect_freeze(traj)
         s = traj.summary
         assert (s.freeze_time, s.freeze_midpoint, s.freeze_start_index) == (
             (want.t_freeze, want.midpoint, want.start_index) if want else (None, None, None)
         )
-        for block in FREEZE_BLOCKS:
-            monkeypatch.setattr(engine, "_FREEZE_BLOCK", block)
-            assert detect_freeze(traj) == want, block
+        assert detect_freeze(traj) == want
 
     @pytest.mark.parametrize("name", sorted(PAIRS))
-    def test_matches_the_reference_on_frozen_runs(self, name, monkeypatch):
-        # maker rates above the walrasian volume: stable suffixes longer than
-        # one default block
+    def test_matches_the_reference_on_frozen_runs(self, name):
+        # maker rates above the walrasian volume
         pair = PAIRS[name]
         rho = 1.5 * walras(pair).volume
         for seed in (1, 2):
             traj = run(SimConfig(pair=pair, rho=rho, events=20_000, seed=seed))
             want = oracle.detect_freeze(traj)
-            assert want is not None and traj.n_events - want.start_index > engine._FREEZE_BLOCK
-            for block in FREEZE_BLOCKS:
-                monkeypatch.setattr(engine, "_FREEZE_BLOCK", block)
-                assert detect_freeze(traj) == want, (seed, block)
+            assert want is not None
+            assert detect_freeze(traj) == want, seed
 
-    @pytest.mark.parametrize("block", FREEZE_BLOCKS)
+    def test_matches_the_reference_on_a_busy_run(self, uniform_pair):
+        # the simulate-restricted benchmark's run on seed 1: the quotes move
+        # at nearly a third of its 300,000 events, and never settle
+        window = PriceInterval(0.4, 0.6)
+        traj = run(SimConfig(pair=uniform_pair, events=300_000, seed=1, restriction=window))
+        assert len(traj._quote_at) == 92_962
+        assert detect_freeze(traj) == oracle.detect_freeze(traj)
+
     @pytest.mark.parametrize(
         "n, breaks, start",
         [
-            pytest.param(35, [13], 14, id="fails-on-a-block-end"),
-            pytest.param(35, [14], 15, id="fails-on-a-block-start"),
-            pytest.param(35, [6, 20], 21, id="fails-in-two-blocks"),
+            pytest.param(35, [13], 14, id="fails-once"),
+            pytest.param(35, [6, 20], 21, id="fails-twice"),
             pytest.param(100, [89], 90, id="suffix-of-exactly-the-span"),
             pytest.param(100, [90], None, id="suffix-one-short-of-the-span"),
             pytest.param(35, [], 0, id="never-fails"),
@@ -1526,10 +1519,7 @@ class TestFreezeDetection:
             pytest.param(0, [], None, id="no-events"),
         ],
     )
-    def test_crafted_quotes(self, uniform_pair, monkeypatch, block, n, breaks, start):
-        # blocks count from the end: with 35 events, each a run of equal
-        # quotes, and a block of 7, index 13 ends a block and 14 starts one
-        monkeypatch.setattr(engine, "_FREEZE_BLOCK", block)
+    def test_crafted_quotes(self, uniform_pair, n, breaks, start):
         traj = crafted_run(uniform_pair, *settled(n, breaks))
         fz = detect_freeze(traj)
         assert fz == oracle.detect_freeze(traj)
@@ -1539,15 +1529,11 @@ class TestFreezeDetection:
             midpoint = 0.5 * (0.5 + 0.505)
             assert (fz.start_index, fz.t_freeze, fz.midpoint) == (start, start + 1.0, midpoint)
 
-    @pytest.mark.parametrize("block", FREEZE_BLOCKS)
     @pytest.mark.parametrize("extreme", sorted(ONE_BROKEN))
-    def test_each_extreme_breaks_the_suffix(self, uniform_pair, monkeypatch, block, extreme):
+    def test_each_extreme_breaks_the_suffix(self, uniform_pair, extreme):
         # quotes that wander by less than eps, and at two events a quote
-        # pair that breaks exactly one of the three ranges.  The 448 events
-        # after the last one are whole blocks of 7 and of 64 counted from
-        # the end, so it ends a block, and a broken bid or ask range shows
-        # only through the extremes carried from the later blocks
-        monkeypatch.setattr(engine, "_FREEZE_BLOCK", block)
+        # pair that breaks exactly one of the three ranges; a broken bid or
+        # ask range shows only through the extremes of the suffix after it
         rng = np.random.default_rng(5)
         bids = 0.5 + rng.uniform(0.0, 0.002, 600)
         asks = bids + rng.uniform(0.0, 0.002, 600)
@@ -1561,12 +1547,10 @@ class TestFreezeDetection:
         assert fz == oracle.detect_freeze(traj)
         assert fz.start_index == 152
 
-    @pytest.mark.parametrize("block", FREEZE_BLOCKS)
     @pytest.mark.parametrize("extreme", sorted(ONE_BROKEN))
-    def test_a_range_of_exactly_eps_is_settled(self, uniform_pair, monkeypatch, block, extreme):
+    def test_a_range_of_exactly_eps_is_settled(self, uniform_pair, extreme):
         # eps is 0.01 and 0.02 - 0.01 == 0.01 exactly: quotes that move by,
         # or lie apart by, exactly eps have settled
-        monkeypatch.setattr(engine, "_FREEZE_BLOCK", block)
         eps = 0.01
         low, high = np.full(100, eps), np.full(100, 2 * eps)
         assert high[0] - low[0] == eps
@@ -1631,13 +1615,14 @@ class TestEnsemble:
         # restricted replica, whose sides empty after the burn-in, replays
         # it once more for its occupation times, and keeps nothing of it
         made = []
-        real = engine.run
+        real = engine._run_books
 
-        def kept(config):
-            made.append(real(config))
-            return made[-1]
+        def kept(configs):
+            trajs = real(configs)
+            made.extend(trajs)
+            return trajs
 
-        monkeypatch.setattr(engine, "run", kept)
+        monkeypatch.setattr(engine, "_run_books", kept)
         calls = counted_chunks(monkeypatch)
         for cfg, replays in (
             (SimConfig(pair=uniform_pair, events=20_000, seed=76, rho=0.6), 1),
@@ -1706,17 +1691,18 @@ class TestEnsemble:
         # before it runs: the error comes back as raised, the batches not
         # yet handed to a process never start, and no worker is left
         started = tmp_path / "started"
-        real = engine.run
+        real = engine._run_books
 
-        def logged(config):
+        def logged(configs):
+            (config,) = configs
             with started.open("a") as fh:
                 fh.write(f"{config.replica}\n")
             if config.replica == 0:
                 raise RuntimeError("replica 0 failed")
             time.sleep(0.02)
-            return real(config)
+            return real(configs)
 
-        monkeypatch.setattr(engine, "run", logged)
+        monkeypatch.setattr(engine, "_run_books", logged)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         cfg = SimConfig(pair=uniform_pair, events=20, seed=75)
         with pytest.raises(RuntimeError, match="replica 0 failed"):
