@@ -985,16 +985,15 @@ def run_ensemble(
     than the CPUs or the replicas), in batches of a quarter of each
     process's share.  Results are ordered by replica index and
     independent of scheduling; replica r always consumes the stream
-    (seed, spawn_key=(r,)).  A replica that fails raises its error here;
+    (seed, spawn_key=(r,)), decoded once for every book it steps
+    (:func:`_run_books`).  A replica that fails raises its error here;
     the batches not yet handed to a process never start.
 
     ``also`` adds ensembles of companion configs, which must agree with
     ``base_config`` on every field but the initial book (else
-    ``ValueError``, before any run starts).  Each replica then decodes its
-    stream once and steps every book through it (:func:`_run_books`), and
-    the call returns one list of records per config, ``base_config``'s
-    first, each equal to that config's own ensemble.  Without ``also`` it
-    returns the one list.
+    ``ValueError``, before any run starts).  The call then returns one
+    list of records per config, ``base_config``'s first, each equal to
+    that config's own ensemble.  Without ``also`` it returns the one list.
     """
     if replicas < 1:
         raise ValueError("need at least one replica")

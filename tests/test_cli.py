@@ -1058,12 +1058,13 @@ class TestFreeze:
             assert main(["freeze", cfg, "--seed", "3", "--workers", "1", "--out", str(outdir / name)]) == 0
             assert calls == [0, 1, 2, 3]
 
-    @pytest.mark.parametrize("run", [{"events": 0}, {"events": None, "duration": 1e-9}], ids=["events", "duration"])
-    def test_gambler_replicas_of_no_events_hold(self, tmp_path, outdir, run):
+    @pytest.mark.parametrize("horizon", [{"events": 0}, {"duration": 1e-9}], ids=["events", "duration"])
+    def test_gambler_replicas_of_no_events_hold(self, tmp_path, outdir, horizon):
         # a replica of no events has no bid to take its minimum of (min_bid
         # NaN); its bid never left y, so it counts as held
         doc = self.config(replicas=3, gambler={"y": 0.3})
-        doc["run"] = {k: v for k, v in dict(doc["run"], **run).items() if v is not None}
+        del doc["run"]["events"]
+        doc["run"].update(horizon)
         cfg = write_config(tmp_path, doc)
         assert main(["freeze", cfg, "--seed", "1", "--out", str(outdir)]) == 0
         _, rows = read_csv(outdir / "replicas.csv")
