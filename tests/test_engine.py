@@ -1401,6 +1401,12 @@ def crafted_run(uniform_pair, bids, asks):
     )
 
 
+# events each crafted quote pair is held for: at 1 each event is a run of
+# equal quotes of its own, above 1 the stable suffix starts at a run's first
+# state, which detect_freeze reads from the run starts
+HOLDS = (1, 7, 64, 1 << 14)
+
+
 def settled(n, breaks=()):
     """Quotes 0.5 and 0.505 for ``n`` events, with the ask at 0.504 at
     every other event before the last, so each event is a run of equal
@@ -1505,6 +1511,7 @@ class TestFreezeDetection:
         assert len(traj._quote_at) == 92_962
         assert detect_freeze(traj) == oracle.detect_freeze(traj)
 
+    @pytest.mark.parametrize("hold", HOLDS)
     @pytest.mark.parametrize(
         "n, breaks, start",
         [
@@ -1519,15 +1526,17 @@ class TestFreezeDetection:
             pytest.param(0, [], None, id="no-events"),
         ],
     )
-    def test_crafted_quotes(self, uniform_pair, n, breaks, start):
-        traj = crafted_run(uniform_pair, *settled(n, breaks))
+    def test_crafted_quotes(self, uniform_pair, hold, n, breaks, start):
+        bids, asks = settled(n, breaks)
+        traj = crafted_run(uniform_pair, np.repeat(bids, hold), np.repeat(asks, hold))
         fz = detect_freeze(traj)
         assert fz == oracle.detect_freeze(traj)
         if start is None:
             assert fz is None
         else:
+            k = start * hold
             midpoint = 0.5 * (0.5 + 0.505)
-            assert (fz.start_index, fz.t_freeze, fz.midpoint) == (start, start + 1.0, midpoint)
+            assert (fz.start_index, fz.t_freeze, fz.midpoint) == (k, k + 1.0, midpoint)
 
     @pytest.mark.parametrize("extreme", sorted(ONE_BROKEN))
     def test_each_extreme_breaks_the_suffix(self, uniform_pair, extreme):
@@ -1547,8 +1556,9 @@ class TestFreezeDetection:
         assert fz == oracle.detect_freeze(traj)
         assert fz.start_index == 152
 
+    @pytest.mark.parametrize("hold", HOLDS)
     @pytest.mark.parametrize("extreme", sorted(ONE_BROKEN))
-    def test_a_range_of_exactly_eps_is_settled(self, uniform_pair, extreme):
+    def test_a_range_of_exactly_eps_is_settled(self, uniform_pair, extreme, hold):
         # eps is 0.01 and 0.02 - 0.01 == 0.01 exactly: quotes that move by,
         # or lie apart by, exactly eps have settled
         eps = 0.01
@@ -1557,7 +1567,7 @@ class TestFreezeDetection:
         wander = np.where(np.arange(100) % 3 == 0, eps, 2 * eps)
         quotes = {"spread": (low, high), "bid-range": (wander, high), "ask-range": (low, wander)}
         bids, asks = quotes[extreme]
-        traj = crafted_run(uniform_pair, bids, asks)
+        traj = crafted_run(uniform_pair, np.repeat(bids, hold), np.repeat(asks, hold))
         fz = detect_freeze(traj)
         assert fz == oracle.detect_freeze(traj)
         assert fz.start_index == 0
