@@ -676,6 +676,18 @@ def cmd_theory(cfg: Config, out: OutputSettings) -> int:
         if rep.window is not None:
             try:
                 sol = solve_luckock(pair, rho, rep.window)
+            except SingularCoefficientError as exc:
+                sol = None
+                notes.append(str(exc))
+            if sol is not None and (sol.negative_edge or min(sol.f_minus_lo, sol.f_plus_hi) < 0.0):
+                notes.append(
+                    f"the quote law has a negative edge mass (empty_buy_prob {sol.f_minus_lo!r}, "
+                    f"empty_sell_prob {sol.f_plus_hi!r}), so none is written"
+                )
+                sol = None
+            if sol is None:
+                payload["quote_law"] = None
+            else:
                 if "csv" in formats:
                     out.csv(
                         out.directory / "quotes.csv",
@@ -687,9 +699,6 @@ def cmd_theory(cfg: Config, out: OutputSettings) -> int:
                     "empty_sell_prob": sol.f_plus_hi,
                     "grid_size": int(len(sol.grid)),
                 }
-            except SingularCoefficientError as exc:
-                payload["quote_law"] = None
-                notes.append(str(exc))
     if notes:
         payload["notes"] = notes
     if "json" in formats:
@@ -730,7 +739,9 @@ def _summary_payload(traj: Trajectory) -> Dict[str, Any]:
 
 
 def _trajectory_blocks(traj: Trajectory):
-    """The rows of ``trajectory.csv``, one block per chunk of the replay."""
+    """The rows of ``trajectory.csv``, one block per chunk of the replay,
+    each at most one piece of ``write_csv`` (``engine._REPLAY_EVENTS``
+    rows)."""
     tokens, i = np.array(KIND_TOKENS, dtype=object), 0
     for times, kinds, trade_prices, bids, asks in traj._chunks():
         yield range(i, i + len(kinds)), times, tokens[kinds], trade_prices, bids, asks

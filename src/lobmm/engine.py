@@ -49,11 +49,29 @@ and the quotes and trade prices of every event follow by one rule:
 A run stores only what the book decides (see :class:`Trajectory`): the
 quotes as change points (the events after which the loop moved a quote,
 their times, and the quotes after them), the trade count, the final book
-and the snapshots.  No per-event array outlives its chunk, so nothing is
-sized by the horizon.  Every per-event column is derived: the pre-pass
+and the snapshots.  Every per-event column is derived: the pre-pass
 never reads the book, so one generator, :meth:`Trajectory._chunks`,
-replays it from the seed chunk by chunk for the times and kinds, and
-reads the quotes and trade prices off the change points by the rule above.
+replays it from the seed at most ``_REPLAY_EVENTS`` events at a time for
+the times and kinds, and reads the quotes and trade prices off the change
+points by the rule above, for a reader that asks for them.
+
+No per-event column outlives its chunk, but three things still grow with
+the horizon:
+
+- the change points, 32 B each.  A frozen run has a few hundred; a busy
+  one, one per event that moves a quote: 92,962 for 3e5 events on the
+  uniform pair's volume-0.6 window (seed 1), about 9.9 B per event.  The
+  run joins them one field at a time when it ends, which holds one more
+  field (about 2.5 B per event there) for a moment;
+- the reductions over them, a few arrays of their length at a time:
+  :func:`detect_freeze` held about 25 B per change point at its peak on
+  that run;
+- where a post-burn-in side empties, the summary's occupation weights
+  (8 B per post-burn-in event), their masked selections and the
+  post-burn-in runs of equal quotes: about 20 B per post-burn-in event at
+  once on that window at 4e6 events.
+
+The final book also grows where orders keep coming to rest.
 
 The model one event at a time, written for reading rather than speed,
 lives with the tests in ``tests/oracle.py``.  The test-suite pins
@@ -69,11 +87,12 @@ values give the same bytes.
 After a run, :attr:`Trajectory.summary` reduces it, once, to the
 :class:`TrajectorySummary` record that ``simulate``, ``sweep``, ``freeze``
 and :func:`run_ensemble` all report from.  It reads the compact form
-directly, scanning runs of equal quotes rather than events.  It replays
-the run, keeping nothing of it, only where a post-burn-in run of equal
-quotes has an empty side, for the occupation times, so a frozen replica
-of :func:`run_ensemble` never replays.  The quote CDFs that ``compare``
-checks come from :func:`quote_cdfs`.
+directly, scanning runs of equal quotes rather than events.  Only where
+a post-burn-in run of equal quotes has an empty side does it replay the
+run, for the times alone, and fill in the occupation times chunk by chunk
+(:func:`_occupation_weights`), so a frozen replica of :func:`run_ensemble`
+never replays.  The quote CDFs that ``compare`` checks come from
+:func:`quote_cdfs`, which weighs the states the same way.
 """
 
 from __future__ import annotations
@@ -118,6 +137,11 @@ __all__ = [
 DROPPED = 5
 
 _BLOCK = 1 << 16
+
+# the most events a replay of a stored run (Trajectory._chunks) decodes at a
+# time, one piece of the CSV writer (cli._BLOCK_ROWS); the run's own pre-pass
+# decodes whole blocks, since its book stage pays per chunk
+_REPLAY_EVENTS = 8192
 
 # the book stage's look-ahead (see run): the first window scanned for a quiet
 # stretch, and the shortest stretch applied in bulk, which is also the first
@@ -276,11 +300,11 @@ class Trajectory:
     the seed a chunk at a time (:meth:`_chunks`).  ``times``, ``kinds``
     (the kind codes of the module docstring), ``trade_prices``, ``bids``
     and ``asks`` are read-only arrays, all five joined from one replay on
-    the first read of any and then kept.  The summary joins only the
-    post-burn-in times, to weigh a post-burn-in empty side, and so does
-    :func:`quote_cdfs`, which reads the quotes off the change points;
-    ``simulate`` writes its rows straight from the chunks.  None of them
-    keeps a column.
+    the first read of any and then kept.  The summary and
+    :func:`quote_cdfs` replay only the post-burn-in times, and turn them
+    into occupation weights chunk by chunk; ``quote_cdfs`` reads the
+    quotes off the change points.  ``simulate`` writes its rows straight
+    from the chunks, one CSV piece each.  None of them keeps a column.
     """
 
     config: SimConfig
@@ -318,30 +342,37 @@ class Trajectory:
         ``start`` on, each joined into one array."""
         columns = [np.empty(self.n_events - start, dtype=np.uint8 if f == 1 else float) for f in fields]
         i = 0
-        for chunk in self._chunks(start):
+        for chunk in self._chunks(start, quoted=max(fields) > 1):
             stop = i + len(chunk[0])
             for column, f in zip(columns, fields):
                 column[i:stop] = chunk[f]
             i = stop
         return columns
 
-    def _chunks(self, start: int = 0):
+    def _chunks(self, start: int = 0, quoted: bool = True):
         """``(times, kinds, trade_prices, bids, asks)`` of events ``start``
-        on, one chunk of the pre-pass (:func:`_event_chunks`, which reads no
-        book and evaluates no curve) at a time, replayed from the seed."""
+        on, or ``(times, kinds)`` alone when not ``quoted``, replayed from
+        the seed by the pre-pass (:func:`_event_chunks`, which reads no book
+        and evaluates no curve) in chunks of at most ``_REPLAY_EVENTS``
+        events.  Only a quoted replay reads the change points."""
         config, i = self.config, 0
         interval = config.pair.interval
-        for times, kinds, prices in _event_chunks(config, RateTable.from_pair(config.pair, config.rho)):
+        rates = RateTable.from_pair(config.pair, config.rho)
+        for times, kinds, prices in _event_chunks(config, rates, _REPLAY_EVENTS):
             stop = i + len(kinds)
             if stop > start:
-                # states i - 1 to stop - 1: the quotes before each event and after it
-                bids, asks = self._quotes(i - 1, stop)
-                bid, ask = bids[:-1], asks[:-1]
-                # a buy meets the ask before it, a sell the bid
-                buys, sells = _trades(kinds, prices, bid, ask, interval)
-                trade_prices = np.where(buys, ask, np.where(sells, bid, math.nan))
                 cut = max(start - i, 0)
-                yield times[cut:], kinds[cut:], trade_prices[cut:], bids[cut + 1 :], asks[cut + 1 :]
+                times, kinds, prices = times[cut:], kinds[cut:], prices[cut:]
+                if not quoted:
+                    yield times, kinds
+                else:
+                    # states i + cut - 1 to stop - 1: the quotes before each event and after it
+                    bids, asks = self._quotes(i + cut - 1, stop)
+                    bid, ask = bids[:-1], asks[:-1]
+                    # a buy meets the ask before it, a sell the bid
+                    buys, sells = _trades(kinds, prices, bid, ask, interval)
+                    trade_prices = np.where(buys, ask, np.where(sells, bid, math.nan))
+                    yield times, kinds, trade_prices, bids[1:], asks[1:]
             i = stop
 
     def _quotes(self, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -359,14 +390,17 @@ def _read_only(column: np.ndarray) -> np.ndarray:
     return column
 
 
-def _event_chunks(config: SimConfig, rates: RateTable):
+def _event_chunks(config: SimConfig, rates: RateTable, most: float = math.inf):
     """The pre-pass of :func:`run`: the run's events, decoded from the
-    random stream one block at a time, as ``(times, kinds, prices)`` arrays.
+    random stream one block at a time, as ``(times, kinds, prices)`` arrays
+    of at most ``most`` events.
 
     Nothing here reads the book.  A chunk never crosses a refill of either
     random block or a snapshot index, so the blocks are drawn in exactly
-    the order that drawing one event at a time asks for them, and memory stays bounded by
-    the block size whatever the horizon.  ``kinds`` are the recorded kinds
+    the order that drawing one event at a time asks for them, and memory
+    stays bounded by the block size whatever the horizon.  Each chunk
+    opens on a kind draw, so cutting the chunks shorter decodes the same
+    events.  ``kinds`` are the recorded kinds
     (limit orders already rewritten or dropped by the restriction);
     ``prices`` holds the drawn price of every limit order, rewritten or
     dropped ones included, and NaN for the other kinds.
@@ -413,7 +447,7 @@ def _event_chunks(config: SimConfig, rates: RateTable):
         if u_i == block:
             unis, u_i = gen.random(block), 0
 
-        k = min(block - e_i, left, snaps[-1] - i if snaps else math.inf)
+        k = min(block - e_i, left, most, snaps[-1] - i if snaps else math.inf)
         times = exps[e_i : e_i + k] * inv_total
         times[0] += t
         np.cumsum(times, out=times)
@@ -765,14 +799,22 @@ def run(config: SimConfig) -> Trajectory:
     return _run_books((config,))[0]
 
 
-def _occupation_weights(traj: Trajectory, tail: np.ndarray) -> np.ndarray:
-    """Occupation time of each post-burn-in state, from ``tail``, the times
-    of its events; a run of zero length falls back to counting states."""
-    w = np.empty(len(tail))
-    np.subtract(tail[1:], tail[:-1], out=w[:-1])
-    w[-1] = max(traj.end_time - tail[-1], 0.0)
+def _occupation_weights(traj: Trajectory, k0: int) -> np.ndarray:
+    """Occupation time of each state from ``k0`` on, the time from its
+    event to the next one (to the end of the run for the last), filled in
+    chunk by chunk from a replay of the times alone; a run of zero length
+    falls back to counting states."""
+    w = np.empty(traj.n_events - k0)
+    i = 0
+    for times, _ in traj._chunks(k0, quoted=False):
+        if i:  # the state before the chunk lasts until its first event
+            w[i - 1] = times[0] - last
+        stop = i + len(times)
+        np.subtract(times[1:], times[:-1], out=w[i : stop - 1])
+        last, i = times[-1], stop
+    w[-1] = max(traj.end_time - last, 0.0)
     if not w.sum() > 0.0:
-        w = np.ones(len(tail))
+        w.fill(1.0)
     return w
 
 
@@ -810,7 +852,7 @@ def _summarize(traj: Trajectory) -> TrajectorySummary:
         wlo = whi = None
     config, n = traj.config, traj.n_events
     lo, hi = config.pair.interval.lo, config.pair.interval.hi
-    _, bids, asks = _segments(traj)
+    bids, asks = _segments(traj)[1:]
     # resting prices lie strictly inside the interval, so a quote on the
     # interval edge marks an empty side
     empty = (bids == lo) & (asks == hi)
@@ -827,7 +869,7 @@ def _summarize(traj: Trajectory) -> TrajectorySummary:
         # where one does, which a frozen run after its burn-in does not
         empty_buy = empty_sell = 0.0
         if buy_empty.any() or sell_empty.any():
-            w = _occupation_weights(traj, *traj._join(k0, (0,)))
+            w = _occupation_weights(traj, k0)
             runs = np.diff(starts, append=n)
             total = w.sum()
             empty_buy = float(w[np.repeat(buy_empty, runs)].sum() / total)
@@ -864,7 +906,7 @@ def quote_cdfs(traj: Trajectory) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     if k0 >= traj.n_events:
         nans = np.full(_CDF_GRID_SIZE, math.nan)
         return grid, nans, nans
-    w = _occupation_weights(traj, *traj._join(k0, (0,)))
+    w = _occupation_weights(traj, k0)
     bids, asks = traj._quotes(k0, traj.n_events)
     b_le, b_total = _weighted_below(np.clip(bids, iv.lo, iv.hi, out=bids), w, grid, "right")
     a_lt, a_total = _weighted_below(np.clip(asks, iv.lo, iv.hi, out=asks), w, grid, "left")

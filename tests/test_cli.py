@@ -672,6 +672,22 @@ class TestTheory:
         assert written["json"] == written["csv+json"]
         assert json.loads(written["json"])["quote_law"]["grid_size"] > 0
 
+    @pytest.mark.parametrize("formats", [["json"], ["csv", "json"]], ids=["json", "csv+json"])
+    def test_negative_edge_masses_write_no_quote_law(self, tmp_path, outdir, formats):
+        # on [1e12, 1e12 + 1] the solver's edge masses read -1.758e-4 (5.06e-11
+        # on [0, 1]); they are no probabilities, so window.json holds no quote
+        # law and says why, and no quotes.csv is written
+        lo, hi = 1e12, 1e12 + 1.0
+        model = {"interval": [lo, hi], "demand": [[lo, 1.0], [hi, 0.0]], "supply": [[lo, 0.0], [hi, 1.0]]}
+        cfg = write_config(tmp_path, {"model": model, "output": {"formats": formats}})
+        assert main(["theory", cfg, "--out", str(outdir)]) == 0
+        doc = read_json(outdir / "window.json")
+        assert doc["window"] is not None and doc["quote_law"] is None
+        (note,) = doc["notes"]
+        assert "negative edge mass" in note and note.count("-0.0001757") == 2
+        assert not (outdir / "quotes.csv").exists()
+        assert (outdir / "phi.csv").exists() == ("csv" in formats)
+
 
 # -- simulate -----------------------------------------------------------------
 
@@ -751,9 +767,9 @@ class TestSimulate:
         calls = []
         real = engine._event_chunks
 
-        def counted(config, rates):
+        def counted(config, rates, *most):
             calls.append(config.replica)
-            return real(config, rates)
+            return real(config, rates, *most)
 
         monkeypatch.setattr(engine, "_event_chunks", counted)
         frozen = dict(self.base(events=5_000, replicas=2), model=dict(UNIFORM_MODEL, rho=0.6))
@@ -766,30 +782,37 @@ class TestSimulate:
         assert read_json(outdir / "frozen" / "replica-000" / "summary.json")["freeze"] is not None
         assert read_json(outdir / "restricted" / "replica-000" / "summary.json")["empty_buy_prob"] > 0.0
 
-    # the traced peak of a serial restricted simulate, beyond the quote
-    # change points its run stores, was 8.7-9.6 MB at both 2**16 and 2**18
-    # events on seeds 1-6 (CPython 3.11, numpy 2.4): one chunk of the
-    # writer's replay and its formatting.  A writer that read whole times,
-    # kinds and kind tokens grew by 1.7-2.6 MB from 2**16 to 2**18.
-    def test_writer_holds_no_whole_column(self, tmp_path, outdir, monkeypatch):
+    def traced_beyond_stored(self, tmp_path, outdir, monkeypatch, events):
+        """The traced peak of a serial restricted simulate of ``events``
+        events beyond the quote change points its run stores."""
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         made = []
         real = engine.run
         monkeypatch.setattr(engine, "run", lambda config: made.append(real(config)) or made[-1])
-        beyond = []
-        for events in (1 << 16, 1 << 18):
-            made.clear()
-            cfg = write_config(tmp_path, self.base(events=events, restriction=[0.4, 0.6]), f"{events}.json")
-            tracemalloc.start()
-            try:
-                assert main(["simulate", cfg, "--seed", "1", "--out", str(outdir / str(events))]) == 0
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            (traj,) = made
-            stored = sum(c.nbytes for c in (traj._quote_at, traj._quote_times, traj._quote_bids, traj._quote_asks))
-            beyond.append(peak - stored)
-        assert beyond[1] - beyond[0] < 1_000_000
+        cfg = write_config(tmp_path, self.base(events=events, restriction=[0.4, 0.6]), f"{events}.json")
+        tracemalloc.start()
+        try:
+            assert main(["simulate", cfg, "--seed", "1", "--out", str(outdir / str(events))]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (traj,) = made
+        return peak - sum(c.nbytes for c in (traj._quote_at, traj._quote_times, traj._quote_bids, traj._quote_asks))
+
+    # the traced peak of a serial restricted simulate, beyond the quote
+    # change points its run stores, was 5.35-5.40 MB at 2**18 events on
+    # seeds 1-6 (CPython 3.11, numpy 2.4): the writer's formatting of one
+    # piece, and the pre-pass of the run itself.  A writer that read whole
+    # times, kinds and kind tokens grew by 1.7-2.6 MB from 2**16 to 2**18.
+    def test_writer_holds_no_whole_column(self, tmp_path, outdir, monkeypatch):
+        small, large = (self.traced_beyond_stored(tmp_path, outdir, monkeypatch, n) for n in (1 << 16, 1 << 18))
+        assert large - small < 1_000_000
+
+    # The same peak was 7.54-7.56 MB when each replay decoded whole random
+    # blocks of up to 65,536 events and derived all five columns of each,
+    # and the bound lies between the two.
+    def test_writer_replays_one_piece_at_a_time(self, tmp_path, outdir, monkeypatch):
+        assert self.traced_beyond_stored(tmp_path, outdir, monkeypatch, 1 << 18) < 6_500_000
 
     def test_trajectory_row_count_honors_events(self, tmp_path, outdir):
         cfg = write_config(tmp_path, self.base(events=500))
@@ -981,6 +1004,60 @@ class TestCompare:
         assert main(["compare", cfg, "--out", str(outdir)]) == 0
 
 
+# -- replay size --------------------------------------------------------------
+
+
+def tree_bytes(root):
+    """Every file under ``root`` by its relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestReplaySize:
+    """Every replay of a stored run (the summary's weights, the
+    trajectory.csv writer, ``quote_cdfs``) decodes at most
+    ``engine._REPLAY_EVENTS`` events at a time, and no artifact depends on
+    that size: each is checked against replays of whole random blocks, as
+    the run's own pre-pass decodes them."""
+
+    RESTRICTED = {"events": 3000, "restriction": {"volume": 0.6}}
+    # the uniform pair's events arrive at total rate 2
+    CASES = {
+        "restricted": ({"run": RESTRICTED}, ("simulate", "compare")),
+        "duration": ({"run": {"duration": 1500.0, "restriction": {"volume": 0.6}}}, ("simulate", "compare")),
+        "snapshots": ({"run": {"events": 3000}, "output": {"snapshot_at": [1000, 2500]}}, ("simulate",)),
+    }
+
+    @pytest.mark.parametrize("most", [1, 7, 64, None], ids=["1", "7", "64", "default"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_artifacts_do_not_depend_on_the_replay_size(self, tmp_path, monkeypatch, case, most):
+        doc, commands = self.CASES[case]
+        most = most or engine._REPLAY_EVENTS
+        decoded = []
+        real = engine._event_chunks
+
+        def recorded(config, rates, cap=None):
+            for chunk in real(config, rates) if cap is None else real(config, rates, cap):
+                decoded.append((cap, len(chunk[0])))
+                yield chunk
+
+        monkeypatch.setattr(engine, "_event_chunks", recorded)
+        trees = []
+        for label, size in (("blocks", math.inf), ("replay", most)):
+            monkeypatch.setattr(engine, "_REPLAY_EVENTS", size)
+            for command in commands:
+                body = dict(doc, model=UNIFORM_MODEL, compare={"tolerance_cdf": 1.0, "tolerance_empty": 1.0})
+                if command == "simulate":
+                    del body["compare"]
+                cfg = write_config(tmp_path, body, f"{command}.json")
+                assert main([command, cfg, "--seed", "5", "--out", str(tmp_path / label / command)]) == 0
+            trees.append(tree_bytes(tmp_path / label))
+        assert {"simulate/trajectory.csv", "simulate/summary.json"} <= set(trees[1])
+        assert trees[0] == trees[1]
+        # the replays at this size decoded chunks of at most that many events
+        sizes = [n for cap, n in decoded if cap == most]
+        assert sizes and max(sizes) <= most
+
+
 # -- freeze -------------------------------------------------------------------
 
 
@@ -1047,9 +1124,9 @@ class TestFreeze:
         calls = []
         real = engine._event_chunks
 
-        def counted(config, rates):
+        def counted(config, rates, *most):
             calls.append(config.replica)
-            return real(config, rates)
+            return real(config, rates, *most)
 
         monkeypatch.setattr(engine, "_event_chunks", counted)
         for name, freeze in (("main", {}), ("gambler", {"gambler": {"y": 0.3}})):
@@ -1381,7 +1458,10 @@ class TestWriteCsv:
         started = self.pooled(monkeypatch)
         real = engine.Trajectory._chunks
 
-        def bad_chunks(traj, start=0):
+        def bad_chunks(traj, start=0, quoted=True):
+            if not quoted:  # the summary replays the times alone
+                yield from real(traj, start, quoted)
+                return
             # the writer reads the trade prices a chunk of the replay at a time
             for times, kinds, trade_prices, bids, asks in real(traj, start):
                 cells = trade_prices.astype(object)

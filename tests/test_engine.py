@@ -74,9 +74,9 @@ def counted_chunks(monkeypatch) -> list:
     calls = [0]
     real = engine._event_chunks
 
-    def counted(config, rates):
+    def counted(config, rates, *most):
         calls[0] += 1
-        return real(config, rates)
+        return real(config, rates, *most)
 
     monkeypatch.setattr(engine, "_event_chunks", counted)
     return calls
@@ -573,17 +573,19 @@ def quote_moves(config: SimConfig):
 
 def crafted_chunks(events):
     """A stand-in for ``engine._event_chunks`` that yields crafted ``(kind,
-    price)`` events, cut into chunks at the config's snapshot indices as
-    the pre-pass cuts them."""
+    price)`` events, cut into chunks at the config's snapshot indices and
+    into chunks of at most ``most`` events as the pre-pass cuts them."""
     kinds, prices = zip(*events)
     kinds, prices = np.array(kinds, dtype=np.uint8), np.array(prices)
     times = np.arange(1.0, len(kinds) + 1.0)
 
-    def chunks(config, rates):
+    def chunks(config, rates, most=math.inf):
         start = 0
         for stop in [k for k in config.snapshot_at if 0 < k < len(kinds)] + [len(kinds)]:
-            yield times[start:stop], kinds[start:stop], prices[start:stop]
-            start = stop
+            while start < stop:
+                end = min(stop, start + most)
+                yield times[start:end], kinds[start:end], prices[start:end]
+                start = end
 
     return chunks
 
@@ -1025,14 +1027,34 @@ class TestSummaryMemory:
         assert (we.lo, we.hi) == (traj.summary.window_lo, traj.summary.window_hi)
         assert peak < 2 * (traj.n_events - traj.burn_index)
 
+    # growth of the summary's traced peak per post-burn-in event, from 2**16
+    # to 2**18 events, on a restricted run whose bid sits at the interval
+    # edge about 65% of the time after the burn-in: 11.7 B with the
+    # occupation weights filled in chunk by chunk (the weights, the repeated
+    # masks and their selections, and the post-burn-in runs of equal quotes),
+    # and 25.3-25.4 B when they came from a joined array of the post-burn-in
+    # times and the run starts of every state were kept beside them (seeds
+    # 1-3, CPython 3.11, numpy 2.4).  The bound lies between.
+    WEIGHT_GROWTH = 18
+
+    def test_empty_side_weights_join_no_times(self, uniform_pair):
+        peaks, tails = [], []
+        for events in (1 << 16, 1 << 18):
+            traj = run(SimConfig(pair=uniform_pair, events=events, seed=1, restriction=PriceInterval(0.4, 0.6)))
+            summary, peak = traced(engine._summarize, traj)
+            assert summary == traj.summary and summary.empty_buy_prob > 0.5
+            peaks.append(peak)
+            tails.append(events - traj.burn_index)
+        assert peaks[1] - peaks[0] < self.WEIGHT_GROWTH * (tails[1] - tails[0])
+
 
 def time_beyond(args):
     """The post-burn-in shares of time with the bid at or below ``lo`` and
     with the ask at or above ``hi`` in one run, read through its replay."""
     config, lo, hi = args
     traj = run(config)
-    times, bids, asks = traj._join(traj.burn_index, (0, 3, 4))
-    w = engine._occupation_weights(traj, times)
+    bids, asks = traj._join(traj.burn_index, (3, 4))
+    w = engine._occupation_weights(traj, traj.burn_index)
     return w[bids <= lo].sum() / w.sum(), w[asks >= hi].sum() / w.sum()
 
 
@@ -1063,6 +1085,29 @@ class TestWindowAtMakerRate:
         se = shares.std(axis=0, ddof=1) / math.sqrt(self.REPLICAS)
         edge = np.array([law.f_minus_lo, law.f_plus_hi])
         assert (np.abs(mean - edge) <= 4 * se).all(), (mean, se, edge)
+
+
+class TestCriticalRate:
+    """The paper's critical maker rate on a pair that is not symmetric about
+    x_W: the 32-segment kinked pair (V_W ~0.43564, x_W ~0.49312).  Below
+    V_W no replica freezes, above it every one does.  At 0.9 V_W the
+    detector's false freezes (quotes that happen to sit within eps for the
+    last 10% of the events) fell with the horizon: 40 of 1,024 replicas at
+    2e4 events, 9 at 5e4, 3 at 1e5 and none at 2e5 (seeds 200-263, 16
+    replicas each), and none of 1,024 at 4e5 (seeds 300-363).  At 1.1 V_W
+    all 128 replicas of seeds 1-8 froze at 5e4, 1e5 and 2e5 events."""
+
+    EVENTS = 200_000
+    REPLICAS = 16
+
+    @pytest.mark.parametrize("share, frozen", [(0.9, 0), (1.1, REPLICAS)], ids=["below", "above"])
+    def test_freezes_only_above_the_walrasian_volume(self, share, frozen):
+        pair = make_kinked_pair(32)
+        v_w = walras(pair).volume
+        assert v_w == pytest.approx(0.43564, abs=1e-5)
+        config = SimConfig(pair=pair, rho=share * v_w, events=self.EVENTS, seed=12)
+        stats = run_ensemble(config, self.REPLICAS, workers=2)
+        assert sum(s.frozen for s in stats) == frozen
 
 
 class TestCoupling:
