@@ -333,20 +333,15 @@ class Trajectory:
     )
 
     def _join_all(self) -> List[np.ndarray]:
-        columns = [_read_only(c) for c in self._join()]
-        vars(self).update(zip(("times", "kinds", "trade_prices", "bids", "asks"), columns))
-        return columns
-
-    def _join(self, start: int = 0, fields: Tuple[int, ...] = (0, 1, 2, 3, 4)) -> List[np.ndarray]:
-        """The ``fields`` of :meth:`_chunks`, by position, from event
-        ``start`` on, each joined into one array."""
-        columns = [np.empty(self.n_events - start, dtype=np.uint8 if f == 1 else float) for f in fields]
+        columns = [np.empty(self.n_events, dtype=np.uint8 if f == 1 else float) for f in range(5)]
         i = 0
-        for chunk in self._chunks(start, quoted=max(fields) > 1):
+        for chunk in self._chunks():
             stop = i + len(chunk[0])
-            for column, f in zip(columns, fields):
-                column[i:stop] = chunk[f]
+            for column, part in zip(columns, chunk):
+                column[i:stop] = part
             i = stop
+        columns = [_read_only(c) for c in columns]
+        vars(self).update(zip(("times", "kinds", "trade_prices", "bids", "asks"), columns))
         return columns
 
     def _chunks(self, start: int = 0, quoted: bool = True):

@@ -1027,6 +1027,9 @@ class TestReplaySize:
         "snapshots": ({"run": {"events": 3000}, "output": {"snapshot_at": [1000, 2500]}}, ("simulate",)),
     }
 
+    def test_a_replay_chunk_is_one_writer_piece(self):
+        assert engine._REPLAY_EVENTS == cli._BLOCK_ROWS
+
     @pytest.mark.parametrize("most", [1, 7, 64, None], ids=["1", "7", "64", "default"])
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_artifacts_do_not_depend_on_the_replay_size(self, tmp_path, monkeypatch, case, most):
@@ -1045,9 +1048,9 @@ class TestReplaySize:
         for label, size in (("blocks", math.inf), ("replay", most)):
             monkeypatch.setattr(engine, "_REPLAY_EVENTS", size)
             for command in commands:
-                body = dict(doc, model=UNIFORM_MODEL, compare={"tolerance_cdf": 1.0, "tolerance_empty": 1.0})
-                if command == "simulate":
-                    del body["compare"]
+                body = dict(doc, model=UNIFORM_MODEL)
+                if command == "compare":
+                    body["compare"] = {"tolerance_cdf": 1.0, "tolerance_empty": 1.0}
                 cfg = write_config(tmp_path, body, f"{command}.json")
                 assert main([command, cfg, "--seed", "5", "--out", str(tmp_path / label / command)]) == 0
             trees.append(tree_bytes(tmp_path / label))
