@@ -33,10 +33,10 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional,
 
 # lobmm makes no BLAS call, but importing numpy starts OpenBLAS's thread
 # pool, whose idle threads spin and cost CPU time; one thread is enough.  A
-# value already in the environment wins.  This must run before numpy loads.
+# value already in the environment wins.  This must run before numpy loads,
+# which this module leaves to the functions that make or read arrays, so
+# that parsing a config never loads it.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy as np
 
 from .curves import (
     AssumptionError,
@@ -51,6 +51,8 @@ from .pool import _in_order, _pool_size
 # each command imports the engine and the theory where it runs them, so
 # theory and sweep never load the simulator
 if TYPE_CHECKING:
+    import numpy as np
+
     from .book import OrderBook
     from .engine import SimConfig, Trajectory
 
@@ -478,7 +480,9 @@ def _jsonable(value: Any) -> Any:
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
+    # a numpy scalar exists only once numpy has loaded
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(value, (np.floating, np.integer)):
         return _jsonable(float(value))
     return value
 
@@ -569,16 +573,18 @@ def _fields(cells: Sequence[Any]) -> List[str]:
     A float64 block where at most half the cells are distinct formats each
     distinct bit pattern once, so -0.0 and 0.0 stay apart.
     """
-    if isinstance(cells, np.ndarray) and cells.dtype == np.float64:
+    np = sys.modules.get("numpy")  # no array exists before numpy loads
+    is_array = np is not None and isinstance(cells, np.ndarray)
+    if is_array and cells.dtype == np.float64:
         keys, inverse = np.unique(cells.view(np.int64), return_inverse=True)
         if 2 * len(keys) <= len(cells):
             distinct = _float_fields(keys.view(np.float64).tolist())
             return np.array(distinct, dtype=object)[inverse].tolist()
-    if isinstance(cells, np.ndarray) and cells.dtype.kind in "fiu":
+    if is_array and cells.dtype.kind in "fiu":
         values = cells.tolist()
         cell_type = float if cells.dtype.kind == "f" else int
     else:
-        values = cells.tolist() if isinstance(cells, np.ndarray) else list(cells)
+        values = cells.tolist() if is_array else list(cells)
         types = set(map(type, values))
         if len(types) > 1 or not types <= {float, int, str}:
             names = ", ".join(sorted(t.__name__ for t in types))
@@ -611,6 +617,8 @@ def _cell(value: Any) -> Any:
 
 
 def _histogram_columns(book: OrderBook, interval: PriceInterval, bins: int):
+    import numpy as np
+
     edges = np.linspace(interval.lo, interval.hi, bins + 1)
     bp = np.fromiter(book.buy_counts.keys(), dtype=float, count=len(book.buy_counts))
     bw = np.fromiter(book.buy_counts.values(), dtype=float, count=len(book.buy_counts))
@@ -643,10 +651,18 @@ def _window_payload(rep) -> Dict[str, Any]:
 
 
 def cmd_theory(cfg: Config, out: OutputSettings) -> int:
-    from .theory import PhiTable, SingularCoefficientError, freeze_support, solve_luckock, v_l
-
     pair, rho = _model(cfg)
     formats = cfg.get("output.formats")
+    # imported once the config is read, so a refused config loads no numpy
+    from .theory import (
+        _EDGE_MARGIN,
+        PhiTable,
+        SingularCoefficientError,
+        freeze_support,
+        solve_luckock,
+        v_l,
+    )
+
     out.make_dir(out.directory)
     rep = v_l(pair, rho)
     payload = {"command": "theory"}
@@ -666,7 +682,15 @@ def cmd_theory(cfg: Config, out: OutputSettings) -> int:
             payload["freeze_support"] = None
             notes.append(str(exc))
     else:
-        if "csv" in formats:
+        # PhiTable.build's range, V_W to just below the effective ceiling; it
+        # is checked under every format, so window.json never depends on them
+        v_hi = rep.v_max_effective - _EDGE_MARGIN
+        if not rep.v_w < v_hi:
+            notes.append(
+                f"phi has an empty tabulation range [{rep.v_w!r}, {v_hi!r}], "
+                "so no phi.csv is written"
+            )
+        elif "csv" in formats:
             table = PhiTable.build(pair, rho)
             out.csv(
                 out.directory / "phi.csv",
@@ -742,6 +766,8 @@ def _trajectory_blocks(traj: Trajectory):
     """The rows of ``trajectory.csv``, one block per chunk of the replay,
     each at most one piece of ``write_csv`` (``engine._REPLAY_EVENTS``
     rows)."""
+    import numpy as np
+
     tokens, i = np.array(KIND_TOKENS, dtype=object), 0
     for times, kinds, trade_prices, bids, asks in traj._chunks():
         yield range(i, i + len(kinds)), times, tokens[kinds], trade_prices, bids, asks
@@ -795,6 +821,8 @@ def cmd_simulate(cfg: Config, out: OutputSettings) -> int:
 
 
 def cmd_compare(cfg: Config, out: OutputSettings) -> int:
+    import numpy as np
+
     from .engine import quote_cdfs, run
     from .theory import Recurrence, classify_recurrence, phi, solve_luckock
 
@@ -901,6 +929,8 @@ def cmd_freeze(cfg: Config, out: OutputSettings) -> int:
     The gambler's replica r draws the stream of the main replica r, so
     one ``run_ensemble`` call decodes each stream once and steps both
     books through it."""
+    import numpy as np
+
     from .engine import run_ensemble
     from .theory import freeze_support, gambler_bound
 
@@ -978,13 +1008,12 @@ def cmd_freeze(cfg: Config, out: OutputSettings) -> int:
 
 
 def cmd_sweep(cfg: Config, out: OutputSettings) -> int:
-    from .theory import recurrence_sweep, v_l
-
     pair, rho_model = _model(cfg)
     rhos = cfg.get("sweep.rho")
     volumes = cfg.get("sweep.volume")
     if (rhos is None) == (volumes is None):
         raise ConfigError("sweep block must set exactly one of rho and volume")
+    from .theory import recurrence_sweep, v_l
 
     if volumes is not None:
         rows = [

@@ -17,9 +17,13 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
-from typing import Callable, Tuple, Union
+from functools import cached_property
+from typing import TYPE_CHECKING, Any, Callable, Tuple, Union
 
-import numpy as np
+# numpy loads only where an array is made or read, so a config parser or a
+# command that makes no array never pays for the import
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "AssumptionError",
@@ -74,6 +78,13 @@ class PriceInterval:
         return self.lo < x < self.hi
 
 
+def _is_ndarray(x: Any) -> bool:
+    """Whether ``x`` is a numpy array.  No array exists before numpy loads,
+    so this never loads it."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(x, np.ndarray)
+
+
 @dataclass(frozen=True)
 class MonotoneCurve:
     """Weakly monotone piecewise-linear curve over a closed price span.
@@ -89,9 +100,6 @@ class MonotoneCurve:
     direction: Direction
     allow_negative: InitVar[bool] = False
 
-    # interpolation tables, derived once
-    _px: np.ndarray = field(init=False, repr=False, compare=False)
-    _rx: np.ndarray = field(init=False, repr=False, compare=False)
     _rev_rate_list: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, allow_negative: bool):
@@ -127,9 +135,20 @@ class MonotoneCurve:
                     f"for floats: width {b - a!r}, rate change {d!r}"
                 )
 
-        object.__setattr__(self, "_px", np.asarray(prices, dtype=np.float64))
-        object.__setattr__(self, "_rx", np.asarray(rates, dtype=np.float64))
         object.__setattr__(self, "_rev_rate_list", list(rates[::-1]))
+
+    # the interpolation tables of the array paths, built on first array use
+    @cached_property
+    def _px(self) -> np.ndarray:
+        import numpy as np
+
+        return np.asarray(self.prices, dtype=np.float64)
+
+    @cached_property
+    def _rx(self) -> np.ndarray:
+        import numpy as np
+
+        return np.asarray(self.rates, dtype=np.float64)
 
     @property
     def lo(self) -> float:
@@ -159,7 +178,9 @@ class MonotoneCurve:
 
         Exact at breakpoints.  Accepts a scalar or an ndarray.
         """
-        if isinstance(x, np.ndarray):
+        if _is_ndarray(x):
+            import numpy as np
+
             tol = _REL_TOL * (self.hi - self.lo)
             if np.any(x < self.lo - tol) or np.any(x > self.hi + tol):
                 raise DomainError("price array leaves the curve span")
@@ -191,7 +212,7 @@ class MonotoneCurve:
         increasing curve inf{x : rate(x) >= v}.  Levels above the maximum
         rate raise :class:`DomainError`.
         """
-        if isinstance(v, np.ndarray):
+        if _is_ndarray(v):
             return self._inverse_array(v)
         v = float(v)
         self._check_level(v)
@@ -213,6 +234,8 @@ class MonotoneCurve:
         return pl[k - 1] + (v - lo_r) / (rl[k] - lo_r) * (pl[k] - pl[k - 1])
 
     def _inverse_array(self, v: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         tol = _REL_TOL * max(1.0, abs(self.max_rate))
         if np.any(v < -tol) or np.any(v > self.max_rate + tol):
             raise DomainError("rate level array leaves [0, max_rate]")

@@ -261,3 +261,148 @@ def summarize(traj):
         empty_buy_prob=empty_buy,
         empty_sell_prob=empty_sell,
     )
+
+
+# -- the window functional in closed form -----------------------------------
+#
+# For piecewise-linear demand D and supply S, and a maker rate rho,
+#
+#     phi(V) = integral from V_W to V of
+#              {1 / (S(D^-1(w)) - rho) + 1 / (D(S^-1(w)) - rho)} / w^2 dw.
+#
+# Between two adjacent knot levels (the curve values at the merged
+# breakpoints) each inverse stays on one segment, so each braced
+# denominator is affine in w, p + q w, and each piece of phi is the kernel
+# below in closed form.  This reads the curves' breakpoints only and shares
+# no code with ``lobmm.theory``, so a fault there cannot hide on both sides
+# of a comparison.
+
+
+def kernel(p, q, a, b):
+    """The integral from ``a`` to ``b`` of dw / (w^2 (p + q w)), for
+    0 < a <= b with p + q w > 0 on [a, b].  Its antiderivative is
+    -1/(p w) + (q/p^2) ln((p + q w)/w)."""
+    if p == 0.0:
+        return (1.0 / (a * a) - 1.0 / (b * b)) / (2.0 * q)
+    logs = math.log((p + q * b) / (p + q * a)) - math.log(b / a)
+    return (1.0 / a - 1.0 / b) / p + q / (p * p) * logs
+
+
+def _value(prices, rates, x):
+    """The piecewise-linear curve through the breakpoints, at ``x``."""
+    j = min(max(bisect_right(prices, x) - 1, 0), len(prices) - 2)
+    t = (x - prices[j]) / (prices[j + 1] - prices[j])
+    return rates[j] + t * (rates[j + 1] - rates[j])
+
+
+def _slope(prices, rates, x):
+    """The slope of the segment that holds ``x`` in its interior."""
+    j = bisect_right(prices, x) - 1
+    return (rates[j + 1] - rates[j]) / (prices[j + 1] - prices[j])
+
+
+class ClosedFormTheory:
+    """phi, the effective ceiling, ``v_l`` and the window of one (pair,
+    rho), from the kernel on each piece between knot levels.  The curves
+    must be strictly monotone and cross inside the interval."""
+
+    def __init__(self, pair, rho):
+        d, s = pair.demand, pair.supply
+        self.rho = rho
+        self.dp, self.dr, self.sp, self.sr = d.prices, d.rates, s.prices, s.rates
+        merged = sorted(set(self.dp) | set(self.sp))
+        # the crossing of S - D, on the merged segment where it changes sign
+        gap = [_value(self.sp, self.sr, x) - _value(self.dp, self.dr, x) for x in merged]
+        k = next(i for i in range(len(merged) - 1) if gap[i] < 0.0 <= gap[i + 1])
+        u, w = merged[k], merged[k + 1]
+        self.x_w = u - gap[k] / (gap[k + 1] - gap[k]) * (w - u)
+        self.v_w = _value(self.dp, self.dr, self.x_w)
+        self.v_max = min(self.dr[0], self.sr[-1])
+        levels = {f(x) for x in merged for f in (self.demand, self.supply)}
+        inner = sorted(v for v in levels if self.v_w < v < self.v_max)
+        self.levels = [self.v_w, *inner, self.v_max]
+        self.v_eff, self.closes = self._effective_ceiling()
+
+    def demand(self, x):
+        return _value(self.dp, self.dr, x)
+
+    def supply(self, x):
+        return _value(self.sp, self.sr, x)
+
+    def demand_inverse(self, v):
+        """sup{x : D(x) >= v}, on the segment where D falls through ``v``."""
+        dp, dr = self.dp, self.dr
+        j = len(dr) - 1 - bisect_left(dr[::-1], v)  # dr[j] >= v > dr[j + 1]
+        return dp[j] + (dr[j] - v) / (dr[j] - dr[j + 1]) * (dp[j + 1] - dp[j])
+
+    def supply_inverse(self, v):
+        """inf{x : S(x) >= v}, on the segment where S rises through ``v``."""
+        sp, sr = self.sp, self.sr
+        i = bisect_left(sr, v)  # sr[i - 1] < v <= sr[i]
+        return sp[i - 1] + (v - sr[i - 1]) / (sr[i] - sr[i - 1]) * (sp[i] - sp[i - 1])
+
+    def gaps(self, a, b):
+        """The two braced denominators on the piece [a, b] between adjacent
+        knot levels, each as (p, q) with the denominator p + q w."""
+        m = 0.5 * (a + b)
+        x_lo, x_hi = self.demand_inverse(m), self.supply_inverse(m)
+        # d x_lo / dw and d x_hi / dw on the piece
+        dlo = 1.0 / _slope(self.dp, self.dr, x_lo)
+        dhi = 1.0 / _slope(self.sp, self.sr, x_hi)
+        out = []
+        for x, dx, curve, prices, rates in (
+            (x_lo, dlo, self.supply, self.sp, self.sr),
+            (x_hi, dhi, self.demand, self.dp, self.dr),
+        ):
+            q = _slope(prices, rates, x) * dx
+            out.append((curve(x) - self.rho - q * m, q))
+        return out
+
+    def pieces(self, v):
+        """The pieces [a, b] of [V_W, v] between knot levels."""
+        cuts = [lv for lv in self.levels if lv < v] + [v]
+        return list(zip(cuts, cuts[1:]))
+
+    def piece(self, a, b, end=None):
+        """phi over [a, end] on the piece [a, b] (``end`` defaults to b)."""
+        end = b if end is None else end
+        return sum(kernel(p, q, a, end) for p, q in self.gaps(a, b))
+
+    def _effective_ceiling(self):
+        """(v_eff, closes): the least volume where a denominator reaches
+        zero, where phi diverges, and True; else V_max and False."""
+        for a, b in self.pieces(self.v_max):
+            roots = [-p / q for p, q in self.gaps(a, b) if q < 0.0 and p + q * b <= 0.0]
+            if roots:
+                return min(roots), True
+        return self.v_max, False
+
+    def phi(self, v):
+        return math.fsum(self.piece(a, b) for a, b in self.pieces(v))
+
+    def v_l(self):
+        """(v_l, boundary): the volume where phi reaches 1/V_W^2, found by
+        bisection to adjacent floats inside its piece, or the effective
+        ceiling when phi stays below it there."""
+        threshold = 1.0 / (self.v_w * self.v_w)
+        done = 0.0
+        for a, b in zip(self.levels, self.levels[1:]):
+            if a >= self.v_eff:
+                break
+            end = min(b, self.v_eff)
+            whole = math.inf if end == self.v_eff and self.closes else self.piece(a, b, end)
+            if done + whole >= threshold:
+                lo, hi = a, end
+                while math.nextafter(lo, hi) < hi:
+                    mid = 0.5 * (lo + hi)
+                    if done + self.piece(a, b, mid) < threshold:
+                        lo = mid
+                    else:
+                        hi = mid
+                return lo, False
+            done += whole
+        return self.v_eff, True
+
+    def window(self, v):
+        """The candidate window J(v) = (D^-1(v), S^-1(v))."""
+        return self.demand_inverse(v), self.supply_inverse(v)

@@ -688,6 +688,27 @@ class TestTheory:
         assert not (outdir / "quotes.csv").exists()
         assert (outdir / "phi.csv").exists() == ("csv" in formats)
 
+    def test_an_empty_phi_range_writes_the_report(self, tmp_path):
+        # flat demand 0.5 against supply x: V_W reads 0.49999999999954525
+        # and the effective ceiling is 0.5, so phi's table would run from
+        # V_W to 0.5 - 1e-9, an empty range; the window report is still
+        # written, the same under both formats, with a note naming the range
+        model = {"interval": [0.0, 1.0], "demand": [[0.0, 0.5], [1.0, 0.5]], "supply": [[0.0, 0.0], [1.0, 1.0]]}
+        written = {}
+        for formats in (["json"], ["csv", "json"]):
+            name = "+".join(formats)
+            cfg = write_config(tmp_path, {"model": model, "output": {"formats": formats}}, f"{name}.json")
+            assert main(["theory", cfg, "--out", str(tmp_path / name)]) == 0
+            assert sorted(p.name for p in (tmp_path / name).iterdir()) == ["window.json"]
+            written[name] = (tmp_path / name / "window.json").read_bytes()
+        assert written["json"] == written["csv+json"]
+        doc = json.loads(written["json"])
+        assert doc["window"] is None and doc["boundary"] is True and "quote_law" not in doc
+        assert doc["notes"] == [
+            "phi has an empty tabulation range [0.49999999999954525, 0.499999999], "
+            "so no phi.csv is written"
+        ]
+
 
 # -- simulate -----------------------------------------------------------------
 

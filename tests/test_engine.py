@@ -34,6 +34,7 @@ from lobmm import (
     Trajectory,
     estimate_window,
     detect_freeze,
+    freeze_support,
     generator_for,
     image_book,
     quote_cdfs,
@@ -1108,7 +1109,8 @@ class TestWindowAtMakerRate:
 class TestCriticalRate:
     """The paper's critical maker rate on a pair that is not symmetric about
     x_W: the 32-segment kinked pair (V_W ~0.43564, x_W ~0.49312).  Below
-    V_W no replica freezes, above it every one does.  At 0.9 V_W the
+    V_W no replica freezes, above it every one does, with its quotes in the
+    freeze support.  At 0.9 V_W the
     detector's false freezes (quotes that happen to sit within eps for the
     last 10% of the events) fell with the horizon: 40 of 1,024 replicas at
     2e4 events, 9 at 5e4, 3 at 1e5 and none at 2e5 (seeds 200-263, 16
@@ -1126,6 +1128,27 @@ class TestCriticalRate:
         config = SimConfig(pair=pair, rho=share * v_w, events=self.EVENTS, seed=12)
         stats = run_ensemble(config, self.REPLICAS, workers=2)
         assert sum(s.frozen for s in stats) == frozen
+
+    def test_frozen_midpoints_lie_in_the_support(self):
+        """At 1.05 V_W the support is [0.4790, 0.5102], longer above x_W than
+        below it.  Every frozen midpoint lies in it widened by the detector's
+        eps (``_FREEZE_EPS`` times the interval length), since the detector
+        calls quotes frozen that still move by up to eps; and the midpoints
+        land in both halves.  The excess beyond the support shrinks with the
+        horizon: over 48 replicas each of seeds 1-10 it reached 0.0111 at
+        1e5 events, 0.0097 at 2e5, 0.0075 at 3e5 and 0.0061 at 4e5, mostly
+        above the support, with 9 to 21 midpoints below x_W."""
+        pair = make_kinked_pair(32)
+        wal = walras(pair)
+        rho = 1.05 * wal.volume
+        fs = freeze_support(pair, rho)
+        assert (fs.lo, fs.hi) == pytest.approx((0.4790, 0.5102), abs=1e-4)
+        config = SimConfig(pair=pair, rho=rho, events=400_000, seed=1)
+        mids = [s.freeze_midpoint for s in run_ensemble(config, 40, workers=2) if s.frozen]
+        assert len(mids) == 40
+        margin = engine._FREEZE_EPS * pair.interval.length
+        assert all(fs.lo - margin <= m <= fs.hi + margin for m in mids), (min(mids), max(mids))
+        assert any(fs.lo <= m < wal.x for m in mids) and any(wal.x < m <= fs.hi for m in mids)
 
 
 class TestCoupling:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import os
@@ -34,7 +35,7 @@ from lobmm import (
     run,
 )
 
-from conftest import make_uniform_pair
+from conftest import make_evenodd_pair, make_kinked_pair, make_uniform_pair
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracer.py"
@@ -278,21 +279,30 @@ def test_one_function_starts_process_pools():
 
 
 STARTUP = """
-import json, sys
+import contextlib, io, json, sys
 from lobmm.cli import load_config, main, parse_model
 
 def loaded():
-    return sorted(m for m in sys.modules if m.startswith("lobmm.") or m == "numpy.ma")
+    return sorted(m for m in sys.modules if m.startswith("lobmm.") or m in ("numpy", "numpy.ma"))
 
-config, sweep, out = sys.argv[1:]
+config, sweep, refused, out = sys.argv[1:]
 parse_model(load_config(config))
 after_parse = loaded()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    main(["--help"])
+after_help = loaded()
+assert main(["theory", refused, "--out", out + "/refused"]) == 2
+after_refused = loaded()
 assert main(["theory", config, "--out", out + "/theory"]) == 0
+after_theory = loaded()
 assert main(["sweep", sweep, "--out", out + "/sweep"]) == 0
 after_commands = loaded()
 names = {}
 exec("from lobmm import *", names)
-print(json.dumps([after_parse, after_commands, sorted(set(names) - {"__builtins__"})]))
+print(json.dumps([
+    after_parse, after_help, after_refused, after_theory, after_commands,
+    sorted(set(names) - {"__builtins__"}),
+]))
 """
 
 
@@ -315,25 +325,88 @@ STARTUP_MODELS = {
 def test_theory_commands_never_load_the_simulator(tmp_path):
     """A fresh interpreter that parses a model, then runs theory and a
     volume sweep, never loads the engine or the book, nor numpy.ma
-    (np.unique imports it); parsing alone loads no theory.  The star
-    import still binds every public name."""
+    (np.unique imports it); parsing alone loads no theory.  Parsing, the
+    help text and a config refused while parsing (exit 2) load no numpy
+    either; theory and sweep do, for their tables.  The star import still
+    binds every public name."""
     for name, model in STARTUP_MODELS.items():
         config, sweep = tmp_path / f"{name}.json", tmp_path / f"{name}-sweep.json"
+        refused = tmp_path / f"{name}-refused.json"
         config.write_text(json.dumps({"model": model}))
         sweep.write_text(json.dumps({"model": model, "sweep": {"volume": [0.6, 0.8]}}))
+        # a negative supply rate: MonotoneCurve refuses it
+        refused.write_text(json.dumps({"model": dict(model, supply=[[0.0, -0.5], [1.0, 1.0]])}))
         proc = subprocess.run(
-            [sys.executable, "-c", STARTUP, str(config), str(sweep), str(tmp_path / name)],
+            [sys.executable, "-c", STARTUP, str(config), str(sweep), str(refused), str(tmp_path / name)],
             capture_output=True,
             text=True,
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        after_parse, after_commands, names = json.loads(proc.stdout)
+        assert "rates must be nonnegative" in proc.stderr
+        *stages, names = json.loads(proc.stdout)
+        after_parse, after_help, after_refused, after_theory, after_commands = stages
         assert "lobmm.theory" not in after_parse
         assert "lobmm.theory" in after_commands
         for module in ("lobmm.engine", "lobmm.book", "numpy.ma"):
-            assert module not in after_parse and module not in after_commands
+            assert all(module not in stage for stage in stages)
+        for stage in (after_parse, after_help, after_refused):
+            assert "numpy" not in stage
+        assert "numpy" in after_theory and "numpy" in after_commands
         assert names == sorted(lobmm.__all__) and len(names) == 41
+
+
+CURVES_BEFORE_NUMPY = """
+import json, pickle, sys
+from lobmm.curves import Direction, MonotoneCurve
+
+curves = [MonotoneCurve(p, r, Direction(d)) for p, r, d in json.loads(sys.argv[1])]
+stored = pickle.dumps(curves)
+assert "numpy" not in sys.modules
+import numpy as np
+
+def arrays(curve):
+    xs = np.linspace(curve.lo, curve.hi, 257)
+    vs = np.linspace(0.0, curve.max_rate, 257)
+    return [curve.value_at(xs).tolist(), curve.inverse(vs).tolist()]
+
+restored = pickle.loads(stored)
+print(json.dumps({
+    "arrays": [arrays(c) for c in curves],
+    "restored": [arrays(c) for c in restored],
+    "equal": [restored == curves, pickle.loads(pickle.dumps(curves)) == curves],
+}))
+"""
+
+# sha256 over the array answers below, recorded when every curve built its
+# interpolation tables at construction
+CURVE_ARRAYS_SHA256 = "08f855e5b64d43f2e283da219d7014aa4b397036324d5079e26ad9265a03b8fe"
+
+
+def test_curves_built_before_numpy_answer_arrays_as_before():
+    """A curve built before numpy loads makes its interpolation tables on
+    first array use: its array ``value_at`` and ``inverse`` give the bits of
+    a curve built with numpy loaded, and the bits recorded when every
+    curve built its tables at construction.  It compares equal to itself
+    after a pickle round trip, whether or not it has built its tables."""
+    curves = [c for p in (make_kinked_pair(32), make_evenodd_pair(3)) for c in (p.demand, p.supply)]
+    spec = json.dumps([[c.prices, c.rates, c.direction.value] for c in curves])
+    proc = subprocess.run(
+        [sys.executable, "-c", CURVES_BEFORE_NUMPY, spec], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    digest = hashlib.sha256()
+    for curve, (values, levels) in zip(curves, got["arrays"]):
+        xs = np.linspace(curve.lo, curve.hi, 257)
+        vs = np.linspace(0.0, curve.max_rate, 257)
+        assert values == curve.value_at(xs).tolist()
+        assert levels == curve.inverse(vs).tolist()
+        digest.update(np.array(values).tobytes())
+        digest.update(np.array(levels).tobytes())
+    assert digest.hexdigest() == CURVE_ARRAYS_SHA256
+    assert got["restored"] == got["arrays"]
+    assert got["equal"] == [True, True]
 
 
 BLAS_THREADS = """

@@ -46,6 +46,7 @@ from lobmm import (
 from lobmm import curves, theory
 from lobmm.theory import WindowReport
 
+import oracle
 from conftest import make_evenodd_pair, make_floor_pair, make_kinked_pair, make_uniform_pair
 
 # uniform pair, no makers
@@ -240,6 +241,56 @@ class TestTradeVolume:
         rep = v_l(alpha_pair(1.0))
         assert not rep.boundary
         assert rep.v_l == pytest.approx(VL_UNIFORM, abs=1e-4)
+
+
+class TestClosedForm:
+    """Production against the closed-form oracle (``oracle.ClosedFormTheory``)
+    where production is right today: phi away from the cap, the walrasian
+    volume, the effective ceiling, ``v_l`` and the window, on the uniform
+    pair and the 32-segment kinked pair.  Measured worst gaps: phi 4.1e-11
+    at up to 99.9% of the way from V_W to the effective ceiling (within
+    about 1e-4 of the ceiling the gap passes 1e-10 on the uniform pair:
+    the cap defect of ROADMAP item 1); V_W 4.6e-13; the ceiling 8.9e-16;
+    ``v_l`` 2.7e-11 and the window edges 2.0e-11.  The bounds are
+    production's own tolerances: ``_PHI_TOL`` for phi, ``_ROOT_TOL`` for
+    ``v_l``, and the bisection stops of ``walras`` and the ceiling."""
+
+    CASES = [(name, rho) for name in ("uniform", "kinked") for rho in (0.0, 0.1, 0.3)]
+
+    @staticmethod
+    def pair(name):
+        return make_kinked_pair(32) if name == "kinked" else make_uniform_pair()
+
+    def test_the_oracle_is_the_uniform_closed_form(self, uniform_pair):
+        # over the whole range up to the cap, where phi is 43.44653 and
+        # production reads 667.12 (ROADMAP item 1)
+        th = oracle.ClosedFormTheory(uniform_pair, 0.0)
+        assert (th.v_w, th.v_eff, th.closes) == (0.5, 1.0, True)
+        for v in [*np.linspace(0.5, 0.999, 50).tolist(), 1.0 - 1e-6, 1.0 - 1e-9]:
+            assert th.phi(v) == pytest.approx(closed_form_phi(v), rel=1e-13, abs=1e-15)
+        assert th.phi(1.0 - 1e-9) == pytest.approx(43.44653, abs=1e-5)
+
+    @pytest.mark.parametrize("name, rho", CASES)
+    def test_phi_away_from_the_cap(self, name, rho):
+        pair = self.pair(name)
+        th = oracle.ClosedFormTheory(pair, rho)
+        for k in range(1, 41):
+            v = th.v_w + 0.999 * k / 40 * (th.v_eff - th.v_w)
+            assert phi(pair, rho, v) == pytest.approx(th.phi(v), abs=theory._PHI_TOL), v
+
+    @pytest.mark.parametrize("name, rho", CASES)
+    def test_v_l_and_window(self, name, rho):
+        pair = self.pair(name)
+        th = oracle.ClosedFormTheory(pair, rho)
+        rep = v_l(pair, rho)
+        volume, boundary = th.v_l()
+        assert rep.v_w == pytest.approx(th.v_w, abs=1e-12)
+        assert rep.v_max_effective == pytest.approx(th.v_eff, abs=2e-15)
+        assert (rep.boundary, boundary) == (False, False)
+        assert rep.v_l == pytest.approx(volume, abs=theory._ROOT_TOL)
+        lo, hi = th.window(volume)
+        assert rep.window.lo == pytest.approx(lo, abs=theory._ROOT_TOL)
+        assert rep.window.hi == pytest.approx(hi, abs=theory._ROOT_TOL)
 
 
 class TestRecurrenceClass:
