@@ -249,11 +249,12 @@ class TestClosedForm:
     volume, the effective ceiling, ``v_l`` and the window, on the uniform
     pair and the 32-segment kinked pair.  Measured worst gaps: phi 4.1e-11
     at up to 99.9% of the way from V_W to the effective ceiling (within
-    about 1e-4 of the ceiling the gap passes 1e-10 on the uniform pair:
-    the cap defect of ROADMAP item 1); V_W 4.6e-13; the ceiling 8.9e-16;
-    ``v_l`` 2.7e-11 and the window edges 2.0e-11.  The bounds are
-    production's own tolerances: ``_PHI_TOL`` for phi, ``_ROOT_TOL`` for
-    ``v_l``, and the bisection stops of ``walras`` and the ceiling."""
+    about 1e-4 of the ceiling the gap passes 1e-10 on the uniform pair,
+    where production's cap piece does not converge); V_W 4.6e-13; the
+    ceiling 8.9e-16; ``v_l`` 2.7e-11 and the window edges 2.0e-11.  The
+    bounds are production's own tolerances: ``_PHI_TOL`` for phi,
+    ``_ROOT_TOL`` for ``v_l``, and the bisection stops of ``walras`` and
+    the ceiling."""
 
     CASES = [(name, rho) for name in ("uniform", "kinked") for rho in (0.0, 0.1, 0.3)]
 
@@ -263,7 +264,7 @@ class TestClosedForm:
 
     def test_the_oracle_is_the_uniform_closed_form(self, uniform_pair):
         # over the whole range up to the cap, where phi is 43.44653 and
-        # production reads 667.12 (ROADMAP item 1)
+        # production's phi_at_cap reads 667.12
         th = oracle.ClosedFormTheory(uniform_pair, 0.0)
         assert (th.v_w, th.v_eff, th.closes) == (0.5, 1.0, True)
         for v in [*np.linspace(0.5, 0.999, 50).tolist(), 1.0 - 1e-6, 1.0 - 1e-9]:
